@@ -5,9 +5,10 @@ builders (``omega gamma``, ``omega classify``), orbit experiments (``orbit``,
 ``table1``, ``table2``, ``limit-set``, ``periodic-points``, ``preimages``)
 and the word equation tools (``eq check``, ``eq enumerate``, ``eq orbits``).
 
-Outputs are deterministic for a fixed argument vector (searches take explicit
-seeds).  Reproduction commands print the computed value next to the reference
-value with a PASS/FAIL marker and exit nonzero on FAIL.
+Outputs are deterministic for a fixed argument vector.  Reproduction commands
+print the computed value next to the reference value with a PASS/FAIL marker
+and exit nonzero on FAIL.  A usage error exits 2 and a non-squareful input
+exits 1, each with one ``error: ...`` line on stderr.
 """
 
 from __future__ import annotations
@@ -26,21 +27,37 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
 
-def _params_args(p: argparse.ArgumentParser):
+class _Parser(argparse.ArgumentParser):
+    """Hands usage errors to :func:`main`, which reports them in one line."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+def _at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
+def _alphabet_args(p: argparse.ArgumentParser):
     p.add_argument("--a", type=int, default=1, help="first square parameter (>= 1)")
     p.add_argument("--b", type=int, default=0, help="second square parameter (>= 0)")
+
+
+def _system_args(p: argparse.ArgumentParser):
+    _alphabet_args(p)
     p.add_argument("--c", type=int, default=1, help="block substitution parameter (>= 1)")
     p.add_argument("--k", type=int, default=4, help="index of the reversed standard word")
     p.add_argument("--seed-word", choices=("plain", "swapped"), default="plain",
                    help="which of the two companion words the block S expands to")
-    p.add_argument("--convention", choices=("left", "right"), default="left",
-                   help="endpoint convention of rotation codings")
-
-
-def _output_args(p: argparse.ArgumentParser):
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.add_argument("--out", type=str, default=None, help="write output to a file")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized searches")
 
 
 def _system(ns) -> OmegaSystem:
@@ -79,11 +96,13 @@ def _word_source(sys: OmegaSystem, ns) -> streams.InfiniteWord:
             "l-omega": sys.l_omega,
         }
         if ns.word not in named:
-            raise SystemExit(EXIT_USAGE)
+            raise ValueError(f"unknown named word {ns.word!r}; pick one of {', '.join(named)}")
         return named[ns.word]()
     if kind == "blocks":
         prod = streams.sl_cycle(ns.word, sys.s_word, sys.l_word, ns.shift)
         return streams.expand(prod)
+    if set(ns.word) - {"0", "1"}:
+        raise ValueError(f"letters must be 0 and 1, got {ns.word!r}")
     return streams.periodic_word(ns.word, f"({ns.word})^w")
 
 
@@ -112,7 +131,7 @@ def cmd_sqrt(ns) -> int:
     try:
         root = squares.sqrt_finite(alph, w)
     except squares.TokenizationError as err:
-        _emit(ns, f"error: {err}")
+        print(f"error: {err}", file=_sys.stderr)
         return EXIT_VIOLATION
     _emit(ns, json.dumps({"word": w, "sqrt": root}) if ns.format == "json" else root)
     return EXIT_OK
@@ -159,10 +178,7 @@ def _parse_fib(text: str) -> list[int]:
 
 
 def cmd_table1(ns) -> int:
-    budget = dynamics.SearchBudget(depth=ns.depth, cap=ns.cap, seed=ns.seed,
-                                   random_tails=ns.random_tails,
-                                   omega_offsets=ns.omega_offsets)
-    rows = dynamics.table1_experiment(_parse_fib(ns.fib), budget)
+    rows = dynamics.table1_experiment(_parse_fib(ns.fib))
     ok = True
     table = []
     for r in rows:
@@ -205,8 +221,7 @@ def cmd_preimages(ns) -> int:
     index = dynamics.PreimageIndex(sys, corpus_blocks=ns.budget)
     target = _read_word(ns)
     if len(target) < index.match_len:
-        _emit(ns, f"error: target must supply {index.match_len} letters")
-        return EXIT_USAGE
+        raise ValueError(f"target must supply {index.match_len} letters")
     hits = index.find(target[: index.match_len])
     payload = {
         "target": target[: index.match_len],
@@ -305,38 +320,34 @@ def cmd_eq_orbits(ns) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="squareful",
-                                  description="square root map on optimal squareful words")
+    top = _Parser(prog="squareful", description="square root map on optimal squareful words")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        _params_args(p)
-        _output_args(p)
+    def add(group, name, handler, params=None, **kwargs):
+        p = group.add_parser(name, **kwargs)
+        if params is not None:
+            params(p)
+        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+        p.add_argument("--out", type=str, default=None, help="write output to a file")
         p.set_defaults(handler=handler)
         return p
 
-    p = add("factorize", cmd_factorize, help="factor a word into minimal squares")
+    p = add(sub, "factorize", cmd_factorize, _alphabet_args, help="factor a word into minimal squares")
     p.add_argument("word", nargs="?", default=None, help="binary word (stdin if omitted)")
 
-    p = add("sqrt", cmd_sqrt, help="square root of a finite square product")
+    p = add(sub, "sqrt", cmd_sqrt, _alphabet_args, help="square root of a finite square product")
     p.add_argument("word", nargs="?", default=None)
 
     omega = sub.add_parser("omega", help="subshift building blocks")
     osub = omega.add_subparsers(dest="omega_command", required=True)
-    p = osub.add_parser("gamma", help="print the level-j building blocks")
-    _params_args(p)
-    _output_args(p)
-    p.add_argument("--j", type=int, required=True)
-    p.set_defaults(handler=cmd_omega_gamma)
-    p = osub.add_parser("classify", help="type (A)-(D) of a shifted block product")
-    _params_args(p)
-    _output_args(p)
+    p = add(osub, "gamma", cmd_omega_gamma, _system_args, help="print the level-j building blocks")
+    p.add_argument("--j", type=_at_least(0), required=True)
+    p = add(osub, "classify", cmd_omega_classify, _system_args,
+            help="type (A)-(D) of a shifted block product")
     p.add_argument("--blocks", type=str, required=True, help="block names, e.g. SSLS")
     p.add_argument("--shift", type=int, default=0)
-    p.set_defaults(handler=cmd_omega_classify)
 
-    p = add("orbit", cmd_orbit, help="iterate the square root map")
+    p = add(sub, "orbit", cmd_orbit, _system_args, help="iterate the square root map")
     p.add_argument("--word", type=str, required=True,
                    help="named source (gamma1, gamma2, s-omega, l-omega), a 0/1 "
                         "period, or S/L block names per --input-kind")
@@ -344,59 +355,51 @@ def build_parser() -> argparse.ArgumentParser:
                    help="letters: the word repeated periodically; blocks: cycled "
                         "block names with --shift; named: a built-in word")
     p.add_argument("--shift", type=int, default=0)
-    p.add_argument("--steps", type=int, default=8)
+    p.add_argument("--steps", type=_at_least(0), default=8)
 
-    p = add("table1", cmd_table1, help="steps-to-fixed maxima for reversed Fibonacci words")
+    p = add(sub, "table1", cmd_table1, help="steps-to-fixed maxima for reversed Fibonacci words")
     p.add_argument("--fib", type=str, default="8,13,21,34,55,89")
-    p.add_argument("--depth", type=int, default=12)
-    p.add_argument("--cap", type=int, default=40)
-    p.add_argument("--random-tails", type=int, default=32)
-    p.add_argument("--omega-offsets", type=int, default=512)
 
-    p = add("table2", cmd_table2, help="closed-form step estimates")
+    p = add(sub, "table2", cmd_table2, help="closed-form step estimates")
     p.add_argument("--fib", type=str, default="8,13,144,6765")
 
-    p = add("preimages", cmd_preimages, help="preimage search for a factor of the subshift")
+    p = add(sub, "preimages", cmd_preimages, _system_args,
+            help="preimage search for a factor of the subshift")
     p.add_argument("word", nargs="?", default=None, help="target letters (stdin if omitted)")
-    p.add_argument("--budget", type=int, default=60_000, help="corpus blocks for the index")
+    p.add_argument("--budget", type=_at_least(1), default=60_000, help="corpus blocks for the index")
 
-    p = add("limit-set", cmd_limit_set, help="depth-d preimage chains for product words")
-    p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--depth", type=int, default=10)
+    p = add(sub, "limit-set", cmd_limit_set, _system_args,
+            help="depth-d preimage chains for product words")
+    p.add_argument("--samples", type=_at_least(1), default=20)
+    p.add_argument("--depth", type=_at_least(1), default=10)
 
-    p = add("periodic-points", cmd_periodic_points, help="refutation search for periodic points")
-    p.add_argument("--max-blocks", type=int, default=8)
-    p.add_argument("--cap", type=int, default=16)
+    p = add(sub, "periodic-points", cmd_periodic_points, _system_args,
+            help="refutation search for periodic points")
+    p.add_argument("--max-blocks", type=_at_least(1), default=8)
+    p.add_argument("--cap", type=_at_least(1), default=16)
 
     eq = sub.add_parser("eq", help="word equation tools")
     esub = eq.add_subparsers(dest="eq_command", required=True)
-    p = esub.add_parser("check", help="is the word a solution")
-    _params_args(p)
-    _output_args(p)
+    p = add(esub, "check", cmd_eq_check, _alphabet_args, help="is the word a solution")
     p.add_argument("word", nargs="?", default=None)
-    p.set_defaults(handler=cmd_eq_check)
-    p = esub.add_parser("enumerate", help="solutions among subshift factors")
-    _params_args(p)
-    _output_args(p)
-    p.add_argument("--bmax", type=int, default=32)
-    p.set_defaults(handler=cmd_eq_enumerate)
-    p = esub.add_parser("orbits", help="doubling orbits of Z_n")
-    _params_args(p)
-    _output_args(p)
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(handler=cmd_eq_orbits)
+    p = add(esub, "enumerate", cmd_eq_enumerate, _system_args, help="solutions among subshift factors")
+    p.add_argument("--bmax", type=_at_least(1), default=32)
+    p = add(esub, "orbits", cmd_eq_orbits, help="doubling orbits of Z_n")
+    p.add_argument("--n", type=_at_least(1), required=True)
 
     return top
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
     try:
+        ns = build_parser().parse_args(argv)
         return ns.handler(ns)
     except (ValueError, squares.TokenizationError) as err:
         print(f"error: {err}", file=_sys.stderr)
         return EXIT_USAGE
+    except streams.SourcePoisonedError as err:
+        print(f"error: the input is not squareful: {err}", file=_sys.stderr)
+        return EXIT_VIOLATION
 
 
 if __name__ == "__main__":

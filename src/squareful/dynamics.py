@@ -4,7 +4,7 @@ The workhorse is :class:`OrbitEngine`, which iterates the square root map on
 shifted block products exactly.  A shifted product is kept as a pair
 ``(y, blocks)``: the word is ``y . B1 B2 B3 ...`` where ``y`` is the proper
 remainder of a partially consumed block and the ``B_t`` are whole blocks.
-One application of the map either
+One application of the map, :meth:`OmegaSystem.sqrt_step`, either
 
 * consumes ``y`` alone (``y`` is a product of minimal squares), leaving the
   odd-indexed blocks,
@@ -13,21 +13,20 @@ One application of the map either
   block word, after which the orbit lives in the finite periodic part and is
   followed by exact rotation bookkeeping.
 
-All transitions are memoized per parameter set, so large enumerations reduce
-to dictionary lookups.
+Steps are memoized per parameter set, so the adversarial search behind
+Table 1 tokenizes each remainder once.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable
 
 from . import squares, streams, words
-from .omega import PERIODIC, PRODUCT_FORM, OmegaParams, OmegaSystem
+from .omega import D_LOOKAHEAD, PERIODIC, PRODUCT_FORM, TYPE_B, TYPE_C, TYPE_D, OmegaParams, OmegaSystem
 from .sturmian import RotationSystem
 from .streams import InfiniteWord, SLProduct
 
@@ -101,60 +100,61 @@ def psi_steps(rot: RotationSystem, rho: Fraction, s_word: str, l_word: str) -> i
 # the exact orbit engine
 
 
+@dataclass(frozen=True)
+class Witness:
+    """A start attaining the Table 1 maximum.
+
+    Block 0 is ``first``, shifted by ``shift``; ``names`` maps the block
+    indices the argmax orbit reads to their names.  Every other block is
+    free, and :meth:`fetch` names it ``S``.
+    """
+
+    shift: int
+    first: str
+    names: dict[int, str]
+
+    def fetch(self, i: int) -> str:
+        return self.names.get(i, "S")
+
+
+# L first: ties go to names unlike the free blocks of a Witness, which makes
+# its replay test where the names sit
+_TAILS = ["".join(p) for p in itertools.product("LS", repeat=D_LOOKAHEAD)]
+
+
 class OrbitEngine:
-    """Memoized exact iteration of the square root map on shifted products."""
+    """Exact steps-to-fixed counts on shifted products, by the square root
+    step of :meth:`OmegaSystem.sqrt_step` and rotation bookkeeping."""
 
     def __init__(self, sys: OmegaSystem):
         self.sys = sys
-        self.alph = sys.alphabet
         self.n = sys.block_len
-        self._word = {"S": sys.s_word, "L": sys.l_word}
-        self._root: dict[str, str | None] = {}
-        self._period_image: dict[tuple[str, str], int] = {}
-        self._next_rot: list[int] | None = None
-        self._phase: list[int] | None = None
         self.l_index = sys.conjugate_index(sys.l_word)
+        self._next_rot: list[int] | None = None
+        self._phase: dict[int, int] | None = None
+        self._witness: Witness | None = None
 
     # -- periodic part -------------------------------------------------------
 
-    def _rotation_tables(self) -> tuple[list[int], list[int]]:
-        """Successor and steps-to-fixed tables for the words ``T^j(S^omega)``."""
-        if self._phase is not None:
-            return self._next_rot, self._phase
-        n = self.n
-        conj = words.conjugates(self.sys.s_word)
-        nxt = []
-        for rot_word in conj:
-            enough = rot_word * (3 + self.alph.max_square_len // n)
-            roots, failure = squares.factor_minimal_squares(
-                self.alph, enough[: 2 * n + self.alph.max_square_len]
-            )
-            del failure  # a truncated tail is expected; we only need n letters
-            image = "".join(roots)[:n]
-            j = self.sys.conjugate_index(image)
-            if j is None:
-                raise AssertionError("square root left the periodic part")
-            nxt.append(j)
-        phase = [-1] * n
-        fixed = {0, self.l_index}
-        for j in range(n):
-            seen, cur = [], j
-            while phase[cur] < 0 and cur not in fixed and cur not in seen:
-                seen.append(cur)
-                cur = nxt[cur]
-            base = 0 if (cur in fixed and phase[cur] < 0) else phase[cur]
-            if base < 0:
-                raise AssertionError("rotation orbit cycled without reaching S^w or L^w")
-            if cur in fixed and phase[cur] < 0:
-                phase[cur] = 0
-            for back in reversed(seen):
-                base += 1
-                phase[back] = base
-        for j in fixed:
-            if phase[j] < 0:
-                phase[j] = 0
-        self._next_rot, self._phase = nxt, phase
-        return nxt, phase
+    def _rotation_tables(self) -> tuple[list[int], dict[int, int]]:
+        """Successor and steps-to-fixed tables for the words ``T^j(S^omega)``,
+        whose square roots are the periodic images of ``S[j:] . S S S ...``."""
+        if self._phase is None:
+            s_word, all_s = self.sys.s_word, "S" * D_LOOKAHEAD
+            nxt = [self.sys.periodic_image(s_word[j:], all_s) for j in range(self.n)]
+            phase = {0: 0, self.l_index: 0}
+            for j in range(self.n):
+                path = []
+                while j not in phase:
+                    if j in path:
+                        raise AssertionError("rotation orbit cycled without reaching S^w or L^w")
+                    path.append(j)
+                    j = nxt[j]
+                for back in reversed(path):
+                    phase[back] = phase[j] + 1
+                    j = back
+            self._next_rot, self._phase = nxt, phase
+        return self._next_rot, self._phase
 
     def rotation_successor(self, j: int) -> int:
         return self._rotation_tables()[0][j]
@@ -163,37 +163,7 @@ class OrbitEngine:
         """Steps for ``T^j(S^omega)`` to reach ``S^omega`` or ``L^omega``."""
         return self._rotation_tables()[1][j]
 
-    # -- transitions ---------------------------------------------------------
-
-    def _root_if_pi(self, z: str) -> str | None:
-        cached = self._root.get(z)
-        if cached is None and z not in self._root:
-            roots, failure = squares.factor_minimal_squares(self.alph, z)
-            cached = "".join(roots) if failure is None else None
-            self._root[z] = cached
-        return cached
-
-    def _periodic_image(self, y: str, block_names: str) -> int:
-        """Rotation index of the square root of a type-D word ``y . blocks...``."""
-        key = (y, block_names)
-        hit = self._period_image.get(key)
-        if hit is not None:
-            return hit
-        text = y + "".join(self._word[b] for b in block_names)
-        roots, failure = squares.factor_minimal_squares(
-            self.alph, text[: 2 * self.n + self.alph.max_square_len]
-        )
-        del failure
-        image = "".join(roots)[: self.n]
-        j = self.sys.conjugate_index(image)
-        if j is None:
-            raise AssertionError(
-                f"type-D image period {image!r} is not a rotation of the block word"
-            )
-        self._period_image[key] = j
-        return j
-
-    D_LOOKAHEAD = 5  # blocks of input needed to read |S| letters of the image
+    # -- orbits of shifted products --------------------------------------------
 
     def steps_to_fixed(
         self, shift: int, first: str, fetch: Callable[[int], str], cap: int = 40
@@ -206,74 +176,76 @@ class OrbitEngine:
         """
         if not 0 < shift < self.n:
             raise ValueError("start word must be a properly shifted product")
-        y = self._word[first][shift:]
-        stride, base = 1, 0
-        steps = 0
-        while steps <= cap:
-            root = self._root_if_pi(y)
-            if root is not None:  # type B
-                y = root
-                stride, base = 2 * stride, base - stride
-                steps += 1
-                continue
-            b1 = fetch(stride + base)
-            root = self._root_if_pi(y + self._word[b1])
-            if root is not None:  # type C
-                y = root
-                stride, base = 2 * stride, base
-                steps += 1
-                continue
-            # type D
-            names = b1 + "".join(
-                fetch(t * stride + base) for t in range(2, self.D_LOOKAHEAD + 1)
-            )
-            j = self._periodic_image(y, names)
-            steps += 1
-            return steps + self.rotation_phase(j)
+        y = self.sys.sigma(first)[shift:]
+        stride, base = 1, 0  # block t of the current word is block t*stride + base
+        for steps in range(1, cap + 2):
+            names = "".join(fetch(t * stride + base) for t in range(1, D_LOOKAHEAD + 1))
+            kind, out = self.sys.sqrt_step(y, names)
+            if kind == TYPE_D:
+                return steps + self.rotation_phase(out)
+            y = out
+            if kind == TYPE_B:
+                base -= stride
+            stride *= 2
         return None
 
     def steps_supremum(self, cap: int = 64) -> int:
         """Exact maximum of :meth:`steps_to_fixed` over every properly shifted
         product, by adversarial play.
 
-        Block values are chosen lazily: the only block ever re-read is the one
-        following the remainder (a type-B step keeps it), so a state is the
-        remainder plus that optional commitment.  Termination is guaranteed by
-        the finite-time theorem; ``cap`` guards against bugs.
+        A state is the remainder alone: a step reads only blocks no earlier
+        step has read, so every tail of block names is open at every state.
+        Termination is guaranteed by the finite-time theorem; ``cap`` guards
+        against bugs.  The argmax start is kept for :meth:`witness`.
         """
-        memo: dict[tuple[str, str | None], int] = {}
-        on_path: set[tuple[str, str | None]] = set()
+        memo: dict[str, tuple[int, str]] = {}  # remainder -> (value, argmax names)
+        on_path: set[str] = set()
 
-        def best(y: str, carry: str | None, depth: int) -> int:
+        def best(y: str, depth: int) -> int:
             if depth > cap:
                 raise AssertionError("orbit exceeded the safety cap; bug in transitions")
-            state = (y, carry)
-            if state in memo:
-                return memo[state]
-            if state in on_path:
+            if y in memo:
+                return memo[y][0]
+            if y in on_path:
                 raise AssertionError("orbit cycled; contradicts the finite-time theorem")
-            on_path.add(state)
-            root = self._root_if_pi(y)
-            if root is not None:
-                result = 1 + best(root, carry, depth + 1)
-            else:
-                result = 0
-                for b1 in ("S", "L") if carry is None else (carry,):
-                    root = self._root_if_pi(y + self._word[b1])
-                    if root is not None:
-                        result = max(result, 1 + best(root, None, depth + 1))
-                    else:
-                        tail_best = max(
-                            self.rotation_phase(self._periodic_image(y, b1 + "".join(rest)))
-                            for rest in itertools.product("SL", repeat=self.D_LOOKAHEAD - 1)
-                        )
-                        result = max(result, 1 + tail_best)
-            on_path.discard(state)
-            memo[state] = result
-            return result
+            on_path.add(y)
+            top = (0, "")
+            for names in _TAILS:
+                kind, nxt = self.sys.sqrt_step(y, names)
+                value = 1 + (self.rotation_phase(nxt) if kind == TYPE_D else best(nxt, depth + 1))
+                if value > top[0]:
+                    top = (value, names)
+            on_path.discard(y)
+            memo[y] = top
+            return top[0]
 
-        starts = {self._word[first][ell:] for ell in range(1, self.n) for first in "SL"}
-        return max(best(y, None, 0) for y in starts)
+        starts = [(shift, first) for shift in range(1, self.n) for first in "SL"]
+        shift, first = max(starts, key=lambda s: best(self.sys.sigma(s[1])[s[0]:], 0))
+        y = self.sys.sigma(first)[shift:]
+        value = memo[y][0]
+        # follow the argmax choices to find the block indices they name
+        committed: dict[int, str] = {}
+        stride, base = 1, 0
+        while True:
+            names = memo[y][1]
+            kind, out = self.sys.sqrt_step(y, names)
+            if kind == TYPE_D:
+                committed.update((t * stride + base, b) for t, b in enumerate(names, 1))
+                break
+            if kind == TYPE_C:
+                committed[stride + base] = names[0]
+            else:
+                base -= stride
+            stride *= 2
+            y = out
+        self._witness = Witness(shift, first, committed)
+        return value
+
+    def witness(self) -> Witness:
+        """A start attaining :meth:`steps_supremum`, found by the last game."""
+        if self._witness is None:
+            self.steps_supremum()
+        return self._witness
 
 
 # ---------------------------------------------------------------------------
@@ -360,23 +332,13 @@ def iterate_sqrt(sys: OmegaSystem, src: InfiniteWord, m: int) -> OrbitRecord:
 
 
 @dataclass
-class SearchBudget:
-    depth: int = 12
-    cap: int = 40
-    random_tails: int = 32
-    omega_offsets: int = 512
-    seed: int = 0
-
-
-@dataclass
 class Table1Row:
     s_len: int
     steps: int
-    witness: str
+    witness: Witness
 
 
 def _fibonacci_index(s_len: int) -> int:
-    d = (1,)
     k, q_prev, q = 1, 1, 2
     while q < s_len:
         q_prev, q = q, q + q_prev
@@ -391,72 +353,13 @@ def fibonacci_system(s_len: int) -> OmegaSystem:
     return OmegaSystem(OmegaParams(a=1, b=0, c=1, k=_fibonacci_index(s_len)))
 
 
-def _enumerate_starts(
-    sys: OmegaSystem, budget: SearchBudget
-) -> Iterable[tuple[int, str, Callable[[int], str], str]]:
-    """The documented search family: every shift crossed with
-
-    * every block window of ``depth`` blocks, repeated cyclically,
-    * windows read off the tau fixed point at many offsets (language-consistent
-      tails), and
-    * seeded random block sequences.
-    """
-    n = sys.block_len
-    depth = budget.depth
-    star = sys.gamma_star(1)
-    star_text = star.prefix(budget.omega_offsets + depth + 64)
-    rng = random.Random(budget.seed)
-
-    def shifts_and_firsts():
-        for ell in range(1, n):
-            yield ell, "S"
-            if ell < 2:  # block words differ only in their first two letters
-                yield ell, "L"
-
-    for pattern_bits in itertools.product("SL", repeat=depth):
-        pattern = "".join(pattern_bits)
-
-        def cyc(i: int, pat=pattern) -> str:
-            return pat[(i - 1) % depth]
-
-        for ell, first in shifts_and_firsts():
-            yield ell, first, cyc, f"cycle:{pattern}"
-
-    for off in range(budget.omega_offsets):
-
-        def from_star(i: int, off=off) -> str:
-            return star_text[off + i - 1] if off + i - 1 < len(star_text) else star.letter(off + i - 1)
-
-        for ell, first in shifts_and_firsts():
-            yield ell, first, from_star, f"star:{off}"
-
-    for r in range(budget.random_tails):
-        seq = [rng.choice("SL") for _ in range(4096)]
-
-        def rnd(i: int, seq=seq) -> str:
-            while i - 1 >= len(seq):
-                seq.append(rng.choice("SL"))
-            return seq[i - 1]
-
-        for ell, first in shifts_and_firsts():
-            yield ell, first, rnd, f"random:{r}"
-
-
-def table1_experiment(
-    s_lengths: Iterable[int], budget: SearchBudget | None = None
-) -> list[Table1Row]:
-    """Maximal steps-to-fixed over the enumerated family, per block word length."""
-    budget = budget or SearchBudget()
+def table1_experiment(s_lengths: Iterable[int]) -> list[Table1Row]:
+    """Maximal steps-to-fixed per block word length, by the exact game, with
+    a start attaining it."""
     rows = []
     for s_len in s_lengths:
-        sys = fibonacci_system(s_len)
-        engine = OrbitEngine(sys)
-        best, witness = 0, ""
-        for ell, first, fetch, label in _enumerate_starts(sys, budget):
-            steps = engine.steps_to_fixed(ell, first, fetch, budget.cap)
-            if steps is not None and steps > best:
-                best, witness = steps, f"T^{ell}({first}|{label})"
-        rows.append(Table1Row(s_len, best, witness))
+        engine = OrbitEngine(fibonacci_system(s_len))
+        rows.append(Table1Row(s_len, engine.steps_supremum(), engine.witness()))
     return rows
 
 
@@ -548,10 +451,10 @@ class PreimageIndex:
     Candidate windows are genuine factors of the tau fixed point, so every
     candidate extends to a word of the subshift.  Two depths are involved:
 
-    * ``match_len`` root letters of every candidate are compared against the
-      target, and
+    * ``match_len = 16 |S|`` root letters of every candidate are compared
+      against the target, and
     * candidates are identified (deduplicated and reported) by their first
-      ``2 * resolution`` letters.
+      ``2 * resolution`` letters, with ``resolution = 4 |S|``.
 
     The match depth must comfortably exceed the resolution: candidates
     differing within the resolution but mapping to the same word forever are
@@ -560,19 +463,11 @@ class PreimageIndex:
     at scale ``resolution`` shows up within a small multiple of it.
     """
 
-    def __init__(
-        self,
-        sys: OmegaSystem,
-        resolution: int | None = None,
-        match_len: int | None = None,
-        corpus_blocks: int = 60_000,
-    ):
+    def __init__(self, sys: OmegaSystem, corpus_blocks: int = 60_000):
         n = sys.block_len
         self.sys = sys
-        self.resolution = resolution if resolution is not None else 4 * n
-        self.match_len = match_len if match_len is not None else 4 * self.resolution
-        if self.match_len < 3 * self.resolution:
-            raise ValueError("match depth must be at least three times the resolution")
+        resolution = 4 * n
+        self.match_len = 4 * resolution
         need_letters = 2 * self.match_len + sys.alphabet.max_square_len + n
         self.window_blocks = need_letters // n + 2
         corpus = sys.gamma_star(1).prefix(corpus_blocks + self.window_blocks)
@@ -587,7 +482,7 @@ class PreimageIndex:
                 out = "".join(roots)
                 if len(out) < self.match_len:
                     raise AssertionError("window too short for the requested match depth")
-                key = candidate[: 2 * self.resolution]
+                key = candidate[: 2 * resolution]
                 bucket = self.table.setdefault(out[: self.match_len], {})
                 if key not in bucket:
                     bucket[key] = PreimageHit(key, ell, window)
@@ -597,21 +492,6 @@ class PreimageIndex:
             raise ValueError(f"index matches targets of length {self.match_len}")
         bucket = self.table.get(target_prefix, {})
         return sorted(bucket.values(), key=lambda h: h.preimage_prefix)
-
-
-def find_preimages(
-    sys: OmegaSystem, target_prefix: str, corpus_blocks: int = 60_000,
-    resolution: int | None = None, index: PreimageIndex | None = None,
-) -> list[PreimageHit]:
-    """Brute-force preimage search for a factor of the aperiodic part.
-
-    ``target_prefix`` is matched in full; hits are reported at the index's
-    identification resolution (a quarter of the match length by default).
-    """
-    if index is None:
-        index = PreimageIndex(sys, resolution=resolution,
-                              match_len=len(target_prefix), corpus_blocks=corpus_blocks)
-    return index.find(target_prefix)
 
 
 def junction_signature(sys: OmegaSystem, hits: list[PreimageHit]) -> bool:
@@ -689,6 +569,10 @@ class AlignmentTower:
         self._starts = [0]
         self._scale = 1
 
+    def aligned(self) -> bool:
+        """Whether every grid start found so far is at position 0."""
+        return not any(self._starts)
+
     def start(self, j: int) -> int | None:
         while j >= len(self._starts):
             if not self._extend():
@@ -754,7 +638,7 @@ def preimage_chain(
             if nxt_start is None:
                 # aligned at every level the budget reaches: either one of the
                 # two fixed points (all grids start at 0) or out of budget
-                if not links and pos == 0 and all(s == 0 for s in tower._starts):
+                if not links and pos == 0 and tower.aligned():
                     return PreimageChain(links, "fixed_point")
                 return PreimageChain(links, "budget")
             if (pos - nxt_start) % (m ** (k + 1)) != 0:
@@ -781,24 +665,21 @@ def _sqrt_block_product(sys: OmegaSystem, text: str) -> str:
     Exact because the greedy factorization of a concatenation of square
     products is the concatenation of the factorizations, and each of the four
     block pairs is a square product whose root is its first block; those four
-    tokenizations are verified once and reused.
+    tokenizations are checked on every call.
     """
     n = sys.block_len
     if len(text) % (2 * n):
         raise ValueError("not an even block product")
-    pair_map = getattr(sys, "_pair_roots", None)
-    if pair_map is None:
-        pair_map = {}
-        for x in (sys.s_word, sys.l_word):
-            for y in (sys.s_word, sys.l_word):
-                root = squares.sqrt_finite(sys.alphabet, x + y)
-                if root != x:
-                    raise AssertionError("block pair root is not its first block")
-                pair_map[x + y] = root
-        sys._pair_roots = pair_map
+    pair_roots = {}
+    for x in (sys.s_word, sys.l_word):
+        for y in (sys.s_word, sys.l_word):
+            root = squares.sqrt_finite(sys.alphabet, x + y)
+            if root != x:
+                raise AssertionError("block pair root is not its first block")
+            pair_roots[x + y] = root
     out = []
     for i in range(0, len(text), 2 * n):
-        out.append(pair_map[text[i : i + 2 * n]])
+        out.append(pair_roots[text[i : i + 2 * n]])
     return "".join(out)
 
 
@@ -946,15 +827,12 @@ def doubling_period_increasing(c: int, imax: int) -> bool:
 # asymptotics and the image of the periodic part
 
 
-def asymptotic_class(
-    sys: OmegaSystem, prod: SLProduct, cap: int = 64, jmax: int | None = None
-) -> str:
+def asymptotic_class(sys: OmegaSystem, prod: SLProduct, jmax: int | None = None) -> str:
     """One of ``periodic_point``, ``to_S_or_L``, ``aperiodic_nonasymptotic``."""
     src = streams.expand(prod)
     j = sys.omega_p_match(src)
     if j is not None:
-        engine = OrbitEngine(sys)
-        return "periodic_point" if j in (0, engine.l_index) else "to_S_or_L"
+        return "periodic_point" if j in (0, sys.conjugate_index(sys.l_word)) else "to_S_or_L"
     if prod.shift != 0:
         return "to_S_or_L"
     verdict = sys.invariant_subset_index(src, jmax=jmax)
@@ -972,24 +850,11 @@ def count_sqrt_omega_minus_omega_a(
     """
     if corpus_blocks <= 0:
         return 0
-    n = sys.block_len
-    engine = OrbitEngine(sys)
     corpus = sys.gamma_star(1).prefix(corpus_blocks + window_blocks)
     reached: set[int] = set()
-    seen: set[tuple[str, int]] = set()
-    for i in range(corpus_blocks):
-        window = corpus[i : i + window_blocks]
-        for ell in range(1, n):
-            key = (window, ell)
-            if key in seen:
-                continue
-            seen.add(key)
-            y = sys.sigma(window[0])[ell:]
-            rest = window[1:]
-            root = engine._root_if_pi(y)
-            if root is not None:
-                continue
-            if engine._root_if_pi(y + sys.sigma(rest[0])) is not None:
-                continue
-            reached.add(engine._periodic_image(y, rest[: OrbitEngine.D_LOOKAHEAD]))
+    for window in {corpus[i : i + window_blocks] for i in range(corpus_blocks)}:
+        for ell in range(1, sys.block_len):
+            kind, j = sys.sqrt_step(sys.sigma(window[0])[ell:], window[1:])
+            if kind == TYPE_D:
+                reached.add(j)
     return len(reached)

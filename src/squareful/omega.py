@@ -35,6 +35,8 @@ TYPE_D = "D"
 PRODUCT_FORM = "in_omega_a_form"
 PERIODIC = "periodic"
 
+D_LOOKAHEAD = 5  # blocks after the remainder needed to read |S| letters of a type-D image
+
 
 @dataclass(frozen=True)
 class OmegaParams:
@@ -105,6 +107,8 @@ class OmegaSystem:
         self._gamma_letters: dict[tuple[int, bool], str] = {}
         self._gamma_star: dict[int, InfiniteWord] = {}
         self._conjugate_index = {u: i for i, u in enumerate(words.conjugates(self.s_word))}
+        self._pi_roots: dict[str, str | None] = {}
+        self._periodic_images: dict[tuple[str, str], int] = {}
 
     # -- basic words ---------------------------------------------------------
 
@@ -189,6 +193,62 @@ class OmegaSystem:
         """Which rotation of the block word ``u`` is, or None."""
         return self._conjugate_index.get(u)
 
+    # -- the square root step --------------------------------------------------
+
+    def _root_if_pi(self, z: str) -> str | None:
+        if z not in self._pi_roots:
+            roots, failure = squares.factor_minimal_squares(self.alphabet, z)
+            self._pi_roots[z] = "".join(roots) if failure is None else None
+        return self._pi_roots[z]
+
+    def periodic_image(self, y: str, names: str) -> int:
+        """Rotation index ``j`` of the periodic square root ``T^j(S^omega)`` of
+        ``y . B1 B2 ...``, read off its first ``|S|`` letters.
+
+        ``names`` names the blocks after ``y``; the first :data:`D_LOOKAHEAD`
+        of them are read.  Memoized.
+        """
+        if len(names) < D_LOOKAHEAD:
+            raise ValueError(f"need {D_LOOKAHEAD} block names, got {names!r}")
+        key = (y, names[:D_LOOKAHEAD])
+        j = self._periodic_images.get(key)
+        if j is None:
+            text = y + self.sigma(key[1])
+            roots, _ = squares.factor_minimal_squares(
+                self.alphabet, text[: 2 * self.block_len + self.alphabet.max_square_len]
+            )  # the tail may stop mid-square; only |S| root letters are needed
+            image = "".join(roots)[: self.block_len]
+            j = self.conjugate_index(image)
+            if j is None:
+                raise AssertionError(f"periodic image {image!r} is not a rotation of the block word")
+            self._periodic_images[key] = j
+        return j
+
+    def sqrt_step(self, y: str, names: str) -> tuple[str, str | int]:
+        """One square root step on the shifted product ``y . B1 B2 B3 ...``.
+
+        ``y`` is the nonempty remainder of a partially consumed block and
+        ``names`` names the blocks after it (type C reads the first, type D
+        the first :data:`D_LOOKAHEAD`).  Returns ``(TYPE_B, sqrt(y))`` when
+        ``y`` is a product of minimal squares, ``(TYPE_C, sqrt(y . B1))`` when
+        ``y . B1`` is, and otherwise ``(TYPE_D, j)``: the square root is the
+        periodic word ``T^j(S^omega)``.  Memoized.
+        """
+        if not y:
+            raise ValueError("an empty remainder is a type A product")
+        root = self._root_if_pi(y)
+        if root is not None:
+            return TYPE_B, root
+        root = self._root_if_pi(y + self.sigma(names[0]))
+        if root is not None:
+            return TYPE_C, root
+        return TYPE_D, self.periodic_image(y, names)
+
+    def _product_step(self, prod: SLProduct) -> tuple[str, str | int | None]:
+        if prod.shift == 0:
+            return TYPE_A, None
+        return self.sqrt_step(prod.block(0)[prod.shift :], prod.blocks.window(1, 1 + D_LOOKAHEAD))
+
     # -- type classification and square roots --------------------------------
 
     def classify_type(self, prod: SLProduct) -> tuple[str, int]:
@@ -197,16 +257,10 @@ class OmegaSystem:
         The prefix length is ``|S| - shift`` for type B, ``2|S| - shift``
         for type C, and 0 for types A and D.
         """
-        ell = prod.shift
-        if ell == 0:
-            return TYPE_A, 0
-        src = streams.expand(prod)
-        n = self.block_len
-        if squares.in_pi(self.alphabet, src.prefix(n - ell)):
-            return TYPE_B, n - ell
-        if squares.in_pi(self.alphabet, src.prefix(2 * n - ell)):
-            return TYPE_C, 2 * n - ell
-        return TYPE_D, 0
+        kind, _ = self._product_step(prod)
+        if kind in (TYPE_B, TYPE_C):
+            return kind, (1 if kind == TYPE_B else 2) * self.block_len - prod.shift
+        return kind, 0
 
     def _synthetic_block(self, suffix: str) -> str | None:
         """A block name whose word ends with ``suffix``, if any."""
@@ -232,42 +286,27 @@ class OmegaSystem:
         Types A-C yield another shifted product (the descriptor is recovered
         exactly); type D yields the periodic word certified on a window.
         """
-        kind, _ = self.classify_type(prod)
+        kind, result = self._product_step(prod)
         n = self.block_len
-        ell = prod.shift
+        descriptor = f"sqrt-blocks[{prod.blocks.descriptor}]"
         if kind == TYPE_A:
-            out_blocks = self._decimated_blocks(
-                prod.blocks, None, 0, f"sqrt-blocks[{prod.blocks.descriptor}]"
-            )
+            out_blocks = self._decimated_blocks(prod.blocks, None, 0, descriptor)
             return streams.expand(self.product(out_blocks)), PRODUCT_FORM
-
-        src = streams.expand(prod)
-        if kind in (TYPE_B, TYPE_C):
-            if kind == TYPE_B:
-                head_root = squares.sqrt_finite(self.alphabet, src.prefix(n - ell))
-                offset = 1
-            else:
-                head_root = squares.sqrt_finite(self.alphabet, src.prefix(2 * n - ell))
-                offset = 2
-            head = self._synthetic_block(head_root)
-            if head is None:
-                # the root is not a block suffix; fall back to the raw stream
-                return streams.sqrt_stream(self.alphabet, src), PRODUCT_FORM
-            out_blocks = self._decimated_blocks(
-                prod.blocks, head, offset, f"sqrt-blocks[{prod.blocks.descriptor}]"
-            )
-            out = streams.expand(self.product(out_blocks, n - len(head_root)))
-            return out, PRODUCT_FORM
-
-        # type D: the square root is globally periodic with period conjugate to S
-        raw = streams.sqrt_stream(self.alphabet, src)
-        period = raw.prefix(n)
-        j = self.conjugate_index(period)
-        if j is None:
-            raise AssertionError(f"type D image period {period!r} is not a rotation of S")
-        if not streams.detect_period(raw, n, 3 * n, conjugate_of=self.s_word):
-            raise AssertionError("type D image failed the periodicity window check")
-        return self.omega_p_word(j), PERIODIC
+        if kind == TYPE_D:
+            # the square root is globally periodic with period conjugate to S
+            raw = streams.sqrt_stream(self.alphabet, streams.expand(prod))
+            period = raw.prefix(n)
+            if self.conjugate_index(period) != result:
+                raise AssertionError(f"type D image period {period!r} is not rotation {result} of S")
+            if not streams.detect_period(raw, n, 3 * n, conjugate_of=self.s_word):
+                raise AssertionError("type D image failed the periodicity window check")
+            return self.omega_p_word(result), PERIODIC
+        head = self._synthetic_block(result)
+        if head is None:
+            # the root is not a block suffix; fall back to the raw stream
+            return streams.sqrt_stream(self.alphabet, streams.expand(prod)), PRODUCT_FORM
+        out_blocks = self._decimated_blocks(prod.blocks, head, 1 if kind == TYPE_B else 2, descriptor)
+        return streams.expand(self.product(out_blocks, n - len(result))), PRODUCT_FORM
 
     # -- synchronization -----------------------------------------------------
 

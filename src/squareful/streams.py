@@ -237,19 +237,3 @@ def sl_cycle(pattern: str, s_word: str, l_word: str, shift_letters: int = 0) -> 
         raise ValueError("pattern must be over the letters S and L")
     return SLProduct(periodic_word(pattern), shift_letters, s_word, l_word)
 
-
-def sl_window(
-    window: str,
-    tail: Callable[[int], str],
-    s_word: str,
-    l_word: str,
-    shift_letters: int = 0,
-    descriptor: str | None = None,
-) -> SLProduct:
-    """Product with explicit first blocks and a block-name tail function."""
-
-    def name(t: int) -> str:
-        return window[t] if t < len(window) else tail(t)
-
-    blocks = from_function(name, descriptor or f"{window}+tail", chunk=64)
-    return SLProduct(blocks, shift_letters, s_word, l_word)

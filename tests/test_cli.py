@@ -9,6 +9,9 @@ from squareful.cli import main
 from squareful.omega import OmegaParams, OmegaSystem
 
 SCHEMAS = pathlib.Path(__file__).resolve().parent.parent / "docs" / "schemas"
+# stdout and exit code of every README example (limit-set at --samples 3
+# --depth 4); refactors must reproduce them byte for byte
+GOLDEN = json.loads((pathlib.Path(__file__).resolve().parent / "golden" / "cli_examples.json").read_text())
 
 
 def run(capsys, *argv):
@@ -71,9 +74,7 @@ class TestTables:
         validate(json.loads(out), "table2.json")
 
     def test_table1_small(self, capsys):
-        code, out = run(capsys, "table1", "--fib", "8", "--depth", "6",
-                        "--omega-offsets", "16", "--random-tails", "2",
-                        "--format", "json")
+        code, out = run(capsys, "table1", "--fib", "8", "--format", "json")
         assert code == 0
         payload = json.loads(out)
         validate(payload, "table1.json")
@@ -81,9 +82,7 @@ class TestTables:
                                       "verdict": "PASS"}
 
     def test_table1_csv(self, capsys):
-        code, out = run(capsys, "table1", "--fib", "8", "--depth", "4",
-                        "--omega-offsets", "8", "--random-tails", "1",
-                        "--format", "csv")
+        code, out = run(capsys, "table1", "--fib", "8", "--format", "csv")
         assert code == 0
         assert out.splitlines()[0] == "s_len,steps,reference,verdict"
 
@@ -152,8 +151,7 @@ class TestMiscCommands:
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, capsys):
-        args = ("table1", "--fib", "8", "--depth", "5", "--omega-offsets", "8",
-                "--random-tails", "3", "--seed", "11", "--format", "json")
+        args = ("table1", "--fib", "8", "--format", "json")
         first = run(capsys, *args)
         second = run(capsys, *args)
         assert first == second
@@ -164,3 +162,25 @@ class TestDeterminism:
                       "--out", str(out_file))
         assert code == 0
         assert out_file.read_text().startswith("s_len,estimate")
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["argv"]))
+def test_readme_example_output_is_unchanged(capsys, case):
+    code = main(case["argv"])
+    assert (code, capsys.readouterr().out) == (case["exit"], case["stdout"])
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["omega", "gamma", "--j", "-1"], 2),
+    (["orbit", "--word", "foo"], 2),
+    (["orbit", "--word", "0110", "--input-kind", "letters"], 1),
+    (["limit-set", "--samples", "0"], 2),
+    (["orbit", "--word", "gamma1", "--steps", "-3"], 2),
+])
+def test_errors_exit_with_one_line(capsys, argv, code):
+    # usage errors exit 2, a non-squareful input exits 1; never a traceback
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

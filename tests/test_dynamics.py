@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from squareful import dynamics, streams
-from squareful.dynamics import OrbitEngine, SearchBudget
+from squareful.dynamics import OrbitEngine
 from squareful.omega import OmegaParams, OmegaSystem
 from squareful.streams import expand, shift, sl_cycle
 
@@ -163,15 +163,15 @@ class TestChecks:
 
 class TestTable1:
     def test_first_rows(self):
-        budget = SearchBudget(depth=8, omega_offsets=64, random_tails=4)
-        rows = dynamics.table1_experiment([8, 13], budget)
+        rows = dynamics.table1_experiment([8, 13])
         assert [r.steps for r in rows] == [3, 4]
 
-    def test_enumeration_never_beats_supremum(self):
-        eng = OrbitEngine(dynamics.fibonacci_system(8))
-        sup = eng.steps_supremum()
-        rows = dynamics.table1_experiment([8], SearchBudget(depth=6, omega_offsets=16, random_tails=2))
-        assert rows[0].steps <= sup
+    @pytest.mark.parametrize("free", ["S", "L"])
+    def test_witness_replays_to_the_supremum(self, free):
+        for row in dynamics.table1_experiment([8, 13, 21]):
+            engine = OrbitEngine(dynamics.fibonacci_system(row.s_len))
+            w = row.witness
+            assert engine.steps_to_fixed(w.shift, w.first, lambda i: w.names.get(i, free)) == row.steps
 
 
 class TestPreimages:

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
 from squareful import streams, words
-from squareful.omega import OmegaParams, OmegaSystem, tau
+from squareful.dynamics import OrbitEngine
+from squareful.omega import PERIODIC, OmegaParams, OmegaSystem, tau
 from squareful.squares import in_pi, sqrt_finite
 from squareful.streams import expand, periodic_word, shift, sl_cycle
 
@@ -188,6 +191,49 @@ class TestSqrtOfProduct:
             src = sys.omega_p_word(j)
             out = streams.sqrt_stream(sys.alphabet, src)
             assert sys.omega_p_match(out) is not None
+
+
+@pytest.mark.parametrize("abck", [(1, 0, 1, 4), (2, 1, 1, 4), (1, 0, 2, 4), (1, 0, 1, 6)])
+class TestSqrtStepAgainstLetters:
+    """The block-level square root step against the letter-level tokenizer,
+    on seeded starts: shift, first block and an S/L tail."""
+
+    @staticmethod
+    def starts(sys, count=30):
+        rng = random.Random(sys.block_len)
+        for _ in range(count):
+            names = "".join(rng.choice("SL") for _ in range(1024))
+            yield rng.randrange(1, sys.block_len), names
+
+    def test_type_matches_in_pi_on_prefixes(self, abck):
+        sys = OmegaSystem(OmegaParams(*abck))
+        n = sys.block_len
+        for shift, names in self.starts(sys):
+            kind, _ = sys.sqrt_step(sys.sigma(names[0])[shift:], names[1:])
+            text = expand(streams.SLProduct(periodic_word(names), shift, sys.s_word, sys.l_word)).prefix(2 * n)
+            want = ("B" if in_pi(sys.alphabet, text[: n - shift])
+                    else "C" if in_pi(sys.alphabet, text[: 2 * n - shift]) else "D")
+            assert kind == want
+
+    def test_structural_iterates_match_raw_stream(self, abck):
+        sys = OmegaSystem(OmegaParams(*abck))
+        engine = OrbitEngine(sys)
+        n = sys.block_len
+        for shift, names in self.starts(sys):
+            steps = engine.steps_to_fixed(shift, names[0], lambda i: names[i % len(names)])
+            word = raw = expand(streams.SLProduct(periodic_word(names), shift, sys.s_word, sys.l_word))
+            rotation = None
+            for _ in range(steps):
+                raw = streams.sqrt_stream(sys.alphabet, raw)
+                if rotation is None:
+                    word, outcome = sys.sqrt_of_product(word.product)
+                    if outcome == PERIODIC:
+                        rotation = sys.conjugate_index(word.prefix(n))
+                else:
+                    rotation = engine.rotation_successor(rotation)
+                    word = sys.omega_p_word(rotation)
+                assert word.prefix(3 * n) == raw.prefix(3 * n)
+            assert rotation in (0, engine.l_index)
 
 
 class TestSynchronization:
