@@ -78,6 +78,13 @@ def _read_word(ns) -> str:
     return _sys.stdin.read().strip()
 
 
+def _read_nonempty_word(ns) -> str:
+    w = _read_word(ns)
+    if not w:
+        raise ValueError("the word is empty")
+    return w
+
+
 def _csv_table(header: list[str], rows: list[list]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -112,7 +119,7 @@ def _word_source(sys: OmegaSystem, ns) -> streams.InfiniteWord:
 
 def cmd_factorize(ns) -> int:
     alph = squares.build_alphabet(ns.a, ns.b)
-    w = _read_word(ns)
+    w = _read_nonempty_word(ns)
     roots, failure = squares.factor_minimal_squares(alph, w)
     if ns.format == "json":
         _emit(ns, json.dumps({"word": w, "roots": roots, "failure_offset": failure}))
@@ -127,7 +134,7 @@ def cmd_factorize(ns) -> int:
 
 def cmd_sqrt(ns) -> int:
     alph = squares.build_alphabet(ns.a, ns.b)
-    w = _read_word(ns)
+    w = _read_nonempty_word(ns)
     try:
         root = squares.sqrt_finite(alph, w)
     except squares.TokenizationError as err:

@@ -623,13 +623,24 @@ def preimage_chain(
     Link ``n`` pins the prefix ``u_n`` of the word up to the start of the
     level-``(k_n + 1)`` factorization and exhibits ``v_n``, a suffix of the
     squared level-``(k_n + 1)`` building block, with ``sqrt(v_n) == u_n``.
-    Each link is verified by retokenizing ``v_n``; ``letter_verify_cap`` can
-    cap the letter-level work for very deep links (the blockwise route used
-    beyond the cap is exact as well).
+    Both are built on block names: the names of ``u_n`` must end
+    ``tau^(k_n + 1)(S)``, and ``v_n`` is ``sigma`` of the last ``2 |u_n|``
+    names of that block squared.
+
+    Each link is verified by one of two exact routes.  Up to
+    ``letter_verify_cap`` letters of ``v_n`` (every link when the cap is
+    None) the letter route retokenizes ``v_n`` and compares its root with
+    ``sigma`` of the names of ``u_n``.  Above the cap the name route checks
+    the four block-pair identities ``sqrt(xy) == x`` for ``x, y`` in
+    ``{S, L}`` once per chain, and that every other name of ``v_n`` spells
+    the names of ``u_n``: the greedy factorization of a concatenation of
+    square products is the concatenation of their factorizations, so
+    ``sqrt(v_n)`` is ``sigma`` of the even-indexed names of ``v_n``.
     """
     m = 2 * sys.params.c + 1
     tower = AlignmentTower(sys, names, block_budget)
     links: list[ChainLink] = []
+    pairs_ok = letter_verify_cap is not None and _block_pairs_halve(sys)
     pos = 0
     for _ in range(depth):
         k = 0
@@ -645,42 +656,28 @@ def preimage_chain(
                 break
             k += 1
         nxt = pos + ((nxt_start - pos) % (m ** (k + 1)))
-        u = sys.sigma(names.prefix(nxt))
-        gamma_next = sys.gamma(k + 1)
-        if not gamma_next.endswith(u):
+        top = sys.tau_block(k + 1)
+        u_names = names.prefix(nxt)
+        if not top.endswith(u_names):
             raise AssertionError("chain prefix is not a suffix of the next building block")
-        v = (gamma_next + gamma_next)[-2 * len(u):]
+        v_names = (top + top)[-2 * nxt :]
+        v = sys.sigma(v_names)
         if letter_verify_cap is None or len(v) <= letter_verify_cap:
-            ok = squares.sqrt_finite(sys.alphabet, v) == u
+            ok = squares.sqrt_finite(sys.alphabet, v) == sys.sigma(u_names)
         else:
-            ok = _sqrt_block_product(sys, v) == u
-        links.append(ChainLink(k, len(u), v, ok))
+            ok = pairs_ok and v_names[0::2] == u_names
+        links.append(ChainLink(k, nxt * sys.block_len, v, ok))
         pos = nxt
     return PreimageChain(links, "ok")
 
 
-def _sqrt_block_product(sys: OmegaSystem, text: str) -> str:
-    """Square root of a product of an even number of blocks, blockwise.
-
-    Exact because the greedy factorization of a concatenation of square
-    products is the concatenation of the factorizations, and each of the four
-    block pairs is a square product whose root is its first block; those four
-    tokenizations are checked on every call.
-    """
-    n = sys.block_len
-    if len(text) % (2 * n):
-        raise ValueError("not an even block product")
-    pair_roots = {}
-    for x in (sys.s_word, sys.l_word):
-        for y in (sys.s_word, sys.l_word):
-            root = squares.sqrt_finite(sys.alphabet, x + y)
-            if root != x:
-                raise AssertionError("block pair root is not its first block")
-            pair_roots[x + y] = root
-    out = []
-    for i in range(0, len(text), 2 * n):
-        out.append(pair_roots[text[i : i + 2 * n]])
-    return "".join(out)
+def _block_pairs_halve(sys: OmegaSystem) -> bool:
+    """Whether the square root of each product of two blocks is its first block."""
+    return all(
+        squares.sqrt_finite(sys.alphabet, x + y) == x
+        for x in (sys.s_word, sys.l_word)
+        for y in (sys.s_word, sys.l_word)
+    )
 
 
 def gamma_suffix_preimage(sys: OmegaSystem, z_names: str, k: int) -> tuple[str, str]:

@@ -156,17 +156,8 @@ class OmegaSystem:
             raise ValueError("which must be 1 or 2")
         if which not in self._gamma_star:
             c = self.params.c
-            first = "S" if which == 1 else "L"
-
-            def gen(seed=first):
-                cur = seed
-                yield cur
-                while True:
-                    nxt = tau(c, tau(c, cur))
-                    yield nxt[len(cur) :]
-                    cur = nxt
-
-            self._gamma_star[which] = InfiniteWord(gen(), f"Gamma{which}*")
+            self._gamma_star[which] = streams.morphic_fixed_point(
+                "S" if which == 1 else "L", lambda w: tau(c, tau(c, w)), f"Gamma{which}*")
         return self._gamma_star[which]
 
     def product(self, blocks: InfiniteWord, shift: int = 0) -> SLProduct:

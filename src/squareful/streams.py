@@ -33,8 +33,12 @@ class InfiniteWord:
     single instance must not be queried from several threads at once.
     Distinct sources are independent.
 
-    ``window`` serves short slices without materializing the whole prefix,
-    which keeps streaming consumers (the square root tokenizer) linear.
+    The memo is a list of parts, the chunks pulled so far, with the
+    cumulative end offset of each.  ``window`` serves short slices from the
+    parts it overlaps without materializing the whole prefix, which keeps
+    streaming consumers (the square root tokenizer) linear.  ``prefix`` needs
+    one string: it joins the parts once and keeps the joined text as the
+    single first part, so the memo never holds two copies of a letter.
     """
 
     def __init__(self, chunks: Iterable[str], descriptor: str = "", product=None):
@@ -42,7 +46,6 @@ class InfiniteWord:
         self._parts: list[str] = []
         self._ends: list[int] = []  # cumulative end offsets of the parts
         self._have = 0
-        self._text = ""
         self.descriptor = descriptor
         self.product = product  # SLProduct provenance when known
         self.poison: TokenizationError | None = None
@@ -70,17 +73,22 @@ class InfiniteWord:
 
     def prefix(self, n: int) -> str:
         self.ensure(n)
-        if len(self._text) < n:
-            self._text = "".join(self._parts)
-        return self._text[:n]
+        if n == 0:
+            return ""
+        if self._ends[0] < n:
+            self._parts = ["".join(self._parts)]
+            self._ends = [self._have]
+        return self._parts[0][:n]
 
     def window(self, start: int, stop: int) -> str:
         """The slice ``[start:stop]``, touching only the parts it overlaps."""
         if start < 0 or stop < start:
             raise ValueError("bad window bounds")
         self.ensure(stop)
-        if stop <= len(self._text):
-            return self._text[start:stop]
+        if stop == start:
+            return ""
+        if stop <= self._ends[0]:
+            return self._parts[0][start:stop]
         lo = bisect.bisect_right(self._ends, start)
         out = []
         pos = self._ends[lo - 1] if lo else 0
@@ -102,7 +110,7 @@ class InfiniteWord:
         }
 
     def __repr__(self):
-        shown = self._text[:32] if self._text else ""
+        shown = self._parts[0][:32] if self._parts else ""
         return f"<InfiniteWord {self.descriptor!r} {shown}...>"
 
 
@@ -111,6 +119,38 @@ def periodic_word(period: str, descriptor: str | None = None) -> InfiniteWord:
     if not period:
         raise ValueError("period must be nonempty")
     return InfiniteWord(itertools.repeat(period), descriptor or f"({period})^w")
+
+
+FIXED_POINT_PIECE = 1 << 14  # letters of a fixed point read back per image step
+
+
+def morphic_fixed_point(seed: str, image: Callable[[str], str], descriptor: str) -> InfiniteWord:
+    """The fixed point ``x = image(x)`` that starts with ``seed``.
+
+    ``image`` must be a non-erasing morphism (``image(uv) == image(u) +
+    image(v)``, no letter maps to the empty word) with ``image(seed)``
+    starting with ``seed`` and longer than it.  The stream yields ``seed``,
+    then ``image(seed)[len(seed):]``, then the images of fixed-size pieces of
+    the letters already produced, read back from the stream itself; it never
+    holds more than one image piece outside the memo.
+    """
+    head = image(seed)
+    if len(head) <= len(seed) or not head.startswith(seed):
+        raise ValueError("image(seed) must extend seed")
+
+    def gen():
+        yield seed
+        yield head[len(seed) :]
+        pos, have = len(seed), len(head)
+        while True:
+            # every letter read back is already in the memo: pos < have
+            stop = min(pos + FIXED_POINT_PIECE, have)
+            piece = image(word.window(pos, stop))
+            yield piece
+            pos, have = stop, have + len(piece)
+
+    word = InfiniteWord(gen(), descriptor)
+    return word
 
 
 def from_function(f: Callable[[int], str], descriptor: str, chunk: int = 256) -> InfiniteWord:

@@ -176,6 +176,8 @@ def test_readme_example_output_is_unchanged(capsys, case):
     (["orbit", "--word", "0110", "--input-kind", "letters"], 1),
     (["limit-set", "--samples", "0"], 2),
     (["orbit", "--word", "gamma1", "--steps", "-3"], 2),
+    (["factorize", ""], 2),
+    (["sqrt", ""], 2),
 ])
 def test_errors_exit_with_one_line(capsys, argv, code):
     # usage errors exit 2, a non-squareful input exits 1; never a traceback

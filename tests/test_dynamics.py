@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -222,11 +223,42 @@ class TestPreimageChains:
         chain = dynamics.preimage_chain(sys, sys.gamma_star(1), depth=3)
         assert chain.status == "fixed_point"
 
-    def test_blockwise_verification_agrees(self, sys):
-        star = sys.gamma_star(1)
-        full = dynamics.preimage_chain(sys, shift(star, 2), depth=5)
-        capped = dynamics.preimage_chain(sys, shift(star, 2), depth=5, letter_verify_cap=0)
-        assert [l.verified for l in full.links] == [l.verified for l in capped.links] == [True] * 5
+    def test_blockwise_verification_agrees(self):
+        # the letter route (no cap) and the name route (cap 0) build and
+        # verify the same links, letter for letter, for m = 3 and m = 5
+        for params in (OmegaParams(), OmegaParams(c=2)):
+            sys = OmegaSystem(params)
+            star = sys.gamma_star(1)
+            for t in (1, 2, 5, 7):
+                routes = [dynamics.preimage_chain(sys, shift(star, t), depth=6,
+                                                  letter_verify_cap=cap)
+                          for cap in (None, 0)]
+                full, capped = ([(l.level, l.prefix_len, l.preimage, l.verified)
+                                 for l in chain.links] for chain in routes)
+                assert routes[0].status == routes[1].status == "ok"
+                assert full == capped
+                assert len(full) == 6 and all(verified for *_, verified in full)
+
+    def test_deep_chain_memory(self):
+        # a level-11 link on T^48(Gamma1*): the name route never builds the
+        # letters of the prefix or of the building block
+        sys = OmegaSystem(OmegaParams())
+        names = shift(sys.gamma_star(1), 48)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            chain = dynamics.preimage_chain(sys, names, depth=10, block_budget=12_000_000,
+                                            letter_verify_cap=300_000)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert chain.status == "ok" and chain.links[-1].level == 11
+        assert all(link.verified for link in chain.links)
+        assert peak < 60 * 2**20
 
     def test_gamma_suffix_construction(self, sys):
         for z_names in ("SS", "LSS", "SLSS"):

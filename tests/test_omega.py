@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -109,6 +110,48 @@ class TestBigGamma:
     def test_words_are_optimal_squareful(self, sys):
         assert sys.is_optimal_squareful_window(sys.big_gamma(1), 2000)
         assert sys.is_optimal_squareful_window(shift(sys.big_gamma(1), 5), 1000)
+
+
+class TestGammaStar:
+    @pytest.mark.parametrize("c, jmax", [(1, 5), (2, 3)])
+    def test_prefixes_are_tau_squared_levels(self, c, jmax):
+        sys = OmegaSystem(OmegaParams(c=c))
+        m2 = (2 * c + 1) ** 2
+        for which in (1, 2):
+            star = sys.gamma_star(which)
+            for j in range(jmax + 1):
+                assert star.prefix(m2**j) == sys.tau_block(2 * j, bar=which == 2)
+
+    def test_interleaved_queries_agree_with_the_prefix(self):
+        full = OmegaSystem(OmegaParams()).gamma_star(1).prefix(200_000)
+        star = OmegaSystem(OmegaParams()).gamma_star(1)
+        rng = random.Random(4)
+        for _ in range(300):
+            lo = rng.randrange(len(full))
+            hi = min(len(full), lo + rng.randrange(1, 5000))
+            kind = rng.choice(("window", "prefix", "letter"))
+            if kind == "window":
+                assert star.window(lo, hi) == full[lo:hi]
+            elif kind == "prefix":
+                assert star.prefix(hi) == full[:hi]
+            else:
+                assert star.letter(lo) == full[lo]
+        assert star.prefix(len(full)) == full
+
+    def test_prefix_memory(self):
+        sys = OmegaSystem(OmegaParams())
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            assert len(sys.gamma_star(1).prefix(10**6)) == 10**6
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestCrucialProperties:

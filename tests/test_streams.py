@@ -54,6 +54,30 @@ class TestInfiniteWord:
             assert src.window(c, c + 17) == text[c : c + 17]
         assert src.prefix(hi) == text
 
+    @given(st.data())
+    def test_random_queries_return_reference_slices(self, data):
+        ref = data.draw(st.text(alphabet="01SL", min_size=1, max_size=300))
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(ref)), max_size=12)))
+        bounds = [0, *cuts, len(ref)]
+        src = InfiniteWord([ref[lo:hi] for lo, hi in zip(bounds, bounds[1:])])
+        calls = data.draw(st.lists(
+            st.tuples(st.sampled_from(["prefix", "window", "letter"]),
+                      st.integers(0, len(ref)), st.integers(0, len(ref))),
+            min_size=1, max_size=20))
+        asked = 0
+        for kind, x, y in calls:
+            if kind == "prefix":
+                got, want, stop = src.prefix(x), ref[:x], x
+            elif kind == "window":
+                lo, hi = min(x, y), max(x, y)
+                got, want, stop = src.window(lo, hi), ref[lo:hi], hi
+            else:
+                i = min(x, len(ref) - 1)
+                got, want, stop = src.letter(i), ref[i], i + 1
+            asked = max(asked, stop)
+            assert got == want
+            assert src.max_queried == asked
+
     def test_letter(self):
         src = periodic_word(S)
         assert [src.letter(i) for i in range(8)] == list(S)
