@@ -66,8 +66,11 @@ def _system(ns) -> OmegaSystem:
 
 def _emit(ns, text: str) -> None:
     if getattr(ns, "out", None):
-        with open(ns.out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(ns.out, "w") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        except OSError as err:
+            raise ValueError(f"cannot write {ns.out}: {err.strerror}") from None
     else:
         print(text)
 
@@ -181,7 +184,10 @@ def cmd_orbit(ns) -> int:
 
 
 def _parse_fib(text: str) -> list[int]:
-    return [int(t) for t in text.split(",") if t]
+    lengths = [int(t) for t in text.split(",") if t]
+    if not lengths:
+        raise ValueError("--fib names no block length")
+    return lengths
 
 
 def cmd_table1(ns) -> int:

@@ -13,8 +13,11 @@ One application of the map, :meth:`OmegaSystem.sqrt_step`, either
   block word, after which the orbit lives in the finite periodic part and is
   followed by exact rotation bookkeeping.
 
-Steps are memoized per parameter set, so the adversarial search behind
-Table 1 tokenizes each remainder once.
+Table 1 is a walk on the graph whose nodes are the remainders and the
+rotations of ``S^omega``: each node has one successor, because the engine
+checks that a remainder's step does not depend on the names of the blocks
+after it.  A node's depth is its step count to ``S^omega`` or ``L^omega``;
+the supremum is the largest depth of a start's remainder.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from . import squares, streams, words
-from .omega import D_LOOKAHEAD, PERIODIC, PRODUCT_FORM, TYPE_B, TYPE_C, TYPE_D, OmegaParams, OmegaSystem
+from .omega import D_LOOKAHEAD, PERIODIC, PRODUCT_FORM, TYPE_B, TYPE_D, OmegaParams, OmegaSystem
 from .sturmian import RotationSystem
 from .streams import InfiniteWord, SLProduct
 
@@ -100,68 +103,62 @@ def psi_steps(rot: RotationSystem, rho: Fraction, s_word: str, l_word: str) -> i
 # the exact orbit engine
 
 
-@dataclass(frozen=True)
-class Witness:
-    """A start attaining the Table 1 maximum.
-
-    Block 0 is ``first``, shifted by ``shift``; ``names`` maps the block
-    indices the argmax orbit reads to their names.  Every other block is
-    free, and :meth:`fetch` names it ``S``.
-    """
-
-    shift: int
-    first: str
-    names: dict[int, str]
-
-    def fetch(self, i: int) -> str:
-        return self.names.get(i, "S")
-
-
-# L first: ties go to names unlike the free blocks of a Witness, which makes
-# its replay test where the names sit
 _TAILS = ["".join(p) for p in itertools.product("LS", repeat=D_LOOKAHEAD)]
 
 
 class OrbitEngine:
-    """Exact steps-to-fixed counts on shifted products, by the square root
-    step of :meth:`OmegaSystem.sqrt_step` and rotation bookkeeping."""
+    """Exact steps-to-fixed counts on shifted products.
+
+    The counts are depths in a graph where every node has one successor.  A
+    node is a remainder ``y`` (a ``str``), whose successor is its square
+    root step, or a rotation index ``j`` (an ``int``) of ``T^j(S^omega)``,
+    whose successor is the rotation index of its square root.  The rotations
+    0 and :attr:`l_index` (``S^omega`` and ``L^omega``) have depth 0.
+    """
 
     def __init__(self, sys: OmegaSystem):
         self.sys = sys
         self.n = sys.block_len
         self.l_index = sys.conjugate_index(sys.l_word)
-        self._next_rot: list[int] | None = None
-        self._phase: dict[int, int] | None = None
-        self._witness: Witness | None = None
+        self._depth: dict[str | int, int] = {0: 0, self.l_index: 0}
+
+    def _successor(self, node: str | int) -> str | int:
+        """The next node: a remainder after type B or C, a rotation after D.
+
+        A remainder's step is taken under all 32 tails of block names and
+        must come out the same under each, so that the depth of a remainder
+        is the step count of every start that reaches it.
+        """
+        if isinstance(node, int):
+            return self.sys.periodic_image(self.sys.s_word[node:], "S" * D_LOOKAHEAD)
+        outcomes = {self.sys.sqrt_step(node, names) for names in _TAILS}
+        if len(outcomes) != 1:
+            raise AssertionError(f"the square root step of the remainder {node!r} depends on the block names")
+        return outcomes.pop()[1]
+
+    def _depth_of(self, node: str | int) -> int:
+        """Steps from ``node`` to ``S^omega`` or ``L^omega``, memoized."""
+        path: dict[str | int, None] = {}
+        while node not in self._depth:
+            if node in path:
+                raise AssertionError("orbit cycled; contradicts the finite-time theorem")
+            path[node] = None
+            node = self._successor(node)
+        depth = self._depth[node]
+        for back in reversed(path):
+            depth += 1
+            self._depth[back] = depth
+        return depth
 
     # -- periodic part -------------------------------------------------------
 
-    def _rotation_tables(self) -> tuple[list[int], dict[int, int]]:
-        """Successor and steps-to-fixed tables for the words ``T^j(S^omega)``,
-        whose square roots are the periodic images of ``S[j:] . S S S ...``."""
-        if self._phase is None:
-            s_word, all_s = self.sys.s_word, "S" * D_LOOKAHEAD
-            nxt = [self.sys.periodic_image(s_word[j:], all_s) for j in range(self.n)]
-            phase = {0: 0, self.l_index: 0}
-            for j in range(self.n):
-                path = []
-                while j not in phase:
-                    if j in path:
-                        raise AssertionError("rotation orbit cycled without reaching S^w or L^w")
-                    path.append(j)
-                    j = nxt[j]
-                for back in reversed(path):
-                    phase[back] = phase[j] + 1
-                    j = back
-            self._next_rot, self._phase = nxt, phase
-        return self._next_rot, self._phase
-
     def rotation_successor(self, j: int) -> int:
-        return self._rotation_tables()[0][j]
+        """Rotation index of the square root of ``T^j(S^omega)``."""
+        return self._successor(j)
 
     def rotation_phase(self, j: int) -> int:
         """Steps for ``T^j(S^omega)`` to reach ``S^omega`` or ``L^omega``."""
-        return self._rotation_tables()[1][j]
+        return self._depth_of(j)
 
     # -- orbits of shifted products --------------------------------------------
 
@@ -189,63 +186,17 @@ class OrbitEngine:
             stride *= 2
         return None
 
-    def steps_supremum(self, cap: int = 64) -> int:
-        """Exact maximum of :meth:`steps_to_fixed` over every properly shifted
-        product, by adversarial play.
-
-        A state is the remainder alone: a step reads only blocks no earlier
-        step has read, so every tail of block names is open at every state.
-        Termination is guaranteed by the finite-time theorem; ``cap`` guards
-        against bugs.  The argmax start is kept for :meth:`witness`.
-        """
-        memo: dict[str, tuple[int, str]] = {}  # remainder -> (value, argmax names)
-        on_path: set[str] = set()
-
-        def best(y: str, depth: int) -> int:
-            if depth > cap:
-                raise AssertionError("orbit exceeded the safety cap; bug in transitions")
-            if y in memo:
-                return memo[y][0]
-            if y in on_path:
-                raise AssertionError("orbit cycled; contradicts the finite-time theorem")
-            on_path.add(y)
-            top = (0, "")
-            for names in _TAILS:
-                kind, nxt = self.sys.sqrt_step(y, names)
-                value = 1 + (self.rotation_phase(nxt) if kind == TYPE_D else best(nxt, depth + 1))
-                if value > top[0]:
-                    top = (value, names)
-            on_path.discard(y)
-            memo[y] = top
-            return top[0]
-
+    def start(self) -> tuple[int, str]:
+        """A properly shifted start ``(shift, first)`` attaining
+        :meth:`steps_supremum`, whatever the names of the other blocks."""
         starts = [(shift, first) for shift in range(1, self.n) for first in "SL"]
-        shift, first = max(starts, key=lambda s: best(self.sys.sigma(s[1])[s[0]:], 0))
-        y = self.sys.sigma(first)[shift:]
-        value = memo[y][0]
-        # follow the argmax choices to find the block indices they name
-        committed: dict[int, str] = {}
-        stride, base = 1, 0
-        while True:
-            names = memo[y][1]
-            kind, out = self.sys.sqrt_step(y, names)
-            if kind == TYPE_D:
-                committed.update((t * stride + base, b) for t, b in enumerate(names, 1))
-                break
-            if kind == TYPE_C:
-                committed[stride + base] = names[0]
-            else:
-                base -= stride
-            stride *= 2
-            y = out
-        self._witness = Witness(shift, first, committed)
-        return value
+        return max(starts, key=lambda s: self._depth_of(self.sys.sigma(s[1])[s[0]:]))
 
-    def witness(self) -> Witness:
-        """A start attaining :meth:`steps_supremum`, found by the last game."""
-        if self._witness is None:
-            self.steps_supremum()
-        return self._witness
+    def steps_supremum(self) -> int:
+        """Exact maximum of :meth:`steps_to_fixed` over every properly
+        shifted product: the largest depth of a start's remainder."""
+        shift, first = self.start()
+        return self._depth_of(self.sys.sigma(first)[shift:])
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +286,7 @@ def iterate_sqrt(sys: OmegaSystem, src: InfiniteWord, m: int) -> OrbitRecord:
 class Table1Row:
     s_len: int
     steps: int
-    witness: Witness
+    start: tuple[int, str]  # (shift, first) of a start attaining ``steps``
 
 
 def _fibonacci_index(s_len: int) -> int:
@@ -354,12 +305,11 @@ def fibonacci_system(s_len: int) -> OmegaSystem:
 
 
 def table1_experiment(s_lengths: Iterable[int]) -> list[Table1Row]:
-    """Maximal steps-to-fixed per block word length, by the exact game, with
-    a start attaining it."""
+    """Maximal steps-to-fixed per block word length, with a start attaining it."""
     rows = []
     for s_len in s_lengths:
         engine = OrbitEngine(fibonacci_system(s_len))
-        rows.append(Table1Row(s_len, engine.steps_supremum(), engine.witness()))
+        rows.append(Table1Row(s_len, engine.steps_supremum(), engine.start()))
     return rows
 
 

@@ -196,18 +196,20 @@ class OmegaSystem:
         """Rotation index ``j`` of the periodic square root ``T^j(S^omega)`` of
         ``y . B1 B2 ...``, read off its first ``|S|`` letters.
 
-        ``names`` names the blocks after ``y``; the first :data:`D_LOOKAHEAD`
-        of them are read.  Memoized.
+        ``names`` names the blocks after ``y``; at least :data:`D_LOOKAHEAD`
+        must be given.  The image is read from the first ``2|S| + |S6^2|``
+        letters, which reach at most four blocks: the memo is keyed on ``y``
+        and the names of the blocks reached.
         """
         if len(names) < D_LOOKAHEAD:
             raise ValueError(f"need {D_LOOKAHEAD} block names, got {names!r}")
-        key = (y, names[:D_LOOKAHEAD])
+        read = 2 * self.block_len + self.alphabet.max_square_len
+        key = (y, names[: -(-(read - len(y)) // self.block_len)])
         j = self._periodic_images.get(key)
         if j is None:
-            text = y + self.sigma(key[1])
-            roots, _ = squares.factor_minimal_squares(
-                self.alphabet, text[: 2 * self.block_len + self.alphabet.max_square_len]
-            )  # the tail may stop mid-square; only |S| root letters are needed
+            text = (y + self.sigma(key[1]))[:read]
+            roots, _ = squares.factor_minimal_squares(self.alphabet, text)
+            # the tail may stop mid-square; only |S| root letters are needed
             image = "".join(roots)[: self.block_len]
             j = self.conjugate_index(image)
             if j is None:

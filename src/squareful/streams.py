@@ -163,23 +163,35 @@ def from_function(f: Callable[[int], str], descriptor: str, chunk: int = 256) ->
     return InfiniteWord(gen(), descriptor)
 
 
+class _ShiftedWord(InfiniteWord):
+    """The view ``T^j(src)``: it serves every query from the memo of ``src``
+    and keeps only its own ``max_queried``."""
+
+    def __init__(self, src: InfiniteWord, j: int):
+        super().__init__((), f"T^{j}({src.descriptor})")
+        self._src, self._j = src, j
+
+    def ensure(self, n: int) -> None:
+        if n < 0:
+            raise ValueError("length must be >= 0")
+        self._src.ensure(self._j + n)
+        self.max_queried = max(self.max_queried, n)
+
+    def prefix(self, n: int) -> str:
+        return self.window(0, n)
+
+    def window(self, start: int, stop: int) -> str:
+        if start < 0 or stop < start:
+            raise ValueError("bad window bounds")
+        self.ensure(stop)
+        return self._src.window(self._j + start, self._j + stop)
+
+
 def shift(src: InfiniteWord, j: int) -> InfiniteWord:
     """The shifted word ``T^j(src)``, sharing the underlying memo."""
     if j < 0:
         raise ValueError("shift must be >= 0")
-    if j == 0:
-        return src
-
-    def gen():
-        pos = j
-        step = 64
-        while True:
-            piece = src.window(pos, pos + step)
-            yield piece
-            pos += len(piece)
-            step = min(2 * step, 1 << 16)
-
-    return InfiniteWord(gen(), f"T^{j}({src.descriptor})")
+    return _ShiftedWord(src, j) if j else src
 
 
 def sqrt_stream(alph: SquareAlphabet, src: InfiniteWord) -> InfiniteWord:

@@ -178,11 +178,23 @@ def test_readme_example_output_is_unchanged(capsys, case):
     (["orbit", "--word", "gamma1", "--steps", "-3"], 2),
     (["factorize", ""], 2),
     (["sqrt", ""], 2),
+    (["table1", "--fib", ""], 2),
+    (["table1", "--fib", ",,"], 2),
+    (["table2", "--fib", ""], 2),
 ])
 def test_errors_exit_with_one_line(capsys, argv, code):
     # usage errors exit 2, a non-squareful input exits 1; never a traceback
     assert main(argv) == code
     captured = capsys.readouterr()
     assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_unwritable_out_is_a_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "x"
+    assert main(["sqrt", "0101", "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not target.exists()
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -6,7 +6,7 @@ import pytest
 
 from squareful import dynamics, streams
 from squareful.dynamics import OrbitEngine
-from squareful.omega import OmegaParams, OmegaSystem
+from squareful.omega import PLAIN, SWAPPED, TYPE_D, OmegaParams, OmegaSystem
 from squareful.streams import expand, shift, sl_cycle
 
 
@@ -169,10 +169,42 @@ class TestTable1:
 
     @pytest.mark.parametrize("free", ["S", "L"])
     def test_witness_replays_to_the_supremum(self, free):
+        # the row's start attains the value whatever the other blocks are named
+        rng = random.Random(free)
         for row in dynamics.table1_experiment([8, 13, 21]):
             engine = OrbitEngine(dynamics.fibonacci_system(row.s_len))
-            w = row.witness
-            assert engine.steps_to_fixed(w.shift, w.first, lambda i: w.names.get(i, free)) == row.steps
+            fill = [rng.choice("SL") for _ in range(256)]
+            assert engine.steps_to_fixed(*row.start, lambda i: free) == row.steps
+            assert engine.steps_to_fixed(*row.start, lambda i: fill[i % 256]) == row.steps
+
+
+class TestNameFreeStep:
+    def test_name_dependent_step_is_refused(self, monkeypatch):
+        sys = OmegaSystem(OmegaParams())
+        shift, first = OrbitEngine(sys).start()
+        target = sys.sigma(first)[shift:]
+        step = sys.sqrt_step
+
+        def tampered(y, names):
+            # the start's remainder now leads straight to S^w after an L block
+            return (TYPE_D, 0) if y == target and names[0] == "L" else step(y, names)
+
+        monkeypatch.setattr(sys, "sqrt_step", tampered)
+        with pytest.raises(AssertionError, match="depends on the block names"):
+            OrbitEngine(sys).steps_supremum()
+
+    def test_supremum_is_the_largest_forward_count(self):
+        rng = random.Random(5)
+        grid = [OmegaParams(a, b, c, k, seed) for a in (1, 2) for b in (0, 1) for c in (1, 2)
+                for k in (4, 5) for seed in (PLAIN, SWAPPED)]  # |S| from 8 to 27
+        for params in grid:
+            sys = OmegaSystem(params)
+            engine, forward = OrbitEngine(sys), OrbitEngine(OmegaSystem(params))
+            value = engine.steps_supremum()
+            fill = [rng.choice("SL") for _ in range(256)]
+            starts = [(shift, first) for shift in range(1, sys.block_len) for first in "SL"]
+            assert value == max(forward.steps_to_fixed(*s, lambda i: "S") for s in starts), params
+            assert forward.steps_to_fixed(*engine.start(), lambda i: fill[i % 256]) == value, params
 
 
 class TestPreimages:

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -56,27 +57,35 @@ class TestInfiniteWord:
 
     @given(st.data())
     def test_random_queries_return_reference_slices(self, data):
+        # queries on a source and on shifted views of it interleave; a view
+        # reads the source's memo, so the source counts the view's letters
         ref = data.draw(st.text(alphabet="01SL", min_size=1, max_size=300))
         cuts = sorted(data.draw(st.lists(st.integers(0, len(ref)), max_size=12)))
         bounds = [0, *cuts, len(ref)]
         src = InfiniteWord([ref[lo:hi] for lo, hi in zip(bounds, bounds[1:])])
+        offsets = [0, *data.draw(st.lists(st.integers(0, len(ref) - 1), max_size=3))]
+        views = {j: shift(src, j) for j in offsets}
         calls = data.draw(st.lists(
-            st.tuples(st.sampled_from(["prefix", "window", "letter"]),
+            st.tuples(st.sampled_from(offsets), st.sampled_from(["prefix", "window", "letter"]),
                       st.integers(0, len(ref)), st.integers(0, len(ref))),
             min_size=1, max_size=20))
-        asked = 0
-        for kind, x, y in calls:
+        asked, src_asked = dict.fromkeys(offsets, 0), 0
+        for j, kind, x, y in calls:
+            word, text = views[j], ref[j:]
+            x, y = min(x, len(text)), min(y, len(text))
             if kind == "prefix":
-                got, want, stop = src.prefix(x), ref[:x], x
+                got, want, stop = word.prefix(x), text[:x], x
             elif kind == "window":
                 lo, hi = min(x, y), max(x, y)
-                got, want, stop = src.window(lo, hi), ref[lo:hi], hi
+                got, want, stop = word.window(lo, hi), text[lo:hi], hi
             else:
-                i = min(x, len(ref) - 1)
-                got, want, stop = src.letter(i), ref[i], i + 1
-            asked = max(asked, stop)
+                i = min(x, len(text) - 1)
+                got, want, stop = word.letter(i), text[i], i + 1
+            asked[j] = max(asked[j], stop)
+            src_asked = max(src_asked, j + stop)
             assert got == want
-            assert src.max_queried == asked
+            assert src.max_queried == src_asked
+            assert all(views[k].max_queried == asked[k] for k in offsets if k)
 
     def test_letter(self):
         src = periodic_word(S)
@@ -98,6 +107,22 @@ class TestShift:
     def test_zero_shift_is_identity(self, sys):
         g = sys.big_gamma(1)
         assert shift(g, 0) is g
+
+    def test_shares_the_source_memo(self):
+        sys = OmegaSystem(OmegaParams())
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            view = shift(sys.gamma_star(1), 48)
+            assert len(view.prefix(3 * 10**6)) == 3 * 10**6
+            held = tracemalloc.get_traced_memory()[0] - base  # with the view alive
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        # the source's memo holds 3 M names; a copy in the view would double it
+        assert held < 4.5 * 2**20
 
 
 class TestSqrtStream:
