@@ -31,7 +31,7 @@ from typing import Callable, Iterable
 from . import squares, streams, words
 from .omega import D_LOOKAHEAD, PERIODIC, PRODUCT_FORM, TYPE_B, TYPE_D, OmegaParams, OmegaSystem
 from .sturmian import RotationSystem
-from .streams import InfiniteWord, SLProduct
+from .streams import BlockWord, InfiniteWord, SLProduct
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -58,7 +58,11 @@ def fibonacci_estimate(s_len: int) -> float:
 
 
 def format_estimate(value: float) -> str:
-    """Two decimals, truncated (the reference table truncates, not rounds)."""
+    """Two decimals, truncated.
+
+    Truncation gives 13 of the 15 values of the reference Table 2; at
+    ``|S|`` = 1597 and 4181 it gives one hundredth less (rounding matches
+    only 9 rows), so the table's rule is not known."""
     return f"{math.floor(value * 100) / 100:.2f}"
 
 
@@ -125,7 +129,8 @@ class OrbitEngine:
     def _successor(self, node: str | int) -> str | int:
         """The next node: a remainder after type B or C, a rotation after D.
 
-        A remainder's step is taken under all 32 tails of block names and
+        A remainder's step is taken under all 16 tails of the
+        :data:`~squareful.omega.D_LOOKAHEAD` block names it can read and
         must come out the same under each, so that the depth of a remainder
         is the step count of every start that reaches it.
         """
@@ -483,9 +488,12 @@ def junction_signature(sys: OmegaSystem, hits: list[PreimageHit]) -> bool:
 
 @dataclass
 class ChainLink:
+    """One link of a preimage chain.  The preimage is kept as block names:
+    ``len(preimage)`` counts its letters, ``str(preimage)`` builds them."""
+
     level: int           # the aligned hierarchy level this link jumped past
     prefix_len: int      # |u_n| in letters
-    preimage: str        # v_n, with sqrt(v_n) == u_n
+    preimage: BlockWord  # v_n, with sqrt(v_n) == u_n
     verified: bool
 
 
@@ -574,18 +582,21 @@ def preimage_chain(
     level-``(k_n + 1)`` factorization and exhibits ``v_n``, a suffix of the
     squared level-``(k_n + 1)`` building block, with ``sqrt(v_n) == u_n``.
     Both are built on block names: the names of ``u_n`` must end
-    ``tau^(k_n + 1)(S)``, and ``v_n`` is ``sigma`` of the last ``2 |u_n|``
-    names of that block squared.
+    ``tau^(k_n + 1)(S)``, and ``v_n`` is the product of the last ``2 |u_n|``
+    names of that block squared.  A link keeps ``v_n`` as those names (a
+    :class:`~squareful.streams.BlockWord`); its letters are built only when
+    a caller asks for them with ``str``.
 
     Each link is verified by one of two exact routes.  Up to
     ``letter_verify_cap`` letters of ``v_n`` (every link when the cap is
-    None) the letter route retokenizes ``v_n`` and compares its root with
-    ``sigma`` of the names of ``u_n``.  Above the cap the name route checks
-    the four block-pair identities ``sqrt(xy) == x`` for ``x, y`` in
-    ``{S, L}`` once per chain, and that every other name of ``v_n`` spells
-    the names of ``u_n``: the greedy factorization of a concatenation of
-    square products is the concatenation of their factorizations, so
-    ``sqrt(v_n)`` is ``sigma`` of the even-indexed names of ``v_n``.
+    None) the letter route retokenizes ``sigma`` of the names of ``v_n`` and
+    compares its root with ``sigma`` of the names of ``u_n``.  Above the cap
+    no letter is built: the name route checks the four block-pair
+    identities ``sqrt(xy) == x`` for ``x, y`` in ``{S, L}`` once per chain,
+    and that every other name of ``v_n`` spells the names of ``u_n``: the
+    greedy factorization of a concatenation of square products is the
+    concatenation of their factorizations, so ``sqrt(v_n)`` is ``sigma`` of
+    the even-indexed names of ``v_n``.
     """
     m = 2 * sys.params.c + 1
     tower = AlignmentTower(sys, names, block_budget)
@@ -610,10 +621,13 @@ def preimage_chain(
         u_names = names.prefix(nxt)
         if not top.endswith(u_names):
             raise AssertionError("chain prefix is not a suffix of the next building block")
-        v_names = (top + top)[-2 * nxt :]
-        v = sys.sigma(v_names)
+        # the last 2 * nxt names of top + top, without building top + top;
+        # nxt <= len(top) because top ends with u_names
+        over = 2 * nxt - len(top)
+        v_names = top[-2 * nxt :] if over <= 0 else top[len(top) - over :] + top
+        v = BlockWord(v_names, sys.s_word, sys.l_word)
         if letter_verify_cap is None or len(v) <= letter_verify_cap:
-            ok = squares.sqrt_finite(sys.alphabet, v) == sys.sigma(u_names)
+            ok = squares.sqrt_finite(sys.alphabet, sys.sigma(v_names)) == sys.sigma(u_names)
         else:
             ok = pairs_ok and v_names[0::2] == u_names
         links.append(ChainLink(k, nxt * sys.block_len, v, ok))

@@ -35,7 +35,10 @@ TYPE_D = "D"
 PRODUCT_FORM = "in_omega_a_form"
 PERIODIC = "periodic"
 
-D_LOOKAHEAD = 5  # blocks after the remainder needed to read |S| letters of a type-D image
+# Blocks after the remainder that a type-D image reads: it reads 2|S| + |S6^2|
+# letters, |y| >= 1 of them from the remainder, and |S6^2| < 2|S| because
+# |S| > |S6|, so the rest reaches at most four blocks.
+D_LOOKAHEAD = 4
 
 
 @dataclass(frozen=True)
@@ -198,8 +201,8 @@ class OmegaSystem:
 
         ``names`` names the blocks after ``y``; at least :data:`D_LOOKAHEAD`
         must be given.  The image is read from the first ``2|S| + |S6^2|``
-        letters, which reach at most four blocks: the memo is keyed on ``y``
-        and the names of the blocks reached.
+        letters, which reach at most those four blocks: the memo is keyed on
+        ``y`` and the names of the blocks reached.
         """
         if len(names) < D_LOOKAHEAD:
             raise ValueError(f"need {D_LOOKAHEAD} block names, got {names!r}")

@@ -270,6 +270,24 @@ class SLProduct:
         return f"T^{self.shift}[{self.blocks.descriptor}]"
 
 
+@dataclass(frozen=True)
+class BlockWord:
+    """The finite product of the blocks that ``names`` names, kept as names.
+
+    ``len`` counts its letters without building them; ``str`` builds them.
+    """
+
+    names: str
+    s_word: str
+    l_word: str
+
+    def __len__(self) -> int:
+        return len(self.names) * len(self.s_word)
+
+    def __str__(self) -> str:
+        return self.names.translate({ord("S"): self.s_word, ord("L"): self.l_word})
+
+
 def expand(prod: SLProduct) -> InfiniteWord:
     """Letter-level oracle of the shifted product."""
 

@@ -193,6 +193,23 @@ class TestNameFreeStep:
         with pytest.raises(AssertionError, match="depends on the block names"):
             OrbitEngine(sys).steps_supremum()
 
+    def test_sixteen_tails_per_remainder(self, monkeypatch):
+        # a type-D image reaches at most four blocks after the remainder, so
+        # the walk takes each remainder's step under the 16 four-name tails
+        for s_len in (8, 89):
+            sys = dynamics.fibonacci_system(s_len)
+            step, calls = sys.sqrt_step, {}
+
+            def counted(y, names):
+                calls.setdefault(y, []).append(names)
+                return step(y, names)
+
+            monkeypatch.setattr(sys, "sqrt_step", counted)
+            assert OrbitEngine(sys).steps_supremum() == dynamics.TABLE1_REFERENCE[s_len]
+            assert calls and all(len(set(tails)) == len(tails) == 16
+                                 and all(len(names) == 4 for names in tails)
+                                 for tails in calls.values())
+
     def test_supremum_is_the_largest_forward_count(self):
         rng = random.Random(5)
         grid = [OmegaParams(a, b, c, k, seed) for a in (1, 2) for b in (0, 1) for c in (1, 2)
@@ -257,7 +274,8 @@ class TestPreimageChains:
 
     def test_blockwise_verification_agrees(self):
         # the letter route (no cap) and the name route (cap 0) build and
-        # verify the same links, letter for letter, for m = 3 and m = 5
+        # verify the same links, letter for letter, for m = 3 and m = 5; the
+        # letters are the suffix of the squared building block's letters
         for params in (OmegaParams(), OmegaParams(c=2)):
             sys = OmegaSystem(params)
             star = sys.gamma_star(1)
@@ -265,32 +283,40 @@ class TestPreimageChains:
                 routes = [dynamics.preimage_chain(sys, shift(star, t), depth=6,
                                                   letter_verify_cap=cap)
                           for cap in (None, 0)]
-                full, capped = ([(l.level, l.prefix_len, l.preimage, l.verified)
+                full, capped = ([(l.level, l.prefix_len, l.preimage, str(l.preimage), l.verified)
                                  for l in chain.links] for chain in routes)
                 assert routes[0].status == routes[1].status == "ok"
                 assert full == capped
                 assert len(full) == 6 and all(verified for *_, verified in full)
+                for level, prefix_len, preimage, letters, _ in full:
+                    assert len(preimage) == len(letters) == 2 * prefix_len
+                    top = sys.gamma(level + 1)
+                    assert letters == (top + top)[-2 * prefix_len :]
 
     def test_deep_chain_memory(self):
-        # a level-11 link on T^48(Gamma1*): the name route never builds the
-        # letters of the prefix or of the building block
-        sys = OmegaSystem(OmegaParams())
-        names = shift(sys.gamma_star(1), 48)
-        tracing = tracemalloc.is_tracing()
-        if not tracing:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            chain = dynamics.preimage_chain(sys, names, depth=10, block_budget=12_000_000,
-                                            letter_verify_cap=300_000)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
+        # a level-11 link on T^48(Gamma1*) and a level-12 link on T^75: the
+        # name route builds no letters of a prefix, of a building block or of
+        # a preimage, not even to count a preimage's letters
+        for t, level, bound_mib in ((48, 11, 30), (75, 12, 40)):
+            sys = OmegaSystem(OmegaParams())
+            names = shift(sys.gamma_star(1), t)
+            tracing = tracemalloc.is_tracing()
             if not tracing:
-                tracemalloc.stop()
-        assert chain.status == "ok" and chain.links[-1].level == 11
-        assert all(link.verified for link in chain.links)
-        assert peak < 60 * 2**20
+                tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                chain = dynamics.preimage_chain(sys, names, depth=10, block_budget=12_000_000,
+                                                letter_verify_cap=300_000)
+                letters = sum(len(link.preimage) for link in chain.links)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                if not tracing:
+                    tracemalloc.stop()
+            assert chain.status == "ok" and chain.links[-1].level == level
+            assert all(link.verified for link in chain.links)
+            assert letters == sum(2 * link.prefix_len for link in chain.links)
+            assert peak < bound_mib * 2**20, (t, peak)
 
     def test_gamma_suffix_construction(self, sys):
         for z_names in ("SS", "LSS", "SLSS"):
