@@ -488,8 +488,9 @@ def junction_signature(sys: OmegaSystem, hits: list[PreimageHit]) -> bool:
 
 @dataclass
 class ChainLink:
-    """One link of a preimage chain.  The preimage is kept as block names:
-    ``len(preimage)`` counts its letters, ``str(preimage)`` builds them."""
+    """One link of a preimage chain.  The preimage is a view of its building
+    block: ``len(preimage)`` counts its letters, ``preimage.names`` and
+    ``str(preimage)`` build its names and letters."""
 
     level: int           # the aligned hierarchy level this link jumped past
     prefix_len: int      # |u_n| in letters
@@ -504,6 +505,7 @@ class PreimageChain:
 
 
 _DESUB = {ord("S"): "L", ord("L"): "S"}
+TOWER_PIECE = 1 << 16  # level-0 block names streamed through the tower per piece
 
 
 class AlignmentTower:
@@ -515,7 +517,14 @@ class AlignmentTower:
     position of the level-``j`` grid in level-0 blocks.
 
     The window of block names grows on demand (each level divides the usable
-    window by the substitution length), capped at ``block_budget``.
+    window by the substitution length), capped at ``block_budget``.  It is
+    streamed in pieces of ``TOWER_PIECE`` names: each pinned level checks
+    that every ``L`` of a piece lies on its parse offset, keeps the first
+    name of each image and desubstitutes it; only the level still being
+    pinned keeps its names.  A grown window is streamed on from where the
+    last one ended, and nothing is replayed: a longer prefix of a memoized
+    (prefix-consistent) source cannot move an offset already pinned, and
+    every name the window covers is checked against those offsets once.
     """
 
     def __init__(self, sys: OmegaSystem, names: InfiniteWord, block_budget: int):
@@ -523,7 +532,9 @@ class AlignmentTower:
         self._names = names
         self._cap = block_budget
         self._window = min(4096, block_budget)
-        self._seq = names.prefix(self._window)
+        self._read = 0
+        self._phases: list[list[int]] = []  # [parse offset, names seen] per pinned level
+        self._top: list[str] = []  # the names of the level being pinned
         self._starts = [0]
         self._scale = 1
 
@@ -537,36 +548,37 @@ class AlignmentTower:
                 return None
         return self._starts[j]
 
-    def _extend_once(self) -> bool:
-        seq, m = self._seq, self.m
-        pos = seq.find("L")
-        if pos < 0 or len(seq) < 6 * m:
-            return False
-        r = pos % m
-        firsts = seq[r::m]
-        if seq.count("L", r) != firsts.count("L"):
-            raise AssertionError("block names do not parse as substitution images")
-        self._starts.append(self._starts[-1] + r * self._scale)
-        self._scale *= m
-        self._seq = firsts.translate(_DESUB)
-        return True
+    def _feed(self, piece: str, level: int = 0) -> None:
+        m = self.m
+        for phase in self._phases[level:]:
+            firsts = piece[(phase[0] - phase[1]) % m :: m]
+            if piece.count("L") != firsts.count("L"):
+                raise AssertionError("block names do not parse as substitution images")
+            phase[1] += len(piece)
+            piece = firsts.translate(_DESUB)
+        self._top.append(piece)
 
     def _extend(self) -> bool:
-        if self._extend_once():
-            return True
-        while self._window < self._cap:
-            self._window = min(self._window * self.m, self._cap)
-            depth = len(self._starts) - 1
-            self._seq = self._names.prefix(self._window)
-            replayed, self._starts, self._scale = self._starts, [0], 1
-            for _ in range(depth):
-                if not self._extend_once():
-                    raise AssertionError("tower replay failed at a larger window")
-            if self._starts != replayed:
-                raise AssertionError("tower replay produced different grid starts")
-            if self._extend_once():
-                return True
-        return False
+        m = self.m
+        while True:
+            while self._read < self._window:
+                stop = min(self._read + TOWER_PIECE, self._window)
+                self._feed(self._names.window(self._read, stop))
+                self._read = stop
+            seq = "".join(self._top)
+            pos = seq.find("L")
+            if pos >= 0 and len(seq) >= 6 * m:
+                break
+            self._top = [seq]
+            if self._window >= self._cap:
+                return False
+            self._window = min(self._window * m, self._cap)
+        self._starts.append(self._starts[-1] + pos % m * self._scale)
+        self._scale *= m
+        self._phases.append([pos % m, 0])
+        self._top = []
+        self._feed(seq, level=-1)  # through the new level only
+        return True
 
 
 def preimage_chain(
@@ -583,9 +595,9 @@ def preimage_chain(
     squared level-``(k_n + 1)`` building block, with ``sqrt(v_n) == u_n``.
     Both are built on block names: the names of ``u_n`` must end
     ``tau^(k_n + 1)(S)``, and ``v_n`` is the product of the last ``2 |u_n|``
-    names of that block squared.  A link keeps ``v_n`` as those names (a
-    :class:`~squareful.streams.BlockWord`); its letters are built only when
-    a caller asks for them with ``str``.
+    names of that block squared.  A link keeps ``v_n`` as a view of that
+    block, which the system caches (a :class:`~squareful.streams.BlockWord`);
+    its names and letters are built only when a caller asks for them.
 
     Each link is verified by one of two exact routes.  Up to
     ``letter_verify_cap`` letters of ``v_n`` (every link when the cap is
@@ -593,10 +605,11 @@ def preimage_chain(
     compares its root with ``sigma`` of the names of ``u_n``.  Above the cap
     no letter is built: the name route checks the four block-pair
     identities ``sqrt(xy) == x`` for ``x, y`` in ``{S, L}`` once per chain,
-    and that every other name of ``v_n`` spells the names of ``u_n``: the
-    greedy factorization of a concatenation of square products is the
-    concatenation of their factorizations, so ``sqrt(v_n)`` is ``sigma`` of
-    the even-indexed names of ``v_n``.
+    and that every other name of ``v_n``, read as strided slices of the
+    block, spells the names of ``u_n``: the greedy factorization of a
+    concatenation of square products is the concatenation of their
+    factorizations, so ``sqrt(v_n)`` is ``sigma`` of the even-indexed names
+    of ``v_n``.
     """
     m = 2 * sys.params.c + 1
     tower = AlignmentTower(sys, names, block_budget)
@@ -621,15 +634,18 @@ def preimage_chain(
         u_names = names.prefix(nxt)
         if not top.endswith(u_names):
             raise AssertionError("chain prefix is not a suffix of the next building block")
-        # the last 2 * nxt names of top + top, without building top + top;
-        # nxt <= len(top) because top ends with u_names
-        over = 2 * nxt - len(top)
-        v_names = top[-2 * nxt :] if over <= 0 else top[len(top) - over :] + top
-        v = BlockWord(v_names, sys.s_word, sys.l_word)
+        # v_n is the last 2 * nxt names of top + top (nxt <= len(top) because
+        # top ends with u_names); its even-indexed names are one strided slice
+        # of top, or two when v_n reaches into the first copy, and their
+        # lengths add up to nxt
+        v = BlockWord(top, 2 * nxt, sys.s_word, sys.l_word)
         if letter_verify_cap is None or len(v) <= letter_verify_cap:
-            ok = squares.sqrt_finite(sys.alphabet, sys.sigma(v_names)) == sys.sigma(u_names)
+            ok = squares.sqrt_finite(sys.alphabet, sys.sigma(v.names)) == sys.sigma(u_names)
         else:
-            ok = pairs_ok and v_names[0::2] == u_names
+            over = 2 * nxt - len(top)
+            head = top[-2 * nxt :: 2] if over <= 0 else top[-over::2]
+            tail = top[over % 2 :: 2] if over > 0 else ""
+            ok = pairs_ok and u_names.startswith(head) and u_names.endswith(tail)
         links.append(ChainLink(k, nxt * sys.block_len, v, ok))
         pos = nxt
     return PreimageChain(links, "ok")

@@ -109,7 +109,6 @@ class OmegaSystem:
         self._gamma_bar_blocks: dict[int, str] = {0: "L"}
         self._gamma_letters: dict[tuple[int, bool], str] = {}
         self._gamma_star: dict[int, InfiniteWord] = {}
-        self._conjugate_index = {u: i for i, u in enumerate(words.conjugates(self.s_word))}
         self._pi_roots: dict[str, str | None] = {}
         self._periodic_images: dict[tuple[str, str], int] = {}
 
@@ -184,8 +183,10 @@ class OmegaSystem:
         return streams.periodic_word(rot, f"T^{j}(S^w)")
 
     def conjugate_index(self, u: str) -> int | None:
-        """Which rotation of the block word ``u`` is, or None."""
-        return self._conjugate_index.get(u)
+        """Which rotation of the block word ``u`` is, or None (``S`` is
+        primitive, so a rotation occurs in ``S + S`` once before ``|S|``)."""
+        j = (self.s_word * 2).find(u) if len(u) == self.block_len else -1
+        return j if j >= 0 else None
 
     # -- the square root step --------------------------------------------------
 

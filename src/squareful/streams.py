@@ -272,17 +272,22 @@ class SLProduct:
 
 @dataclass(frozen=True)
 class BlockWord:
-    """The finite product of the blocks that ``names`` names, kept as names.
+    """The product of the last ``size <= 2 * len(block)`` names of ``block``
+    squared, as a view of ``block``: ``len`` counts its letters without
+    building them; ``names`` and ``str`` build its names and letters."""
 
-    ``len`` counts its letters without building them; ``str`` builds them.
-    """
-
-    names: str
+    block: str
+    size: int
     s_word: str
     l_word: str
 
+    @property
+    def names(self) -> str:
+        cut = len(self.block) - self.size
+        return self.block[cut:] if cut >= 0 else self.block[cut:] + self.block
+
     def __len__(self) -> int:
-        return len(self.names) * len(self.s_word)
+        return self.size * len(self.s_word)
 
     def __str__(self) -> str:
         return self.names.translate({ord("S"): self.s_word, ord("L"): self.l_word})

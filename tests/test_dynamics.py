@@ -257,6 +257,57 @@ class TestPreimages:
         assert dynamics.junction_signature(sys, hits)
 
 
+class TestAlignmentTower:
+    @pytest.mark.parametrize("piece", [1, 5, 7])
+    @pytest.mark.parametrize("c, jmax", [(1, 6), (2, 5)])
+    def test_starts_are_grid_arithmetic(self, monkeypatch, c, jmax, piece):
+        # the level-j grid of the tau^2 fixed point starts at the multiples
+        # of m^j, so after a shift by t it starts at (-t) mod m^j; jmax makes
+        # the window grow at least once, so pieces cross window ends too
+        monkeypatch.setattr(dynamics, "TOWER_PIECE", piece)
+        sys = OmegaSystem(OmegaParams(c=c))
+        m = 2 * c + 1
+        star = sys.gamma_star(1)
+        for t in (0, 1, 2, m, m * m, 7, 2 * m**3 + 1):
+            tower = dynamics.AlignmentTower(sys, shift(star, t), block_budget=4_000_000)
+            assert [tower.start(j) for j in range(jmax + 1)] == [(-t) % m**j for j in range(jmax + 1)]
+            assert tower.aligned() == (t == 0)
+
+    @pytest.mark.parametrize("piece", [7, dynamics.TOWER_PIECE])
+    @pytest.mark.parametrize("flip", [
+        9016,  # an S off the level-0 grid made L; with 7-name pieces it opens a piece
+        9003,  # an L of the level-0 grid made S: level 1 gets an L off its grid
+    ])
+    def test_a_flipped_name_breaks_the_parse(self, monkeypatch, sys, piece, flip):
+        # the flip lies in the second window, so only a level pinned on the
+        # first window can see it, past the first piece when pieces are short
+        monkeypatch.setattr(dynamics, "TOWER_PIECE", piece)
+        text = sys.gamma_star(1).prefix(3 * 4096)
+        flipped = text[:flip] + {"S": "L", "L": "S"}[text[flip]] + text[flip + 1 :]
+        for word, broken in ((text, False), (flipped, True)):
+            tower = dynamics.AlignmentTower(sys, streams.InfiniteWord([word]), len(word))
+            assert tower.start(5) == 0
+            if broken:
+                with pytest.raises(AssertionError, match="do not parse"):
+                    tower.start(6)
+            else:
+                assert tower.start(6) == 0
+
+    @pytest.mark.parametrize("c, t, budget, want", [
+        (1, 40, 20_000, [(0, 16), (1, 40), (2, 112), (3, 328), (4, 1624), (5, 5512), (6, 17176)]),
+        (1, 9, 5_000, [(2, 144), (3, 576), (4, 1872), (5, 5760)]),
+        (2, 5, 20_000, [(1, 160), (2, 960), (3, 4960), (4, 24960)]),
+        (2, 9, 5_000, [(0, 8), (1, 128), (2, 928), (3, 4928)]),
+    ])
+    def test_budget_cuts_the_chain_where_it_did(self, c, t, budget, want):
+        sys = OmegaSystem(OmegaParams(c=c))
+        chain = dynamics.preimage_chain(sys, shift(sys.gamma_star(1), t), depth=10,
+                                        block_budget=budget, letter_verify_cap=1000)
+        assert chain.status == "budget"
+        assert [(link.level, link.prefix_len) for link in chain.links] == want
+        assert all(link.verified for link in chain.links)
+
+
 class TestPreimageChains:
     def test_chains_verify(self, sys):
         star = sys.gamma_star(1)
@@ -275,7 +326,9 @@ class TestPreimageChains:
     def test_blockwise_verification_agrees(self):
         # the letter route (no cap) and the name route (cap 0) build and
         # verify the same links, letter for letter, for m = 3 and m = 5; the
-        # letters are the suffix of the squared building block's letters
+        # names and the letters are the suffix of the squared building block,
+        # both where it lies in the second copy and where it reaches the first
+        branches = set()
         for params in (OmegaParams(), OmegaParams(c=2)):
             sys = OmegaSystem(params)
             star = sys.gamma_star(1)
@@ -292,12 +345,16 @@ class TestPreimageChains:
                     assert len(preimage) == len(letters) == 2 * prefix_len
                     top = sys.gamma(level + 1)
                     assert letters == (top + top)[-2 * prefix_len :]
+                    nxt, top_names = prefix_len // sys.block_len, sys.tau_block(level + 1)
+                    assert preimage.names == (top_names + top_names)[-2 * nxt :]
+                    branches.add(2 * nxt > len(top_names))
+        assert branches == {False, True}
 
     def test_deep_chain_memory(self):
         # a level-11 link on T^48(Gamma1*) and a level-12 link on T^75: the
         # name route builds no letters of a prefix, of a building block or of
         # a preimage, not even to count a preimage's letters
-        for t, level, bound_mib in ((48, 11, 30), (75, 12, 40)):
+        for t, level, bound_mib in ((48, 11, 16), (75, 12, 24)):
             sys = OmegaSystem(OmegaParams())
             names = shift(sys.gamma_star(1), t)
             tracing = tracemalloc.is_tracing()

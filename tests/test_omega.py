@@ -4,8 +4,8 @@ import tracemalloc
 import pytest
 
 from squareful import streams, words
-from squareful.dynamics import OrbitEngine
-from squareful.omega import PERIODIC, OmegaParams, OmegaSystem, tau
+from squareful.dynamics import OrbitEngine, fibonacci_system
+from squareful.omega import PERIODIC, SWAPPED, OmegaParams, OmegaSystem, tau
 from squareful.squares import in_pi, sqrt_finite
 from squareful.streams import expand, periodic_word, shift, sl_cycle
 
@@ -340,6 +340,40 @@ class TestOmegaP:
         j = sys.conjugate_index(sys.l_word)
         assert j is not None
         assert sys.omega_p_word(j).prefix(64) == sys.l_omega().prefix(64)
+
+    @pytest.mark.parametrize("params", [
+        OmegaParams(k=4), OmegaParams(k=9), OmegaParams(k=14),  # |S| = 8, 89, 987
+        OmegaParams(a=2, b=1, k=6), OmegaParams(a=3, b=0, k=5, seed=SWAPPED),
+    ])
+    def test_conjugate_index_matches_the_rotations(self, params):
+        sys = OmegaSystem(params)
+        s = sys.s_word
+        for j, rot in enumerate(words.conjugates(s)):
+            assert sys.conjugate_index(rot) == j
+        assert sys.conjugate_index(s[:-1]) is None
+        assert sys.conjugate_index(s + s[0]) is None
+        assert sys.conjugate_index("") is None
+        assert sys.conjugate_index("0" * len(s)) is None
+        # adjacent transpositions keep the length and the letter counts
+        rotations = set(words.conjugates(s))
+        moved = {s[:i] + s[i + 1] + s[i] + s[i + 2 :] for i in range(len(s) - 1)} - rotations
+        assert moved
+        assert all(sys.conjugate_index(u) is None for u in moved)
+
+    def test_large_system_builds_in_linear_memory(self):
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            engine = OrbitEngine(fibonacci_system(121_393))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert engine.n == 121_393 and engine.l_index is not None
+        assert peak < 4 * 2**20, peak
 
     def test_codings_are_exactly_the_rotations(self, sys):
         rot = sys.rotation_system()
