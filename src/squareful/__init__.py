@@ -9,7 +9,7 @@ word equation solutions).
 """
 
 from .omega import OmegaParams, OmegaSystem, tau
-from .squares import SquareAlphabet, build_alphabet, factor_minimal_squares, in_pi, minimal_square_prefix, sqrt_finite
+from .squares import SquareAlphabet, build_alphabet, factor_minimal_squares, in_pi, sqrt_finite
 from .streams import InfiniteWord, SLProduct, detect_period, expand, shift, sqrt_stream
 from .sturmian import ContinuedFraction, RotationSystem, reversed_standard_word, standard_word
 
@@ -26,7 +26,6 @@ __all__ = [
     "expand",
     "factor_minimal_squares",
     "in_pi",
-    "minimal_square_prefix",
     "reversed_standard_word",
     "shift",
     "sqrt_finite",

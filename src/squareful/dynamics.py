@@ -29,9 +29,8 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from . import squares, streams, words
-from .omega import D_LOOKAHEAD, PERIODIC, PRODUCT_FORM, TYPE_B, TYPE_D, OmegaParams, OmegaSystem
-from .sturmian import RotationSystem
-from .streams import BlockWord, InfiniteWord, SLProduct
+from .omega import D_LOOKAHEAD, PERIODIC, TYPE_B, TYPE_D, OmegaParams, OmegaSystem
+from .streams import BlockWord, InfiniteWord
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -66,41 +65,35 @@ def format_estimate(value: float) -> str:
     return f"{math.floor(value * 100) / 100:.2f}"
 
 
-def ceil_log2_ratio(x: Fraction) -> int:
-    """Exact ``ceil(log2(x))`` for a positive rational."""
-    if x <= 0:
-        raise ValueError("ratio must be positive")
-    p, q = x.numerator, x.denominator
-    t = 0
-    while q * (1 << t) < p:
-        t += 1
-    return t
+def intercept_phases(sys: OmegaSystem) -> tuple[list[int], int]:
+    """Rotation phases by exact intercept arithmetic, with their proven bound.
 
-
-def steps_bound(rot: RotationSystem, s_word: str, l_word: str) -> int:
-    """Upper bound on the rotation-phase step count:
-    ``ceil(log2((1 - slope) / min(|[S]|, |[L]|)))``."""
-    arc_s = rot.factor_interval(s_word)
-    arc_l = rot.factor_interval(l_word)
-    if arc_s is None or arc_l is None:
+    ``T^j(S^omega)`` is the rotation word of intercept ``rho_S + j * slope``,
+    where ``[rho_S, ...)`` is the arc ``[S]`` of intercepts coded by ``S``.
+    Its phase is the least ``i`` with ``psi^i`` of that intercept in ``[S]``
+    or ``[L]``, ``psi`` being :meth:`RotationSystem.sqrt_intercept`.  The
+    arcs ``[L]`` and ``[S]`` meet at ``1 - slope``, and ``psi`` halves the
+    distance to that point, which starts at most ``1 - slope``: so the
+    phase is at most ``ceil(log2((1 - slope) / min(|[S]|, |[L]|)))``, and a
+    longer iteration raises.  Returns the phase of every rotation ``j`` in
+    order, and the bound.
+    """
+    rot = sys.rotation_system()
+    arcs = [rot.factor_interval(sys.s_word), rot.factor_interval(sys.l_word)]
+    if None in arcs:
         raise ValueError("block words are not factors of the rotation coding")
-    smallest = min(arc_s.length, arc_l.length)
-    return ceil_log2_ratio((1 - rot.slope) / smallest)
-
-
-def psi_steps(rot: RotationSystem, rho: Fraction, s_word: str, l_word: str) -> int:
-    """Least ``i`` with ``psi^i(rho)`` inside ``[S] union [L]`` (exact arithmetic)."""
-    arc_s = rot.factor_interval(s_word)
-    arc_l = rot.factor_interval(l_word)
-    if arc_s is None or arc_l is None:
-        raise ValueError("block words are not factors of the rotation coding")
-    bound = steps_bound(rot, s_word, l_word) + 2
-    rho = rho % 1
-    for i in range(bound + 1):
-        if arc_s.contains(rho) or arc_l.contains(rho):
-            return i
-        rho = rot.sqrt_intercept(rho)
-    raise AssertionError("psi iteration exceeded its proven bound")
+    ratio = (1 - rot.slope) / min(arc.length for arc in arcs)
+    t = ratio.numerator.bit_length() - ratio.denominator.bit_length()
+    bound = t if ratio <= Fraction(2) ** t else t + 1  # ratio lies in (2^(t-1), 2^(t+1))
+    phases = []
+    for j in range(sys.block_len):
+        rho, steps = (arcs[0].lo + j * rot.slope) % 1, 0
+        while not any(arc.contains(rho) for arc in arcs):
+            if steps == bound:
+                raise AssertionError("psi iteration exceeded its proven bound")
+            rho, steps = rot.sqrt_intercept(rho), steps + 1
+        phases.append(steps)
+    return phases, bound
 
 
 # ---------------------------------------------------------------------------
@@ -325,65 +318,6 @@ TABLE2_REFERENCE = {8: "3.47", 13: "4.16", 21: "4.85", 34: "5.55", 55: "6.24",
                     89: "6.94", 144: "7.63", 233: "8.33", 377: "9.02", 610: "9.71",
                     987: "10.41", 1597: "11.11", 2584: "11.80", 4181: "12.50",
                     6765: "13.19"}
-
-
-# ---------------------------------------------------------------------------
-# embedding and monotonicity checks
-
-
-@dataclass
-class OrderingVerdict:
-    relation: str  # "less" / "equal" / "greater" between u1 and u2
-    violation: bool
-
-
-def embedding_check(sys: OmegaSystem, prod: SLProduct) -> OrderingVerdict:
-    """Compare the length-|S| prefixes of a word and of its square root.
-
-    For words starting with 0 the prefix may only grow lexicographically
-    (strictly when distinct); dually for words starting with 1.
-    """
-    n = sys.block_len
-    src = streams.expand(prod)
-    u1 = src.prefix(n)
-    u2 = streams.sqrt_stream(sys.alphabet, src).prefix(n)
-    relation = _compare(u1, u2)
-    if relation == "equal":
-        return OrderingVerdict(relation, False)
-    expected = "less" if u1[0] == "0" else "greater"
-    return OrderingVerdict(relation, relation != expected)
-
-
-def monotone_or_periodic_check(sys: OmegaSystem, prod: SLProduct) -> str:
-    """Which branch of the two-step monotonicity disjunction holds.
-
-    Returns ``"u2"`` when the first root's prefix already moved strictly,
-    ``"u3"`` when the second one did, and ``"periodic"`` when the second
-    square root is periodic.  Raises if none holds (it must).
-    """
-    if prod.shift == 0:
-        raise ValueError("the check applies to properly shifted products only")
-    n = sys.block_len
-    src = streams.expand(prod)
-    u1 = src.prefix(n)
-    first_sqrt, kind1 = sys.sqrt_of_product(prod)
-    if kind1 == PERIODIC:
-        return "periodic"
-    u2 = first_sqrt.prefix(n)
-    up = u1[0] == "0"
-    if (u2 > u1) if up else (u2 < u1):
-        return "u2"
-    second_sqrt, kind2 = (
-        sys.sqrt_of_product(first_sqrt.product)
-        if first_sqrt.product is not None
-        else (streams.sqrt_stream(sys.alphabet, first_sqrt), PRODUCT_FORM)
-    )
-    if kind2 == PERIODIC:
-        return "periodic"
-    u3 = second_sqrt.prefix(n)
-    if (u3 > u1) if up else (u3 < u1):
-        return "u3"
-    raise AssertionError("monotonicity disjunction failed; bug or theorem violation")
 
 
 # ---------------------------------------------------------------------------
@@ -660,23 +594,6 @@ def _block_pairs_halve(sys: OmegaSystem) -> bool:
     )
 
 
-def gamma_suffix_preimage(sys: OmegaSystem, z_names: str, k: int) -> tuple[str, str]:
-    """Preimage construction for words with the fixed point as a suffix.
-
-    For ``w = z . Gamma`` returns ``(z_letters, z')`` where ``z'`` is the
-    suffix of the level-``k`` building block of length ``2 |z|`` and
-    ``sqrt(z') == z`` letterwise, so ``z' . Gamma`` is a preimage of ``w``.
-    """
-    z = sys.sigma(z_names)
-    g = sys.gamma(k)
-    if len(g) < 2 * len(z):
-        raise ValueError("level too small for the requested suffix length")
-    z_prime = g[-2 * len(z):]
-    if squares.sqrt_finite(sys.alphabet, z_prime) != z:
-        raise AssertionError("suffix preimage construction failed verification")
-    return z, z_prime
-
-
 # ---------------------------------------------------------------------------
 # periodic points
 
@@ -798,40 +715,3 @@ def doubling_period_increasing(c: int, imax: int) -> bool:
                 return False
             frontier.append((i + 1, k_next))
     return True
-
-
-# ---------------------------------------------------------------------------
-# asymptotics and the image of the periodic part
-
-
-def asymptotic_class(sys: OmegaSystem, prod: SLProduct, jmax: int | None = None) -> str:
-    """One of ``periodic_point``, ``to_S_or_L``, ``aperiodic_nonasymptotic``."""
-    src = streams.expand(prod)
-    j = sys.omega_p_match(src)
-    if j is not None:
-        return "periodic_point" if j in (0, sys.conjugate_index(sys.l_word)) else "to_S_or_L"
-    if prod.shift != 0:
-        return "to_S_or_L"
-    verdict = sys.invariant_subset_index(src, jmax=jmax)
-    return "periodic_point" if verdict == "fixed_point" else "aperiodic_nonasymptotic"
-
-
-def count_sqrt_omega_minus_omega_a(
-    sys: OmegaSystem, window_blocks: int = 12, corpus_blocks: int = 4096
-) -> int:
-    """Empirical count of distinct periodic words reached from type-D words.
-
-    Scans shifted factor windows of the subshift, collects the rotation index
-    of the square root of every type-D one, and counts distinct indices.
-    Reported, never asserted: characterizing this set is open.
-    """
-    if corpus_blocks <= 0:
-        return 0
-    corpus = sys.gamma_star(1).prefix(corpus_blocks + window_blocks)
-    reached: set[int] = set()
-    for window in {corpus[i : i + window_blocks] for i in range(corpus_blocks)}:
-        for ell in range(1, sys.block_len):
-            kind, j = sys.sqrt_step(sys.sigma(window[0])[ell:], window[1:])
-            if kind == TYPE_D:
-                reached.add(j)
-    return len(reached)

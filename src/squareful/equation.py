@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import squares, streams, words
-from .omega import OmegaSystem, tau
+from .omega import OmegaSystem
 from .squares import SquareAlphabet
 
 
@@ -40,19 +40,6 @@ def is_solution(alph: SquareAlphabet, w: str) -> SolutionCertificate | None:
     if "".join(roots) != w:
         return None
     return SolutionCertificate(w, tuple(roots))
-
-
-def verify_standard_solutions(d: tuple[int, ...], kmax: int, alph: SquareAlphabet) -> bool:
-    """Every reversed standard word up to index ``kmax`` and its swapped
-    companion must be a primitive solution."""
-    from .sturmian import reversed_standard_word
-
-    for k in range(1, kmax + 1):
-        sbar = reversed_standard_word(d, k)
-        for u in (sbar, words.swap_first_two(sbar)):
-            if not words.is_primitive(u) or is_solution(alph, u) is None:
-                return False
-    return True
 
 
 def harvest_square_factors(text: str, max_root_len: int) -> set[str]:
@@ -117,32 +104,6 @@ def conjugate_solution_audit(alph: SquareAlphabet, u: str) -> ConjugateAuditRepo
         if v != u and is_solution(alph, v) is not None:
             hits.append(v)
     return ConjugateAuditReport(u, hits)
-
-
-def squares_in_omega_star(c: int, bmax: int, corpus_blocks: int = 200_000) -> tuple[bool, list[str]]:
-    """Primitive roots of squares occurring in the tau subshift's language.
-
-    Returns ``(ok, roots)`` where ``ok`` asserts that every root found is a
-    rotation of some ``tau^k(S)`` and that each ``tau^k(S)`` short enough to
-    fit appears.
-    """
-    blocks = "S"
-    while len(blocks) < corpus_blocks:
-        blocks = tau(c, tau(c, blocks))
-    blocks = blocks[:corpus_blocks]
-    roots = sorted(harvest_square_factors(blocks, bmax), key=len)
-    primitive_roots = [u for u in roots if words.is_primitive(u)]
-    tau_words = ["S"]
-    while len(tau(c, tau_words[-1])) <= bmax:
-        tau_words.append(tau(c, tau_words[-1]))
-    ok = True
-    for u in primitive_roots:
-        if not any(len(u) == len(t) and u in t + t for t in tau_words):
-            ok = False
-    for t in tau_words:
-        if 2 * len(t) <= bmax and t not in primitive_roots:
-            ok = False
-    return ok, primitive_roots
 
 
 # ---------------------------------------------------------------------------

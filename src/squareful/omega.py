@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import squares, streams, words
-from .sturmian import LEFT_CLOSED, ContinuedFraction, RotationSystem, reversed_standard_word
+from .sturmian import ContinuedFraction, RotationSystem, reversed_standard_word
 from .squares import SquareAlphabet
 from .streams import InfiniteWord, SLProduct
 
@@ -123,8 +123,8 @@ class OmegaSystem:
         d = self.params.directive(self.params.k)
         return ContinuedFraction((0, d[0] + 1) + tuple(d[1:]))
 
-    def rotation_system(self, convention: str = LEFT_CLOSED) -> RotationSystem:
-        return RotationSystem(self.slope().value(), convention)
+    def rotation_system(self) -> RotationSystem:
+        return RotationSystem(self.slope().value())
 
     def sigma(self, blockword: str) -> str:
         return blockword.translate(self._sigma_table)
@@ -305,69 +305,6 @@ class OmegaSystem:
         out_blocks = self._decimated_blocks(prod.blocks, head, 1 if kind == TYPE_B else 2, descriptor)
         return streams.expand(self.product(out_blocks, n - len(result))), PRODUCT_FORM
 
-    # -- synchronization -----------------------------------------------------
-
-    def sync_factorization_start(self, src: InfiniteWord, j: int, window: int | None = None) -> int | None:
-        """Start position of the gamma_j-factorization of a word of the
-        aperiodic part, or None if the window shows no synchronization point.
-
-        Looks for an occurrence of one of ``gg``, ``g g-bar``, ``g-bar g``;
-        any such occurrence pins the factorization grid.
-        """
-        g, gb = self.gamma(j), self.gamma_bar(j)
-        if window is None:
-            window = 4 * len(g)
-        text = src.prefix(window)
-        hits = [text.find(pat) for pat in (g + g, g + gb, gb + g)]
-        hits = [h for h in hits if h >= 0]
-        if not hits:
-            return None
-        return min(hits) % len(g)
-
-    def check_factorization_properties(self, block_names: str) -> bool:
-        """Both factorization constraints on a window of gamma-level block names.
-
-        Between two ``L`` names there is always ``S^(2c)`` or ``S^(4c+1)``;
-        between two occurrences of ``L S^(4c+1) L`` there is always ``S^(2c)``
-        or ``(S^(2c) L)^3 S^(2c)``.
-        """
-        c = self.params.c
-        positions = [i for i, ch in enumerate(block_names) if ch == "L"]
-        for p, q in zip(positions, positions[1:]):
-            if q - p - 1 not in (2 * c, 4 * c + 1):
-                return False
-        pat = "L" + "S" * (4 * c + 1) + "L"
-        occ = []
-        start = block_names.find(pat)
-        while start >= 0:
-            occ.append(start)
-            start = block_names.find(pat, start + 1)
-        good_infixes = {"S" * (2 * c), ("S" * (2 * c) + "L") * 3 + "S" * (2 * c)}
-        for p, q in zip(occ, occ[1:]):
-            if block_names[p + len(pat) : q] not in good_infixes:
-                return False
-        return True
-
-    def invariant_subset_index(self, src: InfiniteWord, jmax: int | None = None,
-                               letter_budget: int = 10**6):
-        """Largest level whose factorization starts at the beginning.
-
-        Returns the level index, or ``"fixed_point"`` when every level up to
-        the budget is aligned (the two fixed points), or ``"not_in_omega_s"``
-        when even the level-0 factorization does not start at 0.
-        """
-        if jmax is None:
-            jmax = 0
-            while len(self.gamma(jmax + 1)) * 4 <= letter_budget:
-                jmax += 1
-        prev_aligned = None
-        for j in range(jmax + 1):
-            start = self.sync_factorization_start(src, j, min(4 * len(self.gamma(j)), letter_budget))
-            if start != 0:
-                return "not_in_omega_s" if j == 0 else prev_aligned
-            prev_aligned = j
-        return "fixed_point"
-
     # -- membership helpers ---------------------------------------------------
 
     def omega_p_match(self, src: InfiniteWord, extra_period: int | None = None) -> int | None:
@@ -386,9 +323,3 @@ class OmegaSystem:
         if text[: window - n] != text[n:window]:
             return None
         return self.conjugate_index(text[:n])
-
-    def is_optimal_squareful_window(self, src: InfiniteWord, length: int) -> bool:
-        """Every position of the window begins with one of the six squares."""
-        text = src.prefix(length + self.alphabet.max_square_len)
-        match = squares.square_matcher(self.alphabet)
-        return all(match(text, i) is not None for i in range(length))

@@ -76,15 +76,6 @@ def square_matcher(alph: SquareAlphabet):
     return re.compile("|".join(alph.squares)).match
 
 
-def minimal_square_prefix(alph: SquareAlphabet, w: str) -> str | None:
-    """The root whose square is a prefix of ``w``, or None.
-
-    At most one square can match because the six squares are prefix-free.
-    """
-    m = square_matcher(alph)(w)
-    return alph.root_of(m.group()) if m else None
-
-
 def factor_minimal_squares(alph: SquareAlphabet, w: str) -> tuple[list[str], int | None]:
     """Greedy factorization of ``w`` into minimal squares.
 

@@ -8,12 +8,8 @@ recurrence or from substitutions (see :mod:`squareful.omega`).
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-LEFT_CLOSED = "left"    # I0 = [0, 1-alpha),  I1 = [1-alpha, 1)
-RIGHT_CLOSED = "right"  # I0 = (0, 1-alpha],  I1 = (1-alpha, 1]
 
 
 @dataclass(frozen=True)
@@ -36,16 +32,6 @@ class ContinuedFraction:
         if len(q) > 1 and q[-1] == 1:
             q = q[:-2] + (q[-2] + 1,)
             object.__setattr__(self, "quotients", q)
-
-    @classmethod
-    def parse(cls, text: str) -> "ContinuedFraction":
-        """Parse the ``"[a0;a1,a2,...]"`` notation used on the command line."""
-        m = re.fullmatch(r"\s*\[\s*(-?\d+)\s*(?:;((?:\s*\d+\s*,)*\s*\d+\s*))?\]\s*", text)
-        if not m:
-            raise ValueError(f"cannot parse continued fraction {text!r}")
-        a0 = int(m.group(1))
-        rest = tuple(int(t) for t in m.group(2).split(",")) if m.group(2) else ()
-        return cls((a0,) + rest)
 
     @classmethod
     def of_fraction(cls, x: Fraction) -> "ContinuedFraction":
@@ -79,17 +65,6 @@ class ContinuedFraction:
             out.append(Fraction(p, q))
         return out
 
-    def semiconvergents(self, k: int) -> list[Fraction]:
-        """Intermediate fractions ``(l*p_{k-1} + p_{k-2}) / (l*q_{k-1} + q_{k-2})``
-        for ``1 <= l < a_k``; empty when ``a_k == 1``."""
-        if k < 2 or k >= len(self.quotients):
-            raise ValueError("semiconvergents need 2 <= k < number of quotients")
-        convs = self.convergents(k - 1)
-        p1, q1 = convs[-1].numerator, convs[-1].denominator
-        p0, q0 = convs[-2].numerator, convs[-2].denominator
-        a_k = self.quotients[k]
-        return [Fraction(l * p1 + p0, l * q1 + q0) for l in range(1, a_k)]
-
 
 def standard_word(d: tuple[int, ...] | list[int], k: int) -> str:
     """Standard word ``s_k`` from ``s_k = s_{k-1}^{d_k} s_{k-2}``, ``s_-1 = 1``, ``s_0 = 0``.
@@ -113,15 +88,13 @@ def reversed_standard_word(d: tuple[int, ...] | list[int], k: int) -> str:
 
 @dataclass(frozen=True)
 class Arc:
-    """A half-open circle arc, possibly wrapping through 0.
+    """A half-open circle arc ``[lo, hi)``, possibly wrapping through 0.
 
-    ``left`` convention arcs are ``[lo, hi)``; ``right`` convention arcs are
-    ``(lo, hi]``.  A wrapped arc is reported in two pieces.
+    A wrapped arc is reported in two pieces.
     """
 
     lo: Fraction
     hi: Fraction
-    closed_side: str = LEFT_CLOSED
 
     @property
     def wraps(self) -> bool:
@@ -136,24 +109,17 @@ class Arc:
             return [(self.lo, self.hi)]
         return [(self.lo, Fraction(1)), (Fraction(0), self.hi)]
 
-    def representative(self) -> Fraction:
-        """A point of the arc respecting the endpoint convention."""
-        return self.lo if self.closed_side == LEFT_CLOSED else self.hi
-
     def contains(self, rho: Fraction) -> bool:
         rho = rho % 1
-        if self.closed_side == LEFT_CLOSED:
-            if not self.wraps:
-                return self.lo <= rho < self.hi
-            return rho >= self.lo or rho < self.hi
         if not self.wraps:
-            return self.lo < rho <= self.hi
-        return rho > self.lo or rho <= self.hi
+            return self.lo <= rho < self.hi
+        return rho >= self.lo or rho < self.hi
 
 
 @dataclass(frozen=True)
 class RotationSystem:
-    """Rational circle rotation with the two-interval coding.
+    """Rational circle rotation with the two-interval coding
+    ``I0 = [0, 1 - slope)``, ``I1 = [1 - slope, 1)``.
 
     The slope must have at least three partial quotients; with fewer the
     codings do not contain the six minimal squares and the square root map
@@ -161,14 +127,11 @@ class RotationSystem:
     """
 
     slope: Fraction
-    convention: str = LEFT_CLOSED
     _cf: ContinuedFraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 < self.slope < 1:
             raise ValueError("slope must lie in (0, 1)")
-        if self.convention not in (LEFT_CLOSED, RIGHT_CLOSED):
-            raise ValueError(f"unknown endpoint convention {self.convention!r}")
         cf = ContinuedFraction.of_fraction(self.slope)
         if len(cf.quotients) < 4:  # [0; a1, a2, a3] has 4 entries
             raise ValueError(
@@ -176,10 +139,6 @@ class RotationSystem:
                 "need at least three partial quotients past a0"
             )
         object.__setattr__(self, "_cf", cf)
-
-    @property
-    def cf(self) -> ContinuedFraction:
-        return self._cf
 
     @property
     def q(self) -> int:
@@ -191,12 +150,7 @@ class RotationSystem:
         return a1 - 1, a2 - 1
 
     def letter(self, rho: Fraction) -> str:
-        rho = rho % 1
-        boundary = 1 - self.slope
-        if self.convention == LEFT_CLOSED:
-            return "0" if rho < boundary else "1"
-        # (0, 1-alpha] is coded 0; the point 0 (= 1) falls in I1
-        return "0" if 0 < rho <= boundary else "1"
+        return "0" if rho % 1 < 1 - self.slope else "1"
 
     def coding(self, rho: Fraction, n: int) -> str:
         """First ``n`` letters of the rotation word of intercept ``rho``."""
@@ -210,21 +164,22 @@ class RotationSystem:
     def level_arcs(self, n: int) -> list[Arc]:
         """The arcs cut by the points ``{-j*slope}`` for ``0 <= j <= n``, in circle order."""
         pts = sorted({(-j * self.slope) % 1 for j in range(n + 1)})
-        arcs = []
-        for i, lo in enumerate(pts):
-            hi = pts[(i + 1) % len(pts)]
-            arcs.append(Arc(lo, hi, self.convention))
-        return arcs
+        return [Arc(lo, pts[(i + 1) % len(pts)]) for i, lo in enumerate(pts)]
 
     def factor_interval(self, w: str) -> Arc | None:
         """The arc of intercepts whose coding begins with ``w``, or None.
 
-        Requires ``len(w) < q`` so that the arc is a genuine subinterval.
+        Requires ``len(w) <= q`` so that the arc is a genuine subinterval.
         """
         if not 0 < len(w) <= self.q:
             raise ValueError(f"factor length must be in 1..{self.q}")
         for arc in self.level_arcs(len(w)):
-            if self.coding(arc.representative(), len(w)) == w:
+            rho = arc.lo
+            for letter in w:  # most arcs are refused after a few letters
+                if self.letter(rho) != letter:
+                    break
+                rho += self.slope
+            else:
                 return arc
         return None
 
@@ -232,20 +187,6 @@ class RotationSystem:
         """Intercept of the square root of the rotation word of intercept ``rho``.
 
         Maps ``rho`` halfway toward the point ``1 - slope`` within its coding
-        interval; the branch at 0 follows the endpoint convention.
+        interval.
         """
-        rho = rho % 1
-        if rho == 0:
-            if self.convention == LEFT_CLOSED:  # 0 in I0
-                return (1 - self.slope) / 2
-            return 1 - self.slope / 2
-        return (rho + 1 - self.slope) / 2
-
-    def verify_lex_interval_order(self, n: int) -> bool:
-        """Self-test: circle order of the level-``n`` arcs matches lexicographic
-        order of the associated factors."""
-        arcs = self.level_arcs(n)
-        start = next(i for i, arc in enumerate(arcs) if arc.lo == 0)
-        ordered = arcs[start:] + arcs[:start]
-        factors = [self.coding(arc.representative(), n) for arc in ordered]
-        return factors == sorted(factors)
+        return (rho % 1 + 1 - self.slope) / 2

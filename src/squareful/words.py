@@ -8,13 +8,6 @@ operation returns a fresh string.
 from __future__ import annotations
 
 
-def cyclic_shift(w: str) -> str:
-    """Rotate ``w`` one position to the left: ``a0 a1 .. a(n-1) -> a1 .. a(n-1) a0``."""
-    if not w:
-        raise ValueError("cyclic shift of the empty word is undefined")
-    return w[1:] + w[0]
-
-
 def conjugates(w: str) -> list[str]:
     """All rotations of ``w`` in order, starting with ``w`` itself.
 
@@ -60,23 +53,8 @@ def is_primitive(w: str) -> bool:
     return (w + w).find(w, 1) == len(w)
 
 
-def lex_less(u: str, v: str) -> bool:
-    """Strict lexicographic order with 0 < 1; a proper prefix is smaller."""
-    bad = (set(u) | set(v)) - {"0", "1"}
-    if bad:
-        raise ValueError(f"lex_less compares words over {{0,1}}, got letters {sorted(bad)}")
-    return u < v
-
-
 def swap_first_two(w: str) -> str:
     """Exchange the first two letters of ``w`` (requires ``len(w) >= 2``)."""
     if len(w) < 2:
         raise ValueError("cannot swap the first two letters of a word shorter than 2")
     return w[1] + w[0] + w[2:]
-
-
-def drop_suffix(w: str, v: str) -> str:
-    """Return ``u`` where ``w == u + v``; ``v`` must be a suffix of ``w``."""
-    if v and not w.endswith(v):
-        raise ValueError(f"{v!r} is not a suffix of {w!r}")
-    return w[: len(w) - len(v)]

@@ -37,11 +37,16 @@ def test_criterion_01_table1_reproduction():
     want = [dynamics.TABLE1_REFERENCE[s] for s in lengths]
     # independent of the walk: each row's start, replayed forward on a
     # fresh system with every other block named S or at random, attains the
-    # value, and seeded random starts never exceed it
+    # value, and seeded random starts never exceed it; up to |S| = 233 every
+    # rotation's phase equals intercept iteration and stays within its bound
     rng = random.Random(2018)
-    replayed, random_max = [], []
+    replayed, random_max, phases_ok = [], [], True
     for row in rows:
         engine = OrbitEngine(dynamics.fibonacci_system(row.s_len))
+        if row.s_len <= 233:
+            phases, bound = dynamics.intercept_phases(engine.sys)
+            phases_ok &= max(phases) <= bound
+            phases_ok &= phases == [engine.rotation_phase(j) for j in range(row.s_len)]
         fill = [rng.choice("SL") for _ in range(4096)]
         all_s = engine.steps_to_fixed(*row.start, lambda i: "S")
         at_random = engine.steps_to_fixed(*row.start, lambda i: fill[i % 4096])
@@ -56,8 +61,10 @@ def test_criterion_01_table1_reproduction():
     elapsed = time.time() - start
     report(
         "01 table 1 reproduction",
-        got == want == replayed and all(m <= g for m, g in zip(random_max, got)) and elapsed < 600,
-        f"steps={got}, start replay={replayed}, random starts max={random_max}, {elapsed:.1f}s",
+        got == want == replayed and all(m <= g for m, g in zip(random_max, got))
+        and phases_ok and elapsed < 600,
+        f"steps={got}, start replay={replayed}, random starts max={random_max}, "
+        f"intercept phases to 233 {'agree' if phases_ok else 'DISAGREE'}, {elapsed:.1f}s",
     )
 
 

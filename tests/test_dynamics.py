@@ -1,13 +1,12 @@
 import random
 import tracemalloc
-from fractions import Fraction
 
 import pytest
 
 from squareful import dynamics, streams
 from squareful.dynamics import OrbitEngine
 from squareful.omega import PLAIN, SWAPPED, TYPE_D, OmegaParams, OmegaSystem
-from squareful.streams import expand, shift, sl_cycle
+from squareful.streams import expand, shift
 
 
 @pytest.fixture(scope="module")
@@ -38,39 +37,34 @@ class TestEstimates:
         with pytest.raises(ValueError):
             dynamics.fibonacci_estimate(12)
 
-    def test_ceil_log2_ratio(self):
-        assert dynamics.ceil_log2_ratio(Fraction(1)) == 0
-        assert dynamics.ceil_log2_ratio(Fraction(5)) == 3
-        assert dynamics.ceil_log2_ratio(Fraction(8)) == 3
-        assert dynamics.ceil_log2_ratio(Fraction(9)) == 4
-        assert dynamics.ceil_log2_ratio(Fraction(5, 8)) == 0
-
-
 class TestRotationPhase:
-    @pytest.mark.parametrize("convention", ["left", "right"])
-    def test_bound_and_psi_steps(self, sys, convention):
-        rot = sys.rotation_system(convention)
-        bound = dynamics.steps_bound(rot, sys.s_word, sys.l_word)
+    def test_bound_and_psi_steps(self, sys):
+        phases, bound = dynamics.intercept_phases(sys)
         assert bound == 3  # ceil(log2((1 - 3/8) / (1/8)))
-        for j in range(rot.q):
-            steps = dynamics.psi_steps(rot, Fraction(j, rot.q), sys.s_word, sys.l_word)
-            assert steps <= bound
+        assert len(phases) == 8 and max(phases) <= bound
 
-    def test_psi_steps_zero_cases(self, sys):
+    def test_psi_steps_zero_cases(self, sys, engine):
+        # only S^w and L^w start inside [S] or [L], and so does 1 - slope,
+        # the fixed point of the intercept map
+        phases, _ = dynamics.intercept_phases(sys)
+        assert [j for j, p in enumerate(phases) if p == 0] == sorted([0, engine.l_index])
         rot = sys.rotation_system()
-        assert dynamics.psi_steps(rot, 1 - rot.slope, sys.s_word, sys.l_word) == 0
-        arc_s = rot.factor_interval(sys.s_word)
-        assert dynamics.psi_steps(rot, arc_s.representative(), sys.s_word, sys.l_word) == 0
+        assert rot.coding(1 - rot.slope, rot.q) in (sys.s_word, sys.l_word)
 
-    @pytest.mark.parametrize("convention", ["left", "right"])
-    def test_phase_table_matches_psi(self, sys, engine, convention):
-        # the symbolic rotation phase equals exact intercept iteration
-        rot = sys.rotation_system(convention)
-        for j in range(rot.q):
-            word = sys.omega_p_word(j)
-            arc = rot.factor_interval(word.prefix(rot.q))
-            via_psi = dynamics.psi_steps(rot, arc.representative(), sys.s_word, sys.l_word)
-            assert via_psi == engine.rotation_phase(j)
+    @pytest.mark.parametrize("params", [
+        OmegaParams(), OmegaParams(c=2, k=5), OmegaParams(a=2, b=1, k=5, seed=SWAPPED),
+    ])
+    def test_phase_table_matches_psi(self, params):
+        # the symbolic rotation phase equals exact intercept iteration, and
+        # rotation j is the coding of the j-th intercept
+        sys = OmegaSystem(params)
+        phases, bound = dynamics.intercept_phases(sys)
+        engine, rot = OrbitEngine(sys), sys.rotation_system()
+        assert phases == [engine.rotation_phase(j) for j in range(sys.block_len)]
+        assert max(phases) <= bound
+        rho_s = rot.factor_interval(sys.s_word).lo
+        s = sys.s_word
+        assert all(rot.coding(rho_s + j * rot.slope, rot.q) == s[j:] + s[:j] for j in range(rot.q))
 
 
 class TestOrbitEngine:
@@ -133,33 +127,6 @@ class TestIterate:
                 assert fps[i - 1] <= fps[i]
             for i in range(2, upto):
                 assert fps[i - 2] < fps[i]
-
-
-class TestChecks:
-    def test_embedding_on_samples(self, sys):
-        star = sys.gamma_star(1)
-        for t in range(20):
-            for ell in range(sys.block_len):
-                prod = streams.SLProduct(shift(star, t), ell, sys.s_word, sys.l_word)
-                verdict = dynamics.embedding_check(sys, prod)
-                assert not verdict.violation
-
-    def test_embedding_fixed_point(self, sys):
-        prod = streams.SLProduct(sys.gamma_star(1), 0, sys.s_word, sys.l_word)
-        assert dynamics.embedding_check(sys, prod).relation == "equal"
-
-    def test_monotone_or_periodic(self, sys):
-        # a type-b word moves at the first step
-        prod_b = sl_cycle("S", sys.s_word, sys.l_word, 2)
-        kind, _ = sys.classify_type(prod_b)
-        assert kind == "B"
-        assert dynamics.monotone_or_periodic_check(sys, prod_b) == "u2"
-        # a type-d word has a periodic second root
-        prod_d = sl_cycle("S", sys.s_word, sys.l_word, 5)
-        assert sys.classify_type(prod_d)[0] == "D"
-        assert dynamics.monotone_or_periodic_check(sys, prod_d) == "periodic"
-        with pytest.raises(ValueError):
-            dynamics.monotone_or_periodic_check(sys, sl_cycle("S", sys.s_word, sys.l_word, 0))
 
 
 class TestTable1:
@@ -375,14 +342,6 @@ class TestPreimageChains:
             assert letters == sum(2 * link.prefix_len for link in chain.links)
             assert peak < bound_mib * 2**20, (t, peak)
 
-    def test_gamma_suffix_construction(self, sys):
-        for z_names in ("SS", "LSS", "SLSS"):
-            z, z_prime = dynamics.gamma_suffix_preimage(sys, z_names, 3)
-            assert len(z_prime) == 2 * len(z)
-        with pytest.raises(ValueError):
-            dynamics.gamma_suffix_preimage(sys, "S" * 100, 1)
-
-
 class TestPeriodicPoints:
     def test_search_finds_exactly_four(self, sys):
         res = dynamics.periodic_point_search(sys, max_blocks=6)
@@ -421,24 +380,8 @@ class TestDoublingPeriod:
 
 
 class TestAsymptotics:
-    def test_classes(self, sys):
-        star = sys.gamma_star(1)
-        section3 = streams.SLProduct(
-            streams.from_function(lambda i: "S" if i < 2 else star.letter(i - 2), "w", chunk=16),
-            4, sys.s_word, sys.l_word)
-        assert dynamics.asymptotic_class(sys, section3) == "to_S_or_L"
-        gamma2 = streams.SLProduct(sys.gamma_star(2), 0, sys.s_word, sys.l_word)
-        assert dynamics.asymptotic_class(sys, gamma2, jmax=3) == "periodic_point"
-        one_block = streams.SLProduct(shift(sys.gamma_star(1), 1), 0, sys.s_word, sys.l_word)
-        assert dynamics.asymptotic_class(sys, one_block, jmax=3) == "aperiodic_nonasymptotic"
-        s_omega = streams.SLProduct(streams.periodic_word("S"), 0, sys.s_word, sys.l_word)
-        assert dynamics.asymptotic_class(sys, s_omega) == "periodic_point"
-        rotated = streams.SLProduct(streams.periodic_word("S"), 4, sys.s_word, sys.l_word)
-        assert dynamics.asymptotic_class(sys, rotated) == "to_S_or_L"
-
     def test_steps_to_fixed_within_bound_for_samples(self, sys, engine):
         rng = random.Random(7)
-        rot = sys.rotation_system()
         bound_total = dynamics.TABLE1_REFERENCE[8]
         for _ in range(100):
             seq = [rng.choice("SL") for _ in range(64)]
@@ -446,14 +389,6 @@ class TestAsymptotics:
             first = rng.choice("SL")
             steps = engine.steps_to_fixed(ell, first, lambda i: seq[i % 64])
             assert steps is not None and steps <= bound_total
-
-
-class TestImageOfPeriodicPart:
-    def test_reported_count(self, sys):
-        assert dynamics.count_sqrt_omega_minus_omega_a(sys, corpus_blocks=0) == 0
-        count = dynamics.count_sqrt_omega_minus_omega_a(sys, corpus_blocks=2048)
-        # reported, not asserted against theory: about half the rotations
-        assert 1 <= count <= sys.block_len
 
 
 class TestUniqueLeftExtension:

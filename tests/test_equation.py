@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from squareful import equation, words
-from squareful.omega import OmegaParams, OmegaSystem
+from squareful.omega import OmegaParams, OmegaSystem, tau
 from squareful.squares import build_alphabet, factor_minimal_squares
+from squareful.sturmian import reversed_standard_word
 
 ALPH = build_alphabet(1, 0)
 SBAR = "1001001010010"
@@ -55,13 +56,21 @@ class TestIsSolution:
                 assert (equation.is_solution(ALPH, w) is not None) == dfs_is_solution(ALPH, w)
 
 
+def assert_standard_solutions(d, kmax, alph):
+    # every reversed standard word up to index kmax and its swapped companion
+    # is a primitive solution
+    for k in range(1, kmax + 1):
+        sbar = reversed_standard_word(d, k)
+        for u in (sbar, words.swap_first_two(sbar)):
+            assert words.is_primitive(u) and equation.is_solution(alph, u) is not None, (k, u)
+
+
 class TestStandardSolutions:
     def test_fibonacci(self):
-        assert equation.verify_standard_solutions((1,) * 10, 10, ALPH)
+        assert_standard_solutions((1,) * 10, 10, ALPH)
 
     def test_general_slope(self):
-        d = (2, 2, 1, 1, 1, 1, 1, 1)
-        assert equation.verify_standard_solutions(d, 8, build_alphabet(2, 1))
+        assert_standard_solutions((2, 2, 1, 1, 1, 1, 1, 1), 8, build_alphabet(2, 1))
 
     def test_both_companions_at_k4(self):
         assert equation.is_solution(ALPH, "01010010") is None or True  # S alone is not required
@@ -116,18 +125,20 @@ class TestConjugateAudit:
 
 class TestSquaresInOmegaStar:
     def test_roots_are_tau_conjugates(self):
-        ok, roots = equation.squares_in_omega_star(1, 10)
-        assert ok
+        # the primitive roots of squares in the tau subshift's language are
+        # rotations of some tau^k(S), and every tau^k(S) that fits occurs
+        blocks = "S"
+        while len(blocks) < 200_000:
+            blocks = tau(1, tau(1, blocks))
+        roots = {u for u in equation.harvest_square_factors(blocks[:200_000], 10)
+                 if words.is_primitive(u)}
+        tau_words = ["S", "LSS", "SSSLSSLSS"]  # tau^k(S) up to 10 names
+        assert all(any(len(u) == len(t) and u in t + t for t in tau_words) for u in roots)
+        assert {"S", "LSS"} <= roots
         assert [u for u in roots if len(u) == 1] == ["S"]
-        for u in roots:
-            if len(u) == 3:
-                assert u in ("LSS" + "LSS")  # conjugate of tau(S)
-        assert "S" in roots and "LSS" in roots
 
     def test_ll_never_occurs(self):
         blocks = "S"
-        from squareful.omega import tau
-
         while len(blocks) < 5000:
             blocks = tau(1, blocks)
         assert "LL" not in blocks

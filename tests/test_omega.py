@@ -4,9 +4,9 @@ import tracemalloc
 import pytest
 
 from squareful import streams, words
-from squareful.dynamics import OrbitEngine, fibonacci_system
+from squareful.dynamics import AlignmentTower, OrbitEngine, fibonacci_system
 from squareful.omega import PERIODIC, SWAPPED, OmegaParams, OmegaSystem, tau
-from squareful.squares import in_pi, sqrt_finite
+from squareful.squares import in_pi, sqrt_finite, square_matcher
 from squareful.streams import expand, periodic_word, shift, sl_cycle
 
 
@@ -108,8 +108,11 @@ class TestBigGamma:
         assert out.prefix(10_000) == sys.big_gamma(1).prefix(10_000)
 
     def test_words_are_optimal_squareful(self, sys):
-        assert sys.is_optimal_squareful_window(sys.big_gamma(1), 2000)
-        assert sys.is_optimal_squareful_window(shift(sys.big_gamma(1), 5), 1000)
+        # every position of the window begins with one of the six squares
+        match = square_matcher(sys.alphabet)
+        for src, length in ((sys.big_gamma(1), 2000), (shift(sys.big_gamma(1), 5), 1000)):
+            text = src.prefix(length + sys.alphabet.max_square_len)
+            assert all(match(text, i) for i in range(length))
 
 
 class TestGammaStar:
@@ -280,59 +283,36 @@ class TestSqrtStepAgainstLetters:
 
 
 class TestSynchronization:
+    # the level-j factorization grids of a block product, found by the
+    # alignment tower on block names; start(j) counts level-0 blocks
     def test_gamma_fixed_points_aligned(self, sys):
-        for j in range(3):
-            assert sys.sync_factorization_start(sys.big_gamma(1), j) == 0
-            assert sys.sync_factorization_start(sys.big_gamma(2), j) == 0
-
-    def test_shifted_word(self, sys):
-        assert sys.sync_factorization_start(shift(sys.big_gamma(1), 3), 0) == 5
+        for which in (1, 2):
+            tower = AlignmentTower(sys, sys.gamma_star(which), 100_000)
+            assert [tower.start(j) for j in range(3)] == [0, 0, 0]
 
     def test_block_shift_breaks_level_one(self, sys):
-        one_block = shift(sys.big_gamma(1), 8)
-        assert sys.sync_factorization_start(one_block, 0) == 0
-        assert sys.sync_factorization_start(one_block, 1) == 16
-
-    def test_factorization_properties(self, sys):
-        window = sys.gamma_star(1).prefix(200)
-        assert sys.check_factorization_properties(window)
-        assert not sys.check_factorization_properties("LSL")
-        assert not sys.check_factorization_properties("L" + "S" * 6 + "L")
-        assert not sys.check_factorization_properties("LS5L".replace("5", "S" * 5) * 2)
+        tower = AlignmentTower(sys, shift(sys.gamma_star(1), 1), 100_000)
+        assert (tower.start(0), tower.start(1)) == (0, 2)
 
     def test_invariant_subset_index(self, sys):
-        assert sys.invariant_subset_index(sys.big_gamma(1), jmax=4) == "fixed_point"
-        assert sys.invariant_subset_index(shift(sys.big_gamma(1), 8), jmax=4) == 0
-        assert sys.invariant_subset_index(shift(sys.big_gamma(1), 3), jmax=4) == "not_in_omega_s"
         # a shift by 3^v blocks is aligned exactly up to level v
-        assert sys.invariant_subset_index(shift(sys.big_gamma(1), 3 * 8), jmax=4) == 1
-        assert sys.invariant_subset_index(shift(sys.big_gamma(1), 9 * 8), jmax=4) == 2
-
-
-def block_names_prefix(sys, src, blocks):
-    text = src.prefix(blocks * sys.block_len)
-    return "".join(
-        "S" if text[i : i + sys.block_len] == sys.s_word else "L"
-        for i in range(0, len(text), sys.block_len)
-    )
+        for v in range(4):
+            tower = AlignmentTower(sys, shift(sys.gamma_star(1), 3**v), 100_000)
+            assert [tower.start(j) == 0 for j in range(v + 2)] == [True] * (v + 1) + [False]
 
 
 class TestInvariantSubsetCharacterization:
-    def test_a_k_prefixes(self, sys):
+    def test_a_k_prefixes(self):
         # membership in the next level coincides with one of three prefixes,
         # for aperiodic product words
-        c = sys.params.c
-        pats = [
-            "S" + "S" * (2 * c) + "L",
-            "L" + "S" * (2 * c) + "L",
-            "L" + "S" * (2 * c) + "S",
-        ]
-        star = sys.gamma_star(1)
-        for t in range(60):
-            names = streams.shift(star, t).prefix(2 * c + 2)
-            src = expand(streams.SLProduct(streams.shift(star, t), 0, sys.s_word, sys.l_word))
-            in_next = sys.sync_factorization_start(src, 1) == 0
-            assert in_next == any(names.startswith(p) for p in pats)
+        for a, b, c in ((1, 0, 1), (2, 1, 1), (1, 0, 2)):
+            sys = OmegaSystem(OmegaParams(a=a, b=b, c=c))
+            pats = ["S" + "S" * (2 * c) + "L", "L" + "S" * (2 * c) + "L", "L" + "S" * (2 * c) + "S"]
+            star = sys.gamma_star(1)
+            for t in range(200):
+                names = shift(star, t).prefix(2 * c + 2)
+                in_next = AlignmentTower(sys, shift(star, t), 100_000).start(1) == 0
+                assert in_next == any(names.startswith(p) for p in pats), (a, b, c, t)
 
 
 class TestOmegaP:
@@ -380,7 +360,7 @@ class TestOmegaP:
         q = rot.q
         seen = set()
         for arc in rot.level_arcs(q):
-            word = rot.coding(arc.representative(), q)
+            word = rot.coding(arc.lo, q)
             assert word in words.conjugates(sys.s_word)
             seen.add(word)
         assert len(seen) == q

@@ -8,7 +8,7 @@ from squareful.squares import (
     build_alphabet,
     factor_minimal_squares,
     in_pi,
-    minimal_square_prefix,
+    square_matcher,
     sqrt_finite,
 )
 
@@ -52,17 +52,18 @@ class TestTokenizer:
         self.alph = build_alphabet(1, 0)
 
     def test_minimal_square_prefix(self):
-        assert minimal_square_prefix(self.alph, "0101001010") == "01"
-        assert minimal_square_prefix(self.alph, "001001010010") == "0"
-        assert minimal_square_prefix(self.alph, "011") is None
+        match = square_matcher(self.alph)
+        assert match("0101001010").group() == "0101"
+        assert match("001001010010").group() == "00"
+        assert match("011") is None
 
     @given(st.text(alphabet="01", max_size=30), st.integers(1, 3), st.integers(0, 2))
     def test_at_most_one_square_prefix(self, w, a, b):
         alph = build_alphabet(a, b)
         matches = [sq for sq in alph.squares if w.startswith(sq)]
         assert len(matches) <= 1
-        root = minimal_square_prefix(alph, w)
-        assert (root + root if root else None) == (matches[0] if matches else None)
+        m = square_matcher(alph)(w)
+        assert (m.group() if m else None) == (matches[0] if matches else None)
 
     def test_paper_tokenizations(self):
         roots, fail = factor_minimal_squares(self.alph, SBAR + SBAR)

@@ -6,17 +6,6 @@ from squareful import words
 binary_words = st.text(alphabet="01", min_size=1, max_size=40)
 
 
-def test_cyclic_shift_examples():
-    assert words.cyclic_shift("01010010") == "10100100"
-    assert words.cyclic_shift("0") == "0"
-    assert words.cyclic_shift("10010") == "00101"
-
-
-def test_cyclic_shift_rejects_empty():
-    with pytest.raises(ValueError):
-        words.cyclic_shift("")
-
-
 def test_conjugates_examples():
     assert words.conjugates("01") == ["01", "10"]
     assert words.conjugates("00") == ["00", "00"]
@@ -28,14 +17,6 @@ def test_conjugates_contains_swapped_companion():
     rots = words.conjugates(sbar)
     assert len(rots) == 13
     assert words.swap_first_two(sbar) in rots
-
-
-@given(binary_words)
-def test_cyclic_shift_order(w):
-    out = w
-    for _ in range(len(w)):
-        out = words.cyclic_shift(out)
-    assert out == w
 
 
 def brute_force_minimal_period(w):
@@ -69,22 +50,6 @@ def test_primitive_iff_period_not_proper_divisor(w):
     assert words.is_primitive(w) == (not divides)
 
 
-def test_lex_less():
-    assert words.lex_less("001", "010")
-    assert not words.lex_less("01", "01")
-    assert words.lex_less("01", "0100")  # a proper prefix is smaller
-    with pytest.raises(ValueError):
-        words.lex_less("SL", "LS")
-
-
-@given(st.integers(1, 6), st.integers(0, 63), st.integers(0, 63))
-def test_lex_less_equals_binary_order_on_equal_lengths(n, x, y):
-    x %= 1 << n
-    y %= 1 << n
-    u, v = format(x, f"0{n}b"), format(y, f"0{n}b")
-    assert words.lex_less(u, v) == (x < y)
-
-
 def test_swap_first_two():
     assert words.swap_first_two("01010010") == "10010010"
     assert words.swap_first_two("1001001010010") == "0101001010010"
@@ -95,11 +60,3 @@ def test_swap_first_two():
 @given(st.text(alphabet="01", min_size=2, max_size=30))
 def test_swap_first_two_involution(w):
     assert words.swap_first_two(words.swap_first_two(w)) == w
-
-
-def test_drop_suffix():
-    assert words.drop_suffix("01001", "01") == "010"
-    assert words.drop_suffix("0110", "") == "0110"
-    assert words.drop_suffix("0110", "0110") == ""
-    with pytest.raises(ValueError):
-        words.drop_suffix("0110", "00")
