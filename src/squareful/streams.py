@@ -2,9 +2,13 @@
 
 An :class:`InfiniteWord` wraps a generator of string chunks.  Queries are
 monotone and memoized, so repeated ``prefix(n)`` calls agree and never redo
-work.  Failures inside lazy evaluation (a square tokenizer hitting a
-non-squareful stream) poison the source instead of escaping mid-iteration;
-orbit drivers can then report the offending position cleanly.
+work.  The square root and the block expansion are demand-driven: they
+fill each request in one piece (the root in pieces of ``SQRT_PIECE`` input
+letters), so their memo holds a few long parts rather than one part per
+square or per block.  Failures inside lazy evaluation (a square
+tokenizer hitting a non-squareful stream) poison the source instead of
+escaping mid-iteration; orbit code can then report the offending
+position cleanly.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .squares import SquareAlphabet, TokenizationError, square_matcher
+from .squares import SquareAlphabet, TokenizationError, factor_minimal_squares
 
 
 class SourcePoisonedError(RuntimeError):
@@ -39,6 +43,11 @@ class InfiniteWord:
     streaming consumers (the square root tokenizer) linear.  ``prefix`` needs
     one string: it joins the parts once and keeps the joined text as the
     single first part, so the memo never holds two copies of a letter.
+
+    ``ensure`` alone keeps the memo, ``max_queried`` and the poison.  It
+    pulls parts through ``_fill(n)``, which is told the requested length
+    and returns the next part; the base hook takes the next chunk, and a
+    derived stream overrides it to produce the whole request at once.
     """
 
     def __init__(self, chunks: Iterable[str], descriptor: str = "", product=None):
@@ -60,7 +69,7 @@ class InfiniteWord:
             raise SourcePoisonedError(self.descriptor, self.poison.position)
         while self._have < n:
             try:
-                part = next(self._chunks)
+                part = self._fill(n)
             except StopIteration:
                 raise SourcePoisonedError(self.descriptor, self._have) from None
             except TokenizationError as err:
@@ -70,6 +79,10 @@ class InfiniteWord:
                 self._parts.append(part)
                 self._have += len(part)
                 self._ends.append(self._have)
+
+    def _fill(self, n: int) -> str:
+        """The next part of the word, for a request of length ``n``."""
+        return next(self._chunks)
 
     def prefix(self, n: int) -> str:
         self.ensure(n)
@@ -194,28 +207,40 @@ def shift(src: InfiniteWord, j: int) -> InfiniteWord:
     return _ShiftedWord(src, j) if j else src
 
 
+SQRT_PIECE = 1 << 14  # input letters tokenized per memo part of a square root
+
+
+class _SqrtWord(InfiniteWord):
+    """The square root of ``src``, tokenized a piece at a time."""
+
+    def __init__(self, alph: SquareAlphabet, src: InfiniteWord):
+        super().__init__((), f"sqrt({src.descriptor})")
+        self._alph, self._src = alph, src
+
+    def _fill(self, n: int) -> str:
+        # the input consumed so far is twice the output, and every square
+        # still needed starts at or before 2(n - 1), so it lies in the window
+        pos = 2 * self._have
+        stop = min(pos + SQRT_PIECE, 2 * (n - 1) + self._alph.max_square_len)
+        roots, _ = factor_minimal_squares(self._alph, self._src.window(pos, stop))
+        if not roots:
+            raise TokenizationError(f"sqrt of {self._src.descriptor!r}", pos)
+        # a failure later in the piece is met at the start of the next one
+        return "".join(roots)
+
+
 def sqrt_stream(alph: SquareAlphabet, src: InfiniteWord) -> InfiniteWord:
     """Lazy square root of a squareful stream.
 
     Producing ``m`` letters queries at most ``2*m + |S6^2|`` letters of the
-    input.  A tokenization failure (the caller handed a non-squareful source)
-    poisons the output at the offending input offset.
+    input.  A request tokenizes the whole missing input span with
+    :func:`~squareful.squares.factor_minimal_squares`, one memo part per
+    ``SQRT_PIECE`` input letters; the unfinished square at a piece's end
+    starts the next piece.  A tokenization failure (the caller handed a
+    non-squareful source) poisons the output at the offending input offset,
+    after the letters before it.
     """
-    match = square_matcher(alph)
-    lookahead = alph.max_square_len
-
-    def gen():
-        pos = 0
-        while True:
-            view = src.window(pos, pos + lookahead)
-            m = match(view)
-            if m is None:
-                raise TokenizationError(f"sqrt of {src.descriptor!r}", pos)
-            square = m.group()
-            yield square[: len(square) // 2]
-            pos += len(square)
-
-    return InfiniteWord(gen(), f"sqrt({src.descriptor})")
+    return _SqrtWord(alph, src)
 
 
 def detect_period(
@@ -237,7 +262,7 @@ def detect_period(
     if conjugate_of is not None:
         if len(conjugate_of) != p:
             return False
-        if period not in (conjugate_of[i:] + conjugate_of[:i] for i in range(p)):
+        if period not in conjugate_of * 2:
             return False
     return True
 
@@ -293,17 +318,29 @@ class BlockWord:
         return self.names.translate({ord("S"): self.s_word, ord("L"): self.l_word})
 
 
+class _ExpandedWord(InfiniteWord):
+    """The letters of ``prod``, one block-name window per request."""
+
+    def __init__(self, prod: SLProduct):
+        super().__init__((), prod.descriptor(), product=prod)
+        self._table = {ord("S"): prod.s_word, ord("L"): prod.l_word}
+
+    def _fill(self, n: int) -> str:
+        prod, size = self.product, len(self.product.s_word)
+        start = self._have + prod.shift
+        names = prod.blocks.window(start // size, -(-(n + prod.shift) // size))
+        return names.translate(self._table)[start % size :]
+
+
 def expand(prod: SLProduct) -> InfiniteWord:
-    """Letter-level oracle of the shifted product."""
+    """Letter-level oracle of the shifted product.
 
-    def gen():
-        first = prod.block(0)[prod.shift :]
-        if first:
-            yield first
-        for t in itertools.count(1):
-            yield prod.block(t)
-
-    return InfiniteWord(gen(), prod.descriptor(), product=prod)
+    A request reads the block names that cover it with one ``window`` and
+    spells them with one ``str.translate``: one memo part per request.  The
+    names are ``S``/``L`` by construction (:func:`sl_cycle` checks a
+    pattern it is handed).
+    """
+    return _ExpandedWord(prod)
 
 
 def sl_cycle(pattern: str, s_word: str, l_word: str, shift_letters: int = 0) -> SLProduct:

@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from squareful import streams
 from squareful.omega import OmegaParams, OmegaSystem
-from squareful.squares import build_alphabet
+from squareful.squares import build_alphabet, factor_minimal_squares, sqrt_finite
 from squareful.streams import (
     InfiniteWord,
+    SLProduct,
     SourcePoisonedError,
     detect_period,
     expand,
@@ -18,8 +19,23 @@ from squareful.streams import (
     sqrt_stream,
 )
 
-S = "01010010"
+S, L = "01010010", "10010010"
 ALPH = build_alphabet(1, 0)
+
+
+def traced_peak(fn) -> int:
+    """Peak traced bytes above the current level while ``fn()`` runs."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 @pytest.fixture()
@@ -87,6 +103,45 @@ class TestInfiniteWord:
             assert src.max_queried == src_asked
             assert all(views[k].max_queried == asked[k] for k in offsets if k)
 
+    @settings(deadline=None)
+    @given(st.data())
+    def test_random_queries_on_expand_and_its_root(self, data):
+        # an S/L product at a random shift and its square root, queried in
+        # random interleaving against the letters and their greedy roots
+        names = data.draw(st.text(alphabet="SL", min_size=1, max_size=12))
+        j = data.draw(st.integers(0, len(S) - 1))
+        blocks = periodic_word(names)
+        word = expand(SLProduct(blocks, j, S, L))
+        root = sqrt_stream(ALPH, word)
+        hi, reach = 120, ALPH.max_square_len
+        letters = names.translate({ord("S"): S, ord("L"): L})
+        text = (letters * ((2 * hi + 2 * reach + j) // len(letters) + 1))[j:]
+        roots, failure = factor_minimal_squares(ALPH, text)
+        # every shift of an S/L product is squareful; only the cut tail fails
+        assert failure is None or failure > len(text) - reach
+        roots = "".join(roots)
+        calls = data.draw(st.lists(
+            st.tuples(st.sampled_from([word, root]), st.sampled_from(["prefix", "window", "letter"]),
+                      st.integers(0, hi), st.integers(0, hi)),
+            min_size=1, max_size=12))
+        stops = {id(word): 0, id(root): 0}
+        for target, kind, x, y in calls:
+            if kind == "prefix":
+                lo, stop, query = 0, x, lambda: target.prefix(x)
+            elif kind == "window":
+                lo, stop = min(x, y), max(x, y)
+                query = lambda: target.window(lo, stop)
+            else:
+                lo, stop = min(x, hi - 1), min(x, hi - 1) + 1
+                query = lambda: target.letter(lo)
+            stops[id(target)] = max(stops[id(target)], stop)
+            assert query() == (text if target is word else roots)[lo:stop]
+            assert root.max_queried == stops[id(root)]
+            assert stops[id(word)] <= word.max_queried <= max(stops[id(word)],
+                                                              2 * root.max_queried + reach)
+            read = word.max_queried
+            assert blocks.max_queried == (-(-(read + j) // len(S)) if read else 0)
+
     def test_letter(self):
         src = periodic_word(S)
         assert [src.letter(i) for i in range(8)] == list(S)
@@ -146,8 +201,6 @@ class TestSqrtStream:
             assert src.max_queried <= 2 * m + 2 * len("10010")
 
     def test_agrees_with_finite_root_on_square_prefixes(self, sys):
-        from squareful.squares import factor_minimal_squares, sqrt_finite
-
         g = sys.big_gamma(1)
         text = g.prefix(400)
         roots, _ = factor_minimal_squares(ALPH, text)
@@ -159,6 +212,45 @@ class TestSqrtStream:
         for src in (sys.big_gamma(1), sys.big_gamma(2), sys.s_omega(), sys.l_omega()):
             out = sqrt_stream(ALPH, src)
             assert out.prefix(1) == src.prefix(1)
+
+    @pytest.mark.parametrize("piece", [10, 11, 17, 64])
+    def test_squares_straddle_pieces(self, sys, monkeypatch, piece):
+        monkeypatch.setattr(streams, "SQRT_PIECE", piece)
+        text = sys.big_gamma(1).prefix(400)
+        roots, _ = factor_minimal_squares(ALPH, text)
+        covered = sum(2 * len(r) for r in roots)
+        out = sqrt_stream(ALPH, sys.big_gamma(1))
+        assert out.prefix(covered // 2) == sqrt_finite(ALPH, text[:covered])
+
+    @pytest.mark.parametrize("piece", [10, 11, 17, 64])
+    @pytest.mark.parametrize("first", range(6))
+    def test_poison_just_past_a_piece(self, monkeypatch, piece, first):
+        # squares up to the first square end past the piece, then garbage
+        monkeypatch.setattr(streams, "SQRT_PIECE", piece)
+        squares = itertools.cycle(ALPH.squares[first:] + ALPH.squares[:first])
+        good = ""
+        while len(good) <= piece:
+            good += next(squares)
+
+        def stream():
+            return sqrt_stream(ALPH, InfiniteWord(itertools.chain([good], itertools.repeat("1" * 16))))
+
+        out = stream()
+        with pytest.raises(SourcePoisonedError) as exc:
+            out.prefix(len(good) // 2 + 1)
+        assert exc.value.position == len(good)
+        assert out.prefix(len(good) // 2) == sqrt_finite(ALPH, good)
+        assert stream().prefix(len(good) // 2) == sqrt_finite(ALPH, good)
+
+    def test_memory(self):
+        # the memo holds one part per piece, not one per square
+        sys = OmegaSystem(OmegaParams())
+        src = sys.big_gamma(1)
+        m = 3 * 10**5
+        text = src.prefix(2 * m + ALPH.max_square_len)
+        out = sqrt_stream(ALPH, src)
+        assert traced_peak(lambda: out.prefix(m)) < 3 * 2**20
+        assert out.prefix(m) == text[:m]
 
     def test_poisoned_source(self):
         bad = periodic_word("11")  # no minimal square ever matches
@@ -183,6 +275,8 @@ class TestDetectPeriod:
     def test_examples(self, sys):
         assert detect_period(sys.s_omega(), 8, 48, conjugate_of=S)
         assert not detect_period(sys.big_gamma(1), 8, 48, conjugate_of=S)
+        assert not detect_period(periodic_word("01100010"), 8, 48, conjugate_of=S)
+        assert detect_period(periodic_word(S[7:] + S[:7]), 8, 48, conjugate_of=S)
         with pytest.raises(ValueError):
             detect_period(sys.s_omega(), 8, 16)
 
@@ -204,6 +298,11 @@ class TestSLProduct:
         blocks = sys.gamma_star(2)
         prod = streams.SLProduct(blocks, 0, sys.s_word, sys.l_word)
         assert expand(prod).prefix(500) == g2.prefix(500)
+
+    def test_memory(self):
+        # one translated part per request, not one part per block
+        sys = OmegaSystem(OmegaParams())
+        assert traced_peak(lambda: sys.big_gamma(1).prefix(6 * 10**5)) < 1.5 * 2**20
 
     def test_validation(self, sys):
         with pytest.raises(ValueError):
