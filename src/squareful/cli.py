@@ -231,13 +231,15 @@ def cmd_table2(ns) -> int:
 
 def cmd_preimages(ns) -> int:
     sys = _system(ns)
-    index = dynamics.PreimageIndex(sys, corpus_blocks=ns.budget)
     target = _read_word(ns)
-    if len(target) < index.match_len:
-        raise ValueError(f"target must supply {index.match_len} letters")
-    hits = index.find(target[: index.match_len])
+    need = dynamics.preimage_match_len(sys)
+    if set(target) - {"0", "1"}:
+        raise ValueError("target letters must be 0 and 1")
+    if len(target) < need:
+        raise ValueError(f"target must supply {need} letters")
+    hits = dynamics.PreimageIndex(sys).find(target[:need])
     payload = {
-        "target": target[: index.match_len],
+        "target": target[:need],
         "count": len(hits),
         "preimages": [
             {"prefix": h.preimage_prefix, "shift": h.shift, "window": h.window}
@@ -379,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add(sub, "preimages", cmd_preimages, _system_args,
             help="preimage search for a factor of the subshift")
     p.add_argument("word", nargs="?", default=None, help="target letters (stdin if omitted)")
-    p.add_argument("--budget", type=_at_least(1), default=60_000, help="corpus blocks for the index")
 
     p = add(sub, "limit-set", cmd_limit_set, _system_args,
             help="depth-d preimage chains for product words")

@@ -334,11 +334,18 @@ class PreimageHit:
     window: str
 
 
+def preimage_match_len(sys: OmegaSystem) -> int:
+    """Letters of a target that :class:`PreimageIndex` matches: ``16 |S|``."""
+    return 16 * sys.block_len
+
+
 class PreimageIndex:
     """Index of square roots of every shifted factor window of the subshift.
 
-    Candidate windows are genuine factors of the tau fixed point, so every
-    candidate extends to a word of the subshift.  Two depths are involved:
+    The candidate windows are all the factors of ``window_blocks`` block
+    names (:meth:`OmegaSystem.factors`), so the index is exact: every
+    shifted factor of that many blocks is a candidate, and nothing else is.
+    Two depths are involved:
 
     * ``match_len = 16 |S|`` root letters of every candidate are compared
       against the target, and
@@ -350,29 +357,27 @@ class PreimageIndex:
     exactly the junction pairs of the injectivity theorem, while look-alikes
     whose roots diverge later are pruned because the divergence of a variant
     at scale ``resolution`` shows up within a small multiple of it.
+
+    The ``|S|`` shifts of a window are tokenized by one greedy walk: the
+    greedy factorizations from two offsets coincide from the first position
+    both reach, so each position is matched at most once and the roots after
+    it are shared.  A preimage keeps its first witness, in sorted window
+    order and then by ascending shift.
     """
 
-    def __init__(self, sys: OmegaSystem, corpus_blocks: int = 60_000):
+    def __init__(self, sys: OmegaSystem):
         n = sys.block_len
         self.sys = sys
-        resolution = 4 * n
-        self.match_len = 4 * resolution
+        self.match_len = preimage_match_len(sys)
+        resolution = self.match_len // 4
         need_letters = 2 * self.match_len + sys.alphabet.max_square_len + n
         self.window_blocks = need_letters // n + 2
-        corpus = sys.gamma_star(1).prefix(corpus_blocks + self.window_blocks)
-        windows = sorted({corpus[i : i + self.window_blocks] for i in range(corpus_blocks)})
         self.table: dict[str, dict[str, PreimageHit]] = {}
-        for window in windows:
+        for window in sys.factors(self.window_blocks):
             text = sys.sigma(window)
-            for ell in range(n):
-                candidate = text[ell:]
-                roots, failure = squares.factor_minimal_squares(sys.alphabet, candidate)
-                del failure  # the tail legitimately stops mid-square
-                out = "".join(roots)
-                if len(out) < self.match_len:
-                    raise AssertionError("window too short for the requested match depth")
-                key = candidate[: 2 * resolution]
-                bucket = self.table.setdefault(out[: self.match_len], {})
+            for ell, out in enumerate(_shift_roots(sys.alphabet, text, n, self.match_len)):
+                key = text[ell : ell + 2 * resolution]
+                bucket = self.table.setdefault(out, {})
                 if key not in bucket:
                     bucket[key] = PreimageHit(key, ell, window)
 
@@ -381,6 +386,41 @@ class PreimageIndex:
             raise ValueError(f"index matches targets of length {self.match_len}")
         bucket = self.table.get(target_prefix, {})
         return sorted(bucket.values(), key=lambda h: h.preimage_prefix)
+
+
+def _shift_roots(alph: squares.SquareAlphabet, text: str, shifts: int, need: int) -> list[str]:
+    """The first ``need`` root letters of the greedy factorization of
+    ``text[ell:]``, for each ``ell < shifts``.
+
+    A factorization may stop before the end of ``text`` (the tail can end
+    mid-square), but must give ``need`` root letters.  ``reached`` maps each
+    position matched so far to the roots of the walk that matched it and
+    their length before it; a later walk stops there and shares the rest.
+    """
+    match = squares.square_matcher(alph)
+    reached: dict[int, tuple[str, int]] = {}
+    out = []
+    for ell in range(shifts):
+        pos, roots, marks, size = ell, [], [], 0
+        while pos not in reached:
+            m = match(text, pos)
+            if m is None:
+                break
+            half = (m.end() - pos) // 2
+            marks.append((pos, size))
+            roots.append(text[pos : pos + half])
+            size += half
+            pos = m.end()
+        walk = "".join(roots)
+        if pos in reached:
+            merged, at = reached[pos]
+            walk += merged[at:]
+        if len(walk) < need:
+            raise AssertionError("window too short for the requested match depth")
+        for visited, before in marks:
+            reached[visited] = (walk, before)
+        out.append(walk[:need])
+    return out
 
 
 def junction_signature(sys: OmegaSystem, hits: list[PreimageHit]) -> bool:

@@ -53,21 +53,24 @@ def harvest_square_factors(text: str, max_root_len: int) -> set[str]:
     return found
 
 
-def enumerate_solutions(
-    sys: OmegaSystem, bmax: int, corpus_len: int | None = None
-) -> list[SolutionCertificate]:
+def enumerate_solutions(sys: OmegaSystem, bmax: int) -> list[SolutionCertificate]:
     """All solution certificates among factors of the subshift with root
     length up to ``bmax``.
 
-    The factor corpus is a long prefix of the aperiodic fixed point plus the
-    periodic part (powers of the block word rotations); long prefixes are
-    factor-complete at these lengths because the subshift is minimal.
+    The candidates are the roots ``u``, ``|u| <= bmax``, of the squares that
+    are factors of the subshift, harvested from exact factor sets.  A factor
+    of at most ``2 bmax`` letters of the aperiodic part starts inside some
+    block and ends at most ``|S| + 2 bmax - 2`` letters after that block's
+    start, so it lies in ``sigma(w)`` for a block-name factor ``w`` of
+    ``ceil((2 bmax - 1) / |S|) + 1`` names (:meth:`OmegaSystem.factors`).
+    The periodic part adds the squares in the powers of the rotations of
+    the block word.
     """
-    if corpus_len is None:
-        corpus_len = max(100 * 2 * bmax, 10**5)
-    corpus = sys.big_gamma(1).prefix(corpus_len)
-    candidates = harvest_square_factors(corpus, bmax)
-    reps = 2 * bmax // sys.block_len + 2
+    n = sys.block_len
+    candidates: set[str] = set()
+    for w in sys.factors(-(-(2 * bmax - 1) // n) + 1):
+        candidates |= harvest_square_factors(sys.sigma(w), bmax)
+    reps = 2 * bmax // n + 2
     for rot in words.conjugates(sys.s_word):
         candidates |= harvest_square_factors(rot * reps, bmax)
     out = []

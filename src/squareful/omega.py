@@ -138,6 +138,45 @@ class OmegaSystem:
             cache[top] = tau(self.params.c, cache[top - 1])
         return cache[j]
 
+    def factors(self, length: int) -> list[str]:
+        """The sorted factors of ``length`` block names of the tau language.
+
+        tau is primitive, so the language is the set of factors of the
+        ``tau^i(S)``.  Its 2-letter factors are the closure of those of
+        ``tau(S)`` under "the 2-letter factors of ``tau(ab)``": a 2-letter
+        factor of ``tau^(i+1)(S)`` lies in ``tau(ab)`` for a 2-letter factor
+        ``ab`` of ``tau^i(S)``.
+
+        Lemma: let ``j`` be least with ``min(|tau^j(S)|, |tau^j(L)|) >=
+        length - 1``.  Then the factors of length ``length`` are exactly the
+        slices of ``tau^j(a) tau^j(b)`` of that length that start inside
+        ``tau^j(a)``, over the 2-letter factors ``ab``.  Proof: a factor of
+        ``tau^j(tau^i(S))`` starts inside the image of some name ``a`` of
+        ``tau^i(S)``, and the image of the name ``b`` after it has at least
+        ``length - 1`` names, so the factor ends inside ``tau^j(ab)`` (when
+        ``a`` is the last name, take for ``b`` any right neighbour of ``a``).
+        Conversely ``tau^j(ab)`` is in the language.
+        """
+        c = self.params.c
+
+        def pairs_of(blockword: str) -> set[str]:
+            return {blockword[i : i + 2] for i in range(len(blockword) - 1)}
+
+        pairs: set[str] = set()
+        new = pairs_of(self.tau_block(1))
+        while new:
+            pairs |= new
+            new = {ab for xy in new for ab in pairs_of(tau(c, xy))} - pairs
+        j = 0
+        while min(len(self.tau_block(j)), len(self.tau_block(j, bar=True))) < length - 1:
+            j += 1
+        found: set[str] = set()
+        for a, b in pairs:
+            left = self.tau_block(j, bar=a == "L")
+            text = left + self.tau_block(j, bar=b == "L")
+            found.update(text[i : i + length] for i in range(len(left)))
+        return sorted(found)
+
     def gamma(self, j: int) -> str:
         key = (j, False)
         if key not in self._gamma_letters:
@@ -267,16 +306,6 @@ class OmegaSystem:
             return "L"
         return None
 
-    def _decimated_blocks(self, blocks: InfiniteWord, head: str | None, offset: int, descriptor: str) -> InfiniteWord:
-        """Block stream ``head, blocks[offset], blocks[offset+2], ...``."""
-
-        def name(t: int) -> str:
-            if head is not None:
-                return head if t == 0 else blocks.letter(offset + 2 * (t - 1))
-            return blocks.letter(offset + 2 * t)
-
-        return streams.from_function(name, descriptor, chunk=64)
-
     def sqrt_of_product(self, prod: SLProduct) -> tuple[InfiniteWord, str]:
         """Square root of a shifted product, with its structural outcome.
 
@@ -287,7 +316,7 @@ class OmegaSystem:
         n = self.block_len
         descriptor = f"sqrt-blocks[{prod.blocks.descriptor}]"
         if kind == TYPE_A:
-            out_blocks = self._decimated_blocks(prod.blocks, None, 0, descriptor)
+            out_blocks = streams.decimate(prod.blocks, 0, "", descriptor)
             return streams.expand(self.product(out_blocks)), PRODUCT_FORM
         if kind == TYPE_D:
             # the square root is globally periodic with period conjugate to S
@@ -302,7 +331,7 @@ class OmegaSystem:
         if head is None:
             # the root is not a block suffix; fall back to the raw stream
             return streams.sqrt_stream(self.alphabet, streams.expand(prod)), PRODUCT_FORM
-        out_blocks = self._decimated_blocks(prod.blocks, head, 1 if kind == TYPE_B else 2, descriptor)
+        out_blocks = streams.decimate(prod.blocks, 1 if kind == TYPE_B else 2, head, descriptor)
         return streams.expand(self.product(out_blocks, n - len(result))), PRODUCT_FORM
 
     # -- membership helpers ---------------------------------------------------

@@ -2,12 +2,12 @@
 
 An :class:`InfiniteWord` wraps a generator of string chunks.  Queries are
 monotone and memoized, so repeated ``prefix(n)`` calls agree and never redo
-work.  The square root and the block expansion are demand-driven: they
-fill each request in one piece (the root in pieces of ``SQRT_PIECE`` input
-letters), so their memo holds a few long parts rather than one part per
-square or per block.  Failures inside lazy evaluation (a square
-tokenizer hitting a non-squareful stream) poison the source instead of
-escaping mid-iteration; orbit code can then report the offending
+work.  The square root, the block expansion and the decimation are
+demand-driven: they fill each request in one piece (the root in pieces of
+``SQRT_PIECE`` input letters), so their memo holds a few long parts rather
+than one part per square or per block.  Failures inside lazy evaluation (a
+square tokenizer hitting a non-squareful stream) poison the source instead
+of escaping mid-iteration; orbit code can then report the offending
 position cleanly.
 """
 
@@ -205,6 +205,26 @@ def shift(src: InfiniteWord, j: int) -> InfiniteWord:
     if j < 0:
         raise ValueError("shift must be >= 0")
     return _ShiftedWord(src, j) if j else src
+
+
+class _DecimatedWord(InfiniteWord):
+    """``head`` then ``src[offset], src[offset + 2], ...``, one strided window per request."""
+
+    def __init__(self, src: InfiniteWord, offset: int, head: str, descriptor: str):
+        super().__init__((), descriptor)
+        self._src, self._offset, self._head = src, offset, head
+
+    def _fill(self, n: int) -> str:
+        if self._have < len(self._head):  # only the first part
+            return self._head
+        lo, hi = self._have - len(self._head), n - len(self._head)
+        return self._src.window(self._offset + 2 * lo, self._offset + 2 * hi - 1)[::2]
+
+
+def decimate(src: InfiniteWord, offset: int, head: str, descriptor: str) -> InfiniteWord:
+    """The word ``head`` followed by every other letter of ``src`` from
+    ``offset`` on.  A request reads the span it covers with one ``window``."""
+    return _DecimatedWord(src, offset, head, descriptor)
 
 
 SQRT_PIECE = 1 << 14  # input letters tokenized per memo part of a square root

@@ -1,10 +1,13 @@
+import argparse
+import inspect
 import json
 import pathlib
+import re
 
 import jsonschema
 import pytest
 
-from squareful import streams
+from squareful import cli, streams
 from squareful.cli import main
 from squareful.omega import OmegaParams, OmegaSystem
 
@@ -111,15 +114,14 @@ class TestPreimagesCommand:
     def test_on_generated_target(self, capsys):
         sys = OmegaSystem(OmegaParams())
         target = streams.shift(sys.big_gamma(1), 5).prefix(16 * sys.block_len)
-        code, out = run(capsys, "preimages", target, "--budget", "20000",
-                        "--format", "json")
+        code, out = run(capsys, "preimages", target, "--format", "json")
         assert code == 0
         payload = json.loads(out)
         validate(payload, "preimages.json")
         assert payload["count"] <= 2
 
     def test_short_target_usage_error(self, capsys):
-        assert run(capsys, "preimages", "0101", "--budget", "2000")[0] == 2
+        assert run(capsys, "preimages", "0101")[0] == 2
 
 
 class TestMiscCommands:
@@ -181,6 +183,8 @@ def test_readme_example_output_is_unchanged(capsys, case):
     (["table1", "--fib", ""], 2),
     (["table1", "--fib", ",,"], 2),
     (["table2", "--fib", ""], 2),
+    (["preimages", "2" * 128], 2),
+    (["preimages", "01" * 63], 2),
 ])
 def test_errors_exit_with_one_line(capsys, argv, code):
     # usage errors exit 2, a non-squareful input exits 1; never a traceback
@@ -198,3 +202,23 @@ def test_unwritable_out_is_a_usage_error(capsys, tmp_path):
     assert captured.out == "" and not target.exists()
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_every_option_is_read_by_a_handler(monkeypatch):
+    # an option no handler reads is a flag that changes nothing
+    dests = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def record(self, *args, **kwargs):
+        action = add_argument(self, *args, **kwargs)
+        dests.append(action.dest)
+        return action
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", record)
+    cli.build_parser()
+    source = inspect.getsource(cli)
+    options = sorted(set(dests) - {"help"})
+    assert len(options) > 15  # the scan sees the parser
+    unread = [d for d in options
+              if not re.search(rf"\bns\.{d}\b|getattr\(ns, \"{d}\"", source)]
+    assert not unread, f"options no handler reads: {unread}"

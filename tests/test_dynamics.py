@@ -3,7 +3,7 @@ import tracemalloc
 
 import pytest
 
-from squareful import dynamics, streams
+from squareful import dynamics, squares, streams
 from squareful.dynamics import OrbitEngine
 from squareful.omega import PLAIN, SWAPPED, TYPE_D, OmegaParams, OmegaSystem
 from squareful.streams import expand, shift
@@ -193,7 +193,7 @@ class TestNameFreeStep:
 
 class TestPreimages:
     def test_histogram_and_signature(self, sys):
-        index = dynamics.PreimageIndex(sys, corpus_blocks=20_000)
+        index = dynamics.PreimageIndex(sys)
         text = sys.big_gamma(1).prefix(500 + index.match_len)
         for t in range(500):
             hits = index.find(text[t : t + index.match_len])
@@ -202,14 +202,14 @@ class TestPreimages:
                 assert dynamics.junction_signature(sys, hits)
 
     def test_gamma_prefix_has_single_preimage(self, sys):
-        index = dynamics.PreimageIndex(sys, corpus_blocks=20_000)
+        index = dynamics.PreimageIndex(sys)
         hits = index.find(sys.big_gamma(1).prefix(index.match_len))
         assert len(hits) == 1
         # and it is the fixed point itself
         assert sys.big_gamma(1).prefix(len(hits[0].preimage_prefix)) == hits[0].preimage_prefix
 
     def test_constructed_double_preimage(self, sys):
-        index = dynamics.PreimageIndex(sys, corpus_blocks=20_000)
+        index = dynamics.PreimageIndex(sys)
         star = sys.gamma_star(1)
         zs = sys.tau_block(2)[-3:]
 
@@ -222,6 +222,42 @@ class TestPreimages:
         hits = index.find(target)
         assert len(hits) == 2
         assert dynamics.junction_signature(sys, hits)
+
+
+    def test_junction_target_deep_in_the_fixed_point(self, sys):
+        # a target whose junction window lies past the first 20,000 blocks
+        index = dynamics.PreimageIndex(sys)
+        target = sys.big_gamma(1).prefix(70_000 + index.match_len)[70_000:]
+        hits = index.find(target)
+        assert len(hits) == 2
+        assert dynamics.junction_signature(sys, hits)
+
+    @pytest.mark.parametrize("params", [
+        OmegaParams(), OmegaParams(c=2, seed=SWAPPED), OmegaParams(a=2, b=1, k=5),
+    ])
+    def test_table_equals_a_per_offset_build(self, params):
+        # every window from an explicit scan of a long prefix, every offset
+        # tokenized on its own, the first witness kept in the same order
+        sys = OmegaSystem(params)
+        index = dynamics.PreimageIndex(sys)
+        n, size, need = sys.block_len, index.window_blocks, index.match_len
+        corpus = sys.gamma_star(1).prefix(60_000 + size)
+        table = {}
+        for window in sorted({corpus[i : i + size] for i in range(60_000)}):
+            text = sys.sigma(window)
+            for ell in range(n):
+                roots, _ = squares.factor_minimal_squares(sys.alphabet, text[ell:])
+                out = "".join(roots)
+                assert len(out) >= need
+                key = text[ell : ell + need // 2]
+                table.setdefault(out[:need], {}).setdefault(key, (key, ell, window))
+        assert {out: {key: (hit.preimage_prefix, hit.shift, hit.window) for key, hit in bucket.items()}
+                for out, bucket in index.table.items()} == table
+
+    def test_short_window_raises(self, sys):
+        text = sys.gamma(2)
+        with pytest.raises(AssertionError, match="too short"):
+            dynamics._shift_roots(sys.alphabet, text, sys.block_len, len(text))
 
 
 class TestAlignmentTower:

@@ -101,6 +101,19 @@ class TestEnumerate:
                 assert cert.word == sys.gamma(1)
 
 
+    @pytest.mark.parametrize("params", [OmegaParams(), OmegaParams(a=2, b=1, c=2)])
+    def test_equals_a_long_prefix_harvest(self, params):
+        # the squares of a 10^5-letter prefix of Gamma1 and of the block
+        # word's rotations, every candidate checked
+        sys = OmegaSystem(params)
+        texts = [sys.big_gamma(1).prefix(10**5)]
+        texts += [rot * (64 // sys.block_len + 2) for rot in words.conjugates(sys.s_word)]
+        candidates = set().union(*(equation.harvest_square_factors(t, 32) for t in texts))
+        want = [u for u in sorted(candidates, key=lambda u: (len(u), u))
+                if equation.is_solution(sys.alphabet, u) is not None]
+        assert [c.word for c in equation.enumerate_solutions(sys, 32)] == want
+
+
 class TestConjugateAudit:
     def test_gamma1_clean(self, sys):
         report = equation.conjugate_solution_audit(sys.alphabet, sys.gamma(1))

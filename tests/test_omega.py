@@ -157,6 +157,20 @@ class TestGammaStar:
         assert peak < 4 * 2**20
 
 
+class TestFactors:
+    @pytest.mark.parametrize("params", [
+        OmegaParams(), OmegaParams(seed=SWAPPED), OmegaParams(a=2, b=1, c=2, k=5),
+        OmegaParams(c=2, seed=SWAPPED), OmegaParams(a=1, b=2, c=3, k=6),
+        OmegaParams(a=3, c=3, seed=SWAPPED),
+    ])
+    def test_equal_a_long_prefix_scan(self, params):
+        sys = OmegaSystem(params)
+        corpus = sys.gamma_star(1).prefix(60_000)
+        for length in range(1, 41):
+            scan = {corpus[i : i + length] for i in range(len(corpus) - length + 1)}
+            assert sys.factors(length) == sorted(scan), (params, length)
+
+
 class TestCrucialProperties:
     @pytest.mark.parametrize("c", [1, 2])
     def test_pair_roots(self, c):
@@ -231,6 +245,23 @@ class TestSqrtOfProduct:
             kinds.append(outcome)
         assert kinds == ["in_omega_a_form", "in_omega_a_form", "periodic"]
         assert word.prefix(24) == sys.s_word * 3
+
+    def test_shifted_roots_read_few_windows(self, monkeypatch):
+        # the decimated block names are read one strided window per request,
+        # not one window per block (10,053 calls for 80,000 letters before)
+        calls = []
+        window = streams.InfiniteWord.window
+        monkeypatch.setattr(streams.InfiniteWord, "window",
+                            lambda self, a, b: calls.append(1) or window(self, a, b))
+        for shift_letters in (0, 2, 4, 6):
+            sys = OmegaSystem(OmegaParams())
+            prod = sys.product(sys.gamma_star(1), shift_letters)
+            calls.clear()
+            root, outcome = sys.sqrt_of_product(prod)
+            text = root.prefix(80_000)
+            assert outcome == "in_omega_a_form" and len(calls) <= 1000
+            direct = streams.sqrt_stream(sys.alphabet, expand(prod)).prefix(80_000)
+            assert text == direct
 
     def test_periodic_part_closed(self, sys):
         for j in range(sys.block_len):

@@ -1,4 +1,5 @@
 import itertools
+import random
 import tracemalloc
 
 import pytest
@@ -11,6 +12,7 @@ from squareful.streams import (
     InfiniteWord,
     SLProduct,
     SourcePoisonedError,
+    decimate,
     detect_period,
     expand,
     periodic_word,
@@ -178,6 +180,33 @@ class TestShift:
                 tracemalloc.stop()
         # the source's memo holds 3 M names; a copy in the view would double it
         assert held < 4.5 * 2**20
+
+
+class TestDecimate:
+    def test_matches_letter_by_letter_decimation(self):
+        # random heads and offsets, read through random windows, against the
+        # names taken one letter at a time from a second copy of the source
+        rng = random.Random(10)
+        reference = OmegaSystem(OmegaParams()).gamma_star(1)
+        for _ in range(40):
+            head = rng.choice(("", "S", "L"))
+            offset = rng.randrange(0, 50)
+            word = decimate(OmegaSystem(OmegaParams()).gamma_star(1), offset, head, "d")
+            for _ in range(5):
+                lo = rng.randrange(0, 3000)
+                hi = lo + rng.randrange(0, 3000)
+                want = "".join(head if t < len(head) else reference.letter(offset + 2 * (t - len(head)))
+                               for t in range(lo, hi))
+                assert word.window(lo, hi) == want
+
+    def test_one_window_per_request(self):
+        calls = []
+        src = periodic_word("SLLSL")
+        word = decimate(src, 3, "L", "d")
+        original = src.window
+        src.window = lambda a, b: calls.append((a, b)) or original(a, b)
+        assert word.prefix(1000) == "L" + ("SLLSL" * 400)[3:2000:2]
+        assert calls == [(3, 2000)]
 
 
 class TestSqrtStream:
