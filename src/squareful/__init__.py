@@ -10,7 +10,7 @@ word equation solutions).
 
 from .omega import OmegaParams, OmegaSystem, tau
 from .squares import SquareAlphabet, build_alphabet, factor_minimal_squares, in_pi, sqrt_finite
-from .streams import InfiniteWord, SLProduct, detect_period, expand, shift, sqrt_stream
+from .streams import InfiniteWord, SLProduct, expand, shift, sqrt_stream
 from .sturmian import ContinuedFraction, RotationSystem, reversed_standard_word, standard_word
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "SLProduct",
     "SquareAlphabet",
     "build_alphabet",
-    "detect_period",
     "expand",
     "factor_minimal_squares",
     "in_pi",

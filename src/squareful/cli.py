@@ -98,13 +98,11 @@ def _csv_table(header: list[str], rows: list[list]) -> str:
 
 def _word_source(sys: OmegaSystem, ns) -> streams.InfiniteWord:
     kind = ns.input_kind
+    if ns.shift and kind != "blocks":
+        raise ValueError(f"--shift applies to --input-kind blocks, not {kind}")
     if kind == "named":
-        named = {
-            "gamma1": lambda: sys.big_gamma(1),
-            "gamma2": lambda: sys.big_gamma(2),
-            "s-omega": sys.s_omega,
-            "l-omega": sys.l_omega,
-        }
+        named = {"gamma1": lambda: sys.big_gamma(1), "gamma2": lambda: sys.big_gamma(2),
+                 "s-omega": sys.s_omega, "l-omega": sys.l_omega}
         if ns.word not in named:
             raise ValueError(f"unknown named word {ns.word!r}; pick one of {', '.join(named)}")
         return named[ns.word]()
@@ -127,11 +125,8 @@ def cmd_factorize(ns) -> int:
     if ns.format == "json":
         _emit(ns, json.dumps({"word": w, "roots": roots, "failure_offset": failure}))
     else:
-        squares_str = " . ".join(r + r for r in roots)
-        if failure is None:
-            _emit(ns, squares_str)
-        else:
-            _emit(ns, f"{squares_str}  [no minimal square at offset {failure}]")
+        tail = "" if failure is None else f"  [no minimal square at offset {failure}]"
+        _emit(ns, " . ".join(r + r for r in roots) + tail)
     return EXIT_OK if failure is None else EXIT_VIOLATION
 
 
@@ -190,43 +185,31 @@ def _parse_fib(text: str) -> list[int]:
     return lengths
 
 
-def cmd_table1(ns) -> int:
-    rows = dynamics.table1_experiment(_parse_fib(ns.fib))
-    ok = True
-    table = []
-    for r in rows:
-        ref = dynamics.TABLE1_REFERENCE.get(r.s_len)
-        mark = "PASS" if ref == r.steps else ("FAIL" if ref is not None else "n/a")
-        ok &= mark != "FAIL"
-        table.append([r.s_len, r.steps, ref, mark])
+def _reproduce(ns, rows: list[tuple], header: list[str], text_line: str) -> int:
+    """Emit ``(s_len, value, reference)`` rows with verdicts; exit 1 on a FAIL."""
+    table = [[*row, "PASS" if row[2] == row[1] else ("FAIL" if row[2] is not None else "n/a")]
+             for row in rows]
     if ns.format == "json":
-        _emit(ns, json.dumps({"rows": [
-            {"s_len": a, "steps": b, "reference": c, "verdict": d} for a, b, c, d in table]}))
+        _emit(ns, json.dumps({"rows": [dict(zip(header, row)) for row in table]}))
     elif ns.format == "csv":
-        _emit(ns, _csv_table(["s_len", "steps", "reference", "verdict"], table))
+        _emit(ns, _csv_table(header, table))
     else:
-        lines = [f"|S| = {a:5d}  steps = {b:2d}  reference = {c}  {d}" for a, b, c, d in table]
-        _emit(ns, "\n".join(lines))
-    return EXIT_OK if ok else EXIT_VIOLATION
+        _emit(ns, "\n".join(text_line.format(*row) for row in table))
+    return EXIT_VIOLATION if any(row[3] == "FAIL" for row in table) else EXIT_OK
+
+
+def cmd_table1(ns) -> int:
+    rows = [(r.s_len, r.steps, dynamics.TABLE1_REFERENCE.get(r.s_len))
+            for r in dynamics.table1_experiment(_parse_fib(ns.fib))]
+    return _reproduce(ns, rows, ["s_len", "steps", "reference", "verdict"],
+                      "|S| = {:5d}  steps = {:2d}  reference = {}  {}")
 
 
 def cmd_table2(ns) -> int:
-    ok = True
-    table = []
-    for s_len in _parse_fib(ns.fib):
-        shown = dynamics.format_estimate(dynamics.fibonacci_estimate(s_len))
-        ref = dynamics.TABLE2_REFERENCE.get(s_len)
-        mark = "PASS" if ref == shown else ("FAIL" if ref is not None else "n/a")
-        ok &= mark != "FAIL"
-        table.append([s_len, shown, ref, mark])
-    if ns.format == "json":
-        _emit(ns, json.dumps({"rows": [
-            {"s_len": a, "estimate": b, "reference": c, "verdict": d} for a, b, c, d in table]}))
-    elif ns.format == "csv":
-        _emit(ns, _csv_table(["s_len", "estimate", "reference", "verdict"], table))
-    else:
-        _emit(ns, "\n".join(f"|S| = {a:5d}  estimate = {b}  reference = {c}  {d}" for a, b, c, d in table))
-    return EXIT_OK if ok else EXIT_VIOLATION
+    rows = [(s_len, dynamics.format_estimate(dynamics.fibonacci_estimate(s_len)),
+             dynamics.TABLE2_REFERENCE.get(s_len)) for s_len in _parse_fib(ns.fib)]
+    return _reproduce(ns, rows, ["s_len", "estimate", "reference", "verdict"],
+                      "|S| = {:5d}  estimate = {}  reference = {}  {}")
 
 
 def cmd_preimages(ns) -> int:
@@ -285,14 +268,11 @@ def cmd_periodic_points(ns) -> int:
     points = sorted({r.label for r in res if r.status == "periodic_point"})
     expected = ["Gamma1", "Gamma2", "L^w", "S^w"]
     ok = points == expected
+    refuted = sum(1 for r in res if r.status == "refuted")
     if ns.format == "json":
-        _emit(ns, json.dumps({
-            "periodic_points": points,
-            "refuted": sum(1 for r in res if r.status == "refuted"),
-            "verdict": "PASS" if ok else "FAIL",
-        }))
+        _emit(ns, json.dumps({"periodic_points": points, "refuted": refuted,
+                              "verdict": "PASS" if ok else "FAIL"}))
     else:
-        refuted = sum(1 for r in res if r.status == "refuted")
         _emit(ns, f"periodic points: {' '.join(points)}\n"
                   f"refuted candidates: {refuted}\n"
                   f"expected {{Gamma1, Gamma2, S^w, L^w}}: {'PASS' if ok else 'FAIL'}")
@@ -306,10 +286,7 @@ def cmd_eq_check(ns) -> int:
     if ns.format == "json":
         _emit(ns, json.dumps(cert.as_json() if cert else {"word": w, "verified": False}))
     else:
-        if cert:
-            _emit(ns, f"solution: {w} = {' . '.join(cert.roots)}")
-        else:
-            _emit(ns, f"not a solution: {w}")
+        _emit(ns, f"solution: {w} = {' . '.join(cert.roots)}" if cert else f"not a solution: {w}")
     return EXIT_OK if cert else EXIT_VIOLATION
 
 
@@ -362,14 +339,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--blocks", type=str, required=True, help="block names, e.g. SSLS")
     p.add_argument("--shift", type=int, default=0)
 
-    p = add(sub, "orbit", cmd_orbit, _system_args, help="iterate the square root map")
+    p = add(sub, "orbit", cmd_orbit, _system_args, help="iterate the square root map",
+            description="A step is periodic only when proved so; outcome 'stream' means no "
+                        "period is known, and no guess is made.")
     p.add_argument("--word", type=str, required=True,
                    help="named source (gamma1, gamma2, s-omega, l-omega), a 0/1 "
                         "period, or S/L block names per --input-kind")
     p.add_argument("--input-kind", choices=("letters", "blocks", "named"), default="named",
                    help="letters: the word repeated periodically; blocks: cycled "
                         "block names with --shift; named: a built-in word")
-    p.add_argument("--shift", type=int, default=0)
+    p.add_argument("--shift", type=int, default=0, help="letters dropped (blocks only)")
     p.add_argument("--steps", type=_at_least(0), default=8)
 
     p = add(sub, "table1", cmd_table1, help="steps-to-fixed maxima for reversed Fibonacci words")

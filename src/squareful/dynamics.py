@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable
 
@@ -216,12 +216,7 @@ class OrbitRecord:
     n_fixed: int | None = None
 
     def as_json(self) -> dict:
-        return {
-            "start": self.start,
-            "steps": [vars(s) for s in self.steps],
-            "n_periodic": self.n_periodic,
-            "n_fixed": self.n_fixed,
-        }
+        return asdict(self)
 
 
 def _compare(u: str, v: str) -> str:
@@ -234,43 +229,34 @@ def iterate_sqrt(sys: OmegaSystem, src: InfiniteWord, m: int) -> OrbitRecord:
     """Record ``m`` square root steps starting from ``src``.
 
     Uses the structural route when the source carries product provenance and
-    the raw lazy tokenizer otherwise.  Periodicity of intermediate words is
-    certified structurally (type D) or by the window check for raw streams.
+    the raw lazy tokenizer otherwise.  A word is ``periodic`` only as a type D
+    image or by :meth:`OmegaSystem.rotation_index`; ``stream`` means no
+    period is known, and no guess is made.
     """
     n = sys.block_len
     record = OrbitRecord(start=src.descriptor)
-    cur = src
-    rotation: int | None = None
+    cur, rotation = src, None
     engine = OrbitEngine(sys)
     start_fp = src.prefix(n)
     for step in range(m + 1):
-        fp = cur.prefix(n) if rotation is None else sys.omega_p_word(rotation).prefix(n)
+        if rotation is None:
+            rotation = sys.rotation_index(cur)
         if rotation is not None:
-            outcome = PERIODIC
-        elif cur.product is not None:
-            outcome, _ = sys.classify_type(cur.product)
-        else:
-            outcome = "stream"
-        if rotation is None and outcome != PERIODIC:
-            j = sys.omega_p_match(cur)
-            if j is not None:
-                rotation = j
-                outcome = PERIODIC
-        record.steps.append(OrbitStep(fp, outcome, _compare(start_fp, fp)))
-        if outcome == PERIODIC and record.n_periodic is None:
-            record.n_periodic = step
-        if rotation is not None and record.n_fixed is None:
-            if rotation == 0 or rotation == engine.l_index:
+            fp, outcome = sys.omega_p_word(rotation).prefix(n), PERIODIC
+            if record.n_periodic is None:
+                record.n_periodic = step
+            if record.n_fixed is None and rotation in (0, engine.l_index):
                 record.n_fixed = step
+        else:
+            fp = cur.prefix(n)
+            outcome = sys.classify_type(cur.product)[0] if cur.product is not None else "stream"
+        record.steps.append(OrbitStep(fp, outcome, _compare(start_fp, fp)))
         if step == m:
             break
         if rotation is not None:
             rotation = engine.rotation_successor(rotation)
         elif cur.product is not None:
-            nxt, outcome_kind = sys.sqrt_of_product(cur.product)
-            if outcome_kind == PERIODIC:
-                rotation = sys.conjugate_index(nxt.prefix(n))
-            cur = nxt
+            cur, _ = sys.sqrt_of_product(cur.product)
         else:
             cur = streams.sqrt_stream(sys.alphabet, cur)
     return record
@@ -642,21 +628,22 @@ def _block_pairs_halve(sys: OmegaSystem) -> bool:
 class PeriodicCandidate:
     label: str
     status: str          # "periodic_point" or "refuted"
-    reason: str          # period info or the refutation witness
-    period: int | None = None
+    reason: str          # the return time or the refutation witness
 
 
-def periodic_point_search(
-    sys: OmegaSystem, max_blocks: int = 8, cap: int = 16, gamma_depth: int = 20_000
-) -> list[PeriodicCandidate]:
+GAMMA_DEPTH = 20_000  # letters of each aperiodic fixed point checked against its root
+
+
+def periodic_point_search(sys: OmegaSystem, max_blocks: int = 8, cap: int = 16) -> list[PeriodicCandidate]:
     """Refutation search for periodic points among cyclic block products.
 
     Every block pattern of length up to ``max_blocks`` is extended
     periodically and tested for an exact return of the square root iteration
     (block decimation is exact on these words).  Returning candidates are then
     screened for membership: an ultimately periodic word belongs to the
-    subshift only if it is a shift of ``S^omega``.  The two fixed points are
-    appended as named candidates and checked on a prefix window.
+    subshift only if it is a shift of ``S^omega``, which
+    :meth:`OmegaSystem.rotation_index` decides exactly.  The two fixed points
+    are appended as named candidates and checked on ``GAMMA_DEPTH`` letters.
     """
     results: list[PeriodicCandidate] = []
     n = sys.block_len
@@ -664,16 +651,12 @@ def periodic_point_search(
     for m in range(1, max_blocks + 1):
         for bits in itertools.product("SL", repeat=m):
             pattern = "".join(bits)
-            ret = None
-            for steps in range(1, cap + 1):
-                if all(pattern[(t << steps) % m] == pattern[t] for t in range(m)):
-                    ret = steps
-                    break
+            ret = next((steps for steps in range(1, cap + 1)
+                        if all(pattern[(t << steps) % m] == pattern[t] for t in range(m))), None)
             label = f"({pattern})^w"
             if ret is None:
-                results.append(
-                    PeriodicCandidate(label, "refuted", f"no block-level return within {cap} steps")
-                )
+                reason = f"no block-level return within {cap} steps"
+                results.append(PeriodicCandidate(label, "refuted", reason))
                 continue
             word = sys.sigma(pattern)
             # two cyclic candidates are the same infinite word exactly when
@@ -683,31 +666,19 @@ def periodic_point_search(
             if canon in seen_words:
                 continue
             seen_words.add(canon)
-            src = streams.periodic_word(word, label)
-            j = sys.omega_p_match(src, extra_period=m + 1)
+            j = sys.rotation_index(streams.periodic_word(word, label))
             if j is None:
-                results.append(
-                    PeriodicCandidate(
-                        label, "refuted",
-                        "block-level return but the word is ultimately periodic "
-                        "and not a shift of S^w, hence outside the subshift",
-                    )
-                )
+                reason = ("block-level return but the word is ultimately periodic "
+                          "and not a shift of S^w, hence outside the subshift")
+                results.append(PeriodicCandidate(label, "refuted", reason))
             else:
-                name = "S^w" if j == 0 else ("L^w" if word == sys.l_word * (len(word) // n) else f"T^{j}(S^w)")
-                results.append(PeriodicCandidate(name, "periodic_point", f"return after {ret} step(s)", ret))
+                name = "S^w" if j == 0 else "L^w" if word == sys.l_word * (len(word) // n) else f"T^{j}(S^w)"
+                results.append(PeriodicCandidate(name, "periodic_point", f"return after {ret} step(s)"))
     for which in (1, 2):
-        gamma_word = sys.big_gamma(which)
         image = streams.sqrt_stream(sys.alphabet, sys.big_gamma(which))
-        ok = gamma_word.prefix(gamma_depth) == image.prefix(gamma_depth)
-        results.append(
-            PeriodicCandidate(
-                f"Gamma{which}",
-                "periodic_point" if ok else "refuted",
-                f"fixed to depth {gamma_depth}" if ok else "prefix diverged",
-                1 if ok else None,
-            )
-        )
+        ok = sys.big_gamma(which).prefix(GAMMA_DEPTH) == image.prefix(GAMMA_DEPTH)
+        results.append(PeriodicCandidate(f"Gamma{which}", "periodic_point" if ok else "refuted",
+                                         f"fixed to depth {GAMMA_DEPTH}" if ok else "prefix diverged"))
     return results
 
 

@@ -169,19 +169,21 @@ def pattern_to_substitution(
     return s_image, l_image
 
 
-def check_self_sqrt(sys: OmegaSystem, blockword: str, depth: int | None = None) -> bool:
-    """Expand ``sigma(blockword^omega)`` and verify the square root fixes it.
+def check_self_sqrt(sys: OmegaSystem, blockword: str) -> bool:
+    """Whether the square root fixes ``sigma(blockword^omega)``, exactly.
 
     ``blockword`` must have odd length and satisfy ``u[i] == u[2i mod n]``
-    for ``i >= 1``; the check compares prefixes to ``depth`` letters
-    (default three images deep).
+    for ``i >= 1``.  The root has period ``p'`` from ``start'`` and the word
+    period ``q = |sigma(blockword)|``; by Fine and Wilf their first ``start' +
+    p' + q`` letters decide.
     """
     if len(blockword) % 2 == 0:
         raise ValueError("block word must have odd length")
-    if depth is None:
-        depth = 3 * len(blockword) * sys.block_len
-    src = streams.periodic_word(sys.sigma(blockword), f"sigma(({blockword})^w)")
+    word = sys.sigma(blockword)
+    src = streams.periodic_word(word, f"sigma(({blockword})^w)")
     image = streams.sqrt_stream(sys.alphabet, src)
+    start, p = image.period()
+    depth = start + p + len(word)
     return image.prefix(depth) == src.prefix(depth)
 
 

@@ -310,7 +310,8 @@ class OmegaSystem:
         """Square root of a shifted product, with its structural outcome.
 
         Types A-C yield another shifted product (the descriptor is recovered
-        exactly); type D yields the periodic word certified on a window.
+        exactly); type D yields ``T^j(S^omega)``, cross-checked against the raw
+        stream on ``3|S|`` letters (it raises and decides nothing).
         """
         kind, result = self._product_step(prod)
         n = self.block_len
@@ -319,14 +320,10 @@ class OmegaSystem:
             out_blocks = streams.decimate(prod.blocks, 0, "", descriptor)
             return streams.expand(self.product(out_blocks)), PRODUCT_FORM
         if kind == TYPE_D:
-            # the square root is globally periodic with period conjugate to S
-            raw = streams.sqrt_stream(self.alphabet, streams.expand(prod))
-            period = raw.prefix(n)
-            if self.conjugate_index(period) != result:
-                raise AssertionError(f"type D image period {period!r} is not rotation {result} of S")
-            if not streams.detect_period(raw, n, 3 * n, conjugate_of=self.s_word):
-                raise AssertionError("type D image failed the periodicity window check")
-            return self.omega_p_word(result), PERIODIC
+            word = self.omega_p_word(result)
+            if streams.sqrt_stream(self.alphabet, streams.expand(prod)).prefix(3 * n) != word.prefix(3 * n):
+                raise AssertionError(f"type D image is not T^{result}(S^w)")
+            return word, PERIODIC
         head = self._synthetic_block(result)
         if head is None:
             # the root is not a block suffix; fall back to the raw stream
@@ -336,19 +333,15 @@ class OmegaSystem:
 
     # -- membership helpers ---------------------------------------------------
 
-    def omega_p_match(self, src: InfiniteWord, extra_period: int | None = None) -> int | None:
-        """If ``src`` equals some ``T^j(S^omega)`` on a window long enough to
-        pin a periodic word, return ``j``; otherwise None.
+    def rotation_index(self, src: InfiniteWord) -> int | None:
+        """The ``j`` with ``src == T^j(S^omega)``, or None; exact, from ``src.period()``.
 
-        The default window exceeds the longest run of repeated blocks that an
-        aperiodic word of the subshift can exhibit (``4c + 1`` consecutive
-        ``S`` blocks plus boundary letters), so aperiodic words never match.
-        """
-        n = self.block_len
-        if extra_period is None:
-            extra_period = 4 * self.params.c + 5
-        window = n * (2 + extra_period)
-        text = src.prefix(window)
-        if text[: window - n] != text[n:window]:
+        A word with period ``p`` from ``start`` has period ``|S|`` iff its first
+        ``start + p + |S|`` letters do: past them, ``w[i] = w[i-p] = w[i-p+|S|]
+        = w[i+|S|]`` by induction on ``i``."""
+        known = src.period()
+        if known is None:
             return None
-        return self.conjugate_index(text[:n])
+        (start, p), n = known, self.block_len
+        text = src.prefix(start + p + n)
+        return self.conjugate_index(text[:n]) if text[n:] == text[:-n] else None

@@ -14,11 +14,13 @@ position cleanly.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .squares import SquareAlphabet, TokenizationError, factor_minimal_squares
+from .squares import SquareAlphabet, TokenizationError, factor_minimal_squares, square_matcher
 
 
 class SourcePoisonedError(RuntimeError):
@@ -115,23 +117,26 @@ class InfiniteWord:
     def letter(self, i: int) -> str:
         return self.window(i, i + 1)
 
-    def as_json(self, prefix_len: int = 64) -> dict:
-        return {
-            "descriptor": self.descriptor,
-            "prefix": self.prefix(prefix_len),
-            "prefix_len": prefix_len,
-        }
+    def period(self) -> tuple[int, int] | None:
+        """``(start, p)`` if the letters from ``start`` on are known to repeat
+        with period ``p``; None if no period is known (no guess is made)."""
+        return None
 
-    def __repr__(self):
-        shown = self._parts[0][:32] if self._parts else ""
-        return f"<InfiniteWord {self.descriptor!r} {shown}...>"
+
+class _PeriodicWord(InfiniteWord):
+    def __init__(self, period: str, descriptor: str):
+        super().__init__(itertools.repeat(period), descriptor)
+        self._p = len(period)
+
+    def period(self) -> tuple[int, int]:
+        return 0, self._p
 
 
 def periodic_word(period: str, descriptor: str | None = None) -> InfiniteWord:
-    """The purely periodic word ``period^omega``."""
+    """The purely periodic word ``period^omega``, with period ``(0, |period|)``."""
     if not period:
         raise ValueError("period must be nonempty")
-    return InfiniteWord(itertools.repeat(period), descriptor or f"({period})^w")
+    return _PeriodicWord(period, descriptor or f"({period})^w")
 
 
 FIXED_POINT_PIECE = 1 << 14  # letters of a fixed point read back per image step
@@ -220,10 +225,17 @@ class _DecimatedWord(InfiniteWord):
         lo, hi = self._have - len(self._head), n - len(self._head)
         return self._src.window(self._offset + 2 * lo, self._offset + 2 * hi - 1)[::2]
 
+    def period(self) -> tuple[int, int] | None:
+        known = self._src.period()
+        return known and (len(self._head) + max(0, -(-(known[0] - self._offset) // 2)),
+                          known[1] // math.gcd(known[1], 2))
+
 
 def decimate(src: InfiniteWord, offset: int, head: str, descriptor: str) -> InfiniteWord:
     """The word ``head`` followed by every other letter of ``src`` from
-    ``offset`` on.  A request reads the span it covers with one ``window``."""
+    ``offset`` on.  A request reads the span it covers with one ``window``.
+    Period ``p`` from ``start`` gives ``p / gcd(p, 2)`` from ``|head| +
+    max(0, ceil((start - offset) / 2))``."""
     return _DecimatedWord(src, offset, head, descriptor)
 
 
@@ -248,6 +260,28 @@ class _SqrtWord(InfiniteWord):
         # a failure later in the piece is met at the start of the next one
         return "".join(roots)
 
+    def period(self) -> tuple[int, int] | None:
+        return self._walk
+
+    @functools.cached_property
+    def _walk(self) -> tuple[int, int] | None:
+        known = self._src.period()
+        if known is None:
+            return None
+        start, p = known
+        text = self._src.prefix(start + p)
+        text += text[start:] * -(-self._alph.max_square_len // p)  # src repeats text[start:]
+        match, seen, pos, out = square_matcher(self._alph), {}, 0, 0
+        while True:  # seen: position (mod p past start) -> root letters before it
+            at = pos if pos < start else start + (pos - start) % p
+            if at in seen:
+                return seen[at], out - seen[at]
+            seen[at] = out
+            m = match(text, at)
+            if m is None:
+                raise SourcePoisonedError(self.descriptor, pos)
+            pos, out = pos + m.end() - at, out + (m.end() - at) // 2
+
 
 def sqrt_stream(alph: SquareAlphabet, src: InfiniteWord) -> InfiniteWord:
     """Lazy square root of a squareful stream.
@@ -259,32 +293,13 @@ def sqrt_stream(alph: SquareAlphabet, src: InfiniteWord) -> InfiniteWord:
     starts the next piece.  A tokenization failure (the caller handed a
     non-squareful source) poisons the output at the offending input offset,
     after the letters before it.
+
+    If ``src`` has period ``p`` from ``start``, the factorization past
+    ``start`` depends on positions mod ``p`` only: ``period()`` walks it to
+    a position met before mod ``p`` (at most ``p`` squares past ``start``),
+    reading ``start + p`` letters, and the root repeats from there.
     """
     return _SqrtWord(alph, src)
-
-
-def detect_period(
-    src: InfiniteWord, p: int, window: int, conjugate_of: str | None = None
-) -> bool:
-    """Certify on a window that ``src`` looks ``p``-periodic.
-
-    This is a certified-window heuristic, not a proof: the prefix of length
-    ``window`` must be ``p``-periodic and, when ``conjugate_of`` is given, the
-    candidate period word must be one of its rotations.  Callers pick windows
-    per the structural guarantees they hold (``window >= 3p`` at minimum).
-    """
-    if window < 3 * p:
-        raise ValueError("window must be at least 3 periods long")
-    text = src.prefix(window)
-    if text[: window - p] != text[p:window]:
-        return False
-    period = text[:p]
-    if conjugate_of is not None:
-        if len(conjugate_of) != p:
-            return False
-        if period not in conjugate_of * 2:
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -351,6 +366,10 @@ class _ExpandedWord(InfiniteWord):
         names = prod.blocks.window(start // size, -(-(n + prod.shift) // size))
         return names.translate(self._table)[start % size :]
 
+    def period(self) -> tuple[int, int] | None:
+        known, size = self.product.blocks.period(), len(self.product.s_word)
+        return known and (max(0, known[0] * size - self.product.shift), known[1] * size)
+
 
 def expand(prod: SLProduct) -> InfiniteWord:
     """Letter-level oracle of the shifted product.
@@ -358,7 +377,8 @@ def expand(prod: SLProduct) -> InfiniteWord:
     A request reads the block names that cover it with one ``window`` and
     spells them with one ``str.translate``: one memo part per request.  The
     names are ``S``/``L`` by construction (:func:`sl_cycle` checks a
-    pattern it is handed).
+    pattern it is handed).  Names with period ``p`` from ``start`` give
+    letters with period ``p |S|`` from ``max(0, start |S| - shift)``.
     """
     return _ExpandedWord(prod)
 

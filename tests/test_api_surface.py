@@ -1,10 +1,13 @@
-"""Every public function, class and method of the package has a caller.
+"""Every public function, class and method of the package has a caller,
+and every defaulted parameter of one is passed by some caller.
 
 A public name (no leading underscore) defined in ``src/squareful`` must be
 referenced, as a name, an attribute or an import, somewhere in ``src/``,
 ``tests/test_acceptance.py`` or ``perfbench/*.py``.  A name that only its
 own unit test reaches is a second route to a claim that nothing else
-checks, and is deleted instead.  The benchmark files are only read here.
+checks, and is deleted instead.  Likewise a defaulted parameter that no
+caller there passes is a knob that nothing turns, and becomes a constant.
+The benchmark files are only read here.
 """
 
 import ast
@@ -45,10 +48,12 @@ def referenced_names(paths) -> set[str]:
     return names
 
 
+CALLERS = [*sorted((ROOT / "src").rglob("*.py")), ROOT / "tests" / "test_acceptance.py",
+           *sorted((ROOT / "perfbench").glob("*.py"))]
+
+
 def test_every_public_name_has_a_caller():
-    callers = [*sorted((ROOT / "src").rglob("*.py")), ROOT / "tests" / "test_acceptance.py",
-               *sorted((ROOT / "perfbench").glob("*.py"))]
-    used = referenced_names(callers)
+    used = referenced_names(CALLERS)
     defined = {qual: (path.name, bare) for path in sorted(PACKAGE.glob("*.py"))
                for qual, bare in public_names(ast.parse(path.read_text()))}
     assert len(defined) > 50  # the scan sees the package
@@ -59,3 +64,71 @@ def test_every_public_name_has_a_caller():
     stale = sorted(qual for qual in ALLOWED
                    if qual not in defined or defined[qual][1] in used)
     assert not stale, f"allow-list entries to drop: {stale}"
+
+
+def knobs(tree: ast.Module):
+    """``(qualified name, called name, position, parameter)`` for each
+    defaulted parameter of a public function, of a public method of a public
+    class, or of a public class's ``__init__`` (called by the class name).
+    ``position`` counts the positional arguments before it, past ``self``,
+    and is None for a keyword-only parameter."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield from _defaults(node.name, node.name, node, 0)
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            methods = [sub for sub in node.body if isinstance(sub, ast.FunctionDef)]
+            for sub in methods:
+                if sub.name == "__init__" or not sub.name.startswith("_"):
+                    called = node.name if sub.name == "__init__" else sub.name
+                    static = any(getattr(d, "id", None) == "staticmethod" for d in sub.decorator_list)
+                    yield from _defaults(f"{node.name}.{sub.name}", called, sub, 0 if static else 1)
+
+
+def _defaults(qual: str, called: str, fn: ast.FunctionDef, skip: int):
+    positional = fn.args.posonlyargs + fn.args.args
+    for i, arg in enumerate(positional[len(positional) - len(fn.args.defaults):],
+                            len(positional) - len(fn.args.defaults)):
+        yield qual, called, i - skip, arg.arg
+    for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+        if default is not None:
+            yield qual, called, None, arg.arg
+
+
+def calls(paths):
+    """``(called name, positional count, keyword names, spread)`` of every
+    call; ``super().__init__(...)`` is a call of the first base class."""
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        base = {}
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and cls.bases:
+                for node in ast.walk(cls):
+                    base[id(node)] = getattr(cls.bases[0], "id", None)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name):
+                called = func.id
+            elif isinstance(func, ast.Attribute):
+                called = func.attr
+                if called == "__init__" and isinstance(func.value, ast.Call) and \
+                        getattr(func.value.func, "id", None) == "super":
+                    called = base.get(id(node))
+            else:
+                continue
+            spread = (any(isinstance(a, ast.Starred) for a in node.args)
+                      or any(k.arg is None for k in node.keywords))
+            yield called, len(node.args), {k.arg for k in node.keywords}, spread
+
+
+def test_every_default_is_passed_by_a_caller():
+    seen = list(calls(CALLERS))
+    defined = [knob for path in sorted(PACKAGE.glob("*.py"))
+               for knob in knobs(ast.parse(path.read_text()))]
+    assert len(defined) > 10  # the scan sees the defaults
+    unpassed = sorted(f"{qual}({param})" for qual, called, pos, param in defined
+                      if qual not in ALLOWED and not any(
+                          name == called and (spread or param in kws or (pos is not None and npos > pos))
+                          for name, npos, kws, spread in seen))
+    assert not unpassed, "defaulted parameters no caller passes: " + ", ".join(unpassed)

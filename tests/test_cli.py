@@ -109,6 +109,16 @@ class TestOrbitCommand:
         assert payload["n_fixed"] == 3
         assert payload["steps"][3]["fingerprint"] == "01010010"
 
+    def test_long_run_of_blocks_is_not_periodic(self, capsys):
+        # (S^12 L)^w has least period 13|S|: it opens with twelve S blocks,
+        # but no step of its orbit is a shift of S^omega
+        code, out = run(capsys, "orbit", "--word", "S" * 12 + "L", "--input-kind", "blocks",
+                        "--steps", "2", "--format", "json")
+        payload = json.loads(out)
+        assert code == 0
+        assert [s["outcome"] for s in payload["steps"]] == ["A", "A", "A"]
+        assert (payload["n_periodic"], payload["n_fixed"]) == (None, None)
+
 
 class TestPreimagesCommand:
     def test_on_generated_target(self, capsys):
@@ -146,10 +156,6 @@ class TestMiscCommands:
         for cert in payload["solutions"]:
             validate(cert, "certificate.json")
 
-    def test_source_json_schema(self):
-        sys = OmegaSystem(OmegaParams())
-        validate(sys.big_gamma(1).as_json(32), "source.json")
-
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, capsys):
@@ -185,6 +191,7 @@ def test_readme_example_output_is_unchanged(capsys, case):
     (["table2", "--fib", ""], 2),
     (["preimages", "2" * 128], 2),
     (["preimages", "01" * 63], 2),
+    (["orbit", "--word", "gamma1", "--shift", "3"], 2),
 ])
 def test_errors_exit_with_one_line(capsys, argv, code):
     # usage errors exit 2, a non-squareful input exits 1; never a traceback

@@ -2,10 +2,11 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from squareful import dynamics, squares, streams
 from squareful.dynamics import OrbitEngine
-from squareful.omega import PLAIN, SWAPPED, TYPE_D, OmegaParams, OmegaSystem
+from squareful.omega import PERIODIC, PLAIN, SWAPPED, TYPE_D, OmegaParams, OmegaSystem
 from squareful.streams import expand, shift
 
 
@@ -108,6 +109,33 @@ class TestIterate:
         rec = dynamics.iterate_sqrt(sys, sys.s_omega(), 2)
         assert rec.n_periodic == 0
         assert rec.n_fixed == 0
+
+    def test_long_run_of_s_blocks_then_gamma1(self, sys, engine):
+        # the word agrees with a shift of S^omega on its first seventeen
+        # blocks; the orbit must still take exactly the forward count's steps
+        star = sys.gamma_star(1)
+        blocks = streams.from_function(lambda i: "S" if i < 18 else star.letter(i - 18), "S18+Gamma1*")
+        for shift_letters in range(1, sys.block_len):
+            src = expand(streams.SLProduct(blocks, shift_letters, sys.s_word, sys.l_word))
+            want = engine.steps_to_fixed(shift_letters, "S", blocks.letter)
+            assert dynamics.iterate_sqrt(sys, src, want + 1).n_fixed == want
+
+    @settings(max_examples=80, deadline=None)
+    @given(runs=st.lists(st.tuples(st.integers(0, 24), st.integers(0, 3)), min_size=1, max_size=3)
+           .filter(lambda runs: any(k + j for k, j in runs)), shift_letters=st.integers(0, 7))
+    def test_product_route_equals_letter_route(self, sys, runs, shift_letters):
+        pattern = "".join("S" * k + "L" * j for k, j in runs)
+        letters = sys.sigma(pattern)
+        product = dynamics.iterate_sqrt(
+            sys, expand(streams.sl_cycle(pattern, sys.s_word, sys.l_word, shift_letters)), 5)
+        letter = dynamics.iterate_sqrt(
+            sys, streams.periodic_word(letters[shift_letters:] + letters[:shift_letters]), 5)
+        assert [s.fingerprint for s in product.steps] == [s.fingerprint for s in letter.steps]
+        assert [s.outcome == PERIODIC for s in product.steps] == [s.outcome == PERIODIC for s in letter.steps]
+        assert (product.n_periodic, product.n_fixed) == (letter.n_periodic, letter.n_fixed)
+        # blocks of |S| letters differ, so the start is a shift of S^omega exactly
+        # when one block name repeats; a long run of S blocks must not pass
+        assert (letter.n_periodic == 0) == (len(set(pattern)) == 1)
 
     def test_lexicographic_monotonicity(self, sys):
         # fingerprints never drop (words starting with 0) and rise within

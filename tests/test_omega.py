@@ -267,7 +267,7 @@ class TestSqrtOfProduct:
         for j in range(sys.block_len):
             src = sys.omega_p_word(j)
             out = streams.sqrt_stream(sys.alphabet, src)
-            assert sys.omega_p_match(out) is not None
+            assert sys.rotation_index(out) is not None
 
 
 @pytest.mark.parametrize("abck", [(1, 0, 1, 4), (2, 1, 1, 4), (1, 0, 2, 4), (1, 0, 1, 6)])
@@ -397,9 +397,12 @@ class TestOmegaP:
         assert len(seen) == q
 
     def test_match_windows(self, sys):
-        assert sys.omega_p_match(sys.big_gamma(1)) is None
+        assert sys.rotation_index(sys.big_gamma(1)) is None
         for j in (0, 3, 5):
-            assert sys.omega_p_match(sys.omega_p_word(j)) == j
+            assert sys.rotation_index(sys.omega_p_word(j)) == j
+        # (S^12 L)^w agrees with S^w on twelve blocks but has no period |S|
+        assert sys.rotation_index(expand(sl_cycle("S" * 12 + "L", sys.s_word, sys.l_word))) is None
+        assert sys.rotation_index(expand(sl_cycle("SS", sys.s_word, sys.l_word, 3))) == 3
 
 
 class TestSigmaCommutation:

@@ -13,7 +13,6 @@ from squareful.streams import (
     SLProduct,
     SourcePoisonedError,
     decimate,
-    detect_period,
     expand,
     periodic_word,
     shift,
@@ -147,10 +146,6 @@ class TestInfiniteWord:
     def test_letter(self):
         src = periodic_word(S)
         assert [src.letter(i) for i in range(8)] == list(S)
-
-    def test_as_json(self):
-        payload = periodic_word(S).as_json(8)
-        assert payload == {"descriptor": f"({S})^w", "prefix": S, "prefix_len": 8}
 
 
 class TestShift:
@@ -300,22 +295,45 @@ class TestSqrtStream:
         assert exc.value.position == 4
 
 
-class TestDetectPeriod:
-    def test_examples(self, sys):
-        assert detect_period(sys.s_omega(), 8, 48, conjugate_of=S)
-        assert not detect_period(sys.big_gamma(1), 8, 48, conjugate_of=S)
-        assert not detect_period(periodic_word("01100010"), 8, 48, conjugate_of=S)
-        assert detect_period(periodic_word(S[7:] + S[:7]), 8, 48, conjugate_of=S)
-        with pytest.raises(ValueError):
-            detect_period(sys.s_omega(), 8, 16)
+class TestPeriod:
+    def test_unknown_is_none(self, sys):
+        for word in (sys.big_gamma(1), shift(sys.s_omega(), 3), sqrt_stream(ALPH, sys.big_gamma(2)),
+                     decimate(sys.gamma_star(1), 0, "", "d")):
+            assert word.period() is None
 
     def test_sqrt_cubed_of_section3_word(self, sys):
-        prod = sl_cycle("S", sys.s_word, sys.l_word, 4)
-        word = expand(prod)
+        word = expand(sl_cycle("S", sys.s_word, sys.l_word, 4))
+        assert word.period() == (0, 8)
         for _ in range(3):
             word = sqrt_stream(ALPH, word)
-        assert detect_period(word, 8, 48, conjugate_of=S)
-        assert word.prefix(8) == S
+        assert word.prefix(8) == S and sys.rotation_index(word) == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(pattern=st.text("SL", min_size=1, max_size=12), shift_letters=st.integers(0, 7),
+           offset=st.integers(0, 5), head=st.text("SL", max_size=3), steps=st.integers(0, 3))
+    def test_derived_periods_hold(self, pattern, shift_letters, offset, head, steps):
+        # every derived period is a period of the letters from its start on
+        blocks = decimate(periodic_word(pattern), offset, head, "d")
+        word = expand(streams.SLProduct(blocks, shift_letters, S, L))
+        for _ in range(steps):
+            word = sqrt_stream(ALPH, word)
+        for src in (blocks, word):
+            start, p = src.period()
+            text = src.prefix(start + 3 * p + 64)
+            assert text[start + p :] == text[start : len(text) - p]
+
+    def test_walk_reads_only_when_asked(self):
+        src = periodic_word("0101" + "00" + "1010")
+        root = sqrt_stream(ALPH, src)
+        assert src.max_queried == 0
+        assert root.period() == (0, 5) and src.max_queried == 10
+        assert root.prefix(10) == "01010" * 2
+
+    def test_walk_poisons_on_a_non_squareful_period(self):
+        root = sqrt_stream(ALPH, periodic_word("0101" + "11"))
+        with pytest.raises(SourcePoisonedError) as exc:
+            root.period()
+        assert exc.value.position == 4
 
 
 class TestSLProduct:
