@@ -319,7 +319,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = group.add_parser(name, **kwargs)
         if params is not None:
             params(p)
-        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+        tabular = handler in (cmd_table1, cmd_table2, cmd_eq_enumerate)
+        p.add_argument("--format", choices=("text", "json", "csv") if tabular else ("text", "json"),
+                       default="text")
         p.add_argument("--out", type=str, default=None, help="write output to a file")
         p.set_defaults(handler=handler)
         return p

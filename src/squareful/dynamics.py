@@ -1,10 +1,10 @@
 """Orbit dynamics of the square root map: experiments and searches.
 
 The workhorse is :class:`OrbitEngine`, which iterates the square root map on
-shifted block products exactly.  A shifted product is kept as a pair
-``(y, blocks)``: the word is ``y . B1 B2 B3 ...`` where ``y`` is the proper
-remainder of a partially consumed block and the ``B_t`` are whole blocks.
-One application of the map, :meth:`OmegaSystem.sqrt_step`, either
+shifted block products ``y . B1 B2 B3 ...`` exactly, in block coordinates:
+the remainder ``y`` is ``(first, shift)``, the last ``|S| - shift`` letters
+of block ``first``.  One application of the map,
+:meth:`OmegaSystem.sqrt_step`, either
 
 * consumes ``y`` alone (``y`` is a product of minimal squares), leaving the
   odd-indexed blocks,
@@ -13,11 +13,12 @@ One application of the map, :meth:`OmegaSystem.sqrt_step`, either
   block word, after which the orbit lives in the finite periodic part and is
   followed by exact rotation bookkeeping.
 
-Table 1 is a walk on the graph whose nodes are the remainders and the
-rotations of ``S^omega``: each node has one successor, because the engine
-checks that a remainder's step does not depend on the names of the blocks
-after it.  A node's depth is its step count to ``S^omega`` or ``L^omega``;
-the supremum is the largest depth of a start's remainder.
+In the first two cases the root of ``y`` is again a remainder.  Table 1 is
+a walk on the graph whose nodes are the remainders and the rotations of
+``S^omega``: each node has one successor, because the engine checks that a
+remainder's step does not depend on the names of the blocks after it.  A
+node's depth is its step count to ``S^omega`` or ``L^omega``; the supremum
+is the largest depth of a start's remainder.
 """
 
 from __future__ import annotations
@@ -39,20 +40,20 @@ GOLDEN = (1 + math.sqrt(5)) / 2
 # closed-form estimates and exact bounds
 
 
-def fibonacci_numbers(limit: int) -> list[int]:
+def fibonacci_numbers(s_len: int) -> list[int]:
+    """``1, 1, 2, ...`` up to ``s_len``, which must be a Fibonacci number >= 2."""
     fibs = [1, 1]
-    while fibs[-1] < limit:
+    while fibs[-1] < s_len:
         fibs.append(fibs[-1] + fibs[-2])
+    if fibs[-1] != s_len or s_len < 2:
+        raise ValueError(f"{s_len} is not a Fibonacci number >= 2")
     return fibs
 
 
 def fibonacci_estimate(s_len: int) -> float:
     """Closed-form estimate of the steps-to-fixed count for reversed Fibonacci
     block words: ``log2((phi - 1) * (phi * F_k + F_{k-1}))`` with ``F_k = s_len``."""
-    fibs = fibonacci_numbers(s_len)
-    if fibs[-1] != s_len or len(fibs) < 3:
-        raise ValueError(f"{s_len} is not a Fibonacci number >= 2")
-    f_k, f_km1 = fibs[-1], fibs[-2]
+    *_, f_km1, f_k = fibonacci_numbers(s_len)
     return math.log2((GOLDEN - 1) * (GOLDEN * f_k + f_km1))
 
 
@@ -101,42 +102,43 @@ def intercept_phases(sys: OmegaSystem) -> tuple[list[int], int]:
 
 
 _TAILS = ["".join(p) for p in itertools.product("LS", repeat=D_LOOKAHEAD)]
+FORWARD_CAP = 40
+_Node = tuple[str, int] | int  # a remainder (first, shift) or a rotation index
 
 
 class OrbitEngine:
     """Exact steps-to-fixed counts on shifted products.
 
     The counts are depths in a graph where every node has one successor.  A
-    node is a remainder ``y`` (a ``str``), whose successor is its square
-    root step, or a rotation index ``j`` (an ``int``) of ``T^j(S^omega)``,
-    whose successor is the rotation index of its square root.  The rotations
-    0 and :attr:`l_index` (``S^omega`` and ``L^omega``) have depth 0.
+    node is a remainder ``(first, shift)``, whose successor is its square
+    root step, or a rotation index ``j`` of ``T^j(S^omega)``, whose
+    successor is the rotation index of its square root.  The rotations 0
+    and :attr:`l_index` (``S^omega`` and ``L^omega``) have depth 0.
     """
 
     def __init__(self, sys: OmegaSystem):
         self.sys = sys
         self.n = sys.block_len
         self.l_index = sys.conjugate_index(sys.l_word)
-        self._depth: dict[str | int, int] = {0: 0, self.l_index: 0}
+        self._depth: dict[_Node, int] = {0: 0, self.l_index: 0}
 
-    def _successor(self, node: str | int) -> str | int:
+    def _successor(self, node: _Node) -> _Node:
         """The next node: a remainder after type B or C, a rotation after D.
 
-        A remainder's step is taken under all 16 tails of the
-        :data:`~squareful.omega.D_LOOKAHEAD` block names it can read and
-        must come out the same under each, so that the depth of a remainder
-        is the step count of every start that reaches it.
+        A remainder's step must come out the same under all 16 tails of the
+        :data:`~squareful.omega.D_LOOKAHEAD` names it can read, so that its
+        depth is the step count of every start that reaches it.
         """
         if isinstance(node, int):
-            return self.sys.periodic_image(self.sys.s_word[node:], "S" * D_LOOKAHEAD)
-        outcomes = {self.sys.sqrt_step(node, names) for names in _TAILS}
+            return self.sys.periodic_image("S", node, "S" * D_LOOKAHEAD)
+        outcomes = {self.sys.sqrt_step(*node, names) for names in _TAILS}
         if len(outcomes) != 1:
             raise AssertionError(f"the square root step of the remainder {node!r} depends on the block names")
         return outcomes.pop()[1]
 
-    def _depth_of(self, node: str | int) -> int:
+    def _depth_of(self, node: _Node) -> int:
         """Steps from ``node`` to ``S^omega`` or ``L^omega``, memoized."""
-        path: dict[str | int, None] = {}
+        path: dict[_Node, None] = {}
         while node not in self._depth:
             if node in path:
                 raise AssertionError("orbit cycled; contradicts the finite-time theorem")
@@ -160,25 +162,25 @@ class OrbitEngine:
 
     # -- orbits of shifted products --------------------------------------------
 
-    def steps_to_fixed(
-        self, shift: int, first: str, fetch: Callable[[int], str], cap: int = 40
-    ) -> int | None:
-        """Least ``m`` with the m-th square root equal to ``S^omega`` or ``L^omega``.
+    def steps_to_fixed(self, shift: int, first: str, fetch: Callable[[int], str]) -> int | None:
+        """Least ``m`` with the m-th square root equal to ``S^omega`` or
+        ``L^omega``, or None past :data:`FORWARD_CAP` steps.
 
         ``fetch(i)`` names the i-th block (i >= 1) of the unshifted product;
         ``first`` names block 0, of which the start word keeps the last
-        ``|S| - shift`` letters.  Returns None if ``cap`` is exceeded.
+        ``|S| - shift`` letters.  Periodicity is seen only in a type-D
+        image, so when a type B or C image is already ``S^omega`` or
+        ``L^omega`` (the tail is eventually constant) it counts one more.
         """
         if not 0 < shift < self.n:
             raise ValueError("start word must be a properly shifted product")
-        y = self.sys.sigma(first)[shift:]
         stride, base = 1, 0  # block t of the current word is block t*stride + base
-        for steps in range(1, cap + 2):
+        for steps in range(1, FORWARD_CAP + 2):
             names = "".join(fetch(t * stride + base) for t in range(1, D_LOOKAHEAD + 1))
-            kind, out = self.sys.sqrt_step(y, names)
+            kind, out = self.sys.sqrt_step(first, shift, names)
             if kind == TYPE_D:
                 return steps + self.rotation_phase(out)
-            y = out
+            first, shift = out
             if kind == TYPE_B:
                 base -= stride
             stride *= 2
@@ -186,15 +188,16 @@ class OrbitEngine:
 
     def start(self) -> tuple[int, str]:
         """A properly shifted start ``(shift, first)`` attaining
-        :meth:`steps_supremum`, whatever the names of the other blocks."""
+        :meth:`steps_supremum` under every tail of names, exactly unless the
+        tail is eventually constant (then it may count one more)."""
         starts = [(shift, first) for shift in range(1, self.n) for first in "SL"]
-        return max(starts, key=lambda s: self._depth_of(self.sys.sigma(s[1])[s[0]:]))
+        return max(starts, key=lambda s: self._depth_of((s[1], s[0])))
 
     def steps_supremum(self) -> int:
         """Exact maximum of :meth:`steps_to_fixed` over every properly
         shifted product: the largest depth of a start's remainder."""
         shift, first = self.start()
-        return self._depth_of(self.sys.sigma(first)[shift:])
+        return self._depth_of((first, shift))
 
 
 # ---------------------------------------------------------------------------
@@ -273,19 +276,9 @@ class Table1Row:
     start: tuple[int, str]  # (shift, first) of a start attaining ``steps``
 
 
-def _fibonacci_index(s_len: int) -> int:
-    k, q_prev, q = 1, 1, 2
-    while q < s_len:
-        q_prev, q = q, q + q_prev
-        k += 1
-    if q != s_len:
-        raise ValueError(f"{s_len} is not a Fibonacci standard word length")
-    return k
-
-
 def fibonacci_system(s_len: int) -> OmegaSystem:
     """System with the reversed Fibonacci word of length ``s_len`` as block word."""
-    return OmegaSystem(OmegaParams(a=1, b=0, c=1, k=_fibonacci_index(s_len)))
+    return OmegaSystem(OmegaParams(a=1, b=0, c=1, k=len(fibonacci_numbers(s_len)) - 2))
 
 
 def table1_experiment(s_lengths: Iterable[int]) -> list[Table1Row]:
@@ -344,11 +337,9 @@ class PreimageIndex:
     whose roots diverge later are pruned because the divergence of a variant
     at scale ``resolution`` shows up within a small multiple of it.
 
-    The ``|S|`` shifts of a window are tokenized by one greedy walk: the
-    greedy factorizations from two offsets coincide from the first position
-    both reach, so each position is matched at most once and the roots after
-    it are shared.  A preimage keeps its first witness, in sorted window
-    order and then by ascending shift.
+    The ``|S|`` shifts of a window share one greedy walk (:func:`_shift_roots`).
+    A preimage keeps its first witness, in sorted window order and then by
+    ascending shift.
     """
 
     def __init__(self, sys: OmegaSystem):
@@ -379,9 +370,11 @@ def _shift_roots(alph: squares.SquareAlphabet, text: str, shifts: int, need: int
     ``text[ell:]``, for each ``ell < shifts``.
 
     A factorization may stop before the end of ``text`` (the tail can end
-    mid-square), but must give ``need`` root letters.  ``reached`` maps each
-    position matched so far to the roots of the walk that matched it and
-    their length before it; a later walk stops there and shares the rest.
+    mid-square), but must give ``need`` root letters.  The factorizations
+    from two offsets coincide from the first position both reach, so
+    ``reached`` maps each position matched so far to the roots of the walk
+    that matched it and their length before it; a later walk stops there
+    and shares the rest.
     """
     match = squares.square_matcher(alph)
     reached: dict[int, tuple[str, int]] = {}
@@ -563,13 +556,9 @@ def preimage_chain(
     ``letter_verify_cap`` letters of ``v_n`` (every link when the cap is
     None) the letter route retokenizes ``sigma`` of the names of ``v_n`` and
     compares its root with ``sigma`` of the names of ``u_n``.  Above the cap
-    no letter is built: the name route checks the four block-pair
-    identities ``sqrt(xy) == x`` for ``x, y`` in ``{S, L}`` once per chain,
-    and that every other name of ``v_n``, read as strided slices of the
-    block, spells the names of ``u_n``: the greedy factorization of a
-    concatenation of square products is the concatenation of their
-    factorizations, so ``sqrt(v_n)`` is ``sigma`` of the even-indexed names
-    of ``v_n``.
+    no letter is built: the name route checks :func:`_block_pairs_halve`
+    once per chain, and that the even-indexed names of ``v_n``, read as
+    strided slices of the block, spell the names of ``u_n``.
     """
     m = 2 * sys.params.c + 1
     tower = AlignmentTower(sys, names, block_budget)
@@ -612,7 +601,12 @@ def preimage_chain(
 
 
 def _block_pairs_halve(sys: OmegaSystem) -> bool:
-    """Whether the square root of each product of two blocks is its first block."""
+    """Whether ``sqrt(xy) = x`` for the four block pairs.
+
+    If so, ``sqrt(sigma(x0 x1 x2 ...)) = sigma(x0 x2 x4 ...)`` for every
+    name sequence: the greedy factorization of a concatenation of square
+    products is the concatenation of their factorizations.
+    """
     return all(
         squares.sqrt_finite(sys.alphabet, x + y) == x
         for x in (sys.s_word, sys.l_word)
@@ -631,28 +625,30 @@ class PeriodicCandidate:
     reason: str          # the return time or the refutation witness
 
 
-GAMMA_DEPTH = 20_000  # letters of each aperiodic fixed point checked against its root
-
-
 def periodic_point_search(sys: OmegaSystem, max_blocks: int = 8, cap: int = 16) -> list[PeriodicCandidate]:
     """Refutation search for periodic points among cyclic block products.
 
-    Every block pattern of length up to ``max_blocks`` is extended
-    periodically and tested for an exact return of the square root iteration
-    (block decimation is exact on these words).  Returning candidates are then
-    screened for membership: an ultimately periodic word belongs to the
-    subshift only if it is a shift of ``S^omega``, which
-    :meth:`OmegaSystem.rotation_index` decides exactly.  The two fixed points
-    are appended as named candidates and checked on ``GAMMA_DEPTH`` letters.
+    The root of a block product is ``sigma`` of its even-indexed names
+    (:func:`_block_pairs_halve`, checked).  Each block pattern of up to
+    ``max_blocks`` names, repeated, is tested for a return of this
+    decimation; a returning word is in the subshift
+    only if :meth:`OmegaSystem.rotation_index` finds a shift of ``S^omega``.
+    ``Gamma1`` and ``Gamma2`` are fixed: with ``m = 2c + 1``, ``Gamma*[qm +
+    r] = tau(Gamma'*[q])[r]`` (tau swaps the two fixed points of tau^2), so
+    if ``tau(a)[2r % m] == tau(b)[r]`` for all ``a, b`` and ``0 < r < m``
+    (checked), ``Gamma*[2i] = Gamma*[i]`` by induction on ``i`` (for ``r =
+    0`` it holds at ``q < i``).
     """
+    if not _block_pairs_halve(sys):
+        raise AssertionError("a block pair does not halve; block decimation is not exact")
     results: list[PeriodicCandidate] = []
     n = sys.block_len
     seen_words: set[str] = set()
-    for m in range(1, max_blocks + 1):
-        for bits in itertools.product("SL", repeat=m):
+    for size in range(1, max_blocks + 1):
+        for bits in itertools.product("SL", repeat=size):
             pattern = "".join(bits)
             ret = next((steps for steps in range(1, cap + 1)
-                        if all(pattern[(t << steps) % m] == pattern[t] for t in range(m))), None)
+                        if all(pattern[(t << steps) % size] == pattern[t] for t in range(size))), None)
             label = f"({pattern})^w"
             if ret is None:
                 reason = f"no block-level return within {cap} steps"
@@ -674,12 +670,11 @@ def periodic_point_search(sys: OmegaSystem, max_blocks: int = 8, cap: int = 16) 
             else:
                 name = "S^w" if j == 0 else "L^w" if word == sys.l_word * (len(word) // n) else f"T^{j}(S^w)"
                 results.append(PeriodicCandidate(name, "periodic_point", f"return after {ret} step(s)"))
-    for which in (1, 2):
-        image = streams.sqrt_stream(sys.alphabet, sys.big_gamma(which))
-        ok = sys.big_gamma(which).prefix(GAMMA_DEPTH) == image.prefix(GAMMA_DEPTH)
-        results.append(PeriodicCandidate(f"Gamma{which}", "periodic_point" if ok else "refuted",
-                                         f"fixed to depth {GAMMA_DEPTH}" if ok else "prefix diverged"))
-    return results
+    m, images = 2 * sys.params.c + 1, (sys.tau_block(1), sys.tau_block(1, bar=True))
+    if any(a[2 * r % m] != b[r] for a in images for b in images for r in range(1, m)):
+        raise AssertionError("tau(a)[2r % m] != tau(b)[r]; Gamma*[2i] = Gamma*[i] is not proved")
+    return results + [PeriodicCandidate(f"Gamma{which}", "periodic_point", "Gamma*[2i] = Gamma*[i]")
+                      for which in (1, 2)]
 
 
 _ORD2_CACHE: dict[int, int] = {}

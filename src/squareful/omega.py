@@ -48,8 +48,8 @@ class OmegaParams:
     ``a``, ``b`` fix the six minimal squares, ``c`` the block substitution,
     ``k`` the index of the reversed standard word used as seed, and ``seed``
     whether the block ``S`` maps to the reversed standard word itself or to
-    its swapped companion.  The slope is ``[0; a+1, b+1, tail...]`` with the
-    tail defaulting to all ones; only the first ``k`` quotients ever matter.
+    its swapped companion.  The slope is ``[0; a+1, b+1, 1, 1, ...]``; only
+    the first ``k`` quotients ever matter.
     """
 
     a: int = 1
@@ -57,7 +57,6 @@ class OmegaParams:
     c: int = 1
     k: int = 4
     seed: str = PLAIN
-    tail: tuple[int, ...] = ()
 
     def __post_init__(self):
         if self.a < 1 or self.b < 0 or self.c < 1:
@@ -66,15 +65,10 @@ class OmegaParams:
             raise ValueError(f"seed must be {PLAIN!r} or {SWAPPED!r}")
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if any(t < 1 for t in self.tail):
-            raise ValueError("tail quotients must be >= 1")
 
     def directive(self, upto: int) -> tuple[int, ...]:
         """Directive sequence (d_1, d_2, ...) for the standard word recurrence."""
-        base = (self.a, self.b + 1) + self.tail
-        if len(base) < upto:
-            base = base + (1,) * (upto - len(base))
-        return base[:upto]
+        return ((self.a, self.b + 1) + (1,) * upto)[:upto]
 
 
 def tau(c: int, blockword: str) -> str:
@@ -87,7 +81,7 @@ def tau(c: int, blockword: str) -> str:
 class OmegaSystem:
     """Derived data and operations for one parameter choice.
 
-    Caches the gamma tower and the tau fixed points; instances are cheap to
+    Caches the tau tower and the tau fixed points; instances are cheap to
     share, but the lazy sources they hand out follow the single-consumer rule
     of :mod:`squareful.streams`.
     """
@@ -107,10 +101,9 @@ class OmegaSystem:
         self._sigma_table = {ord("S"): self.s_word, ord("L"): self.l_word}
         self._gamma_blocks: dict[int, str] = {0: "S"}
         self._gamma_bar_blocks: dict[int, str] = {0: "L"}
-        self._gamma_letters: dict[tuple[int, bool], str] = {}
         self._gamma_star: dict[int, InfiniteWord] = {}
-        self._pi_roots: dict[str, str | None] = {}
-        self._periodic_images: dict[tuple[str, str], int] = {}
+        self._block_roots: dict[tuple[str, int, str], tuple[str, int] | None] = {}
+        self._periodic_images: dict[tuple[str, int, str], int] = {}
 
     # -- basic words ---------------------------------------------------------
 
@@ -178,16 +171,10 @@ class OmegaSystem:
         return sorted(found)
 
     def gamma(self, j: int) -> str:
-        key = (j, False)
-        if key not in self._gamma_letters:
-            self._gamma_letters[key] = self.sigma(self.tau_block(j))
-        return self._gamma_letters[key]
+        return self.sigma(self.tau_block(j))
 
     def gamma_bar(self, j: int) -> str:
-        key = (j, True)
-        if key not in self._gamma_letters:
-            self._gamma_letters[key] = self.sigma(self.tau_block(j, bar=True))
-        return self._gamma_letters[key]
+        return self.sigma(self.tau_block(j, bar=True))
 
     # -- infinite words ------------------------------------------------------
 
@@ -229,61 +216,67 @@ class OmegaSystem:
 
     # -- the square root step --------------------------------------------------
 
-    def _root_if_pi(self, z: str) -> str | None:
-        if z not in self._pi_roots:
-            roots, failure = squares.factor_minimal_squares(self.alphabet, z)
-            self._pi_roots[z] = "".join(roots) if failure is None else None
-        return self._pi_roots[z]
+    def _block_root(self, f: str, shift: int, names: str) -> tuple[str, int] | None:
+        """The root of the remainder ``(f, shift)`` and the blocks ``names``,
+        as a remainder, or None if that is not a square product."""
+        key = (f, shift, names)
+        if key not in self._block_roots:
+            text = self.sigma(f)[shift:] + self.sigma(names)
+            roots, failure = squares.factor_minimal_squares(self.alphabet, text)
+            root, found = "".join(roots), None
+            if failure is None:
+                head = "S" if self.s_word.endswith(root) else "L"
+                if not self.sigma(head).endswith(root):
+                    raise AssertionError("the root of a block suffix is a block suffix")
+                found = head, self.block_len - len(root)
+            self._block_roots[key] = found
+        return self._block_roots[key]
 
-    def periodic_image(self, y: str, names: str) -> int:
+    def periodic_image(self, first: str, shift: int, names: str) -> int:
         """Rotation index ``j`` of the periodic square root ``T^j(S^omega)`` of
-        ``y . B1 B2 ...``, read off its first ``|S|`` letters.
-
-        ``names`` names the blocks after ``y``; at least :data:`D_LOOKAHEAD`
-        must be given.  The image is read from the first ``2|S| + |S6^2|``
-        letters, which reach at most those four blocks: the memo is keyed on
-        ``y`` and the names of the blocks reached.
-        """
+        the remainder ``(first, shift)`` and the blocks ``names`` (at least
+        :data:`D_LOOKAHEAD`), read off its first ``|S|`` letters; the memo
+        keys on the names that the ``2|S| + |S6^2|`` letters read reach."""
         if len(names) < D_LOOKAHEAD:
             raise ValueError(f"need {D_LOOKAHEAD} block names, got {names!r}")
-        read = 2 * self.block_len + self.alphabet.max_square_len
-        key = (y, names[: -(-(read - len(y)) // self.block_len)])
+        n, read = self.block_len, 2 * self.block_len + self.alphabet.max_square_len
+        key = (first if shift < 2 else "S", shift, names[: -(-(read - n + shift) // n)])
         j = self._periodic_images.get(key)
         if j is None:
-            text = (y + self.sigma(key[1]))[:read]
+            text = (self.sigma(key[0])[shift:] + self.sigma(key[2]))[:read]
             roots, _ = squares.factor_minimal_squares(self.alphabet, text)
             # the tail may stop mid-square; only |S| root letters are needed
-            image = "".join(roots)[: self.block_len]
+            image = "".join(roots)[:n]
             j = self.conjugate_index(image)
             if j is None:
                 raise AssertionError(f"periodic image {image!r} is not a rotation of the block word")
             self._periodic_images[key] = j
         return j
 
-    def sqrt_step(self, y: str, names: str) -> tuple[str, str | int]:
-        """One square root step on the shifted product ``y . B1 B2 B3 ...``.
+    def sqrt_step(self, first: str, shift: int, names: str) -> tuple[str, tuple[str, int] | int]:
+        """One square root step on the remainder ``(first, shift)``, the last
+        ``|S| - shift`` letters of block ``first``, and the blocks ``names``
+        (type C reads the first, type D the first :data:`D_LOOKAHEAD`).
 
-        ``y`` is the nonempty remainder of a partially consumed block and
-        ``names`` names the blocks after it (type C reads the first, type D
-        the first :data:`D_LOOKAHEAD`).  Returns ``(TYPE_B, sqrt(y))`` when
-        ``y`` is a product of minimal squares, ``(TYPE_C, sqrt(y . B1))`` when
-        ``y . B1`` is, and otherwise ``(TYPE_D, j)``: the square root is the
-        periodic word ``T^j(S^omega)``.  Memoized.
+        Returns ``(TYPE_B, root)`` when the remainder is a product of minimal
+        squares, ``(TYPE_C, root)`` when it is with the first block, the root
+        being a remainder ``(head, shift')``, and otherwise ``(TYPE_D, j)``:
+        the square root is ``T^j(S^omega)``.  S and L differ only in their
+        first two letters, so the memos key a shift >= 2 on ``"S"``.
         """
-        if not y:
-            raise ValueError("an empty remainder is a type A product")
-        root = self._root_if_pi(y)
-        if root is not None:
-            return TYPE_B, root
-        root = self._root_if_pi(y + self.sigma(names[0]))
-        if root is not None:
-            return TYPE_C, root
-        return TYPE_D, self.periodic_image(y, names)
+        if not 0 < shift < self.block_len:
+            raise ValueError("shift must lie in [1, |S|)")
+        f = first if shift < 2 else "S"
+        for kind, read in ((TYPE_B, ""), (TYPE_C, names[0])):
+            root = self._block_root(f, shift, read)
+            if root is not None:
+                return kind, root
+        return TYPE_D, self.periodic_image(first, shift, names)
 
-    def _product_step(self, prod: SLProduct) -> tuple[str, str | int | None]:
+    def _product_step(self, prod: SLProduct) -> tuple[str, tuple[str, int] | int | None]:
         if prod.shift == 0:
             return TYPE_A, None
-        return self.sqrt_step(prod.block(0)[prod.shift :], prod.blocks.window(1, 1 + D_LOOKAHEAD))
+        return self.sqrt_step(prod.blocks.letter(0), prod.shift, prod.blocks.window(1, 1 + D_LOOKAHEAD))
 
     # -- type classification and square roots --------------------------------
 
@@ -298,14 +291,6 @@ class OmegaSystem:
             return kind, (1 if kind == TYPE_B else 2) * self.block_len - prod.shift
         return kind, 0
 
-    def _synthetic_block(self, suffix: str) -> str | None:
-        """A block name whose word ends with ``suffix``, if any."""
-        if self.s_word.endswith(suffix):
-            return "S"
-        if self.l_word.endswith(suffix):
-            return "L"
-        return None
-
     def sqrt_of_product(self, prod: SLProduct) -> tuple[InfiniteWord, str]:
         """Square root of a shifted product, with its structural outcome.
 
@@ -314,22 +299,18 @@ class OmegaSystem:
         stream on ``3|S|`` letters (it raises and decides nothing).
         """
         kind, result = self._product_step(prod)
-        n = self.block_len
         descriptor = f"sqrt-blocks[{prod.blocks.descriptor}]"
         if kind == TYPE_A:
             out_blocks = streams.decimate(prod.blocks, 0, "", descriptor)
             return streams.expand(self.product(out_blocks)), PRODUCT_FORM
         if kind == TYPE_D:
-            word = self.omega_p_word(result)
+            word, n = self.omega_p_word(result), self.block_len
             if streams.sqrt_stream(self.alphabet, streams.expand(prod)).prefix(3 * n) != word.prefix(3 * n):
                 raise AssertionError(f"type D image is not T^{result}(S^w)")
             return word, PERIODIC
-        head = self._synthetic_block(result)
-        if head is None:
-            # the root is not a block suffix; fall back to the raw stream
-            return streams.sqrt_stream(self.alphabet, streams.expand(prod)), PRODUCT_FORM
+        head, shift = result
         out_blocks = streams.decimate(prod.blocks, 1 if kind == TYPE_B else 2, head, descriptor)
-        return streams.expand(self.product(out_blocks, n - len(result))), PRODUCT_FORM
+        return streams.expand(self.product(out_blocks, shift)), PRODUCT_FORM
 
     # -- membership helpers ---------------------------------------------------
 

@@ -204,9 +204,14 @@ class _ShiftedWord(InfiniteWord):
         self.ensure(stop)
         return self._src.window(self._j + start, self._j + stop)
 
+    def period(self) -> tuple[int, int] | None:
+        known = self._src.period()
+        return known and (max(0, known[0] - self._j), known[1])
+
 
 def shift(src: InfiniteWord, j: int) -> InfiniteWord:
-    """The shifted word ``T^j(src)``, sharing the underlying memo."""
+    """The shifted word ``T^j(src)``, sharing the underlying memo; period
+    ``p`` from ``start`` gives ``p`` from ``max(0, start - j)``."""
     if j < 0:
         raise ValueError("shift must be >= 0")
     return _ShiftedWord(src, j) if j else src
@@ -321,10 +326,6 @@ class SLProduct:
             raise ValueError(f"shift must lie in [0, {len(self.s_word)})")
         if len(self.s_word) != len(self.l_word):
             raise ValueError("block words must have equal length")
-
-    def block(self, t: int) -> str:
-        """The ``t``-th block as a concrete word."""
-        return self.s_word if self.blocks.letter(t) == "S" else self.l_word
 
     def descriptor(self) -> str:
         return f"T^{self.shift}[{self.blocks.descriptor}]"

@@ -36,21 +36,27 @@ def test_criterion_01_table1_reproduction():
     got = [r.steps for r in rows]
     want = [dynamics.TABLE1_REFERENCE[s] for s in lengths]
     # independent of the walk: each row's start, replayed forward on a
-    # fresh system with every other block named S or at random, attains the
-    # value, and seeded random starts never exceed it; up to |S| = 233 every
-    # rotation's phase equals intercept iteration and stays within its bound
+    # fresh system with the other blocks named by Gamma1* or at random,
+    # attains the value, and so does iterate_sqrt on the Gamma1*-tail word;
+    # seeded random starts never exceed it; up to |S| = 233 every rotation's
+    # phase equals intercept iteration and stays within its bound
     rng = random.Random(2018)
     replayed, random_max, phases_ok = [], [], True
     for row in rows:
         engine = OrbitEngine(dynamics.fibonacci_system(row.s_len))
+        sys = engine.sys
         if row.s_len <= 233:
-            phases, bound = dynamics.intercept_phases(engine.sys)
+            phases, bound = dynamics.intercept_phases(sys)
             phases_ok &= max(phases) <= bound
             phases_ok &= phases == [engine.rotation_phase(j) for j in range(row.s_len)]
         fill = [rng.choice("SL") for _ in range(4096)]
-        all_s = engine.steps_to_fixed(*row.start, lambda i: "S")
-        at_random = engine.steps_to_fixed(*row.start, lambda i: fill[i % 4096])
-        replayed.append(all_s if all_s == at_random else None)
+        shift, first = row.start
+        star = sys.gamma_star(1)
+        blocks = streams.from_function(lambda i: first if i == 0 else star.letter(i - 1), "start")
+        on_gamma = engine.steps_to_fixed(shift, first, lambda i: star.letter(i - 1))
+        orbit = dynamics.iterate_sqrt(sys, streams.expand(sys.product(blocks, shift)), row.steps)
+        at_random = engine.steps_to_fixed(shift, first, lambda i: fill[i % 4096])
+        replayed.append(on_gamma if on_gamma == orbit.n_fixed == at_random else None)
         worst = 0
         for _ in range(50):
             seq = [rng.choice("SL") for _ in range(4096)]

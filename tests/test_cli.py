@@ -192,6 +192,7 @@ def test_readme_example_output_is_unchanged(capsys, case):
     (["preimages", "2" * 128], 2),
     (["preimages", "01" * 63], 2),
     (["orbit", "--word", "gamma1", "--shift", "3"], 2),
+    (["factorize", "0101", "--format", "csv"], 2),
 ])
 def test_errors_exit_with_one_line(capsys, argv, code):
     # usage errors exit 2, a non-squareful input exits 1; never a traceback

@@ -82,6 +82,35 @@ class TestOrbitEngine:
             eng = OrbitEngine(dynamics.fibonacci_system(s_len))
             assert eng.steps_supremum() == dynamics.TABLE1_REFERENCE[s_len]
 
+    @pytest.mark.parametrize("params", [OmegaParams(), OmegaParams(k=7), OmegaParams(a=2, b=1, c=2, k=5)])
+    def test_constant_tail_reads_the_phase_or_one_more(self, params):
+        # T^j(S^w) as a product with every block S: the forward count sees
+        # periodicity only as a type-D image, so when a type B or C image is
+        # already S^w or L^w it counts one step more than the exact phase
+        sys = OmegaSystem(params)
+        engine = OrbitEngine(sys)
+        over = []
+        for j in range(1, sys.block_len):
+            phase = engine.rotation_phase(j)
+            assert dynamics.iterate_sqrt(sys, shift(sys.s_omega(), j), phase).n_fixed == phase
+            over.append(engine.steps_to_fixed(j, "S", lambda i: "S") - phase)
+        assert set(over) == {0, 1}
+
+    def test_walk_keeps_block_coordinates(self):
+        # the memos hold remainders as (first, shift), not as letters
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            engine = OrbitEngine(dynamics.fibonacci_system(610))
+            assert engine.steps_supremum() == dynamics.TABLE1_REFERENCE[610]
+            kept = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert kept < 2**20, kept
+
     def test_rejects_unshifted(self, engine):
         with pytest.raises(ValueError):
             engine.steps_to_fixed(0, "S", lambda i: "S")
@@ -162,27 +191,35 @@ class TestTable1:
         rows = dynamics.table1_experiment([8, 13])
         assert [r.steps for r in rows] == [3, 4]
 
-    @pytest.mark.parametrize("free", ["S", "L"])
-    def test_witness_replays_to_the_supremum(self, free):
-        # the row's start attains the value whatever the other blocks are named
-        rng = random.Random(free)
+    @pytest.mark.parametrize("lead", ["S", "L"])
+    def test_witness_replays_to_the_supremum(self, lead):
+        # the row's start attains the value with the other blocks named by
+        # the Gamma* that starts with ``lead`` (and so does iterate_sqrt on
+        # that word) or at random; an all-S tail may read one more
+        rng = random.Random(lead)
         for row in dynamics.table1_experiment([8, 13, 21]):
             engine = OrbitEngine(dynamics.fibonacci_system(row.s_len))
+            (shift_letters, first), sys = row.start, engine.sys
+            star = sys.gamma_star("SL".index(lead) + 1)
+            blocks = streams.from_function(lambda i: first if i == 0 else star.letter(i - 1), "w")
+            orbit = dynamics.iterate_sqrt(sys, expand(sys.product(blocks, shift_letters)), row.steps)
             fill = [rng.choice("SL") for _ in range(256)]
-            assert engine.steps_to_fixed(*row.start, lambda i: free) == row.steps
+            assert engine.steps_to_fixed(*row.start, lambda i: star.letter(i - 1)) == row.steps
+            assert orbit.n_fixed == row.steps
             assert engine.steps_to_fixed(*row.start, lambda i: fill[i % 256]) == row.steps
 
 
 class TestNameFreeStep:
     def test_name_dependent_step_is_refused(self, monkeypatch):
         sys = OmegaSystem(OmegaParams())
-        shift, first = OrbitEngine(sys).start()
-        target = sys.sigma(first)[shift:]
+        shift_letters, first = OrbitEngine(sys).start()
         step = sys.sqrt_step
 
-        def tampered(y, names):
+        def tampered(head, cut, names):
             # the start's remainder now leads straight to S^w after an L block
-            return (TYPE_D, 0) if y == target and names[0] == "L" else step(y, names)
+            if (head, cut) == (first, shift_letters) and names[0] == "L":
+                return TYPE_D, 0
+            return step(head, cut, names)
 
         monkeypatch.setattr(sys, "sqrt_step", tampered)
         with pytest.raises(AssertionError, match="depends on the block names"):
@@ -195,9 +232,9 @@ class TestNameFreeStep:
             sys = dynamics.fibonacci_system(s_len)
             step, calls = sys.sqrt_step, {}
 
-            def counted(y, names):
-                calls.setdefault(y, []).append(names)
-                return step(y, names)
+            def counted(first, shift_letters, names):
+                calls.setdefault((first, shift_letters), []).append(names)
+                return step(first, shift_letters, names)
 
             monkeypatch.setattr(sys, "sqrt_step", counted)
             assert OrbitEngine(sys).steps_supremum() == dynamics.TABLE1_REFERENCE[s_len]

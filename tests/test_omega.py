@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 
@@ -5,7 +6,7 @@ import pytest
 
 from squareful import streams, words
 from squareful.dynamics import AlignmentTower, OrbitEngine, fibonacci_system
-from squareful.omega import PERIODIC, SWAPPED, OmegaParams, OmegaSystem, tau
+from squareful.omega import PERIODIC, PLAIN, SWAPPED, OmegaParams, OmegaSystem, tau
 from squareful.squares import in_pi, sqrt_finite, square_matcher
 from squareful.streams import expand, periodic_word, shift, sl_cycle
 
@@ -46,14 +47,6 @@ class TestParams:
             OmegaParams(a=0)
         with pytest.raises(ValueError):
             OmegaParams(seed="other")
-
-    def test_slope_tail_beyond_k_is_never_consulted(self):
-        # only the first k quotients shape the block word, so everything
-        # downstream is independent of the continued fraction tail
-        a = OmegaSystem(OmegaParams(k=4))
-        b = OmegaSystem(OmegaParams(k=4, tail=(1, 1, 9, 9)))
-        assert a.s_word == b.s_word
-        assert a.slope().value() == b.slope().value()
 
 
 class TestGammaTower:
@@ -286,7 +279,7 @@ class TestSqrtStepAgainstLetters:
         sys = OmegaSystem(OmegaParams(*abck))
         n = sys.block_len
         for shift, names in self.starts(sys):
-            kind, _ = sys.sqrt_step(sys.sigma(names[0])[shift:], names[1:])
+            kind, _ = sys.sqrt_step(names[0], shift, names[1:])
             text = expand(streams.SLProduct(periodic_word(names), shift, sys.s_word, sys.l_word)).prefix(2 * n)
             want = ("B" if in_pi(sys.alphabet, text[: n - shift])
                     else "C" if in_pi(sys.alphabet, text[: 2 * n - shift]) else "D")
@@ -311,6 +304,24 @@ class TestSqrtStepAgainstLetters:
                     word = sys.omega_p_word(rotation)
                 assert word.prefix(3 * n) == raw.prefix(3 * n)
             assert rotation in (0, engine.l_index)
+
+
+class TestBlockCoordinates:
+    def test_roots_of_block_suffixes_are_block_suffixes(self):
+        # for every remainder (first, shift) and next block, the B/C root
+        # coordinates from sqrt_step spell the root of the letters
+        grid = [OmegaParams(a, b, c, k, seed) for a in (1, 2, 3) for b in (0, 1) for c in (1, 2)
+                for k in (4, 6) for seed in (PLAIN, SWAPPED)]
+        kinds = set()
+        for params in grid:
+            sys = OmegaSystem(params)
+            for first, nxt, cut in itertools.product("SL", "SL", range(1, sys.block_len)):
+                kind, out = sys.sqrt_step(first, cut, nxt * 4)
+                kinds.add(kind)
+                if kind != "D":
+                    y = sys.sigma(first)[cut:] + (sys.sigma(nxt) if kind == "C" else "")
+                    assert sys.sigma(out[0])[out[1] :] == sqrt_finite(sys.alphabet, y), params
+        assert kinds == {"B", "C", "D"}
 
 
 class TestSynchronization:

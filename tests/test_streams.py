@@ -5,7 +5,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from squareful import streams
+from squareful import dynamics, streams
 from squareful.omega import OmegaParams, OmegaSystem
 from squareful.squares import build_alphabet, factor_minimal_squares, sqrt_finite
 from squareful.streams import (
@@ -297,9 +297,21 @@ class TestSqrtStream:
 
 class TestPeriod:
     def test_unknown_is_none(self, sys):
-        for word in (sys.big_gamma(1), shift(sys.s_omega(), 3), sqrt_stream(ALPH, sys.big_gamma(2)),
+        for word in (sys.big_gamma(1), shift(sys.big_gamma(1), 3), sqrt_stream(ALPH, sys.big_gamma(2)),
                      decimate(sys.gamma_star(1), 0, "", "d")):
             assert word.period() is None
+
+    def test_shift_keeps_the_period(self, sys):
+        # T^3(S^w) is L^w: its orbit is periodic and fixed from step 0
+        word = shift(sys.s_omega(), 3)
+        assert word.period() == (0, 8) and sys.rotation_index(word) == 3
+        record = dynamics.iterate_sqrt(sys, word, 3)
+        assert record.n_fixed == 0 and {s.outcome for s in record.steps} == {"periodic"}
+        # a period from a later start moves back by the shift, down to 0
+        blocks = decimate(periodic_word("SSL"), 0, "LL", "d")
+        assert blocks.period() == (2, 3)
+        assert [shift(blocks, j).period() for j in (1, 2, 5)] == [(1, 3), (0, 3), (0, 3)]
+        assert shift(blocks, 1).prefix(12) == blocks.prefix(13)[1:]
 
     def test_sqrt_cubed_of_section3_word(self, sys):
         word = expand(sl_cycle("S", sys.s_word, sys.l_word, 4))
@@ -361,6 +373,5 @@ class TestSLProduct:
 
     def test_block_words(self, sys):
         prod = sl_cycle("SL", sys.s_word, sys.l_word)
-        assert prod.block(0) == sys.s_word
-        assert prod.block(1) == sys.l_word
-        assert prod.block(2) == sys.s_word
+        assert prod.blocks.prefix(3) == "SLS"
+        assert expand(prod).prefix(24) == sys.s_word + sys.l_word + sys.s_word
