@@ -206,7 +206,7 @@ def cmd_table1(ns) -> int:
 
 
 def cmd_table2(ns) -> int:
-    rows = [(s_len, dynamics.format_estimate(dynamics.fibonacci_estimate(s_len)),
+    rows = [(s_len, dynamics.fibonacci_estimate(s_len),
              dynamics.TABLE2_REFERENCE.get(s_len)) for s_len in _parse_fib(ns.fib)]
     return _reproduce(ns, rows, ["s_len", "estimate", "reference", "verdict"],
                       "|S| = {:5d}  estimate = {}  reference = {}  {}")

@@ -33,9 +33,6 @@ from . import squares, streams, words
 from .omega import D_LOOKAHEAD, PERIODIC, TYPE_B, TYPE_D, OmegaParams, OmegaSystem
 from .streams import BlockWord, InfiniteWord
 
-GOLDEN = (1 + math.sqrt(5)) / 2
-
-
 # ---------------------------------------------------------------------------
 # closed-form estimates and exact bounds
 
@@ -50,20 +47,25 @@ def fibonacci_numbers(s_len: int) -> list[int]:
     return fibs
 
 
-def fibonacci_estimate(s_len: int) -> float:
+def fibonacci_estimate(s_len: int) -> str:
     """Closed-form estimate of the steps-to-fixed count for reversed Fibonacci
-    block words: ``log2((phi - 1) * (phi * F_k + F_{k-1}))`` with ``F_k = s_len``."""
-    *_, f_km1, f_k = fibonacci_numbers(s_len)
-    return math.log2((GOLDEN - 1) * (GOLDEN * f_k + f_km1))
-
-
-def format_estimate(value: float) -> str:
-    """Two decimals, truncated.
+    block words, ``log2((phi - 1)(phi F_k + F_{k-1}))`` with ``F_k = s_len``,
+    truncated to two decimals without a float: as ``(phi - 1) phi = 1``, the
+    digits are the largest ``d`` with ``2^(d+100) <= A + B sqrt5 = (2F_k -
+    F_{k-1} + F_{k-1} sqrt5)^100``, and ``A, B >= 0`` makes ``N <= A + B
+    sqrt5`` iff ``N <= A`` or ``(N - A)^2 <= 5 B^2``.
 
     Truncation gives 13 of the 15 values of the reference Table 2; at
     ``|S|`` = 1597 and 4181 it gives one hundredth less (rounding matches
     only 9 rows), so the table's rule is not known."""
-    return f"{math.floor(value * 100) / 100:.2f}"
+    *_, f_km1, f_k = fibonacci_numbers(s_len)
+    p, q, a, b = 2 * f_k - f_km1, f_km1, 1, 0
+    for _ in range(100):  # a + b sqrt5 times p + q sqrt5
+        a, b = a * p + 5 * b * q, a * q + b * p
+    e = (a + 2 * b).bit_length() - 1  # 2^e <= a + 2b < a + b sqrt5
+    while (n := 2 ** (e + 1) - a) <= 0 or n * n <= 5 * b * b:
+        e += 1
+    return f"{(e - 100) // 100}.{(e - 100) % 100:02d}"
 
 
 def intercept_phases(sys: OmegaSystem) -> tuple[list[int], int]:
@@ -195,7 +197,10 @@ class OrbitEngine:
 
     def steps_supremum(self) -> int:
         """Exact maximum of :meth:`steps_to_fixed` over every properly
-        shifted product: the largest depth of a start's remainder."""
+        shifted product: the largest depth of a start's remainder.
+
+        Conjecture, checked on Table 1 and on a parameter grid but not
+        proved: it equals ``s_word.count("0").bit_length()``."""
         shift, first = self.start()
         return self._depth_of((first, shift))
 

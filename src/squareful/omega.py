@@ -81,9 +81,9 @@ def tau(c: int, blockword: str) -> str:
 class OmegaSystem:
     """Derived data and operations for one parameter choice.
 
-    Caches the tau tower and the tau fixed points; instances are cheap to
-    share, but the lazy sources they hand out follow the single-consumer rule
-    of :mod:`squareful.streams`.
+    Caches the tau tower, which the tau^2 fixed points are read off; instances
+    are cheap to share, but the lazy sources they hand out follow the
+    single-consumer rule of :mod:`squareful.streams`.
     """
 
     def __init__(self, params: OmegaParams):
@@ -179,13 +179,12 @@ class OmegaSystem:
     # -- infinite words ------------------------------------------------------
 
     def gamma_star(self, which: int) -> InfiniteWord:
-        """Block-name stream of the tau^2 fixed point (1 starts S..., 2 starts L...)."""
+        """Block names of the tau^2 fixed point (1 starts S..., 2 starts L...),
+        a view that keeps no names (:class:`_TauFixedPoint`)."""
         if which not in (1, 2):
             raise ValueError("which must be 1 or 2")
         if which not in self._gamma_star:
-            c = self.params.c
-            self._gamma_star[which] = streams.morphic_fixed_point(
-                "S" if which == 1 else "L", lambda w: tau(c, tau(c, w)), f"Gamma{which}*")
+            self._gamma_star[which] = _TauFixedPoint(self, which)
         return self._gamma_star[which]
 
     def product(self, blocks: InfiniteWord, shift: int = 0) -> SLProduct:
@@ -326,3 +325,44 @@ class OmegaSystem:
         (start, p), n = known, self.block_len
         text = src.prefix(start + p + n)
         return self.conjugate_index(text[:n]) if text[n:] == text[:-n] else None
+
+
+class _TauFixedPoint(InfiniteWord):
+    """The tau^2 fixed point ``x`` that starts with ``S`` (1) or ``L`` (2),
+    read off the cached tau tower with no memo.
+
+    Lemma: ``x = tau^2(x)`` gives ``x = tau^r(x)`` for every even ``r``, and
+    tau maps a name to ``m = 2c + 1`` names, so ``x[i m^r : (i+1) m^r] =
+    tau^r(x[i])``.  A window ``[a, b)`` takes the largest even ``r >= 2``
+    with ``m^(r+2) <= b - a`` (else 2), reads ``x[a // m^r : ceil(b / m^r)]``
+    the same way down to the seed ``x[0:1]``, and slices the join of their
+    ``tau^r`` blocks: O(b - a) work."""
+
+    def __init__(self, sys: OmegaSystem, which: int):
+        super().__init__((), f"Gamma{which}*")
+        self._sys, self._seed = sys, "S" if which == 1 else "L"
+
+    def ensure(self, n: int) -> None:
+        if n < 0:
+            raise ValueError("length must be >= 0")
+        self.max_queried = max(self.max_queried, n)
+
+    def prefix(self, n: int) -> str:
+        return self.window(0, n)
+
+    def window(self, start: int, stop: int) -> str:
+        if start < 0 or stop < start:
+            raise ValueError("bad window bounds")
+        self.ensure(stop)
+        return self._names(start, stop)
+
+    def _names(self, a: int, b: int) -> str:
+        if b <= 1:
+            return self._seed[a:b]
+        m, r = 2 * self._sys.params.c + 1, 2
+        while m ** (r + 4) <= b - a:
+            r += 2
+        size = m**r
+        lo, hi = a // size, -(-b // size)
+        text = "".join(self._sys.tau_block(r, bar=x == "L") for x in self._names(lo, hi))
+        return text[a - lo * size : b - lo * size]

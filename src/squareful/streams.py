@@ -5,7 +5,9 @@ monotone and memoized, so repeated ``prefix(n)`` calls agree and never redo
 work.  The square root, the block expansion and the decimation are
 demand-driven: they fill each request in one piece (the root in pieces of
 ``SQRT_PIECE`` input letters), so their memo holds a few long parts rather
-than one part per square or per block.  Failures inside lazy evaluation (a
+than one part per square or per block.  A view keeps no memo: ``shift``
+reads its source's, and the tau^2 fixed points of :mod:`squareful.omega`
+are read off the tau tower.  Failures inside lazy evaluation (a
 square tokenizer hitting a non-squareful stream) poison the source instead
 of escaping mid-iteration; orbit code can then report the offending
 position cleanly.
@@ -137,38 +139,6 @@ def periodic_word(period: str, descriptor: str | None = None) -> InfiniteWord:
     if not period:
         raise ValueError("period must be nonempty")
     return _PeriodicWord(period, descriptor or f"({period})^w")
-
-
-FIXED_POINT_PIECE = 1 << 14  # letters of a fixed point read back per image step
-
-
-def morphic_fixed_point(seed: str, image: Callable[[str], str], descriptor: str) -> InfiniteWord:
-    """The fixed point ``x = image(x)`` that starts with ``seed``.
-
-    ``image`` must be a non-erasing morphism (``image(uv) == image(u) +
-    image(v)``, no letter maps to the empty word) with ``image(seed)``
-    starting with ``seed`` and longer than it.  The stream yields ``seed``,
-    then ``image(seed)[len(seed):]``, then the images of fixed-size pieces of
-    the letters already produced, read back from the stream itself; it never
-    holds more than one image piece outside the memo.
-    """
-    head = image(seed)
-    if len(head) <= len(seed) or not head.startswith(seed):
-        raise ValueError("image(seed) must extend seed")
-
-    def gen():
-        yield seed
-        yield head[len(seed) :]
-        pos, have = len(seed), len(head)
-        while True:
-            # every letter read back is already in the memo: pos < have
-            stop = min(pos + FIXED_POINT_PIECE, have)
-            piece = image(word.window(pos, stop))
-            yield piece
-            pos, have = stop, have + len(piece)
-
-    word = InfiniteWord(gen(), descriptor)
-    return word
 
 
 def from_function(f: Callable[[int], str], descriptor: str, chunk: int = 256) -> InfiniteWord:

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 import tracemalloc
 
@@ -28,11 +30,20 @@ def section3_fetch(sys):
 class TestEstimates:
     def test_fibonacci_estimate_reference_values(self):
         for s_len, want in ((8, "3.47"), (13, "4.16"), (144, "7.63"), (6765, "13.19")):
-            assert dynamics.format_estimate(dynamics.fibonacci_estimate(s_len)) == want
+            assert dynamics.fibonacci_estimate(s_len) == want
 
     def test_format_truncates(self):
-        assert dynamics.format_estimate(4.1655) == "4.16"
-        assert dynamics.format_estimate(7.6367) == "7.63"
+        # the values are 4.1654... and 7.6366..., which round up
+        assert dynamics.fibonacci_estimate(13) == "4.16"
+        assert dynamics.fibonacci_estimate(144) == "7.63"
+        # the float formula, truncated, agrees wherever it is far from a digit
+        golden, fibs = (1 + math.sqrt(5)) / 2, [1, 2]
+        while fibs[-1] < 10**12:
+            fibs.append(fibs[-1] + fibs[-2])
+        for f_km1, f_k in zip(fibs, fibs[1:]):
+            value = 100 * math.log2((golden - 1) * (golden * f_k + f_km1))
+            if abs(value - round(value)) > 1e-6:
+                assert dynamics.fibonacci_estimate(f_k) == f"{math.floor(value) / 100:.2f}"
 
     def test_rejects_non_fibonacci(self):
         with pytest.raises(ValueError):
@@ -207,6 +218,21 @@ class TestTable1:
             assert engine.steps_to_fixed(*row.start, lambda i: star.letter(i - 1)) == row.steps
             assert orbit.n_fixed == row.steps
             assert engine.steps_to_fixed(*row.start, lambda i: fill[i % 256]) == row.steps
+
+    def test_supremum_is_the_bit_length_of_the_zeros(self):
+        # the conjectured closed form, off the Fibonacci rows
+        checked = 0
+        for a, b, c, k, seed in itertools.product(range(1, 4), range(3), (1, 2), range(3, 7),
+                                                  (PLAIN, SWAPPED)):
+            try:
+                sys = OmegaSystem(OmegaParams(a=a, b=b, c=c, k=k, seed=seed))
+            except ValueError:
+                continue
+            if sys.block_len <= 150:
+                checked += 1
+                want = sys.s_word.count("0").bit_length()
+                assert OrbitEngine(sys).steps_supremum() == want, (a, b, c, k, seed)
+        assert checked == 108
 
 
 class TestNameFreeStep:

@@ -109,7 +109,7 @@ class TestBigGamma:
 
 
 class TestGammaStar:
-    @pytest.mark.parametrize("c, jmax", [(1, 5), (2, 3)])
+    @pytest.mark.parametrize("c, jmax", [(1, 5), (2, 3), (3, 2)])
     def test_prefixes_are_tau_squared_levels(self, c, jmax):
         sys = OmegaSystem(OmegaParams(c=c))
         m2 = (2 * c + 1) ** 2
@@ -117,6 +117,36 @@ class TestGammaStar:
             star = sys.gamma_star(which)
             for j in range(jmax + 1):
                 assert star.prefix(m2**j) == sys.tau_block(2 * j, bar=which == 2)
+
+    @pytest.mark.parametrize("c, j", [(1, 7), (2, 5), (3, 4)])
+    def test_windows_are_slices_of_a_tau_squared_level(self, c, j):
+        # random windows up to m^(2j) >= 3^14 names, each read by one query
+        sys = OmegaSystem(OmegaParams(c=c))
+        m = 2 * c + 1
+        rng = random.Random(c)
+        for which in (1, 2):
+            star, level = sys.gamma_star(which), sys.tau_block(2 * j, bar=which == 2)
+            for _ in range(200):
+                a = rng.randrange(m ** (2 * j))
+                b = min(m ** (2 * j), a + rng.choice((0, 1, 2, m, m**2 + 1, 10**3, 10**5)))
+                assert star.window(a, b) == level[a:b]
+
+    def test_window_sweep_keeps_no_names(self):
+        sys = OmegaSystem(OmegaParams())
+        star = sys.gamma_star(1)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for i in range(0, 12_000_000, 65536):
+                assert len(star.window(i, i + 65536)) == 65536
+            kept = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert star.max_queried == 12_058_624
+        assert kept < 2**20, kept
 
     def test_interleaved_queries_agree_with_the_prefix(self):
         full = OmegaSystem(OmegaParams()).gamma_star(1).prefix(200_000)
