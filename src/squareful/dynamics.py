@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable
 
@@ -209,22 +208,28 @@ class OrbitEngine:
 # orbit records
 
 
-@dataclass
 class OrbitStep:
-    fingerprint: str
-    outcome: str  # type A-D, "periodic", or "stream"
-    versus_start: str  # "less" / "equal" / "greater"
+    __slots__ = ("fingerprint", "outcome", "versus_start")
+
+    def __init__(self, fingerprint: str, outcome: str, versus_start: str):
+        self.fingerprint = fingerprint
+        self.outcome = outcome  # type A-D, "periodic", or "stream"
+        self.versus_start = versus_start  # "less" / "equal" / "greater"
 
 
-@dataclass
 class OrbitRecord:
-    start: str
-    steps: list[OrbitStep] = field(default_factory=list)
-    n_periodic: int | None = None
-    n_fixed: int | None = None
+    __slots__ = ("start", "steps", "n_periodic", "n_fixed")
+
+    def __init__(self, start: str):
+        self.start = start
+        self.steps: list[OrbitStep] = []
+        self.n_periodic: int | None = None
+        self.n_fixed: int | None = None
 
     def as_json(self) -> dict:
-        return asdict(self)
+        steps = [{"fingerprint": s.fingerprint, "outcome": s.outcome, "versus_start": s.versus_start}
+                 for s in self.steps]
+        return {"start": self.start, "steps": steps, "n_periodic": self.n_periodic, "n_fixed": self.n_fixed}
 
 
 def _compare(u: str, v: str) -> str:
@@ -274,11 +279,13 @@ def iterate_sqrt(sys: OmegaSystem, src: InfiniteWord, m: int) -> OrbitRecord:
 # Table 1
 
 
-@dataclass
 class Table1Row:
-    s_len: int
-    steps: int
-    start: tuple[int, str]  # (shift, first) of a start attaining ``steps``
+    __slots__ = ("s_len", "steps", "start")
+
+    def __init__(self, s_len: int, steps: int, start: tuple[int, str]):
+        self.s_len = s_len
+        self.steps = steps
+        self.start = start  # (shift, first) of a start attaining ``steps``
 
 
 def fibonacci_system(s_len: int) -> OmegaSystem:
@@ -308,14 +315,14 @@ TABLE2_REFERENCE = {8: "3.47", 13: "4.16", 21: "4.85", 34: "5.55", 55: "6.24",
 # preimages
 
 
-@dataclass
 class PreimageHit:
     """One preimage candidate: the preimage prefix at the identification
     resolution plus one witnessing descriptor (shift and block window)."""
 
-    preimage_prefix: str
-    shift: int
-    window: str
+    __slots__ = ("preimage_prefix", "shift", "window")
+
+    def __init__(self, preimage_prefix: str, shift: int, window: str):
+        self.preimage_prefix, self.shift, self.window = preimage_prefix, shift, window
 
 
 def preimage_match_len(sys: OmegaSystem) -> int:
@@ -342,8 +349,18 @@ class PreimageIndex:
     whose roots diverge later are pruned because the divergence of a variant
     at scale ``resolution`` shows up within a small multiple of it.
 
-    The ``|S|`` shifts of a window share one greedy walk (:func:`_shift_roots`).
-    A preimage keeps its first witness, in sorted window order and then by
+    The candidates are read off the covering texts ``tau^j(a) tau^j(b)`` of
+    :meth:`OmegaSystem.covering_texts`, of which the windows are slices:
+    ``sigma`` of each text is walked once (:func:`_greedy_roots`), every
+    block start and every shift sharing the walk.  Lemma: a window's greedy
+    factorization from position ``x`` is the covering text's factorization
+    from ``x`` up to the last square inside the window, since a square is
+    matched by the at most ``max_square_len`` letters after its start.  A
+    window has more than ``max_square_len`` letters beyond the ``2 *
+    match_len`` that ``match_len`` root letters read from any shift, so it
+    yields ``match_len`` root letters exactly when the text walk does, and
+    the same ones; a walk that fails short of them raises in both.  A
+    preimage keeps its first witness, in sorted window order and then by
     ascending shift.
     """
 
@@ -354,10 +371,23 @@ class PreimageIndex:
         resolution = self.match_len // 4
         need_letters = 2 * self.match_len + sys.alphabet.max_square_len + n
         self.window_blocks = need_letters // n + 2
+        size = self.window_blocks
+        # window -> its letters and the roots from each of its |S| shifts
+        found: dict[str, tuple[str, list[str]]] = {}
+        for names, count in sys.covering_texts(size):
+            fresh: dict[str, int] = {}  # windows not seen in an earlier text
+            for i in range(count):
+                if names[i : i + size] not in found:
+                    fresh.setdefault(names[i : i + size], i)
+            text = sys.sigma(names)
+            starts = [i * n + ell for i in fresh.values() for ell in range(n)]
+            roots = _greedy_roots(sys.alphabet, text, starts, self.match_len)
+            for t, (window, i) in enumerate(fresh.items()):
+                found[window] = (text[i * n : (i + size) * n], roots[t * n : (t + 1) * n])
         self.table: dict[str, dict[str, PreimageHit]] = {}
-        for window in sys.factors(self.window_blocks):
-            text = sys.sigma(window)
-            for ell, out in enumerate(_shift_roots(sys.alphabet, text, n, self.match_len)):
+        for window in sorted(found):
+            text, outs = found[window]
+            for ell, out in enumerate(outs):
                 key = text[ell : ell + 2 * resolution]
                 bucket = self.table.setdefault(out, {})
                 if key not in bucket:
@@ -370,22 +400,24 @@ class PreimageIndex:
         return sorted(bucket.values(), key=lambda h: h.preimage_prefix)
 
 
-def _shift_roots(alph: squares.SquareAlphabet, text: str, shifts: int, need: int) -> list[str]:
+def _greedy_roots(alph: squares.SquareAlphabet, text: str, starts: Iterable[int], need: int) -> list[str]:
     """The first ``need`` root letters of the greedy factorization of
-    ``text[ell:]``, for each ``ell < shifts``.
+    ``text[x:]``, for each ``x`` in ``starts``.
 
     A factorization may stop before the end of ``text`` (the tail can end
     mid-square), but must give ``need`` root letters.  The factorizations
-    from two offsets coincide from the first position both reach, so
+    from two positions coincide from the first position both reach, so
     ``reached`` maps each position matched so far to the roots of the walk
     that matched it and their length before it; a later walk stops there
-    and shares the rest.
+    and shares the rest.  A shared rest is cut to ``need`` letters: by
+    induction, the roots kept from each position are then a prefix of its
+    factorization with at least ``need`` letters, or all of it.
     """
     match = squares.square_matcher(alph)
     reached: dict[int, tuple[str, int]] = {}
     out = []
-    for ell in range(shifts):
-        pos, roots, marks, size = ell, [], [], 0
+    for x in starts:
+        pos, roots, marks, size = x, [], [], 0
         while pos not in reached:
             m = match(text, pos)
             if m is None:
@@ -398,7 +430,7 @@ def _shift_roots(alph: squares.SquareAlphabet, text: str, shifts: int, need: int
         walk = "".join(roots)
         if pos in reached:
             merged, at = reached[pos]
-            walk += merged[at:]
+            walk += merged[at : at + need]
         if len(walk) < need:
             raise AssertionError("window too short for the requested match depth")
         for visited, before in marks:
@@ -444,22 +476,26 @@ def junction_signature(sys: OmegaSystem, hits: list[PreimageHit]) -> bool:
 # preimage chains (limit set witnesses)
 
 
-@dataclass
 class ChainLink:
     """One link of a preimage chain.  The preimage is a view of its building
     block: ``len(preimage)`` counts its letters, ``preimage.names`` and
     ``str(preimage)`` build its names and letters."""
 
-    level: int           # the aligned hierarchy level this link jumped past
-    prefix_len: int      # |u_n| in letters
-    preimage: BlockWord  # v_n, with sqrt(v_n) == u_n
-    verified: bool
+    __slots__ = ("level", "prefix_len", "preimage", "verified")
+
+    def __init__(self, level: int, prefix_len: int, preimage: BlockWord, verified: bool):
+        self.level = level            # the aligned hierarchy level this link jumped past
+        self.prefix_len = prefix_len  # |u_n| in letters
+        self.preimage = preimage      # v_n, with sqrt(v_n) == u_n
+        self.verified = verified
 
 
-@dataclass
 class PreimageChain:
-    links: list[ChainLink]
-    status: str  # "ok", "budget", or "fixed_point"
+    __slots__ = ("links", "status")
+
+    def __init__(self, links: list[ChainLink], status: str):
+        self.links = links
+        self.status = status  # "ok", "budget", or "fixed_point"
 
 
 _DESUB = {ord("S"): "L", ord("L"): "S"}
@@ -623,11 +659,13 @@ def _block_pairs_halve(sys: OmegaSystem) -> bool:
 # periodic points
 
 
-@dataclass
 class PeriodicCandidate:
-    label: str
-    status: str          # "periodic_point" or "refuted"
-    reason: str          # the return time or the refutation witness
+    __slots__ = ("label", "status", "reason")
+
+    def __init__(self, label: str, status: str, reason: str):
+        self.label = label
+        self.status = status  # "periodic_point" or "refuted"
+        self.reason = reason  # the return time or the refutation witness
 
 
 def periodic_point_search(sys: OmegaSystem, max_blocks: int = 8, cap: int = 16) -> list[PeriodicCandidate]:

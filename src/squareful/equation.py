@@ -10,17 +10,17 @@ factorizations of ``w`` is kept in the test suite as an independent oracle.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from . import squares, streams, words
 from .omega import OmegaSystem
 from .squares import SquareAlphabet
 
 
-@dataclass(frozen=True)
 class SolutionCertificate:
-    word: str
-    roots: tuple[str, ...]
+    __slots__ = ("word", "roots")
+
+    def __init__(self, word: str, roots: tuple[str, ...]):
+        self.word, self.roots = word, roots
 
     def as_json(self) -> dict:
         return {"word": self.word, "roots": list(self.roots), "verified": True}
@@ -81,10 +81,11 @@ def enumerate_solutions(sys: OmegaSystem, bmax: int) -> list[SolutionCertificate
     return out
 
 
-@dataclass
 class ConjugateAuditReport:
-    word: str
-    solution_conjugates: list[str]
+    __slots__ = ("word", "solution_conjugates")
+
+    def __init__(self, word: str, solution_conjugates: list[str]):
+        self.word, self.solution_conjugates = word, solution_conjugates
 
     @property
     def clean(self) -> bool:
@@ -113,10 +114,11 @@ def conjugate_solution_audit(alph: SquareAlphabet, u: str) -> ConjugateAuditRepo
 # the doubling-orbit generator of new fixed points
 
 
-@dataclass(frozen=True)
 class DoublingPattern:
-    n: int
-    orbits: tuple[tuple[int, ...], ...]
+    __slots__ = ("n", "orbits")
+
+    def __init__(self, n: int, orbits: tuple[tuple[int, ...], ...]):
+        self.n, self.orbits = n, orbits
 
     def assignment_to_word(self, assignment: dict[tuple[int, ...], str]) -> str:
         letters = [""] * self.n

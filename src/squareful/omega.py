@@ -17,8 +17,6 @@ periodic word ``S^omega`` closes the system under the square root map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import squares, streams, words
 from .sturmian import ContinuedFraction, RotationSystem, reversed_standard_word
 from .squares import SquareAlphabet
@@ -41,7 +39,6 @@ PERIODIC = "periodic"
 D_LOOKAHEAD = 4
 
 
-@dataclass(frozen=True)
 class OmegaParams:
     """Parameters fully determining the subshift.
 
@@ -52,19 +49,19 @@ class OmegaParams:
     the first ``k`` quotients ever matter.
     """
 
-    a: int = 1
-    b: int = 0
-    c: int = 1
-    k: int = 4
-    seed: str = PLAIN
+    __slots__ = ("a", "b", "c", "k", "seed")
 
-    def __post_init__(self):
-        if self.a < 1 or self.b < 0 or self.c < 1:
+    def __init__(self, a: int = 1, b: int = 0, c: int = 1, k: int = 4, seed: str = PLAIN):
+        if a < 1 or b < 0 or c < 1:
             raise ValueError("need a >= 1, b >= 0, c >= 1")
-        if self.seed not in (PLAIN, SWAPPED):
+        if seed not in (PLAIN, SWAPPED):
             raise ValueError(f"seed must be {PLAIN!r} or {SWAPPED!r}")
-        if self.k < 1:
+        if k < 1:
             raise ValueError("k must be >= 1")
+        self.a, self.b, self.c, self.k, self.seed = a, b, c, k, seed
+
+    def __repr__(self) -> str:
+        return f"OmegaParams(a={self.a}, b={self.b}, c={self.c}, k={self.k}, seed={self.seed!r})"
 
     def directive(self, upto: int) -> tuple[int, ...]:
         """Directive sequence (d_1, d_2, ...) for the standard word recurrence."""
@@ -131,8 +128,10 @@ class OmegaSystem:
             cache[top] = tau(self.params.c, cache[top - 1])
         return cache[j]
 
-    def factors(self, length: int) -> list[str]:
-        """The sorted factors of ``length`` block names of the tau language.
+    def covering_texts(self, length: int) -> list[tuple[str, int]]:
+        """The texts ``tau^j(a) tau^j(b)`` whose slices of ``length`` block
+        names are the factors of the tau language, each with its start count
+        ``|tau^j(a)|``, in the order of the 2-letter factors ``ab``.
 
         tau is primitive, so the language is the set of factors of the
         ``tau^i(S)``.  Its 2-letter factors are the closure of those of
@@ -163,12 +162,18 @@ class OmegaSystem:
         j = 0
         while min(len(self.tau_block(j)), len(self.tau_block(j, bar=True))) < length - 1:
             j += 1
-        found: set[str] = set()
-        for a, b in pairs:
+        texts = []
+        for a, b in sorted(pairs):
             left = self.tau_block(j, bar=a == "L")
-            text = left + self.tau_block(j, bar=b == "L")
-            found.update(text[i : i + length] for i in range(len(left)))
-        return sorted(found)
+            texts.append((left + self.tau_block(j, bar=b == "L"), len(left)))
+        return texts
+
+    def factors(self, length: int) -> list[str]:
+        """The sorted factors of ``length`` block names of the tau language:
+        the slices of :meth:`covering_texts` that start inside their first
+        image."""
+        return sorted({text[i : i + length] for text, count in self.covering_texts(length)
+                       for i in range(count)})
 
     def gamma(self, j: int) -> str:
         return self.sigma(self.tau_block(j))

@@ -14,7 +14,6 @@ is what the square root map rests on.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 
 
@@ -26,12 +25,23 @@ class TokenizationError(ValueError):
         super().__init__(f"no minimal square at offset {position} of {word_repr}")
 
 
-@dataclass(frozen=True)
 class SquareAlphabet:
-    a: int
-    b: int
-    roots: tuple[str, ...]
-    squares: tuple[str, ...]
+    """The six minimal roots and their squares for parameters ``(a, b)``;
+    equal by value, so that it can key a cache."""
+
+    __slots__ = ("a", "b", "roots", "squares")
+
+    def __init__(self, a: int, b: int, roots: tuple[str, ...], squares: tuple[str, ...]):
+        self.a, self.b, self.roots, self.squares = a, b, roots, squares
+
+    def _fields(self) -> tuple:
+        return self.a, self.b, self.roots, self.squares
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
     @property
     def max_square_len(self) -> int:

@@ -19,7 +19,6 @@ import bisect
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from .squares import SquareAlphabet, TokenizationError, factor_minimal_squares, square_matcher
@@ -277,7 +276,6 @@ def sqrt_stream(alph: SquareAlphabet, src: InfiniteWord) -> InfiniteWord:
     return _SqrtWord(alph, src)
 
 
-@dataclass(frozen=True)
 class SLProduct:
     """A shifted infinite product of two concrete block words.
 
@@ -286,31 +284,38 @@ class SLProduct:
     product (``0 <= shift < len(s_word)``).
     """
 
-    blocks: InfiniteWord
-    shift: int
-    s_word: str
-    l_word: str
+    __slots__ = ("blocks", "shift", "s_word", "l_word")
 
-    def __post_init__(self):
-        if not 0 <= self.shift < len(self.s_word):
-            raise ValueError(f"shift must lie in [0, {len(self.s_word)})")
-        if len(self.s_word) != len(self.l_word):
+    def __init__(self, blocks: InfiniteWord, shift: int, s_word: str, l_word: str):
+        if not 0 <= shift < len(s_word):
+            raise ValueError(f"shift must lie in [0, {len(s_word)})")
+        if len(s_word) != len(l_word):
             raise ValueError("block words must have equal length")
+        self.blocks, self.shift, self.s_word, self.l_word = blocks, shift, s_word, l_word
 
     def descriptor(self) -> str:
         return f"T^{self.shift}[{self.blocks.descriptor}]"
 
 
-@dataclass(frozen=True)
 class BlockWord:
     """The product of the last ``size <= 2 * len(block)`` names of ``block``
     squared, as a view of ``block``: ``len`` counts its letters without
-    building them; ``names`` and ``str`` build its names and letters."""
+    building them; ``names`` and ``str`` build its names and letters.
+    Equal by field."""
 
-    block: str
-    size: int
-    s_word: str
-    l_word: str
+    __slots__ = ("block", "size", "s_word", "l_word")
+
+    def __init__(self, block: str, size: int, s_word: str, l_word: str):
+        self.block, self.size, self.s_word, self.l_word = block, size, s_word, l_word
+
+    def _fields(self) -> tuple:
+        return self.block, self.size, self.s_word, self.l_word
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
     @property
     def names(self) -> str:

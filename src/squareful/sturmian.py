@@ -8,11 +8,9 @@ recurrence or from substitutions (see :mod:`squareful.omega`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 
-@dataclass(frozen=True)
 class ContinuedFraction:
     """A finite continued fraction ``[a0; a1, a2, ...]``.
 
@@ -21,17 +19,17 @@ class ContinuedFraction:
     rational has a unique representation.
     """
 
-    quotients: tuple[int, ...]
+    __slots__ = ("quotients",)
 
-    def __post_init__(self):
-        q = self.quotients
+    def __init__(self, quotients: tuple[int, ...]):
+        q = quotients
         if len(q) == 0:
             raise ValueError("need at least one partial quotient")
         if any(a < 1 for a in q[1:]):
             raise ValueError("partial quotients a_k must be >= 1 for k >= 1")
         if len(q) > 1 and q[-1] == 1:
             q = q[:-2] + (q[-2] + 1,)
-            object.__setattr__(self, "quotients", q)
+        self.quotients = q
 
     @classmethod
     def of_fraction(cls, x: Fraction) -> "ContinuedFraction":
@@ -86,15 +84,16 @@ def reversed_standard_word(d: tuple[int, ...] | list[int], k: int) -> str:
     return standard_word(d, k)[::-1]
 
 
-@dataclass(frozen=True)
 class Arc:
     """A half-open circle arc ``[lo, hi)``, possibly wrapping through 0.
 
     A wrapped arc is reported in two pieces.
     """
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo: Fraction, hi: Fraction):
+        self.lo, self.hi = lo, hi
 
     @property
     def wraps(self) -> bool:
@@ -116,7 +115,6 @@ class Arc:
         return rho >= self.lo or rho < self.hi
 
 
-@dataclass(frozen=True)
 class RotationSystem:
     """Rational circle rotation with the two-interval coding
     ``I0 = [0, 1 - slope)``, ``I1 = [1 - slope, 1)``.
@@ -126,19 +124,18 @@ class RotationSystem:
     theorem does not apply.
     """
 
-    slope: Fraction
-    _cf: ContinuedFraction = field(init=False, repr=False, compare=False)
+    __slots__ = ("slope", "_cf")
 
-    def __post_init__(self):
-        if not 0 < self.slope < 1:
+    def __init__(self, slope: Fraction):
+        if not 0 < slope < 1:
             raise ValueError("slope must lie in (0, 1)")
-        cf = ContinuedFraction.of_fraction(self.slope)
+        cf = ContinuedFraction.of_fraction(slope)
         if len(cf.quotients) < 4:  # [0; a1, a2, a3] has 4 entries
             raise ValueError(
-                f"slope {self.slope} has continued fraction {list(cf.quotients)}; "
+                f"slope {slope} has continued fraction {list(cf.quotients)}; "
                 "need at least three partial quotients past a0"
             )
-        object.__setattr__(self, "_cf", cf)
+        self.slope, self._cf = slope, cf
 
     @property
     def q(self) -> int:

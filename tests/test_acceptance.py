@@ -12,7 +12,7 @@ import pytest
 
 from squareful import dynamics, equation, streams, words
 from squareful.dynamics import OrbitEngine
-from squareful.omega import OmegaParams, OmegaSystem
+from squareful.omega import SWAPPED, OmegaParams, OmegaSystem
 from squareful.squares import build_alphabet, factor_minimal_squares, sqrt_finite
 from squareful.sturmian import RotationSystem
 
@@ -168,35 +168,52 @@ def test_criterion_07_solution_audit(fib_sys):
     report("07 solution audit", bool(ok), f"{len(certs)} solutions up to root length {4 * n}")
 
 
-def test_criterion_08_injectivity_cap(fib_sys):
-    index = dynamics.PreimageIndex(fib_sys)
+def _injectivity_cap(sys: OmegaSystem, targets: int) -> tuple[bool, int]:
+    """At most two preimages for each of ``targets`` Gamma1 targets, the
+    junction signature on every double, and two preimages for both left
+    extensions ``tau^k(S)[-3:] . Gamma1*``, k = 2, 3; with the double count."""
+    index = dynamics.PreimageIndex(sys)
     m = index.match_len
-    text = fib_sys.big_gamma(1).prefix(10_000 + m)
+    text = sys.big_gamma(1).prefix(targets + m)
     ok = True
     doubles = 0
-    for t in range(10_000):
+    for t in range(targets):
         hits = index.find(text[t : t + m])
         if len(hits) > 2:
             ok = False
             break
         if len(hits) == 2:
             doubles += 1
-            ok &= dynamics.junction_signature(fib_sys, hits)
+            ok &= dynamics.junction_signature(sys, hits)
     # constructed left extensions of the fixed points must show both preimages
-    star = fib_sys.gamma_star(1)
+    star = sys.gamma_star(1)
     for k in (2, 3):
-        tail = fib_sys.tau_block(k)[-3:]
+        tail = sys.tau_block(k)[-3:]
 
         def mk(i, tail=tail):
             return tail[i] if i < len(tail) else star.letter(i - len(tail))
 
         prod = streams.SLProduct(
-            streams.from_function(mk, "zS+G*", chunk=16), 0, fib_sys.s_word, fib_sys.l_word
+            streams.from_function(mk, "zS+G*", chunk=16), 0, sys.s_word, sys.l_word
         )
-        target = streams.sqrt_stream(fib_sys.alphabet, streams.expand(prod)).prefix(m)
+        target = streams.sqrt_stream(sys.alphabet, streams.expand(prod)).prefix(m)
         hits = index.find(target)
-        ok &= len(hits) == 2 and dynamics.junction_signature(fib_sys, hits)
+        ok &= len(hits) == 2 and dynamics.junction_signature(sys, hits)
+    return ok, doubles
+
+
+def test_criterion_08_injectivity_cap(fib_sys):
+    ok, doubles = _injectivity_cap(fib_sys, 10_000)
     report("08 injectivity cap over 10^4 targets", ok, f"{doubles} junction targets")
+
+
+@pytest.mark.parametrize("params", [
+    OmegaParams(a=2, b=1, k=4), OmegaParams(c=2, k=4), OmegaParams(k=5, seed=SWAPPED),
+    OmegaParams(a=2, b=1, k=5),
+])
+def test_criterion_08_across_systems(params):
+    ok, doubles = _injectivity_cap(OmegaSystem(params), 3_000)
+    report(f"08 injectivity cap on {params}", ok and doubles > 0, f"{doubles} junction targets")
 
 
 def test_criterion_09_limit_set(fib_sys):

@@ -325,6 +325,7 @@ class TestPreimages:
 
     @pytest.mark.parametrize("params", [
         OmegaParams(), OmegaParams(c=2, seed=SWAPPED), OmegaParams(a=2, b=1, k=5),
+        OmegaParams(c=2, k=5), OmegaParams(k=5, seed=SWAPPED),
     ])
     def test_table_equals_a_per_offset_build(self, params):
         # every window from an explicit scan of a long prefix, every offset
@@ -348,7 +349,7 @@ class TestPreimages:
     def test_short_window_raises(self, sys):
         text = sys.gamma(2)
         with pytest.raises(AssertionError, match="too short"):
-            dynamics._shift_roots(sys.alphabet, text, sys.block_len, len(text))
+            dynamics._greedy_roots(sys.alphabet, text, range(sys.block_len), len(text))
 
 
 class TestAlignmentTower:
