@@ -8,7 +8,8 @@ and the word equation tools (``eq check``, ``eq enumerate``, ``eq orbits``).
 Outputs are deterministic for a fixed argument vector.  Reproduction commands
 print the computed value next to the reference value with a PASS/FAIL marker
 and exit nonzero on FAIL.  A usage error exits 2 and a non-squareful input
-exits 1, each with one ``error: ...`` line on stderr.
+exits 1, each with one ``error: ...`` line on stderr.  A word of letters must
+be nonempty and over ``0``/``1``; anything else is a usage error.
 """
 
 from __future__ import annotations
@@ -75,16 +76,13 @@ def _emit(ns, text: str) -> None:
         print(text)
 
 
-def _read_word(ns) -> str:
-    if ns.word is not None:
-        return ns.word
-    return _sys.stdin.read().strip()
-
-
-def _read_nonempty_word(ns) -> str:
-    w = _read_word(ns)
+def _read_letters(ns) -> str:
+    """The word argument, else stdin: a usage error unless nonempty over 0/1."""
+    w = ns.word if ns.word is not None else _sys.stdin.read().strip()
     if not w:
         raise ValueError("the word is empty")
+    if set(w) - {"0", "1"}:
+        raise ValueError(f"letters must be 0 and 1, got {w!r}")
     return w
 
 
@@ -109,9 +107,8 @@ def _word_source(sys: OmegaSystem, ns) -> streams.InfiniteWord:
     if kind == "blocks":
         prod = streams.sl_cycle(ns.word, sys.s_word, sys.l_word, ns.shift)
         return streams.expand(prod)
-    if set(ns.word) - {"0", "1"}:
-        raise ValueError(f"letters must be 0 and 1, got {ns.word!r}")
-    return streams.periodic_word(ns.word, f"({ns.word})^w")
+    word = _read_letters(ns)
+    return streams.periodic_word(word, f"({word})^w")
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +117,7 @@ def _word_source(sys: OmegaSystem, ns) -> streams.InfiniteWord:
 
 def cmd_factorize(ns) -> int:
     alph = squares.build_alphabet(ns.a, ns.b)
-    w = _read_nonempty_word(ns)
+    w = _read_letters(ns)
     roots, failure = squares.factor_minimal_squares(alph, w)
     if ns.format == "json":
         _emit(ns, json.dumps({"word": w, "roots": roots, "failure_offset": failure}))
@@ -132,7 +129,7 @@ def cmd_factorize(ns) -> int:
 
 def cmd_sqrt(ns) -> int:
     alph = squares.build_alphabet(ns.a, ns.b)
-    w = _read_nonempty_word(ns)
+    w = _read_letters(ns)
     try:
         root = squares.sqrt_finite(alph, w)
     except squares.TokenizationError as err:
@@ -214,10 +211,8 @@ def cmd_table2(ns) -> int:
 
 def cmd_preimages(ns) -> int:
     sys = _system(ns)
-    target = _read_word(ns)
+    target = _read_letters(ns)
     need = dynamics.preimage_match_len(sys)
-    if set(target) - {"0", "1"}:
-        raise ValueError("target letters must be 0 and 1")
     if len(target) < need:
         raise ValueError(f"target must supply {need} letters")
     hits = dynamics.PreimageIndex(sys).find(target[:need])
@@ -281,7 +276,7 @@ def cmd_periodic_points(ns) -> int:
 
 def cmd_eq_check(ns) -> int:
     alph = squares.build_alphabet(ns.a, ns.b)
-    w = _read_word(ns)
+    w = _read_letters(ns)
     cert = equation.is_solution(alph, w)
     if ns.format == "json":
         _emit(ns, json.dumps(cert.as_json() if cert else {"word": w, "verified": False}))

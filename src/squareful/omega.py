@@ -347,21 +347,7 @@ class _TauFixedPoint(InfiniteWord):
         super().__init__((), f"Gamma{which}*")
         self._sys, self._seed = sys, "S" if which == 1 else "L"
 
-    def ensure(self, n: int) -> None:
-        if n < 0:
-            raise ValueError("length must be >= 0")
-        self.max_queried = max(self.max_queried, n)
-
-    def prefix(self, n: int) -> str:
-        return self.window(0, n)
-
-    def window(self, start: int, stop: int) -> str:
-        if start < 0 or stop < start:
-            raise ValueError("bad window bounds")
-        self.ensure(stop)
-        return self._names(start, stop)
-
-    def _names(self, a: int, b: int) -> str:
+    def _window(self, a: int, b: int) -> str:
         if b <= 1:
             return self._seed[a:b]
         m, r = 2 * self._sys.params.c + 1, 2
@@ -369,5 +355,5 @@ class _TauFixedPoint(InfiniteWord):
             r += 2
         size = m**r
         lo, hi = a // size, -(-b // size)
-        text = "".join(self._sys.tau_block(r, bar=x == "L") for x in self._names(lo, hi))
+        text = "".join(self._sys.tau_block(r, bar=x == "L") for x in self._window(lo, hi))
         return text[a - lo * size : b - lo * size]

@@ -1,27 +1,26 @@
-"""Lazy infinite words as memoized prefix oracles.
+"""Lazy infinite words read through windows.
 
-An :class:`InfiniteWord` wraps a generator of string chunks.  Queries are
-monotone and memoized, so repeated ``prefix(n)`` calls agree and never redo
-work.  The square root, the block expansion and the decimation are
-demand-driven: they fill each request in one piece (the root in pieces of
-``SQRT_PIECE`` input letters), so their memo holds a few long parts rather
-than one part per square or per block.  A view keeps no memo: ``shift``
-reads its source's, and the tau^2 fixed points of :mod:`squareful.omega`
-are read off the tau tower.  Failures inside lazy evaluation (a
-square tokenizer hitting a non-squareful stream) poison the source instead
-of escaping mid-iteration; orbit code can then report the offending
-position cleanly.
+An :class:`InfiniteWord` answers ``window(start, stop)``, the letters
+``[start:stop]``; ``prefix`` and ``letter`` are windows.  Most words are
+views, pure functions of their source's windows that keep no letters:
+``periodic_word`` slices its period, ``from_function`` calls its letter
+function once per index, ``shift``, ``decimate`` and ``expand`` read one
+window of their source per request, and the tau^2 fixed points of
+:mod:`squareful.omega` are read off the tau tower.  Two sources memoize, as
+one string grown per request: a word over a chunk iterable, whose chunks can
+be pulled only once, and ``sqrt_stream``, whose tokenization must start at a
+square boundary.  A square root of a non-squareful input raises
+:class:`SourcePoisonedError` at the failing input offset, after the letters
+before it, so orbit code can report the offending position cleanly.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
-import itertools
 import math
 from typing import Callable, Iterable, Iterator
 
-from .squares import SquareAlphabet, TokenizationError, factor_minimal_squares, square_matcher
+from .squares import SquareAlphabet, factor_minimal_squares, square_matcher
 
 
 class SourcePoisonedError(RuntimeError):
@@ -34,86 +33,39 @@ class SourcePoisonedError(RuntimeError):
 
 
 class InfiniteWord:
-    """Deterministic prefix oracle ``n -> first n letters``.
+    """Deterministic window oracle ``(start, stop) -> w[start:stop]``.
 
-    A source is single-consumer: memoization mutates internal state, so a
-    single instance must not be queried from several threads at once.
-    Distinct sources are independent.
+    ``window`` is the one read path: it checks the bounds, records the
+    furthest offset asked for in ``max_queried`` and returns
+    ``_window(start, stop)``.  A view overrides ``_window``, and ``period``
+    when it knows one.  The base ``_window`` serves a memo that is one
+    string: a request past its end takes the missing parts from the
+    ``_fill(n)`` hook, which yields them until they reach offset ``n``, and
+    joins them into the memo once, keeping those made before a failure.
+    The base hook pulls the chunks.
 
-    The memo is a list of parts, the chunks pulled so far, with the
-    cumulative end offset of each.  ``window`` serves short slices from the
-    parts it overlaps without materializing the whole prefix, which keeps
-    streaming consumers (the square root tokenizer) linear.  ``prefix`` needs
-    one string: it joins the parts once and keeps the joined text as the
-    single first part, so the memo never holds two copies of a letter.
-
-    ``ensure`` alone keeps the memo, ``max_queried`` and the poison.  It
-    pulls parts through ``_fill(n)``, which is told the requested length
-    and returns the next part; the base hook takes the next chunk, and a
-    derived stream overrides it to produce the whole request at once.
+    A memoizing source is single-consumer: a single instance must not be
+    queried from several threads at once.  Distinct sources are independent.
     """
 
-    def __init__(self, chunks: Iterable[str], descriptor: str = "", product=None):
+    product: SLProduct | None = None  # the shifted product ``expand`` spells
+
+    def __init__(self, chunks: Iterable[str], descriptor: str = ""):
         self._chunks: Iterator[str] = iter(chunks)
-        self._parts: list[str] = []
-        self._ends: list[int] = []  # cumulative end offsets of the parts
-        self._have = 0
+        self._memo = ""
         self.descriptor = descriptor
-        self.product = product  # SLProduct provenance when known
-        self.poison: TokenizationError | None = None
         self.max_queried = 0
 
-    def ensure(self, n: int) -> None:
-        if n < 0:
-            raise ValueError("length must be >= 0")
-        if n > self.max_queried:
-            self.max_queried = n
-        if self.poison is not None and n > self._have:
-            raise SourcePoisonedError(self.descriptor, self.poison.position)
-        while self._have < n:
-            try:
-                part = self._fill(n)
-            except StopIteration:
-                raise SourcePoisonedError(self.descriptor, self._have) from None
-            except TokenizationError as err:
-                self.poison = err
-                raise SourcePoisonedError(self.descriptor, err.position) from err
-            if part:
-                self._parts.append(part)
-                self._have += len(part)
-                self._ends.append(self._have)
-
-    def _fill(self, n: int) -> str:
-        """The next part of the word, for a request of length ``n``."""
-        return next(self._chunks)
-
-    def prefix(self, n: int) -> str:
-        self.ensure(n)
-        if n == 0:
-            return ""
-        if self._ends[0] < n:
-            self._parts = ["".join(self._parts)]
-            self._ends = [self._have]
-        return self._parts[0][:n]
-
     def window(self, start: int, stop: int) -> str:
-        """The slice ``[start:stop]``, touching only the parts it overlaps."""
+        """The letters ``[start:stop]``."""
         if start < 0 or stop < start:
             raise ValueError("bad window bounds")
-        self.ensure(stop)
-        if stop == start:
-            return ""
-        if stop <= self._ends[0]:
-            return self._parts[0][start:stop]
-        lo = bisect.bisect_right(self._ends, start)
-        out = []
-        pos = self._ends[lo - 1] if lo else 0
-        for part in self._parts[lo:]:
-            if pos >= stop:
-                break
-            out.append(part[max(0, start - pos) : stop - pos])
-            pos += len(part)
-        return "".join(out)
+        if stop > self.max_queried:
+            self.max_queried = stop
+        return self._window(start, stop)
+
+    def prefix(self, n: int) -> str:
+        return self.window(0, n)
 
     def letter(self, i: int) -> str:
         return self.window(i, i + 1)
@@ -123,14 +75,39 @@ class InfiniteWord:
         with period ``p``; None if no period is known (no guess is made)."""
         return None
 
+    def _window(self, start: int, stop: int) -> str:
+        if stop > len(self._memo):
+            parts = [self._memo]
+            try:
+                for part in self._fill(stop):
+                    parts.append(part)
+            finally:
+                self._memo = "".join(parts)
+        return self._memo[start:stop]
+
+    def _fill(self, n: int) -> Iterator[str]:
+        """The parts that follow the memo, until they reach offset ``n``."""
+        have = len(self._memo)
+        for part in self._chunks:
+            yield part
+            have += len(part)
+            if have >= n:
+                return
+        raise SourcePoisonedError(self.descriptor, have)
+
 
 class _PeriodicWord(InfiniteWord):
     def __init__(self, period: str, descriptor: str):
-        super().__init__(itertools.repeat(period), descriptor)
-        self._p = len(period)
+        super().__init__((), descriptor)
+        self._period = period
+
+    def _window(self, start: int, stop: int) -> str:
+        p = len(self._period)
+        skip, n = start % p, stop - start
+        return (self._period * -(-(skip + n) // p))[skip : skip + n]
 
     def period(self) -> tuple[int, int]:
-        return 0, self._p
+        return 0, len(self._period)
 
 
 def periodic_word(period: str, descriptor: str | None = None) -> InfiniteWord:
@@ -140,37 +117,29 @@ def periodic_word(period: str, descriptor: str | None = None) -> InfiniteWord:
     return _PeriodicWord(period, descriptor or f"({period})^w")
 
 
-def from_function(f: Callable[[int], str], descriptor: str, chunk: int = 256) -> InfiniteWord:
-    """Oracle built from a letter function ``i -> w[i]``."""
+class _FunctionWord(InfiniteWord):
+    def __init__(self, f: Callable[[int], str], descriptor: str):
+        super().__init__((), descriptor)
+        self._f = f
 
-    def gen():
-        for start in itertools.count(0, chunk):
-            yield "".join(f(i) for i in range(start, start + chunk))
+    def _window(self, start: int, stop: int) -> str:
+        return "".join(map(self._f, range(start, stop)))
 
-    return InfiniteWord(gen(), descriptor)
+
+def from_function(f: Callable[[int], str], descriptor: str) -> InfiniteWord:
+    """Oracle built from a letter function ``i -> w[i]``, called once per
+    index a request covers."""
+    return _FunctionWord(f, descriptor)
 
 
 class _ShiftedWord(InfiniteWord):
-    """The view ``T^j(src)``: it serves every query from the memo of ``src``
-    and keeps only its own ``max_queried``."""
+    """The view ``T^j(src)``: one window of ``src`` per request."""
 
     def __init__(self, src: InfiniteWord, j: int):
         super().__init__((), f"T^{j}({src.descriptor})")
         self._src, self._j = src, j
 
-    def ensure(self, n: int) -> None:
-        if n < 0:
-            raise ValueError("length must be >= 0")
-        self._src.ensure(self._j + n)
-        self.max_queried = max(self.max_queried, n)
-
-    def prefix(self, n: int) -> str:
-        return self.window(0, n)
-
-    def window(self, start: int, stop: int) -> str:
-        if start < 0 or stop < start:
-            raise ValueError("bad window bounds")
-        self.ensure(stop)
+    def _window(self, start: int, stop: int) -> str:
         return self._src.window(self._j + start, self._j + stop)
 
     def period(self) -> tuple[int, int] | None:
@@ -179,8 +148,8 @@ class _ShiftedWord(InfiniteWord):
 
 
 def shift(src: InfiniteWord, j: int) -> InfiniteWord:
-    """The shifted word ``T^j(src)``, sharing the underlying memo; period
-    ``p`` from ``start`` gives ``p`` from ``max(0, start - j)``."""
+    """The shifted word ``T^j(src)``, a view of ``src``; period ``p`` from
+    ``start`` gives ``p`` from ``max(0, start - j)``."""
     if j < 0:
         raise ValueError("shift must be >= 0")
     return _ShiftedWord(src, j) if j else src
@@ -193,11 +162,12 @@ class _DecimatedWord(InfiniteWord):
         super().__init__((), descriptor)
         self._src, self._offset, self._head = src, offset, head
 
-    def _fill(self, n: int) -> str:
-        if self._have < len(self._head):  # only the first part
-            return self._head
-        lo, hi = self._have - len(self._head), n - len(self._head)
-        return self._src.window(self._offset + 2 * lo, self._offset + 2 * hi - 1)[::2]
+    def _window(self, start: int, stop: int) -> str:
+        lo, hi = max(0, start - len(self._head)), stop - len(self._head)
+        if hi <= lo:
+            return self._head[start:stop]
+        tail = self._src.window(self._offset + 2 * lo, self._offset + 2 * hi - 1)[::2]
+        return self._head[start:stop] + tail
 
     def period(self) -> tuple[int, int] | None:
         known = self._src.period()
@@ -213,7 +183,7 @@ def decimate(src: InfiniteWord, offset: int, head: str, descriptor: str) -> Infi
     return _DecimatedWord(src, offset, head, descriptor)
 
 
-SQRT_PIECE = 1 << 14  # input letters tokenized per memo part of a square root
+SQRT_PIECE = 1 << 14  # input letters tokenized per piece of a square root
 
 
 class _SqrtWord(InfiniteWord):
@@ -223,16 +193,20 @@ class _SqrtWord(InfiniteWord):
         super().__init__((), f"sqrt({src.descriptor})")
         self._alph, self._src = alph, src
 
-    def _fill(self, n: int) -> str:
+    def _fill(self, n: int) -> Iterator[str]:
         # the input consumed so far is twice the output, and every square
         # still needed starts at or before 2(n - 1), so it lies in the window
-        pos = 2 * self._have
-        stop = min(pos + SQRT_PIECE, 2 * (n - 1) + self._alph.max_square_len)
-        roots, _ = factor_minimal_squares(self._alph, self._src.window(pos, stop))
-        if not roots:
-            raise TokenizationError(f"sqrt of {self._src.descriptor!r}", pos)
-        # a failure later in the piece is met at the start of the next one
-        return "".join(roots)
+        have = len(self._memo)
+        while have < n:
+            pos = 2 * have
+            stop = min(pos + SQRT_PIECE, 2 * (n - 1) + self._alph.max_square_len)
+            roots, _ = factor_minimal_squares(self._alph, self._src.window(pos, stop))
+            if not roots:
+                raise SourcePoisonedError(self.descriptor, pos)
+            # a failure later in the piece is met at the start of the next one
+            part = "".join(roots)
+            have += len(part)
+            yield part
 
     def period(self) -> tuple[int, int] | None:
         return self._walk
@@ -262,11 +236,12 @@ def sqrt_stream(alph: SquareAlphabet, src: InfiniteWord) -> InfiniteWord:
 
     Producing ``m`` letters queries at most ``2*m + |S6^2|`` letters of the
     input.  A request tokenizes the whole missing input span with
-    :func:`~squareful.squares.factor_minimal_squares`, one memo part per
-    ``SQRT_PIECE`` input letters; the unfinished square at a piece's end
-    starts the next piece.  A tokenization failure (the caller handed a
-    non-squareful source) poisons the output at the offending input offset,
-    after the letters before it.
+    :func:`~squareful.squares.factor_minimal_squares`, ``SQRT_PIECE`` input
+    letters at a time, and joins the roots into the memo once; the
+    unfinished square at a piece's end starts the next piece.  A
+    tokenization failure (the caller handed a non-squareful source) raises
+    at the offending input offset, after the letters before it, and again
+    on every later request that reaches it.
 
     If ``src`` has period ``p`` from ``start``, the factorization past
     ``start`` depends on positions mod ``p`` only: ``period()`` walks it to
@@ -333,14 +308,17 @@ class _ExpandedWord(InfiniteWord):
     """The letters of ``prod``, one block-name window per request."""
 
     def __init__(self, prod: SLProduct):
-        super().__init__((), prod.descriptor(), product=prod)
+        super().__init__((), prod.descriptor())
+        self.product = prod
         self._table = {ord("S"): prod.s_word, ord("L"): prod.l_word}
 
-    def _fill(self, n: int) -> str:
+    def _window(self, start: int, stop: int) -> str:
+        if not stop:  # an empty prefix reads no block names, even at a shift
+            return ""
         prod, size = self.product, len(self.product.s_word)
-        start = self._have + prod.shift
-        names = prod.blocks.window(start // size, -(-(n + prod.shift) // size))
-        return names.translate(self._table)[start % size :]
+        a = start + prod.shift
+        names = prod.blocks.window(a // size, -(-(stop + prod.shift) // size))
+        return names.translate(self._table)[a % size : a % size + stop - start]
 
     def period(self) -> tuple[int, int] | None:
         known, size = self.product.blocks.period(), len(self.product.s_word)
@@ -351,7 +329,7 @@ def expand(prod: SLProduct) -> InfiniteWord:
     """Letter-level oracle of the shifted product.
 
     A request reads the block names that cover it with one ``window`` and
-    spells them with one ``str.translate``: one memo part per request.  The
+    spells them with one ``str.translate``, and keeps no letters.  The
     names are ``S``/``L`` by construction (:func:`sl_cycle` checks a
     pattern it is handed).  Names with period ``p`` from ``start`` give
     letters with period ``p |S|`` from ``max(0, start |S| - shift)``.

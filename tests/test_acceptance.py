@@ -138,7 +138,7 @@ def test_criterion_06_worked_examples(fib_sys):
 
     star = fib_sys.gamma_star(1)
     blocks = streams.from_function(
-        lambda i: "S" if i < 2 else star.letter(i - 2), "S2+Gamma1*", chunk=16
+        lambda i: "S" if i < 2 else star.letter(i - 2), "S2+Gamma1*"
     )
     prod = streams.SLProduct(blocks, 4, fib_sys.s_word, fib_sys.l_word)
     rec = dynamics.iterate_sqrt(fib_sys, streams.expand(prod), 3)
@@ -194,7 +194,7 @@ def _injectivity_cap(sys: OmegaSystem, targets: int) -> tuple[bool, int]:
             return tail[i] if i < len(tail) else star.letter(i - len(tail))
 
         prod = streams.SLProduct(
-            streams.from_function(mk, "zS+G*", chunk=16), 0, sys.s_word, sys.l_word
+            streams.from_function(mk, "zS+G*"), 0, sys.s_word, sys.l_word
         )
         target = streams.sqrt_stream(sys.alphabet, streams.expand(prod)).prefix(m)
         hits = index.find(target)

@@ -193,6 +193,12 @@ def test_readme_example_output_is_unchanged(capsys, case):
     (["preimages", "01" * 63], 2),
     (["orbit", "--word", "gamma1", "--shift", "3"], 2),
     (["factorize", "0101", "--format", "csv"], 2),
+    (["eq", "check", ""], 2),
+    (["sqrt", "0120"], 2),
+    (["factorize", "0120"], 2),
+    (["eq", "check", "0a0a"], 2),
+    (["preimages", ""], 2),
+    (["orbit", "--word", "", "--input-kind", "letters"], 2),
 ])
 def test_errors_exit_with_one_line(capsys, argv, code):
     # usage errors exit 2, a non-squareful input exits 1; never a traceback

@@ -131,7 +131,7 @@ class TestIterate:
     def test_section3_orbit_record(self, sys):
         star = sys.gamma_star(1)
         blocks = streams.from_function(
-            lambda i: "S" if i < 2 else star.letter(i - 2), "S2+Gamma1*", chunk=16
+            lambda i: "S" if i < 2 else star.letter(i - 2), "S2+Gamma1*"
         )
         prod = streams.SLProduct(blocks, 4, sys.s_word, sys.l_word)
         rec = dynamics.iterate_sqrt(sys, expand(prod), 4)
@@ -183,7 +183,7 @@ class TestIterate:
         star = sys.gamma_star(1)
         for ell, first in ((2, "S"), (4, "S"), (6, "S")):
             blocks = streams.from_function(
-                lambda i, f=first: f if i == 0 else star.letter(i), "w", chunk=16
+                lambda i, f=first: f if i == 0 else star.letter(i), "w"
             )
             src = expand(streams.SLProduct(blocks, ell, sys.s_word, sys.l_word))
             if src.prefix(1) != "0":
@@ -307,7 +307,7 @@ class TestPreimages:
         def mk(i):
             return zs[i] if i < len(zs) else star.letter(i - len(zs))
 
-        prod = streams.SLProduct(streams.from_function(mk, "zS+G*", chunk=16), 0,
+        prod = streams.SLProduct(streams.from_function(mk, "zS+G*"), 0,
                                  sys.s_word, sys.l_word)
         target = streams.sqrt_stream(sys.alphabet, expand(prod)).prefix(index.match_len)
         hits = index.find(target)

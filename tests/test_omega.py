@@ -223,7 +223,7 @@ class TestClassification:
             word0 = sys.s_word if first == "S" else sys.l_word
             for ell in range(1, n):
                 blocks = streams.from_function(
-                    lambda i, f=first: f if i == 0 else "S", "w", chunk=8
+                    lambda i, f=first: f if i == 0 else "S", "w"
                 )
                 prod = streams.SLProduct(blocks, ell, sys.s_word, sys.l_word)
                 kind, _ = sys.classify_type(prod)

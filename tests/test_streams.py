@@ -1,10 +1,13 @@
+import importlib
 import itertools
+import pkgutil
 import random
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import squareful
 from squareful import dynamics, streams
 from squareful.omega import OmegaParams, OmegaSystem
 from squareful.squares import build_alphabet, factor_minimal_squares, sqrt_finite
@@ -146,6 +149,54 @@ class TestInfiniteWord:
     def test_letter(self):
         src = periodic_word(S)
         assert [src.letter(i) for i in range(8)] == list(S)
+
+    def test_views_retain_no_letters(self):
+        # a periodic word and Gamma1 are views: reading them keeps no letters
+        sys = OmegaSystem(OmegaParams())
+        sys.big_gamma(1).prefix(2 * 10**5)  # builds the cached tau blocks
+        word, gamma = periodic_word(S), sys.big_gamma(1)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert len(word.prefix(10**6)) == 10**6
+            for a in range(0, 10**6, 10**5):
+                assert len(gamma.window(a, a + 10**5)) == 10**5
+            held = tracemalloc.get_traced_memory()[0] - base  # with both words alive
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert held < 2**16
+
+    def test_from_function_calls_f_on_the_requested_indices(self):
+        calls = []
+        word = streams.from_function(lambda i: calls.append(i) or "SL"[i % 2], "f")
+        assert (word.window(5, 9), word.letter(20), word.prefix(3)) == ("LSLS", "S", "SLS")
+        assert calls == [5, 6, 7, 8, 20, 0, 1, 2]
+
+    def test_chunks_read_before_the_end_are_kept(self):
+        src = InfiniteWord(["ab", "c"], "abc")
+        with pytest.raises(SourcePoisonedError) as exc:
+            src.prefix(5)
+        assert exc.value.position == 3
+        assert src.prefix(3) == "abc" and src.window(1, 3) == "bc"
+
+    def test_one_read_path(self):
+        # every word is read through InfiniteWord.window; subclasses override
+        # only the _window (and _fill) hooks
+        for info in pkgutil.iter_modules(squareful.__path__):
+            importlib.import_module(f"squareful.{info.name}")
+        found, todo = [], InfiniteWord.__subclasses__()
+        while todo:
+            cls = todo.pop()
+            todo += cls.__subclasses__()
+            if cls.__module__.startswith("squareful."):
+                found.append(cls)
+        assert {"_ShiftedWord", "_TauFixedPoint", "_SqrtWord"} <= {c.__name__ for c in found}
+        for cls in found:
+            assert not {"window", "prefix", "letter", "ensure"} & set(vars(cls)), cls
+        assert not hasattr(InfiniteWord, "ensure")
 
 
 class TestShift:
