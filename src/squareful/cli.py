@@ -243,10 +243,10 @@ def cmd_limit_set(ns) -> int:
     ok = True
     for t in range(1, ns.samples + 1):
         chain = dynamics.preimage_chain(sys, streams.shift(star, t), ns.depth)
-        good = chain.status == "ok" and all(l.verified for l in chain.links)
-        ok &= good
+        verified = all(l.verified for l in chain.links)
+        ok &= chain.status == "ok" and verified
         results.append({"shift_blocks": t, "status": chain.status,
-                        "links": len(chain.links), "verified": good})
+                        "links": len(chain.links), "verified": verified})
     if ns.format == "json":
         _emit(ns, json.dumps({"samples": results, "all_verified": ok}))
     else:

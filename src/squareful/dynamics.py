@@ -4,7 +4,7 @@ The workhorse is :class:`OrbitEngine`, which iterates the square root map on
 shifted block products ``y . B1 B2 B3 ...`` exactly, in block coordinates:
 the remainder ``y`` is ``(first, shift)``, the last ``|S| - shift`` letters
 of block ``first``.  One application of the map,
-:meth:`OmegaSystem.sqrt_step`, either
+:meth:`OmegaSystem.sqrt_step` (one greedy walk per memo miss), either
 
 * consumes ``y`` alone (``y`` is a product of minimal squares), leaving the
   odd-indexed blocks,
@@ -13,9 +13,10 @@ of block ``first``.  One application of the map,
   block word, after which the orbit lives in the finite periodic part and is
   followed by exact rotation bookkeeping.
 
-In the first two cases the root of ``y`` is again a remainder.  Table 1 is
-a walk on the graph whose nodes are the remainders and the rotations of
-``S^omega``: each node has one successor, because the engine checks that a
+In the first two cases the root of ``y`` is again a remainder, and a
+rotation ``T^j(S^omega)`` steps as the remainder ``("S", j)`` over S blocks.
+Table 1 is a walk on the graph whose nodes are the remainders and the
+rotations: each node has one successor, because the engine checks that a
 remainder's step does not depend on the names of the blocks after it.  A
 node's depth is its step count to ``S^omega`` or ``L^omega``; the supremum
 is the largest depth of a start's remainder.
@@ -128,10 +129,16 @@ class OrbitEngine:
 
         A remainder's step must come out the same under all 16 tails of the
         :data:`~squareful.omega.D_LOOKAHEAD` names it can read, so that its
-        depth is the step count of every start that reaches it.
+        depth is the step count of every start that reaches it.  A rotation
+        goes to its D index or its B/C root's shift; ``S^omega`` is type A.
         """
+        if node == 0:
+            return 0
         if isinstance(node, int):
-            return self.sys.periodic_image("S", node, "S" * D_LOOKAHEAD)
+            kind, out = self.sys.sqrt_step("S", node, "S" * D_LOOKAHEAD)
+            if kind != TYPE_D and out[0] != "S":
+                raise AssertionError(f"the square root of T^{node}(S^w) is not a rotation of S^w")
+            return out if kind == TYPE_D else out[1]
         outcomes = {self.sys.sqrt_step(*node, names) for names in _TAILS}
         if len(outcomes) != 1:
             raise AssertionError(f"the square root step of the remainder {node!r} depends on the block names")

@@ -17,6 +17,8 @@ periodic word ``S^omega`` closes the system under the square root map.
 
 from __future__ import annotations
 
+import itertools
+
 from . import squares, streams, words
 from .sturmian import ContinuedFraction, RotationSystem, reversed_standard_word
 from .squares import SquareAlphabet
@@ -99,8 +101,7 @@ class OmegaSystem:
         self._gamma_blocks: dict[int, str] = {0: "S"}
         self._gamma_bar_blocks: dict[int, str] = {0: "L"}
         self._gamma_star: dict[int, InfiniteWord] = {}
-        self._block_roots: dict[tuple[str, int, str], tuple[str, int] | None] = {}
-        self._periodic_images: dict[tuple[str, int, str], int] = {}
+        self._steps: dict[tuple[str, int, str], tuple[str, tuple[str, int] | int]] = {}
 
     # -- basic words ---------------------------------------------------------
 
@@ -220,62 +221,53 @@ class OmegaSystem:
 
     # -- the square root step --------------------------------------------------
 
-    def _block_root(self, f: str, shift: int, names: str) -> tuple[str, int] | None:
-        """The root of the remainder ``(f, shift)`` and the blocks ``names``,
-        as a remainder, or None if that is not a square product."""
-        key = (f, shift, names)
-        if key not in self._block_roots:
-            text = self.sigma(f)[shift:] + self.sigma(names)
-            roots, failure = squares.factor_minimal_squares(self.alphabet, text)
-            root, found = "".join(roots), None
-            if failure is None:
-                head = "S" if self.s_word.endswith(root) else "L"
-                if not self.sigma(head).endswith(root):
-                    raise AssertionError("the root of a block suffix is a block suffix")
-                found = head, self.block_len - len(root)
-            self._block_roots[key] = found
-        return self._block_roots[key]
-
-    def periodic_image(self, first: str, shift: int, names: str) -> int:
-        """Rotation index ``j`` of the periodic square root ``T^j(S^omega)`` of
-        the remainder ``(first, shift)`` and the blocks ``names`` (at least
-        :data:`D_LOOKAHEAD`), read off its first ``|S|`` letters; the memo
-        keys on the names that the ``2|S| + |S6^2|`` letters read reach."""
-        if len(names) < D_LOOKAHEAD:
-            raise ValueError(f"need {D_LOOKAHEAD} block names, got {names!r}")
-        n, read = self.block_len, 2 * self.block_len + self.alphabet.max_square_len
-        key = (first if shift < 2 else "S", shift, names[: -(-(read - n + shift) // n)])
-        j = self._periodic_images.get(key)
-        if j is None:
-            text = (self.sigma(key[0])[shift:] + self.sigma(key[2]))[:read]
-            roots, _ = squares.factor_minimal_squares(self.alphabet, text)
-            # the tail may stop mid-square; only |S| root letters are needed
-            image = "".join(roots)[:n]
-            j = self.conjugate_index(image)
-            if j is None:
-                raise AssertionError(f"periodic image {image!r} is not a rotation of the block word")
-            self._periodic_images[key] = j
-        return j
-
     def sqrt_step(self, first: str, shift: int, names: str) -> tuple[str, tuple[str, int] | int]:
         """One square root step on the remainder ``(first, shift)``, the last
         ``|S| - shift`` letters of block ``first``, and the blocks ``names``
-        (type C reads the first, type D the first :data:`D_LOOKAHEAD`).
+        (at least :data:`D_LOOKAHEAD`).
 
         Returns ``(TYPE_B, root)`` when the remainder is a product of minimal
         squares, ``(TYPE_C, root)`` when it is with the first block, the root
         being a remainder ``(head, shift')``, and otherwise ``(TYPE_D, j)``:
-        the square root is ``T^j(S^omega)``.  S and L differ only in their
-        first two letters, so the memos key a shift >= 2 on ``"S"``.
+        the square root is ``T^j(S^omega)``.
+
+        Lemma: the squares are prefix-free, so a prefix of a text is a product
+        of minimal squares iff the text's greedy walk passes its end.  One walk
+        of the remainder and the blocks after it, cut at ``2|S| + |S6^2|``
+        letters, thus decides the type: B iff it passes ``|S| - shift``, C iff
+        it passes ``2|S| - shift``, else D, with ``j`` the rotation index of
+        its first ``|S|`` root letters.  The memo keys B on no names, C on the
+        first and D on the names the walk reads, tried in that order; S and L
+        differ only in their first two letters, so a shift >= 2 keys on "S".
         """
-        if not 0 < shift < self.block_len:
+        n, read = self.block_len, 2 * self.block_len + self.alphabet.max_square_len
+        if not 0 < shift < n:
             raise ValueError("shift must lie in [1, |S|)")
-        f = first if shift < 2 else "S"
-        for kind, read in ((TYPE_B, ""), (TYPE_C, names[0])):
-            root = self._block_root(f, shift, read)
-            if root is not None:
-                return kind, root
-        return TYPE_D, self.periodic_image(first, shift, names)
+        if len(names) < D_LOOKAHEAD:
+            raise ValueError(f"need {D_LOOKAHEAD} block names, got {names!r}")
+        f, tail = first if shift < 2 else "S", names[: -(-(read - n + shift) // n)]
+        keys = (f, shift, ""), (f, shift, names[0]), (f, shift, tail)
+        step = self._steps.get(keys[0]) or self._steps.get(keys[1]) or self._steps.get(keys[2])
+        if step:
+            return step
+        text = self.sigma(f)[shift:] + self.sigma(tail)
+        roots, _ = squares.factor_minimal_squares(self.alphabet, text[:read])
+        word, ends = "".join(roots), set(itertools.accumulate(2 * len(root) for root in roots))
+        for kind, key, end in ((TYPE_B, keys[0], n - shift), (TYPE_C, keys[1], 2 * n - shift)):
+            if end in ends:
+                root = word[: end // 2]
+                head = "S" if self.s_word.endswith(root) else "L"
+                if not self.sigma(head).endswith(root):
+                    raise AssertionError("the root of a block suffix is a block suffix")
+                step = kind, (head, n - len(root))
+                break
+        else:
+            key, j = keys[2], self.conjugate_index(word[:n])
+            if j is None:
+                raise AssertionError(f"periodic image {word[:n]!r} is not a rotation of the block word")
+            step = TYPE_D, j
+        self._steps[key] = step
+        return step
 
     def _product_step(self, prod: SLProduct) -> tuple[str, tuple[str, int] | int | None]:
         if prod.shift == 0:

@@ -7,7 +7,7 @@ import re
 import jsonschema
 import pytest
 
-from squareful import cli, streams
+from squareful import cli, dynamics, streams
 from squareful.cli import main
 from squareful.omega import OmegaParams, OmegaSystem
 
@@ -140,6 +140,14 @@ class TestMiscCommands:
                         "--format", "json")
         assert code == 0
         assert json.loads(out)["all_verified"] is True
+
+    def test_limit_set_budget_cut_is_not_a_failed_verification(self, capsys, monkeypatch):
+        chain = dynamics.preimage_chain
+        monkeypatch.setattr(dynamics, "preimage_chain",
+                            lambda *args: chain(*args, block_budget=20_000))
+        code, out = run(capsys, "limit-set", "--samples", "1", "--depth", "14")
+        assert code == 1
+        assert out == "T^1(blocks): budget, 7 links, verified=True\nall verified: False"
 
     def test_periodic_points(self, capsys):
         code, out = run(capsys, "periodic-points", "--max-blocks", "4",

@@ -1,10 +1,12 @@
+import ast
 import itertools
+import pathlib
 import random
 import tracemalloc
 
 import pytest
 
-from squareful import streams, words
+from squareful import omega, squares, streams, words
 from squareful.dynamics import AlignmentTower, OrbitEngine, fibonacci_system
 from squareful.omega import PERIODIC, PLAIN, SWAPPED, OmegaParams, OmegaSystem, tau
 from squareful.squares import in_pi, sqrt_finite, square_matcher
@@ -352,6 +354,45 @@ class TestBlockCoordinates:
                     y = sys.sigma(first)[cut:] + (sys.sigma(nxt) if kind == "C" else "")
                     assert sys.sigma(out[0])[out[1] :] == sqrt_finite(sys.alphabet, y), params
         assert kinds == {"B", "C", "D"}
+
+    def test_rotation_successors_match_letters(self):
+        # a rotation j >= 1 steps as the remainder ("S", j) over S blocks; its
+        # successor is the rotation the tokenizer reads off the root's letters
+        grid = [OmegaParams(a, b, c, k, seed) for a in (1, 2, 3) for b in (0, 1) for c in (1, 2)
+                for k in (4, 6) for seed in (PLAIN, SWAPPED)]
+        kinds = []
+        for params in grid:
+            sys = OmegaSystem(params)
+            engine, n = OrbitEngine(sys), sys.block_len
+            for j in range(n):
+                root = streams.sqrt_stream(sys.alphabet, sys.omega_p_word(j)).prefix(n)
+                assert engine.rotation_successor(j) == sys.conjugate_index(root), (params, j)
+                kinds.append(sys.sqrt_step("S", j, "SSSS")[0] if j else "A")
+        assert len(kinds) == 1212 and {"B", "C", "D"} <= set(kinds)
+
+
+class TestOneStepKernel:
+    def test_sqrt_step_is_the_only_tokenizing_site(self):
+        tree = ast.parse(pathlib.Path(omega.__file__).read_text())
+        sites = [fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                 for node in ast.walk(fn) if isinstance(node, ast.Call)
+                 and getattr(node.func, "attr", getattr(node.func, "id", None)) == "factor_minimal_squares"]
+        assert sites == ["sqrt_step"]
+        names = {getattr(node, "attr", getattr(node, "id", getattr(node, "name", None)))
+                 for node in ast.walk(tree)}
+        assert not names & {"_block_root", "periodic_image", "_block_roots", "_periodic_images"}
+
+    @pytest.mark.parametrize("s_len, most", [(89, 300), (377, 1200)])
+    def test_one_walk_per_memo_miss(self, monkeypatch, s_len, most):
+        calls, tokenize = [], squares.factor_minimal_squares
+
+        def counted(alph, w):
+            calls.append(len(w))
+            return tokenize(alph, w)
+
+        monkeypatch.setattr(squares, "factor_minimal_squares", counted)
+        OrbitEngine(fibonacci_system(s_len)).steps_supremum()
+        assert 0 < len(calls) <= most
 
 
 class TestSynchronization:
