@@ -27,6 +27,10 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
+# The most letters a command may build from --k (the block word S) and from
+# --j (gamma_j and gamma_bar_j together); a larger request is a usage error.
+MAX_WORD_LETTERS = 10_000_000
+
 
 class _Parser(argparse.ArgumentParser):
     """Hands usage errors to :func:`main`, which reports them in one line."""
@@ -62,7 +66,20 @@ def _system_args(p: argparse.ArgumentParser):
 
 
 def _system(ns) -> OmegaSystem:
-    return OmegaSystem(OmegaParams(a=ns.a, b=ns.b, c=ns.c, k=ns.k, seed=ns.seed_word))
+    """The system of the parameter flags, sized before any word is built.
+
+    ``|S| = q_k`` follows the length recurrence of the standard words.  As
+    ``q_i >= F_(i+2)`` and ``2c + 1 >= 3``, capping ``k`` and ``j`` at 64
+    leaves an over-limit size over the limit."""
+    params = OmegaParams(a=ns.a, b=ns.b, c=ns.c, k=ns.k, seed=ns.seed_word)
+    prev, n = 1, 1
+    for d in params.directive(min(ns.k, 64)):
+        prev, n = n, d * n + prev
+    if n > MAX_WORD_LETTERS:
+        raise ValueError(f"--k {ns.k}: the block word has more than {MAX_WORD_LETTERS} letters")
+    if "j" in ns and 2 * n * (2 * ns.c + 1) ** min(ns.j, 64) > MAX_WORD_LETTERS:
+        raise ValueError(f"--j {ns.j}: gamma_j and gamma_bar_j have more than {MAX_WORD_LETTERS} letters")
+    return OmegaSystem(params)
 
 
 def _emit(ns, text: str) -> None:
@@ -337,8 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shift", type=int, default=0)
 
     p = add(sub, "orbit", cmd_orbit, _system_args, help="iterate the square root map",
-            description="A step is periodic only when proved so; outcome 'stream' means no "
-                        "period is known, and no guess is made.")
+            description="A step is periodic only when proved so; outcome 'stream' means the "
+                        "word is not known to be a shift of S^omega, and no guess is made.")
     p.add_argument("--word", type=str, required=True,
                    help="named source (gamma1, gamma2, s-omega, l-omega), a 0/1 "
                         "period, or S/L block names per --input-kind")

@@ -250,8 +250,8 @@ def iterate_sqrt(sys: OmegaSystem, src: InfiniteWord, m: int) -> OrbitRecord:
 
     Uses the structural route when the source carries product provenance and
     the raw lazy tokenizer otherwise.  A word is ``periodic`` only as a type D
-    image or by :meth:`OmegaSystem.rotation_index`; ``stream`` means no
-    period is known, and no guess is made.
+    image or by :meth:`OmegaSystem.rotation_index`; ``stream`` means the word
+    is not known to be a shift of ``S^omega``, and no guess is made.
     """
     n = sys.block_len
     record = OrbitRecord(start=src.descriptor)
@@ -356,47 +356,48 @@ class PreimageIndex:
     whose roots diverge later are pruned because the divergence of a variant
     at scale ``resolution`` shows up within a small multiple of it.
 
-    The candidates are read off the covering texts ``tau^j(a) tau^j(b)`` of
-    :meth:`OmegaSystem.covering_texts`, of which the windows are slices:
-    ``sigma`` of each text is walked once (:func:`_greedy_roots`), every
-    block start and every shift sharing the walk.  Lemma: a window's greedy
-    factorization from position ``x`` is the covering text's factorization
-    from ``x`` up to the last square inside the window, since a square is
-    matched by the at most ``max_square_len`` letters after its start.  A
-    window has more than ``max_square_len`` letters beyond the ``2 *
-    match_len`` that ``match_len`` root letters read from any shift, so it
-    yields ``match_len`` root letters exactly when the text walk does, and
-    the same ones; a walk that fails short of them raises in both.  A
-    preimage keeps its first witness, in sorted window order and then by
-    ascending shift.
+    The roots are read off the square root step and block decimation, with
+    the block pairs checked to halve (:func:`_block_pairs_halve`).  Lemma:
+    the window ``w`` shifted by ``ell`` is the remainder ``(w[0], ell)`` over
+    the blocks ``w[1:]``.  At ``ell = 0`` its root is ``sigma(w[0::2])``.
+    Otherwise :meth:`OmegaSystem.sqrt_step` gives a type B or C root, a
+    remainder ``(head, shift')`` that consumes ``w[0]`` or ``w[0:2]``, after
+    which every name pair halves, so the root is ``sigma(head)[shift':]``
+    followed by ``sigma`` of the odd- or even-indexed names; ``window_blocks``
+    names reach past every pair that ``match_len`` root letters read (at most
+    16 pairs after two names).  Type D is the step's own claim, the one the
+    orbit engine uses: the root is ``T^j(S^omega)``.  A preimage keeps its
+    first witness, in sorted window order and then by ascending shift.
     """
 
     def __init__(self, sys: OmegaSystem):
+        if not _block_pairs_halve(sys):
+            raise AssertionError("a block pair does not halve; block decimation is not exact")
         n = sys.block_len
-        self.sys = sys
-        self.match_len = preimage_match_len(sys)
-        resolution = self.match_len // 4
-        need_letters = 2 * self.match_len + sys.alphabet.max_square_len + n
+        self.match_len = need = preimage_match_len(sys)
+        resolution = need // 4
+        need_letters = 2 * need + sys.alphabet.max_square_len + n
         self.window_blocks = need_letters // n + 2
-        size = self.window_blocks
-        # window -> its letters and the roots from each of its |S| shifts
-        found: dict[str, tuple[str, list[str]]] = {}
-        for names, count in sys.covering_texts(size):
-            fresh: dict[str, int] = {}  # windows not seen in an earlier text
-            for i in range(count):
-                if names[i : i + size] not in found:
-                    fresh.setdefault(names[i : i + size], i)
-            text = sys.sigma(names)
-            starts = [i * n + ell for i in fresh.values() for ell in range(n)]
-            roots = _greedy_roots(sys.alphabet, text, starts, self.match_len)
-            for t, (window, i) in enumerate(fresh.items()):
-                found[window] = (text[i * n : (i + size) * n], roots[t * n : (t + 1) * n])
         self.table: dict[str, dict[str, PreimageHit]] = {}
-        for window in sorted(found):
-            text, outs = found[window]
-            for ell, out in enumerate(outs):
+        for window in sys.factors(self.window_blocks):
+            size, text = len(window), sys.sigma(window)
+            # sigma of the first name of each whole pair from name 0 and from name 1
+            even = sys.sigma(window[0::2][: size // 2])
+            odd = sys.sigma(window[1::2][: (size - 1) // 2])
+            for ell in range(n):
+                if ell == 0:
+                    root = even
+                else:
+                    kind, out = sys.sqrt_step(window[0], ell, window[1 : 1 + D_LOOKAHEAD])
+                    if kind == TYPE_D:
+                        root = sys.omega_p_word(out).prefix(need)
+                    else:
+                        head, shift = out
+                        root = sys.sigma(head)[shift:] + (odd if kind == TYPE_B else even[n:])
+                if len(root) < need:
+                    raise AssertionError("window too short for the requested match depth")
                 key = text[ell : ell + 2 * resolution]
-                bucket = self.table.setdefault(out, {})
+                bucket = self.table.setdefault(root[:need], {})
                 if key not in bucket:
                     bucket[key] = PreimageHit(key, ell, window)
 
@@ -405,45 +406,6 @@ class PreimageIndex:
             raise ValueError(f"index matches targets of length {self.match_len}")
         bucket = self.table.get(target_prefix, {})
         return sorted(bucket.values(), key=lambda h: h.preimage_prefix)
-
-
-def _greedy_roots(alph: squares.SquareAlphabet, text: str, starts: Iterable[int], need: int) -> list[str]:
-    """The first ``need`` root letters of the greedy factorization of
-    ``text[x:]``, for each ``x`` in ``starts``.
-
-    A factorization may stop before the end of ``text`` (the tail can end
-    mid-square), but must give ``need`` root letters.  The factorizations
-    from two positions coincide from the first position both reach, so
-    ``reached`` maps each position matched so far to the roots of the walk
-    that matched it and their length before it; a later walk stops there
-    and shares the rest.  A shared rest is cut to ``need`` letters: by
-    induction, the roots kept from each position are then a prefix of its
-    factorization with at least ``need`` letters, or all of it.
-    """
-    match = squares.square_matcher(alph)
-    reached: dict[int, tuple[str, int]] = {}
-    out = []
-    for x in starts:
-        pos, roots, marks, size = x, [], [], 0
-        while pos not in reached:
-            m = match(text, pos)
-            if m is None:
-                break
-            half = (m.end() - pos) // 2
-            marks.append((pos, size))
-            roots.append(text[pos : pos + half])
-            size += half
-            pos = m.end()
-        walk = "".join(roots)
-        if pos in reached:
-            merged, at = reached[pos]
-            walk += merged[at : at + need]
-        if len(walk) < need:
-            raise AssertionError("window too short for the requested match depth")
-        for visited, before in marks:
-            reached[visited] = (walk, before)
-        out.append(walk[:need])
-    return out
 
 
 def junction_signature(sys: OmegaSystem, hits: list[PreimageHit]) -> bool:

@@ -129,10 +129,8 @@ class OmegaSystem:
             cache[top] = tau(self.params.c, cache[top - 1])
         return cache[j]
 
-    def covering_texts(self, length: int) -> list[tuple[str, int]]:
-        """The texts ``tau^j(a) tau^j(b)`` whose slices of ``length`` block
-        names are the factors of the tau language, each with its start count
-        ``|tau^j(a)|``, in the order of the 2-letter factors ``ab``.
+    def factors(self, length: int) -> list[str]:
+        """The sorted factors of ``length`` block names of the tau language.
 
         tau is primitive, so the language is the set of factors of the
         ``tau^i(S)``.  Its 2-letter factors are the closure of those of
@@ -163,18 +161,12 @@ class OmegaSystem:
         j = 0
         while min(len(self.tau_block(j)), len(self.tau_block(j, bar=True))) < length - 1:
             j += 1
-        texts = []
-        for a, b in sorted(pairs):
+        found: set[str] = set()
+        for a, b in pairs:
             left = self.tau_block(j, bar=a == "L")
-            texts.append((left + self.tau_block(j, bar=b == "L"), len(left)))
-        return texts
-
-    def factors(self, length: int) -> list[str]:
-        """The sorted factors of ``length`` block names of the tau language:
-        the slices of :meth:`covering_texts` that start inside their first
-        image."""
-        return sorted({text[i : i + length] for text, count in self.covering_texts(length)
-                       for i in range(count)})
+            text = left + self.tau_block(j, bar=b == "L")
+            found.update(text[i : i + length] for i in range(len(left)))
+        return sorted(found)
 
     def gamma(self, j: int) -> str:
         return self.sigma(self.tau_block(j))

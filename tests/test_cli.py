@@ -7,7 +7,7 @@ import re
 import jsonschema
 import pytest
 
-from squareful import cli, dynamics, streams
+from squareful import cli, dynamics, omega, streams
 from squareful.cli import main
 from squareful.omega import OmegaParams, OmegaSystem
 
@@ -119,6 +119,20 @@ class TestOrbitCommand:
         assert [s["outcome"] for s in payload["steps"]] == ["A", "A", "A"]
         assert (payload["n_periodic"], payload["n_fixed"]) == (None, None)
 
+    def test_stream_is_not_a_missing_period(self, capsys):
+        # (0101)^w has a known period and so has its square root, yet it is
+        # no shift of S^omega: 'stream' says exactly that
+        code, out = run(capsys, "orbit", "--word", "0101", "--input-kind", "letters",
+                        "--steps", "3", "--format", "json")
+        assert code == 0
+        assert [s["outcome"] for s in json.loads(out)["steps"]] == ["stream"] * 4
+        word = streams.periodic_word("0101")
+        assert word.period() == (0, 4)
+        assert streams.sqrt_stream(OmegaSystem(OmegaParams()).alphabet, word).period() == (0, 2)
+        with pytest.raises(SystemExit):
+            main(["orbit", "--help"])
+        assert "not known to be a shift of S^omega" in " ".join(capsys.readouterr().out.split())
+
 
 class TestPreimagesCommand:
     def test_on_generated_target(self, capsys):
@@ -215,6 +229,26 @@ def test_errors_exit_with_one_line(capsys, argv, code):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["omega", "gamma", "--j", "20"],
+    ["omega", "gamma", "--k", "40", "--j", "1"],
+    ["preimages", "--k", "40", "01" * 64],
+    ["omega", "gamma", "--j", "1000000000"],
+])
+def test_oversized_words_are_refused_before_building(monkeypatch, capsys, argv):
+    # the sizes are integer arithmetic: no block word and no tau image is built
+    def unreachable(*args, **kwargs):
+        raise AssertionError("an oversized word was built")
+
+    monkeypatch.setattr(omega, "reversed_standard_word", unreachable)
+    monkeypatch.setattr(OmegaSystem, "tau_block", unreachable)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and str(cli.MAX_WORD_LETTERS) in lines[0]
 
 
 def test_unwritable_out_is_a_usage_error(capsys, tmp_path):

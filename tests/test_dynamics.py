@@ -1,5 +1,7 @@
+import ast
 import itertools
 import math
+import pathlib
 import random
 import tracemalloc
 
@@ -329,6 +331,8 @@ class TestPreimages:
     @pytest.mark.parametrize("params", [
         OmegaParams(), OmegaParams(c=2, seed=SWAPPED), OmegaParams(a=2, b=1, k=5),
         OmegaParams(c=2, k=5), OmegaParams(k=5, seed=SWAPPED),
+        OmegaParams(a=2, b=1), OmegaParams(c=2), OmegaParams(k=7),
+        OmegaParams(a=2, c=3, k=5, seed=SWAPPED), OmegaParams(a=3, b=2, k=6),
     ])
     def test_table_equals_a_per_offset_build(self, params):
         # every window from an explicit scan of a long prefix, every offset
@@ -349,10 +353,23 @@ class TestPreimages:
         assert {out: {key: (hit.preimage_prefix, hit.shift, hit.window) for key, hit in bucket.items()}
                 for out, bucket in index.table.items()} == table
 
-    def test_short_window_raises(self, sys):
-        text = sys.gamma(2)
+    def test_short_window_raises(self, monkeypatch):
+        # windows cut to 20 names give roots of fewer than match_len letters
+        factors = OmegaSystem.factors
+        monkeypatch.setattr(OmegaSystem, "factors", lambda self, length: [w[:20] for w in factors(self, length)])
         with pytest.raises(AssertionError, match="too short"):
-            dynamics._greedy_roots(sys.alphabet, text, range(sys.block_len), len(text))
+            dynamics.PreimageIndex(OmegaSystem(OmegaParams()))
+
+    def test_roots_come_from_the_square_root_step(self):
+        tree = ast.parse(pathlib.Path(dynamics.__file__).read_text())
+        names = {getattr(node, "attr", getattr(node, "id", getattr(node, "name", None)))
+                 for node in ast.walk(tree)}
+        assert not names & {"square_matcher", "_greedy_roots"}
+        index = next(node for node in ast.walk(tree)
+                     if isinstance(node, ast.ClassDef) and node.name == "PreimageIndex")
+        init = next(fn for fn in index.body if isinstance(fn, ast.FunctionDef) and fn.name == "__init__")
+        assert any(isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "sqrt_step"
+                   for node in ast.walk(init))
 
 
 class TestAlignmentTower:
