@@ -28,7 +28,8 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
 # The most letters a command may build from --k (the block word S) and from
-# --j (gamma_j and gamma_bar_j together); a larger request is a usage error.
+# --j (gamma_j and gamma_bar_j together), and the most block names that
+# periodic-points --max-blocks may spell; a larger request is a usage error.
 MAX_WORD_LETTERS = 10_000_000
 
 
@@ -70,7 +71,9 @@ def _system(ns) -> OmegaSystem:
 
     ``|S| = q_k`` follows the length recurrence of the standard words.  As
     ``q_i >= F_(i+2)`` and ``2c + 1 >= 3``, capping ``k`` and ``j`` at 64
-    leaves an over-limit size over the limit."""
+    leaves an over-limit size over the limit.  The patterns of ``--max-blocks
+    mb`` spell ``(mb - 1) 2^(mb + 1) + 2`` names, the sum of ``s 2^s`` over
+    ``s <= mb``; ``mb`` is capped at 64 likewise."""
     params = OmegaParams(a=ns.a, b=ns.b, c=ns.c, k=ns.k, seed=ns.seed_word)
     prev, n = 1, 1
     for d in params.directive(min(ns.k, 64)):
@@ -79,6 +82,9 @@ def _system(ns) -> OmegaSystem:
         raise ValueError(f"--k {ns.k}: the block word has more than {MAX_WORD_LETTERS} letters")
     if "j" in ns and 2 * n * (2 * ns.c + 1) ** min(ns.j, 64) > MAX_WORD_LETTERS:
         raise ValueError(f"--j {ns.j}: gamma_j and gamma_bar_j have more than {MAX_WORD_LETTERS} letters")
+    mb = min(getattr(ns, "max_blocks", 1), 64)
+    if (mb - 1) * 2 ** (mb + 1) + 2 > MAX_WORD_LETTERS:
+        raise ValueError(f"--max-blocks {ns.max_blocks}: the search spells more than {MAX_WORD_LETTERS} names")
     return OmegaSystem(params)
 
 
@@ -276,7 +282,7 @@ def cmd_limit_set(ns) -> int:
 
 def cmd_periodic_points(ns) -> int:
     sys = _system(ns)
-    res = dynamics.periodic_point_search(sys, max_blocks=ns.max_blocks, cap=ns.cap)
+    res = dynamics.periodic_point_search(sys, max_blocks=ns.max_blocks)
     points = sorted({r.label for r in res if r.status == "periodic_point"})
     expected = ["Gamma1", "Gamma2", "L^w", "S^w"]
     ok = points == expected
@@ -383,7 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add(sub, "periodic-points", cmd_periodic_points, _system_args,
             help="refutation search for periodic points")
     p.add_argument("--max-blocks", type=_at_least(1), default=8)
-    p.add_argument("--cap", type=_at_least(1), default=16)
 
     eq = sub.add_parser("eq", help="word equation tools")
     esub = eq.add_subparsers(dest="eq_command", required=True)

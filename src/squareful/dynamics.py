@@ -25,11 +25,10 @@ is the largest depth of a start's remainder.
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from . import squares, streams, words
+from . import equation, squares, streams, words
 from .omega import D_LOOKAHEAD, PERIODIC, TYPE_B, TYPE_D, OmegaParams, OmegaSystem
 from .streams import BlockWord, InfiniteWord
 
@@ -637,43 +636,39 @@ class PeriodicCandidate:
         self.reason = reason  # the return time or the refutation witness
 
 
-def periodic_point_search(sys: OmegaSystem, max_blocks: int = 8, cap: int = 16) -> list[PeriodicCandidate]:
-    """Refutation search for periodic points among cyclic block products.
+def periodic_point_search(sys: OmegaSystem, max_blocks: int = 8) -> list[PeriodicCandidate]:
+    """Decide, for each cyclic block product of up to ``max_blocks`` names,
+    whether it is a periodic point; ``Gamma1`` and ``Gamma2`` are added.
 
     The root of a block product is ``sigma`` of its even-indexed names
-    (:func:`_block_pairs_halve`, checked).  Each block pattern of up to
-    ``max_blocks`` names, repeated, is tested for a return of this
-    decimation; a returning word is in the subshift
-    only if :meth:`OmegaSystem.rotation_index` finds a shift of ``S^omega``.
-    ``Gamma1`` and ``Gamma2`` are fixed: with ``m = 2c + 1``, ``Gamma*[qm +
-    r] = tau(Gamma'*[q])[r]`` (tau swaps the two fixed points of tau^2), so
-    if ``tau(a)[2r % m] == tau(b)[r]`` for all ``a, b`` and ``0 < r < m``
-    (checked), ``Gamma*[2i] = Gamma*[i]`` by induction on ``i`` (for ``r =
-    0`` it holds at ``q < i``).
+    (:func:`_block_pairs_halve`, checked).  A pattern returns under this
+    decimation or never does (:func:`_first_return`).  A returning word is
+    in the subshift only if :meth:`OmegaSystem.rotation_index` finds a shift
+    of ``S^omega``.  ``S`` and ``L`` are distinct words of one length, so
+    ``sigma`` is a code and two patterns give the same word iff they share
+    their primitive root; a proper power returns iff its root does, and the
+    root, shorter, was met first, so only primitive returning patterns are
+    kept.  ``Gamma1`` and ``Gamma2`` are fixed: with ``m = 2c + 1``,
+    ``Gamma*[qm + r] = tau(Gamma'*[q])[r]`` (tau swaps the two fixed points
+    of tau^2), so if ``tau(a)[2r % m] == tau(b)[r]`` for all ``a, b`` and
+    ``0 < r < m`` (checked), ``Gamma*[2i] = Gamma*[i]`` by induction on ``i``
+    (for ``r = 0`` it holds at ``q < i``).
     """
     if not _block_pairs_halve(sys):
         raise AssertionError("a block pair does not halve; block decimation is not exact")
     results: list[PeriodicCandidate] = []
     n = sys.block_len
-    seen_words: set[str] = set()
     for size in range(1, max_blocks + 1):
         for bits in itertools.product("SL", repeat=size):
             pattern = "".join(bits)
-            ret = next((steps for steps in range(1, cap + 1)
-                        if all(pattern[(t << steps) % size] == pattern[t] for t in range(size))), None)
+            ret = _first_return(pattern)
             label = f"({pattern})^w"
             if ret is None:
-                reason = f"no block-level return within {cap} steps"
-                results.append(PeriodicCandidate(label, "refuted", reason))
+                results.append(PeriodicCandidate(label, "refuted", "no block-level return"))
+                continue
+            if not words.is_primitive(pattern):
                 continue
             word = sys.sigma(pattern)
-            # two cyclic candidates are the same infinite word exactly when
-            # their periods share the primitive root
-            root = word[: words.minimal_period(word)]
-            canon = root if len(word) % len(root) == 0 else word
-            if canon in seen_words:
-                continue
-            seen_words.add(canon)
             j = sys.rotation_index(streams.periodic_word(word, label))
             if j is None:
                 reason = ("block-level return but the word is ultimately periodic "
@@ -689,47 +684,49 @@ def periodic_point_search(sys: OmegaSystem, max_blocks: int = 8, cap: int = 16) 
                       for which in (1, 2)]
 
 
-_ORD2_CACHE: dict[int, int] = {}
+def _first_return(pattern: str) -> int | None:
+    """The least ``steps >= 1`` after which ``steps`` decimations of
+    ``pattern^omega`` give it back, or None if none does.
+
+    After ``steps`` decimations name ``t`` reads name ``t r mod |pattern|``
+    with ``r = 2^steps mod |pattern|``, so a return depends on ``r`` alone;
+    ``r`` repeats within ``|pattern|`` steps, and from its first repeat on
+    every ``r`` has been tried."""
+    size = len(pattern)
+    tried: set[int] = set()
+    steps, r = 1, 2 % size
+    while r not in tried:
+        if all(pattern[t * r % size] == pattern[t] for t in range(size)):
+            return steps
+        tried.add(r)
+        steps, r = steps + 1, 2 * r % size
+    return None
 
 
-def doubling_period(k_i: int, modulus: int) -> int:
-    """Minimal period of ``t -> (2^t - 1) * k_i mod modulus`` (odd modulus).
-
-    Equals the first ``p >= 1`` with ``(2^p - 1) k_i`` divisible by the
-    modulus; the sequence is purely periodic because 2 is invertible.  That
-    first return depends only on ``modulus / gcd(k_i, modulus)``, which keeps
-    exhaustive chain checks cheap.
-    """
-    if modulus % 2 == 0:
-        raise ValueError("modulus must be odd")
-    if not 0 < k_i < modulus:
-        raise ValueError("need 0 < k_i < modulus")
-    reduced = modulus // math.gcd(k_i, modulus)
-    if reduced not in _ORD2_CACHE:
-        x = 2 % reduced
-        p = 1
-        while x != 1 % reduced:
-            x = 2 * x % reduced
-            p += 1
-            if p > reduced:
-                raise AssertionError("period search exceeded the modulus; impossible")
-        _ORD2_CACHE[reduced] = p
-    return _ORD2_CACHE[reduced]
+def _orbit_lengths(modulus: int) -> list[int]:
+    """The length of the orbit of each ``k`` under ``k -> 2k mod modulus``."""
+    lengths = [0] * modulus
+    for orbit in equation.doubling_orbits(modulus).orbits:
+        for k in orbit:
+            lengths[k] = len(orbit)
+    return lengths
 
 
 def doubling_period_increasing(c: int, imax: int) -> bool:
-    """Exhaustively verify that periods grow strictly along every chain
-    ``k_{i+1} = k_i + r * (2c+1)^i`` with ``k_1 != 0``."""
+    """Exhaustively verify that doubling periods grow strictly along every
+    chain ``k_{i+1} = k_i + r m^i`` with ``m = 2c + 1``, ``m`` not dividing
+    ``k_1``, ``0 <= r < m`` and ``1 <= i < imax``.
+
+    The doubling period of ``k`` modulo ``M``, the least ``p >= 1`` with
+    ``(2^p - 1) k = 0 mod M``, is the length of the orbit of ``k`` in
+    :func:`equation.doubling_orbits`, as ``(2^p - 1) k = 0`` iff ``2^p k =
+    k``.  The chain values at level ``i`` are the ``0 < k < m^i`` that ``m``
+    does not divide."""
     m = 2 * c + 1
-    frontier = [(1, k) for k in range(1, m)]
-    while frontier:
-        i, k = frontier.pop()
-        if i == imax:
-            continue
-        p_here = doubling_period(k, m**i)
-        for r in range(m):
-            k_next = k + r * m**i
-            if doubling_period(k_next, m ** (i + 1)) <= p_here:
-                return False
-            frontier.append((i + 1, k_next))
+    here = _orbit_lengths(m)
+    for i in range(1, imax):
+        there = _orbit_lengths(m ** (i + 1))
+        if any(there[k + r * m**i] <= here[k] for k in range(1, m**i) if k % m for r in range(m)):
+            return False
+        here = there
     return True

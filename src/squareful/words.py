@@ -19,29 +19,6 @@ def conjugates(w: str) -> list[str]:
     return [w[i:] + w[:i] for i in range(len(w))]
 
 
-def prefix_function(w: str) -> list[int]:
-    """Knuth-Morris-Pratt failure function of ``w``."""
-    pi = [0] * len(w)
-    k = 0
-    for i in range(1, len(w)):
-        while k and w[i] != w[k]:
-            k = pi[k - 1]
-        if w[i] == w[k]:
-            k += 1
-        pi[i] = k
-    return pi
-
-
-def minimal_period(w: str) -> int:
-    """Smallest ``p`` with ``w[i] == w[i+p]`` for all valid ``i``.
-
-    The period is not required to divide ``len(w)``.
-    """
-    if not w:
-        raise ValueError("the empty word has no period")
-    return len(w) - prefix_function(w)[-1]
-
-
 def is_primitive(w: str) -> bool:
     """True iff ``w`` is not a proper integer power of a shorter word.
 

