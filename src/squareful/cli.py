@@ -29,7 +29,8 @@ EXIT_USAGE = 2
 
 # The most letters a command may build from --k (the block word S) and from
 # --j (gamma_j and gamma_bar_j together), and the most block names that
-# periodic-points --max-blocks may spell; a larger request is a usage error.
+# --c (tau^2(S) and tau^2(L) together) and periodic-points --max-blocks may
+# spell; a larger request is a usage error.
 MAX_WORD_LETTERS = 10_000_000
 
 
@@ -71,15 +72,18 @@ def _system(ns) -> OmegaSystem:
 
     ``|S| = q_k`` follows the length recurrence of the standard words.  As
     ``q_i >= F_(i+2)`` and ``2c + 1 >= 3``, capping ``k`` and ``j`` at 64
-    leaves an over-limit size over the limit.  The patterns of ``--max-blocks
-    mb`` spell ``(mb - 1) 2^(mb + 1) + 2`` names, the sum of ``s 2^s`` over
-    ``s <= mb``; ``mb`` is capped at 64 likewise."""
+    leaves an over-limit size over the limit.  Every system reads the
+    ``tau^2`` blocks of both names, ``2 (2c + 1)^2`` names.  The patterns of
+    ``--max-blocks mb`` spell ``(mb - 1) 2^(mb + 1) + 2`` names, the sum of
+    ``s 2^s`` over ``s <= mb``; ``mb`` is capped at 64 likewise."""
     params = OmegaParams(a=ns.a, b=ns.b, c=ns.c, k=ns.k, seed=ns.seed_word)
     prev, n = 1, 1
     for d in params.directive(min(ns.k, 64)):
         prev, n = n, d * n + prev
     if n > MAX_WORD_LETTERS:
         raise ValueError(f"--k {ns.k}: the block word has more than {MAX_WORD_LETTERS} letters")
+    if 2 * (2 * ns.c + 1) ** 2 > MAX_WORD_LETTERS:
+        raise ValueError(f"--c {ns.c}: tau^2(S) and tau^2(L) have more than {MAX_WORD_LETTERS} names")
     if "j" in ns and 2 * n * (2 * ns.c + 1) ** min(ns.j, 64) > MAX_WORD_LETTERS:
         raise ValueError(f"--j {ns.j}: gamma_j and gamma_bar_j have more than {MAX_WORD_LETTERS} letters")
     mb = min(getattr(ns, "max_blocks", 1), 64)
@@ -282,11 +286,8 @@ def cmd_limit_set(ns) -> int:
 
 def cmd_periodic_points(ns) -> int:
     sys = _system(ns)
-    res = dynamics.periodic_point_search(sys, max_blocks=ns.max_blocks)
-    points = sorted({r.label for r in res if r.status == "periodic_point"})
-    expected = ["Gamma1", "Gamma2", "L^w", "S^w"]
-    ok = points == expected
-    refuted = sum(1 for r in res if r.status == "refuted")
+    points, refuted = dynamics.periodic_point_search(sys, ns.max_blocks)
+    ok = points == ["Gamma1", "Gamma2", "L^w", "S^w"]
     if ns.format == "json":
         _emit(ns, json.dumps({"periodic_points": points, "refuted": refuted,
                               "verdict": "PASS" if ok else "FAIL"}))

@@ -548,7 +548,7 @@ def preimage_chain(
     names: InfiniteWord,
     depth: int,
     block_budget: int = 4_000_000,
-    letter_verify_cap: int | None = None,
+    letter_verify_cap: int = 300_000,
 ) -> PreimageChain:
     """Constructive preimage-prefix chain for a product word.
 
@@ -561,18 +561,18 @@ def preimage_chain(
     block, which the system caches (a :class:`~squareful.streams.BlockWord`);
     its names and letters are built only when a caller asks for them.
 
-    Each link is verified by one of two exact routes.  Up to
-    ``letter_verify_cap`` letters of ``v_n`` (every link when the cap is
-    None) the letter route retokenizes ``sigma`` of the names of ``v_n`` and
-    compares its root with ``sigma`` of the names of ``u_n``.  Above the cap
-    no letter is built: the name route checks :func:`_block_pairs_halve`
-    once per chain, and that the even-indexed names of ``v_n``, read as
-    strided slices of the block, spell the names of ``u_n``.
+    Each link is verified by one of two exact routes, and every chain checks
+    :func:`_block_pairs_halve` once.  Up to ``letter_verify_cap`` letters of
+    ``v_n`` the letter route retokenizes ``sigma`` of the names of ``v_n``
+    and compares its root with ``sigma`` of the names of ``u_n``.  Above the
+    cap no letter is built: the name route checks that the block pairs halve
+    and that the even-indexed names of ``v_n``, read as strided slices of
+    the block, spell the names of ``u_n``.
     """
     m = 2 * sys.params.c + 1
     tower = AlignmentTower(sys, names, block_budget)
     links: list[ChainLink] = []
-    pairs_ok = letter_verify_cap is not None and _block_pairs_halve(sys)
+    pairs_ok = _block_pairs_halve(sys)
     pos = 0
     for _ in range(depth):
         k = 0
@@ -597,7 +597,7 @@ def preimage_chain(
         # of top, or two when v_n reaches into the first copy, and their
         # lengths add up to nxt
         v = BlockWord(top, 2 * nxt, sys.s_word, sys.l_word)
-        if letter_verify_cap is None or len(v) <= letter_verify_cap:
+        if len(v) <= letter_verify_cap:
             ok = squares.sqrt_finite(sys.alphabet, sys.sigma(v.names)) == sys.sigma(u_names)
         else:
             over = 2 * nxt - len(top)
@@ -627,61 +627,50 @@ def _block_pairs_halve(sys: OmegaSystem) -> bool:
 # periodic points
 
 
-class PeriodicCandidate:
-    __slots__ = ("label", "status", "reason")
-
-    def __init__(self, label: str, status: str, reason: str):
-        self.label = label
-        self.status = status  # "periodic_point" or "refuted"
-        self.reason = reason  # the return time or the refutation witness
-
-
-def periodic_point_search(sys: OmegaSystem, max_blocks: int = 8) -> list[PeriodicCandidate]:
+def periodic_point_search(sys: OmegaSystem, max_blocks: int) -> tuple[list[str], int]:
     """Decide, for each cyclic block product of up to ``max_blocks`` names,
     whether it is a periodic point; ``Gamma1`` and ``Gamma2`` are added.
+    Returns the sorted labels of the periodic points found and the number of
+    patterns refuted.
 
     The root of a block product is ``sigma`` of its even-indexed names
     (:func:`_block_pairs_halve`, checked).  A pattern returns under this
-    decimation or never does (:func:`_first_return`).  A returning word is
-    in the subshift only if :meth:`OmegaSystem.rotation_index` finds a shift
-    of ``S^omega``.  ``S`` and ``L`` are distinct words of one length, so
-    ``sigma`` is a code and two patterns give the same word iff they share
-    their primitive root; a proper power returns iff its root does, and the
-    root, shorter, was met first, so only primitive returning patterns are
-    kept.  ``Gamma1`` and ``Gamma2`` are fixed: with ``m = 2c + 1``,
-    ``Gamma*[qm + r] = tau(Gamma'*[q])[r]`` (tau swaps the two fixed points
-    of tau^2), so if ``tau(a)[2r % m] == tau(b)[r]`` for all ``a, b`` and
-    ``0 < r < m`` (checked), ``Gamma*[2i] = Gamma*[i]`` by induction on ``i``
-    (for ``r = 0`` it holds at ``q < i``).
+    decimation or never does (:func:`_first_return`); one that never returns
+    is refuted.  A returning word is in the subshift only if
+    :meth:`OmegaSystem.rotation_index` finds a shift of ``S^omega``; one that
+    does not is ultimately periodic and outside the subshift, so refuted.
+    ``S`` and ``L`` are distinct words of one length, so ``sigma`` is a code
+    and two patterns give the same word iff they share their primitive root;
+    a proper power returns iff its root does, and the root, shorter, was met
+    first, so only primitive returning patterns are kept.  ``Gamma1`` and
+    ``Gamma2`` are fixed: with ``m = 2c + 1``, ``Gamma*[qm + r] =
+    tau(Gamma'*[q])[r]`` (tau swaps the two fixed points of tau^2), so if
+    ``tau(a)[2r % m] == tau(b)[r]`` for all ``a, b`` and ``0 < r < m``
+    (checked), ``Gamma*[2i] = Gamma*[i]`` by induction on ``i`` (for ``r =
+    0`` it holds at ``q < i``).
     """
     if not _block_pairs_halve(sys):
         raise AssertionError("a block pair does not halve; block decimation is not exact")
-    results: list[PeriodicCandidate] = []
+    points, refuted = {"Gamma1", "Gamma2"}, 0
     n = sys.block_len
     for size in range(1, max_blocks + 1):
         for bits in itertools.product("SL", repeat=size):
             pattern = "".join(bits)
-            ret = _first_return(pattern)
-            label = f"({pattern})^w"
-            if ret is None:
-                results.append(PeriodicCandidate(label, "refuted", "no block-level return"))
+            if _first_return(pattern) is None:
+                refuted += 1
                 continue
             if not words.is_primitive(pattern):
                 continue
             word = sys.sigma(pattern)
-            j = sys.rotation_index(streams.periodic_word(word, label))
+            j = sys.rotation_index(streams.periodic_word(word, f"({pattern})^w"))
             if j is None:
-                reason = ("block-level return but the word is ultimately periodic "
-                          "and not a shift of S^w, hence outside the subshift")
-                results.append(PeriodicCandidate(label, "refuted", reason))
+                refuted += 1
             else:
-                name = "S^w" if j == 0 else "L^w" if word == sys.l_word * (len(word) // n) else f"T^{j}(S^w)"
-                results.append(PeriodicCandidate(name, "periodic_point", f"return after {ret} step(s)"))
+                points.add("S^w" if j == 0 else "L^w" if word == sys.l_word * (len(word) // n) else f"T^{j}(S^w)")
     m, images = 2 * sys.params.c + 1, (sys.tau_block(1), sys.tau_block(1, bar=True))
     if any(a[2 * r % m] != b[r] for a in images for b in images for r in range(1, m)):
         raise AssertionError("tau(a)[2r % m] != tau(b)[r]; Gamma*[2i] = Gamma*[i] is not proved")
-    return results + [PeriodicCandidate(f"Gamma{which}", "periodic_point", "Gamma*[2i] = Gamma*[i]")
-                      for which in (1, 2)]
+    return sorted(points), refuted
 
 
 def _first_return(pattern: str) -> int | None:

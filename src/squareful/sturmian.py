@@ -47,22 +47,6 @@ class ContinuedFraction:
             val = a + 1 / val
         return val
 
-    def convergents(self, k: int | None = None) -> list[Fraction]:
-        """Convergents ``p_0/q_0 .. p_k/q_k`` via the standard recurrence."""
-        if k is None:
-            k = len(self.quotients) - 1
-        if k >= len(self.quotients):
-            raise ValueError(f"only {len(self.quotients)} partial quotients available")
-        out = []
-        p_prev, q_prev = 1, 0
-        p, q = self.quotients[0], 1
-        out.append(Fraction(p, q))
-        for a in self.quotients[1 : k + 1]:
-            p, p_prev = a * p + p_prev, p
-            q, q_prev = a * q + q_prev, q
-            out.append(Fraction(p, q))
-        return out
-
 
 def standard_word(d: tuple[int, ...] | list[int], k: int) -> str:
     """Standard word ``s_k`` from ``s_k = s_{k-1}^{d_k} s_{k-2}``, ``s_-1 = 1``, ``s_0 = 0``.

@@ -245,8 +245,7 @@ def test_criterion_09_limit_set(fib_sys):
 
 
 def test_criterion_10_periodic_points(fib_sys):
-    res = dynamics.periodic_point_search(fib_sys, max_blocks=8)
-    points = sorted({r.label for r in res if r.status == "periodic_point"})
+    points, _ = dynamics.periodic_point_search(fib_sys, max_blocks=8)
     ok = points == ["Gamma1", "Gamma2", "L^w", "S^w"]
     for c in (1, 2, 3):
         ok &= dynamics.doubling_period_increasing(c, 6)

@@ -19,7 +19,6 @@ PACKAGE = ROOT / "src" / "squareful"
 # reference implementations that unit tests compare against
 ALLOWED = {
     "Arc.pieces": "the two-piece form of a wrapped arc, the oracle for Arc.contains",
-    "ContinuedFraction.convergents": "the p_k / q_k recurrence, checked against nested evaluation",
 }
 
 

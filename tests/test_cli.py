@@ -1,13 +1,16 @@
 import argparse
+import contextlib
 import inspect
+import io
 import json
 import pathlib
 import re
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from squareful import cli, dynamics, omega, streams
+from squareful import cli, dynamics, omega, squares, streams
 from squareful.cli import main
 from squareful.omega import OmegaParams, OmegaSystem
 
@@ -163,6 +166,21 @@ class TestMiscCommands:
         assert code == 1
         assert out == "T^1(blocks): budget, 7 links, verified=True\nall verified: False"
 
+    def test_limit_set_retokenizes_no_link_above_the_cap(self, capsys, monkeypatch):
+        # the CLI verifies a link of more than 300,000 letters by names, as
+        # criterion 09 does; a level-9 link on T^1 has 944,768 letters
+        sizes = []
+        sqrt_finite = squares.sqrt_finite
+
+        def record(alph, w):
+            sizes.append(len(w))
+            return sqrt_finite(alph, w)
+
+        monkeypatch.setattr(squares, "sqrt_finite", record)
+        code, _ = run(capsys, "limit-set", "--samples", "1", "--depth", "10")
+        assert code == 0
+        assert sizes and max(sizes) <= 300_000
+
     def test_periodic_points(self, capsys):
         code, out = run(capsys, "periodic-points", "--max-blocks", "4",
                         "--format", "json")
@@ -239,6 +257,8 @@ def test_errors_exit_with_one_line(capsys, argv, code):
     ["omega", "gamma", "--j", "1000000000"],
     ["periodic-points", "--max-blocks", "19"],
     ["periodic-points", "--max-blocks", "1000000000"],
+    ["periodic-points", "--c", "10000000"],
+    ["limit-set", "--samples", "1", "--depth", "2", "--c", "3000"],
 ])
 def test_oversized_words_are_refused_before_building(monkeypatch, capsys, argv):
     # the sizes are integer arithmetic: no block word and no tau image is built
@@ -281,3 +301,57 @@ def test_every_option_is_read_by_a_handler(monkeypatch):
     unread = [d for d in options
               if not re.search(rf"\bns\.{d}\b|getattr\(ns, \"{d}\"", source)]
     assert not unread, f"options no handler reads: {unread}"
+
+
+def leaf_parsers(parser, path=()):
+    """``(subcommand path, parser)`` of each parser that takes no subcommand."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+    for action in subs:
+        for name, sub in action.choices.items():
+            yield from leaf_parsers(sub, path + (name,))
+
+
+FUZZ_WORDS = st.text(alphabet="01SL2", max_size=12)
+FUZZ_VALUES = {
+    "a": st.integers(0, 3), "b": st.integers(0, 2), "c": st.integers(0, 2), "k": st.integers(0, 6),
+    "j": st.integers(-1, 3), "n": st.integers(0, 12), "shift": st.integers(-2, 20),
+    "max_blocks": st.integers(1, 6), "depth": st.integers(1, 3), "samples": st.integers(1, 3),
+    "bmax": st.integers(1, 24), "steps": st.integers(0, 6),
+    "fib": st.sampled_from(["8", "8,13", "13,21,34", "5", "7", "0", "", ",,", "8,x", "-8"]),
+    "word": st.one_of(FUZZ_WORDS, st.sampled_from(["gamma1", "gamma2", "s-omega", "l-omega"])),
+}
+
+
+LEAVES = dict(leaf_parsers(cli.build_parser()))
+
+
+@st.composite
+def fuzzed_argv(draw, path):
+    # small values for a random subset of the options of one subcommand; a
+    # positional word is always given, so stdin is never read
+    argv = list(path)
+    for action in LEAVES[path]._actions:
+        if action.dest in ("help", "out"):
+            continue
+        if action.option_strings and not draw(st.booleans()):
+            continue
+        strategy = FUZZ_VALUES.get(action.dest, FUZZ_WORDS)
+        value = draw(st.sampled_from(action.choices) if action.choices else strategy)
+        argv += [action.option_strings[0], str(value)] if action.option_strings else [str(value)]
+    return argv
+
+
+@pytest.mark.parametrize("path", LEAVES, ids=" ".join)
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(data=st.data())
+def test_fuzzed_argv_keeps_the_exit_contract(path, data):
+    argv = data.draw(fuzzed_argv(path))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)

