@@ -27,10 +27,11 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
-# The most letters a command may build from --k (the block word S) and from
-# --j (gamma_j and gamma_bar_j together), and the most block names that
-# --c (tau^2(S) and tau^2(L) together) and periodic-points --max-blocks may
-# spell; a larger request is a usage error.
+# The most letters a command may build from --k and table1 --fib (the block
+# word S) and from --j (gamma_j and gamma_bar_j together), and the most block
+# names that --c (tau^2(S) and tau^2(L) together), periodic-points
+# --max-blocks and eq enumerate --bmax may spell; a larger request is a usage
+# error.
 MAX_WORD_LETTERS = 10_000_000
 
 
@@ -75,7 +76,11 @@ def _system(ns) -> OmegaSystem:
     leaves an over-limit size over the limit.  Every system reads the
     ``tau^2`` blocks of both names, ``2 (2c + 1)^2`` names.  The patterns of
     ``--max-blocks mb`` spell ``(mb - 1) 2^(mb + 1) + 2`` names, the sum of
-    ``s 2^s`` over ``s <= mb``; ``mb`` is capped at 64 likewise."""
+    ``s 2^s`` over ``s <= mb``; ``mb`` is capped at 64 likewise.  The
+    factor windows of ``--bmax`` are slices of ``tau^i(ab)`` for the (at most
+    four) 2-letter factors ``ab``, one per name of ``tau^i(a)``, each of
+    :func:`equation.window_names` names, with ``|tau^i(a)| = (2c + 1)^i`` the
+    least power at least one less (:meth:`OmegaSystem.factors`)."""
     params = OmegaParams(a=ns.a, b=ns.b, c=ns.c, k=ns.k, seed=ns.seed_word)
     prev, n = 1, 1
     for d in params.directive(min(ns.k, 64)):
@@ -89,18 +94,13 @@ def _system(ns) -> OmegaSystem:
     mb = min(getattr(ns, "max_blocks", 1), 64)
     if (mb - 1) * 2 ** (mb + 1) + 2 > MAX_WORD_LETTERS:
         raise ValueError(f"--max-blocks {ns.max_blocks}: the search spells more than {MAX_WORD_LETTERS} names")
+    if "bmax" in ns:
+        names, span = equation.window_names(n, ns.bmax), 1
+        while span < names - 1:
+            span *= 2 * ns.c + 1
+        if 4 * span * names > MAX_WORD_LETTERS:
+            raise ValueError(f"--bmax {ns.bmax}: the factor windows spell more than {MAX_WORD_LETTERS} names")
     return OmegaSystem(params)
-
-
-def _emit(ns, text: str) -> None:
-    if getattr(ns, "out", None):
-        try:
-            with open(ns.out, "w") as fh:
-                fh.write(text if text.endswith("\n") else text + "\n")
-        except OSError as err:
-            raise ValueError(f"cannot write {ns.out}: {err.strerror}") from None
-    else:
-        print(text)
 
 
 def _read_letters(ns) -> str:
@@ -111,14 +111,6 @@ def _read_letters(ns) -> str:
     if set(w) - {"0", "1"}:
         raise ValueError(f"letters must be 0 and 1, got {w!r}")
     return w
-
-
-def _csv_table(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue().rstrip("\n")
 
 
 def _word_source(sys: OmegaSystem, ns) -> streams.InfiniteWord:
@@ -139,67 +131,60 @@ def _word_source(sys: OmegaSystem, ns) -> streams.InfiniteWord:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each returns its result and writes nothing
 
 
-def cmd_factorize(ns) -> int:
+class Result:
+    """A subcommand's output in each format and its verdict: ``ok`` exits 0,
+    otherwise 1.  ``table`` is the CSV header and rows of a tabular command."""
+
+    __slots__ = ("payload", "text", "ok", "table")
+
+    def __init__(self, payload: dict, text: str, ok: bool = True,
+                 table: tuple[list[str], list[list]] | None = None):
+        self.payload, self.text, self.ok, self.table = payload, text, ok, table
+
+
+def cmd_factorize(ns) -> Result:
     alph = squares.build_alphabet(ns.a, ns.b)
     w = _read_letters(ns)
     roots, failure = squares.factor_minimal_squares(alph, w)
-    if ns.format == "json":
-        _emit(ns, json.dumps({"word": w, "roots": roots, "failure_offset": failure}))
-    else:
-        tail = "" if failure is None else f"  [no minimal square at offset {failure}]"
-        _emit(ns, " . ".join(r + r for r in roots) + tail)
-    return EXIT_OK if failure is None else EXIT_VIOLATION
+    tail = "" if failure is None else f"  [no minimal square at offset {failure}]"
+    return Result({"word": w, "roots": roots, "failure_offset": failure},
+                  " . ".join(r + r for r in roots) + tail, failure is None)
 
 
-def cmd_sqrt(ns) -> int:
+def cmd_sqrt(ns) -> Result:
     alph = squares.build_alphabet(ns.a, ns.b)
     w = _read_letters(ns)
-    try:
-        root = squares.sqrt_finite(alph, w)
-    except squares.TokenizationError as err:
-        print(f"error: {err}", file=_sys.stderr)
-        return EXIT_VIOLATION
-    _emit(ns, json.dumps({"word": w, "sqrt": root}) if ns.format == "json" else root)
-    return EXIT_OK
+    root = squares.sqrt_finite(alph, w)
+    return Result({"word": w, "sqrt": root}, root)
 
 
-def cmd_omega_gamma(ns) -> int:
+def cmd_omega_gamma(ns) -> Result:
     sys = _system(ns)
     g, gb = sys.gamma(ns.j), sys.gamma_bar(ns.j)
-    if ns.format == "json":
-        _emit(ns, json.dumps({"j": ns.j, "gamma": g, "gamma_bar": gb}))
-    else:
-        _emit(ns, f"gamma_{ns.j}     = {g}\ngamma_bar_{ns.j} = {gb}")
-    return EXIT_OK
+    return Result({"j": ns.j, "gamma": g, "gamma_bar": gb}, f"gamma_{ns.j}     = {g}\ngamma_bar_{ns.j} = {gb}")
 
 
-def cmd_omega_classify(ns) -> int:
+def cmd_omega_classify(ns) -> Result:
     sys = _system(ns)
     prod = streams.sl_cycle(ns.blocks, sys.s_word, sys.l_word, ns.shift)
     kind, pi_len = sys.classify_type(prod)
-    if ns.format == "json":
-        _emit(ns, json.dumps({"type": kind, "pi_prefix_len": pi_len}))
-    else:
-        _emit(ns, f"type {kind} (square-product prefix length {pi_len})")
-    return EXIT_OK
+    return Result({"type": kind, "pi_prefix_len": pi_len}, f"type {kind} (square-product prefix length {pi_len})")
 
 
-def cmd_orbit(ns) -> int:
+def cmd_orbit(ns) -> Result:
     sys = _system(ns)
-    src = _word_source(sys, ns)
-    record = dynamics.iterate_sqrt(sys, src, ns.steps)
-    if ns.format == "json":
-        _emit(ns, json.dumps(record.as_json()))
-    else:
-        lines = [f"start: {record.start}"]
-        for i, step in enumerate(record.steps):
-            lines.append(f"  step {i}: {step.outcome:9s} {step.fingerprint} ({step.versus_start} vs start)")
-        lines.append(f"n_periodic = {record.n_periodic}, n_fixed = {record.n_fixed}")
-        _emit(ns, "\n".join(lines))
-    return EXIT_OK
+    record = dynamics.iterate_sqrt(sys, _word_source(sys, ns), ns.steps)
+    steps = [{"fingerprint": s.fingerprint, "outcome": s.outcome, "versus_start": s.versus_start}
+             for s in record.steps]
+    lines = [f"start: {record.start}"]
+    lines += [f"  step {i}: {s.outcome:9s} {s.fingerprint} ({s.versus_start} vs start)"
+              for i, s in enumerate(record.steps)]
+    lines.append(f"n_periodic = {record.n_periodic}, n_fixed = {record.n_fixed}")
+    return Result({"start": record.start, "steps": steps, "n_periodic": record.n_periodic,
+                   "n_fixed": record.n_fixed}, "\n".join(lines))
 
 
 def _parse_fib(text: str) -> list[int]:
@@ -209,61 +194,50 @@ def _parse_fib(text: str) -> list[int]:
     return lengths
 
 
-def _reproduce(ns, rows: list[tuple], header: list[str], text_line: str) -> int:
-    """Emit ``(s_len, value, reference)`` rows with verdicts; exit 1 on a FAIL."""
+def _reproduce(rows: list[tuple], header: list[str], text_line: str) -> Result:
+    """``(s_len, value, reference)`` rows with verdicts; not ok on a FAIL."""
     table = [[*row, "PASS" if row[2] == row[1] else ("FAIL" if row[2] is not None else "n/a")]
              for row in rows]
-    if ns.format == "json":
-        _emit(ns, json.dumps({"rows": [dict(zip(header, row)) for row in table]}))
-    elif ns.format == "csv":
-        _emit(ns, _csv_table(header, table))
-    else:
-        _emit(ns, "\n".join(text_line.format(*row) for row in table))
-    return EXIT_VIOLATION if any(row[3] == "FAIL" for row in table) else EXIT_OK
+    return Result({"rows": [dict(zip(header, row)) for row in table]},
+                  "\n".join(text_line.format(*row) for row in table),
+                  all(row[3] != "FAIL" for row in table), (header, table))
 
 
-def cmd_table1(ns) -> int:
+def cmd_table1(ns) -> Result:
+    lengths = _parse_fib(ns.fib)
+    if max(lengths) > MAX_WORD_LETTERS:
+        raise ValueError(f"--fib {max(lengths)}: the block word has more than {MAX_WORD_LETTERS} letters")
     rows = [(r.s_len, r.steps, dynamics.TABLE1_REFERENCE.get(r.s_len))
-            for r in dynamics.table1_experiment(_parse_fib(ns.fib))]
-    return _reproduce(ns, rows, ["s_len", "steps", "reference", "verdict"],
+            for r in dynamics.table1_experiment(lengths)]
+    return _reproduce(rows, ["s_len", "steps", "reference", "verdict"],
                       "|S| = {:5d}  steps = {:2d}  reference = {}  {}")
 
 
-def cmd_table2(ns) -> int:
+def cmd_table2(ns) -> Result:
     rows = [(s_len, dynamics.fibonacci_estimate(s_len),
              dynamics.TABLE2_REFERENCE.get(s_len)) for s_len in _parse_fib(ns.fib)]
-    return _reproduce(ns, rows, ["s_len", "estimate", "reference", "verdict"],
+    return _reproduce(rows, ["s_len", "estimate", "reference", "verdict"],
                       "|S| = {:5d}  estimate = {}  reference = {}  {}")
 
 
-def cmd_preimages(ns) -> int:
+def cmd_preimages(ns) -> Result:
     sys = _system(ns)
     target = _read_letters(ns)
     need = dynamics.preimage_match_len(sys)
     if len(target) < need:
         raise ValueError(f"target must supply {need} letters")
     hits = dynamics.PreimageIndex(sys).find(target[:need])
-    payload = {
-        "target": target[:need],
-        "count": len(hits),
-        "preimages": [
-            {"prefix": h.preimage_prefix, "shift": h.shift, "window": h.window}
-            for h in hits
-        ],
-        "junction_form": dynamics.junction_signature(sys, hits) if len(hits) == 2 else None,
-    }
-    if ns.format == "json":
-        _emit(ns, json.dumps(payload))
-    else:
-        lines = [f"{len(hits)} preimage(s)"]
-        lines += [f"  shift {h.shift:3d}  {h.preimage_prefix}" for h in hits]
-        if len(hits) == 2:
-            lines.append(f"junction form: {payload['junction_form']}")
-        _emit(ns, "\n".join(lines))
-    return EXIT_OK if len(hits) <= 2 else EXIT_VIOLATION
+    junction = dynamics.junction_signature(sys, hits) if len(hits) == 2 else None
+    lines = [f"{len(hits)} preimage(s)"]
+    lines += [f"  shift {h.shift:3d}  {h.preimage_prefix}" for h in hits]
+    if len(hits) == 2:
+        lines.append(f"junction form: {junction}")
+    preimages = [{"prefix": h.preimage_prefix, "shift": h.shift, "window": h.window} for h in hits]
+    return Result({"target": target[:need], "count": len(hits), "preimages": preimages,
+                   "junction_form": junction}, "\n".join(lines), len(hits) <= 2)
 
 
-def cmd_limit_set(ns) -> int:
+def cmd_limit_set(ns) -> Result:
     sys = _system(ns)
     star = sys.gamma_star(1)
     results = []
@@ -274,60 +248,68 @@ def cmd_limit_set(ns) -> int:
         ok &= chain.status == "ok" and verified
         results.append({"shift_blocks": t, "status": chain.status,
                         "links": len(chain.links), "verified": verified})
-    if ns.format == "json":
-        _emit(ns, json.dumps({"samples": results, "all_verified": ok}))
-    else:
-        lines = [f"T^{r['shift_blocks']}(blocks): {r['status']}, {r['links']} links, verified={r['verified']}"
-                 for r in results]
-        lines.append(f"all verified: {ok}")
-        _emit(ns, "\n".join(lines))
-    return EXIT_OK if ok else EXIT_VIOLATION
+    lines = [f"T^{r['shift_blocks']}(blocks): {r['status']}, {r['links']} links, verified={r['verified']}"
+             for r in results]
+    lines.append(f"all verified: {ok}")
+    return Result({"samples": results, "all_verified": ok}, "\n".join(lines), ok)
 
 
-def cmd_periodic_points(ns) -> int:
+def cmd_periodic_points(ns) -> Result:
     sys = _system(ns)
     points, refuted = dynamics.periodic_point_search(sys, ns.max_blocks)
     ok = points == ["Gamma1", "Gamma2", "L^w", "S^w"]
-    if ns.format == "json":
-        _emit(ns, json.dumps({"periodic_points": points, "refuted": refuted,
-                              "verdict": "PASS" if ok else "FAIL"}))
-    else:
-        _emit(ns, f"periodic points: {' '.join(points)}\n"
-                  f"refuted candidates: {refuted}\n"
-                  f"expected {{Gamma1, Gamma2, S^w, L^w}}: {'PASS' if ok else 'FAIL'}")
-    return EXIT_OK if ok else EXIT_VIOLATION
+    verdict = "PASS" if ok else "FAIL"
+    return Result({"periodic_points": points, "refuted": refuted, "verdict": verdict},
+                  f"periodic points: {' '.join(points)}\nrefuted candidates: {refuted}\n"
+                  f"expected {{Gamma1, Gamma2, S^w, L^w}}: {verdict}", ok)
 
 
-def cmd_eq_check(ns) -> int:
+def _certificate(cert: equation.SolutionCertificate) -> dict:
+    return {"word": cert.word, "roots": list(cert.roots), "verified": True}
+
+
+def cmd_eq_check(ns) -> Result:
     alph = squares.build_alphabet(ns.a, ns.b)
     w = _read_letters(ns)
     cert = equation.is_solution(alph, w)
-    if ns.format == "json":
-        _emit(ns, json.dumps(cert.as_json() if cert else {"word": w, "verified": False}))
-    else:
-        _emit(ns, f"solution: {w} = {' . '.join(cert.roots)}" if cert else f"not a solution: {w}")
-    return EXIT_OK if cert else EXIT_VIOLATION
+    if cert is None:
+        return Result({"word": w, "verified": False}, f"not a solution: {w}", False)
+    return Result(_certificate(cert), f"solution: {w} = {' . '.join(cert.roots)}")
 
 
-def cmd_eq_enumerate(ns) -> int:
+def cmd_eq_enumerate(ns) -> Result:
     sys = _system(ns)
     certs = equation.enumerate_solutions(sys, ns.bmax)
-    if ns.format == "json":
-        _emit(ns, json.dumps({"solutions": [c.as_json() for c in certs]}))
-    elif ns.format == "csv":
-        _emit(ns, _csv_table(["word", "roots"], [[c.word, " ".join(c.roots)] for c in certs]))
-    else:
-        _emit(ns, "\n".join(f"{len(c.word):4d}  {c.word}" for c in certs))
-    return EXIT_OK
+    return Result({"solutions": [_certificate(c) for c in certs]},
+                  "\n".join(f"{len(c.word):4d}  {c.word}" for c in certs),
+                  table=(["word", "roots"], [[c.word, " ".join(c.roots)] for c in certs]))
 
 
-def cmd_eq_orbits(ns) -> int:
+def cmd_eq_orbits(ns) -> Result:
     pattern = equation.doubling_orbits(ns.n)
+    return Result({"n": ns.n, "orbits": [list(o) for o in pattern.orbits]},
+                  " ".join("{" + ",".join(map(str, o)) + "}" for o in pattern.orbits))
+
+
+def _write(ns, result: Result) -> int:
+    """Render ``result`` in ``--format`` to stdout or ``--out``; the exit code."""
     if ns.format == "json":
-        _emit(ns, json.dumps({"n": ns.n, "orbits": [list(o) for o in pattern.orbits]}))
+        text = json.dumps(result.payload)
+    elif ns.format == "csv":
+        buf = io.StringIO()
+        csv.writer(buf).writerows([result.table[0], *result.table[1]])
+        text = buf.getvalue().rstrip("\n")
     else:
-        _emit(ns, " ".join("{" + ",".join(map(str, o)) + "}" for o in pattern.orbits))
-    return EXIT_OK
+        text = result.text
+    if not ns.out:
+        print(text)
+    else:
+        try:
+            with open(ns.out, "w") as fh:
+                print(text, file=fh)
+        except OSError as err:
+            raise ValueError(f"cannot write {ns.out}: {err.strerror}") from None
+    return EXIT_OK if result.ok else EXIT_VIOLATION
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -406,13 +388,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         ns = build_parser().parse_args(argv)
-        return ns.handler(ns)
-    except (ValueError, squares.TokenizationError) as err:
-        print(f"error: {err}", file=_sys.stderr)
-        return EXIT_USAGE
+        return _write(ns, ns.handler(ns))
+    except squares.TokenizationError as err:  # a word that is no product of minimal squares
+        message, code = str(err), EXIT_VIOLATION
+    except ValueError as err:
+        message, code = str(err), EXIT_USAGE
     except streams.SourcePoisonedError as err:
-        print(f"error: the input is not squareful: {err}", file=_sys.stderr)
-        return EXIT_VIOLATION
+        message, code = f"the input is not squareful: {err}", EXIT_VIOLATION
+    print(f"error: {message}", file=_sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -232,11 +232,6 @@ class OrbitRecord:
         self.n_periodic: int | None = None
         self.n_fixed: int | None = None
 
-    def as_json(self) -> dict:
-        steps = [{"fingerprint": s.fingerprint, "outcome": s.outcome, "versus_start": s.versus_start}
-                 for s in self.steps]
-        return {"start": self.start, "steps": steps, "n_periodic": self.n_periodic, "n_fixed": self.n_fixed}
-
 
 def _compare(u: str, v: str) -> str:
     if u == v:

@@ -22,9 +22,6 @@ class SolutionCertificate:
     def __init__(self, word: str, roots: tuple[str, ...]):
         self.word, self.roots = word, roots
 
-    def as_json(self) -> dict:
-        return {"word": self.word, "roots": list(self.roots), "verified": True}
-
 
 def is_solution(alph: SquareAlphabet, w: str) -> SolutionCertificate | None:
     """Certificate that ``w`` solves the square word equation, or None.
@@ -53,6 +50,13 @@ def harvest_square_factors(text: str, max_root_len: int) -> set[str]:
     return found
 
 
+def window_names(block_len: int, bmax: int) -> int:
+    """Block names per factor window of :func:`enumerate_solutions`,
+    ``ceil((2 bmax - 1) / |S|) + 1``; every square factor with a root of at
+    most ``bmax`` letters lies in the letters of such a window."""
+    return -(-(2 * bmax - 1) // block_len) + 1
+
+
 def enumerate_solutions(sys: OmegaSystem, bmax: int) -> list[SolutionCertificate]:
     """All solution certificates among factors of the subshift with root
     length up to ``bmax``.
@@ -68,7 +72,7 @@ def enumerate_solutions(sys: OmegaSystem, bmax: int) -> list[SolutionCertificate
     """
     n = sys.block_len
     candidates: set[str] = set()
-    for w in sys.factors(-(-(2 * bmax - 1) // n) + 1):
+    for w in sys.factors(window_names(n, bmax)):
         candidates |= harvest_square_factors(sys.sigma(w), bmax)
     reps = 2 * bmax // n + 2
     for rot in words.conjugates(sys.s_word):

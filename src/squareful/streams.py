@@ -156,31 +156,43 @@ def shift(src: InfiniteWord, j: int) -> InfiniteWord:
 
 
 class _DecimatedWord(InfiniteWord):
-    """``head`` then ``src[offset], src[offset + 2], ...``, one strided window per request."""
+    """``head`` then ``src[offset], src[offset + stride], ...``, one strided window per request."""
 
-    def __init__(self, src: InfiniteWord, offset: int, head: str, descriptor: str):
+    def __init__(self, src: InfiniteWord, offset: int, stride: int, head: str, descriptor: str):
         super().__init__((), descriptor)
-        self._src, self._offset, self._head = src, offset, head
+        self._src, self._offset, self._stride, self._head = src, offset, stride, head
 
     def _window(self, start: int, stop: int) -> str:
-        lo, hi = max(0, start - len(self._head)), stop - len(self._head)
+        lo, hi, step = max(0, start - len(self._head)), stop - len(self._head), self._stride
         if hi <= lo:
             return self._head[start:stop]
-        tail = self._src.window(self._offset + 2 * lo, self._offset + 2 * hi - 1)[::2]
+        tail = self._src.window(self._offset + step * lo, self._offset + step * (hi - 1) + 1)[::step]
         return self._head[start:stop] + tail
 
     def period(self) -> tuple[int, int] | None:
         known = self._src.period()
-        return known and (len(self._head) + max(0, -(-(known[0] - self._offset) // 2)),
-                          known[1] // math.gcd(known[1], 2))
+        return known and (len(self._head) + max(0, -(-(known[0] - self._offset) // self._stride)),
+                          known[1] // math.gcd(known[1], self._stride))
 
 
 def decimate(src: InfiniteWord, offset: int, head: str, descriptor: str) -> InfiniteWord:
     """The word ``head`` followed by every other letter of ``src`` from
     ``offset`` on.  A request reads the span it covers with one ``window``.
-    Period ``p`` from ``start`` gives ``p / gcd(p, 2)`` from ``|head| +
-    max(0, ceil((start - offset) / 2))``."""
-    return _DecimatedWord(src, offset, head, descriptor)
+
+    A decimation of a decimation is one view of the first source, so a view
+    reached by any number of square root steps is one level deep: its
+    stride doubles, the letters it takes from the inner head join its head
+    (at most two names on the orbit route, whose heads are one name), and
+    its offset moves to the inner source letter that comes next.  Period
+    ``p`` from ``start`` gives ``p / gcd(p, stride)`` from ``|head| +
+    max(0, ceil((start - offset) / stride))``."""
+    stride = 2
+    if isinstance(src, _DecimatedWord):
+        inner, rel = src._head, offset - len(src._head)
+        head += inner[offset::2]
+        offset = src._offset + src._stride * (rel if rel >= 0 else rel % 2)
+        src, stride = src._src, 2 * src._stride
+    return _DecimatedWord(src, offset, stride, head, descriptor)
 
 
 SQRT_PIECE = 1 << 14  # input letters tokenized per piece of a square root

@@ -8,6 +8,7 @@ import re
 
 import jsonschema
 import pytest
+import referencing
 from hypothesis import given, settings, strategies as st
 
 from squareful import cli, dynamics, omega, squares, streams
@@ -15,9 +16,22 @@ from squareful.cli import main
 from squareful.omega import OmegaParams, OmegaSystem
 
 SCHEMAS = pathlib.Path(__file__).resolve().parent.parent / "docs" / "schemas"
+# every schema by file name, so that one schema can refer to another
+REGISTRY = referencing.Registry().with_resources(
+    (path.name, referencing.Resource.from_contents(json.loads(path.read_text())))
+    for path in SCHEMAS.glob("*.json"))
 # stdout and exit code of every README example (limit-set at --samples 3
-# --depth 4); refactors must reproduce them byte for byte
+# --depth 4) and of every subcommand in each format it takes; refactors must
+# reproduce them byte for byte
 GOLDEN = json.loads((pathlib.Path(__file__).resolve().parent / "golden" / "cli_examples.json").read_text())
+# the schema that every subcommand's JSON output validates against
+SCHEMA_OF = {
+    ("sqrt",): "sqrt.json", ("factorize",): "factorize.json", ("omega", "gamma"): "gamma.json",
+    ("omega", "classify"): "classify.json", ("orbit",): "orbit.json", ("table1",): "table1.json",
+    ("table2",): "table2.json", ("preimages",): "preimages.json", ("limit-set",): "limit_set.json",
+    ("periodic-points",): "periodic_points.json", ("eq", "check"): "certificate.json",
+    ("eq", "enumerate"): "solutions.json", ("eq", "orbits"): "doubling_orbits.json",
+}
 
 
 def run(capsys, *argv):
@@ -26,8 +40,7 @@ def run(capsys, *argv):
 
 
 def validate(payload, schema_name):
-    schema = json.loads((SCHEMAS / schema_name).read_text())
-    jsonschema.validate(payload, schema)
+    jsonschema.validate(payload, REGISTRY.contents(schema_name), registry=REGISTRY)
 
 
 class TestBasicCommands:
@@ -218,6 +231,24 @@ def test_readme_example_output_is_unchanged(capsys, case):
     assert (code, capsys.readouterr().out) == (case["exit"], case["stdout"])
 
 
+def test_every_subcommand_has_golden_json_that_validates():
+    json_cases = [case for case in GOLDEN if case["argv"][-2:] == ["--format", "json"]]
+    paths = set()
+    for case in json_cases:
+        path = next(p for p in SCHEMA_OF if tuple(case["argv"][: len(p)]) == p)
+        validate(json.loads(case["stdout"]), SCHEMA_OF[path])
+        paths.add(path)
+    assert paths == set(SCHEMA_OF) == set(LEAVES)
+    csv_paths = {tuple(case["argv"][:2]) for case in GOLDEN if case["argv"][-2:] == ["--format", "csv"]}
+    assert csv_paths == {("table1", "--fib"), ("table2", "--fib"), ("eq", "enumerate")}
+
+
+def test_solutions_schema_checks_each_certificate():
+    validate({"solutions": [{"word": "01", "roots": ["01"], "verified": True}]}, "solutions.json")
+    with pytest.raises(jsonschema.ValidationError):
+        validate({"solutions": [{"word": "01", "roots": ["01"]}]}, "solutions.json")
+
+
 @pytest.mark.parametrize("argv, code", [
     (["omega", "gamma", "--j", "-1"], 2),
     (["orbit", "--word", "foo"], 2),
@@ -259,6 +290,8 @@ def test_errors_exit_with_one_line(capsys, argv, code):
     ["periodic-points", "--max-blocks", "1000000000"],
     ["periodic-points", "--c", "10000000"],
     ["limit-set", "--samples", "1", "--depth", "2", "--c", "3000"],
+    ["eq", "enumerate", "--bmax", "200000"],
+    ["table1", "--fib", "14930352"],
 ])
 def test_oversized_words_are_refused_before_building(monkeypatch, capsys, argv):
     # the sizes are integer arithmetic: no block word and no tau image is built

@@ -199,6 +199,69 @@ class TestIterate:
                 assert fps[i - 2] < fps[i]
 
 
+class NestedDecimation(streams.InfiniteWord):
+    """``head`` then every other letter of ``src`` from ``offset`` on, as a
+    view of ``src`` itself, so the views of an orbit nest one level per step.
+    Letters and periods walk down the levels in a loop."""
+
+    def __init__(self, src, offset, head, descriptor):
+        super().__init__((), descriptor)
+        self.src, self.offset, self.head = src, offset, head
+
+    def levels(self):
+        word, levels = self, []
+        while isinstance(word, NestedDecimation):
+            levels.append(word)
+            word = word.src
+        return levels, word
+
+    def _window(self, start, stop):
+        levels, base = self.levels()
+        out = []
+        for t in range(start, stop):
+            for level in levels:
+                if t < len(level.head):
+                    out.append(level.head[t])
+                    break
+                t = level.offset + 2 * (t - len(level.head))
+            else:
+                out.append(base.letter(t))
+        return "".join(out)
+
+    def period(self):
+        levels, base = self.levels()
+        known = base.period()
+        for level in reversed(levels):
+            known = known and (len(level.head) + max(0, -(-(known[0] - level.offset) // 2)),
+                               known[1] // math.gcd(known[1], 2))
+        return known
+
+
+class TestLongOrbits:
+    def test_two_thousand_steps_on_gamma1(self, sys):
+        # each type A step decimates the block names once more; the view
+        # stays one level deep, so no read recurses through earlier steps
+        rec = dynamics.iterate_sqrt(sys, sys.big_gamma(1), 2000)
+        assert len(rec.steps) == 2001
+        assert {(s.outcome, s.fingerprint) for s in rec.steps} == {("A", sys.s_word)}
+
+    def test_one_level_views_match_nested_views(self, sys, monkeypatch):
+        # the fixed points take type A steps only; the run of S blocks gives
+        # type B, C and D steps, and so heads, at the shifts below
+        star = sys.gamma_star(1)
+        blocks = streams.from_function(lambda i: "S" if i < 18 else star.letter(i - 18), "S18+Gamma1*")
+        sources = [lambda: sys.big_gamma(1), lambda: sys.big_gamma(2)] + [
+            lambda ell=ell: expand(sys.product(blocks, ell)) for ell in (2, 4, 6)]
+        flat = [dynamics.iterate_sqrt(sys, src(), 450) for src in sources]
+        monkeypatch.setattr(streams, "decimate", NestedDecimation)
+        nested = [dynamics.iterate_sqrt(sys, src(), 450) for src in sources]
+        for a, b in zip(flat, nested):
+            assert [(s.fingerprint, s.outcome, s.versus_start) for s in a.steps] == \
+                   [(s.fingerprint, s.outcome, s.versus_start) for s in b.steps]
+            assert (a.start, a.n_periodic, a.n_fixed) == (b.start, b.n_periodic, b.n_fixed)
+        assert {s.outcome for rec in nested for s in rec.steps} == {"A", "B", "C", "D", "periodic"}
+
+
 class TestTable1:
     def test_first_rows(self):
         rows = dynamics.table1_experiment([8, 13])

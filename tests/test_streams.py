@@ -254,6 +254,33 @@ class TestDecimate:
         assert word.prefix(1000) == "L" + ("SLLSL" * 400)[3:2000:2]
         assert calls == [(3, 2000)]
 
+    @settings(max_examples=60, deadline=None)
+    @given(pattern=st.text("SL", min_size=1, max_size=12),
+           levels=st.lists(st.tuples(st.integers(0, 5), st.text("SL", max_size=2)), min_size=1, max_size=6),
+           lo=st.integers(0, 40), n=st.integers(0, 40))
+    def test_nested_decimations_are_one_view(self, pattern, levels, lo, n):
+        # a decimation of a decimation reads the first source with one window
+        # per request, spells the letters of the nested views and keeps a
+        # period of them
+        def nested_letter(t):
+            for offset, head in reversed(levels):
+                if t < len(head):
+                    return head[t]
+                t = offset + 2 * (t - len(head))
+            return pattern[t % len(pattern)]
+
+        src, calls = periodic_word(pattern), []
+        original = src.window
+        src.window = lambda a, b: calls.append((a, b)) or original(a, b)
+        word = src
+        for offset, head in levels:
+            word = decimate(word, offset, head, "d")
+        assert word.window(lo, lo + n) == "".join(map(nested_letter, range(lo, lo + n)))
+        assert len(calls) <= 1
+        start, p = word.period()
+        text = "".join(map(nested_letter, range(start + 3 * p + 16)))
+        assert text[start + p :] == text[start : len(text) - p]
+
 
 class TestSqrtStream:
     def test_fixed_words(self, sys):
