@@ -29,10 +29,13 @@ EXIT_USAGE = 2
 
 # The most letters a command may build from --k and table1 --fib (the block
 # word S) and from --j (gamma_j and gamma_bar_j together), and the most block
-# names that --c (tau^2(S) and tau^2(L) together), periodic-points
-# --max-blocks and eq enumerate --bmax may spell; a larger request is a usage
-# error.
+# names that --c (tau^2(S) and tau^2(L) together) and eq enumerate --bmax may
+# spell; a larger request is a usage error.
 MAX_WORD_LETTERS = 10_000_000
+# The largest periodic-points --max-blocks.  The search spells no pattern, so
+# only its output limits it: the refuted count is below 2^(mb + 1), at most
+# 3,011 digits here, under Python's default int-to-str limit of 4,300 digits.
+MAX_BLOCKS = 10_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -74,13 +77,12 @@ def _system(ns) -> OmegaSystem:
     ``|S| = q_k`` follows the length recurrence of the standard words.  As
     ``q_i >= F_(i+2)`` and ``2c + 1 >= 3``, capping ``k`` and ``j`` at 64
     leaves an over-limit size over the limit.  Every system reads the
-    ``tau^2`` blocks of both names, ``2 (2c + 1)^2`` names.  The patterns of
-    ``--max-blocks mb`` spell ``(mb - 1) 2^(mb + 1) + 2`` names, the sum of
-    ``s 2^s`` over ``s <= mb``; ``mb`` is capped at 64 likewise.  The
-    factor windows of ``--bmax`` are slices of ``tau^i(ab)`` for the (at most
+    ``tau^2`` blocks of both names, ``2 (2c + 1)^2`` names.  The factor
+    windows of ``--bmax`` are slices of ``tau^i(ab)`` for the (at most
     four) 2-letter factors ``ab``, one per name of ``tau^i(a)``, each of
     :func:`equation.window_names` names, with ``|tau^i(a)| = (2c + 1)^i`` the
-    least power at least one less (:meth:`OmegaSystem.factors`)."""
+    least power at least one less (:meth:`OmegaSystem.factors`).
+    ``--max-blocks`` builds no word; :data:`MAX_BLOCKS` bounds it."""
     params = OmegaParams(a=ns.a, b=ns.b, c=ns.c, k=ns.k, seed=ns.seed_word)
     prev, n = 1, 1
     for d in params.directive(min(ns.k, 64)):
@@ -91,9 +93,6 @@ def _system(ns) -> OmegaSystem:
         raise ValueError(f"--c {ns.c}: tau^2(S) and tau^2(L) have more than {MAX_WORD_LETTERS} names")
     if "j" in ns and 2 * n * (2 * ns.c + 1) ** min(ns.j, 64) > MAX_WORD_LETTERS:
         raise ValueError(f"--j {ns.j}: gamma_j and gamma_bar_j have more than {MAX_WORD_LETTERS} letters")
-    mb = min(getattr(ns, "max_blocks", 1), 64)
-    if (mb - 1) * 2 ** (mb + 1) + 2 > MAX_WORD_LETTERS:
-        raise ValueError(f"--max-blocks {ns.max_blocks}: the search spells more than {MAX_WORD_LETTERS} names")
     if "bmax" in ns:
         names, span = equation.window_names(n, ns.bmax), 1
         while span < names - 1:
@@ -255,6 +254,8 @@ def cmd_limit_set(ns) -> Result:
 
 
 def cmd_periodic_points(ns) -> Result:
+    if ns.max_blocks > MAX_BLOCKS:
+        raise ValueError(f"--max-blocks {ns.max_blocks}: above {MAX_BLOCKS}, the refuted count is too long to print")
     sys = _system(ns)
     points, refuted = dynamics.periodic_point_search(sys, ns.max_blocks)
     ok = points == ["Gamma1", "Gamma2", "L^w", "S^w"]

@@ -28,7 +28,7 @@ import itertools
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from . import equation, squares, streams, words
+from . import equation, squares, streams
 from .omega import D_LOOKAHEAD, PERIODIC, TYPE_B, TYPE_D, OmegaParams, OmegaSystem
 from .streams import BlockWord, InfiniteWord
 
@@ -623,68 +623,50 @@ def _block_pairs_halve(sys: OmegaSystem) -> bool:
 
 
 def periodic_point_search(sys: OmegaSystem, max_blocks: int) -> tuple[list[str], int]:
-    """Decide, for each cyclic block product of up to ``max_blocks`` names,
-    whether it is a periodic point; ``Gamma1`` and ``Gamma2`` are added.
-    Returns the sorted labels of the periodic points found and the number of
-    patterns refuted.
+    """Decide, for each cyclic block product ``p^omega`` of up to
+    ``max_blocks`` names, whether it is a periodic point; ``Gamma1`` and
+    ``Gamma2`` are added.  Returns the sorted labels of the periodic points
+    found and the number of patterns refuted, counted with none spelled.
 
-    The root of a block product is ``sigma`` of its even-indexed names
-    (:func:`_block_pairs_halve`, checked).  A pattern returns under this
-    decimation or never does (:func:`_first_return`); one that never returns
-    is refuted.  A returning word is in the subshift only if
-    :meth:`OmegaSystem.rotation_index` finds a shift of ``S^omega``; one that
-    does not is ultimately periodic and outside the subshift, so refuted.
-    ``S`` and ``L`` are distinct words of one length, so ``sigma`` is a code
-    and two patterns give the same word iff they share their primitive root;
-    a proper power returns iff its root does, and the root, shorter, was met
-    first, so only primitive returning patterns are kept.  ``Gamma1`` and
-    ``Gamma2`` are fixed: with ``m = 2c + 1``, ``Gamma*[qm + r] =
-    tau(Gamma'*[q])[r]`` (tau swaps the two fixed points of tau^2), so if
-    ``tau(a)[2r % m] == tau(b)[r]`` for all ``a, b`` and ``0 < r < m``
+    A decimation halves the names (:func:`_block_pairs_halve`, checked), so
+    after ``s`` of them name ``t`` reads name ``t 2^s mod N``; write ``N =
+    |p| = 2^e N'`` with ``N'`` odd.  Lemma A: ``p`` returns iff it has period
+    ``N'``.  If it returns after ``s`` steps, the powers of ``2^s`` mod ``N``
+    reach an idempotent ``E``, which is ``0 mod 2^e`` and ``1 mod N'`` (a
+    unit there), and ``p[t] = p[t E mod N]`` depends on ``t mod N'`` alone;
+    conversely some ``2^s = 1 mod N'``.  So ``2^N - 2^N'`` patterns never
+    return, and a primitive one returns iff ``N`` is odd.  ``sigma`` is a
+    code (``S`` and ``L`` are distinct words of one length), so a proper
+    power gives the word of its primitive root, met first, and is skipped.
+    Lemma B: a shift of ``S^omega`` has period ``|S|``, so the aligned
+    blocks ``sigma(p[t])`` are all equal and a primitive ``p`` is ``S`` or
+    ``L``; only these two meet :meth:`OmegaSystem.rotation_index`, and every
+    other returning word is outside the subshift.  The refuted count is the
+    sum over ``N`` of ``2^N - 2^N'`` and, for odd ``N``, the ``P(N)``
+    primitive words, less ``S`` and ``L`` where found.
+
+    ``Gamma1`` and ``Gamma2`` are fixed: with ``m = 2c + 1``, ``Gamma*[qm +
+    r] = tau(Gamma'*[q])[r]`` (tau swaps the two fixed points of tau^2), so
+    if ``tau(a)[2r % m] == tau(b)[r]`` for all ``a, b`` and ``0 < r < m``
     (checked), ``Gamma*[2i] = Gamma*[i]`` by induction on ``i`` (for ``r =
     0`` it holds at ``q < i``).
     """
     if not _block_pairs_halve(sys):
         raise AssertionError("a block pair does not halve; block decimation is not exact")
-    points, refuted = {"Gamma1", "Gamma2"}, 0
-    n = sys.block_len
-    for size in range(1, max_blocks + 1):
-        for bits in itertools.product("SL", repeat=size):
-            pattern = "".join(bits)
-            if _first_return(pattern) is None:
-                refuted += 1
-                continue
-            if not words.is_primitive(pattern):
-                continue
-            word = sys.sigma(pattern)
-            j = sys.rotation_index(streams.periodic_word(word, f"({pattern})^w"))
-            if j is None:
-                refuted += 1
-            else:
-                points.add("S^w" if j == 0 else "L^w" if word == sys.l_word * (len(word) // n) else f"T^{j}(S^w)")
     m, images = 2 * sys.params.c + 1, (sys.tau_block(1), sys.tau_block(1, bar=True))
     if any(a[2 * r % m] != b[r] for a in images for b in images for r in range(1, m)):
         raise AssertionError("tau(a)[2r % m] != tau(b)[r]; Gamma*[2i] = Gamma*[i] is not proved")
-    return sorted(points), refuted
-
-
-def _first_return(pattern: str) -> int | None:
-    """The least ``steps >= 1`` after which ``steps`` decimations of
-    ``pattern^omega`` give it back, or None if none does.
-
-    After ``steps`` decimations name ``t`` reads name ``t r mod |pattern|``
-    with ``r = 2^steps mod |pattern|``, so a return depends on ``r`` alone;
-    ``r`` repeats within ``|pattern|`` steps, and from its first repeat on
-    every ``r`` has been tried."""
-    size = len(pattern)
-    tried: set[int] = set()
-    steps, r = 1, 2 % size
-    while r not in tried:
-        if all(pattern[t * r % size] == pattern[t] for t in range(size)):
-            return steps
-        tried.add(r)
-        steps, r = steps + 1, 2 * r % size
-    return None
+    found = [label for label, word in (("S^w", sys.s_omega()), ("L^w", sys.l_omega()))
+             if sys.rotation_index(word) is not None]
+    # P(N) = 2^N - sum of P(d) over the proper divisors d of N, for odd N
+    primitive = [0] * (max_blocks + 1)
+    for size in range(1, max_blocks + 1, 2):
+        primitive[size] += 1 << size
+        for multiple in range(3 * size, max_blocks + 1, 2 * size):
+            primitive[multiple] -= primitive[size]
+    refuted = sum((1 << size) - (1 << (size // (size & -size))) + primitive[size]
+                  for size in range(1, max_blocks + 1))
+    return sorted(["Gamma1", "Gamma2", *found]), refuted - len(found)
 
 
 def _orbit_lengths(modulus: int) -> list[int]:

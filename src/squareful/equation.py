@@ -67,16 +67,14 @@ def enumerate_solutions(sys: OmegaSystem, bmax: int) -> list[SolutionCertificate
     block and ends at most ``|S| + 2 bmax - 2`` letters after that block's
     start, so it lies in ``sigma(w)`` for a block-name factor ``w`` of
     ``ceil((2 bmax - 1) / |S|) + 1`` names (:meth:`OmegaSystem.factors`).
-    The periodic part adds the squares in the powers of the rotations of
-    the block word.
+    The periodic part adds the squares of ``S^|w|``, as many copies of the
+    block word as ``w`` has names: a factor of ``S^omega`` can be taken to
+    start inside the first block.
     """
-    n = sys.block_len
-    candidates: set[str] = set()
-    for w in sys.factors(window_names(n, bmax)):
+    names = window_names(sys.block_len, bmax)
+    candidates = harvest_square_factors(sys.s_word * names, bmax)
+    for w in sys.factors(names):
         candidates |= harvest_square_factors(sys.sigma(w), bmax)
-    reps = 2 * bmax // n + 2
-    for rot in words.conjugates(sys.s_word):
-        candidates |= harvest_square_factors(rot * reps, bmax)
     out = []
     for u in sorted(candidates, key=lambda u: (len(u), u)):
         cert = is_solution(sys.alphabet, u)

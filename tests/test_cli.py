@@ -286,7 +286,7 @@ def test_errors_exit_with_one_line(capsys, argv, code):
     ["omega", "gamma", "--k", "40", "--j", "1"],
     ["preimages", "--k", "40", "01" * 64],
     ["omega", "gamma", "--j", "1000000000"],
-    ["periodic-points", "--max-blocks", "19"],
+    ["periodic-points", "--max-blocks", str(cli.MAX_BLOCKS + 1)],
     ["periodic-points", "--max-blocks", "1000000000"],
     ["periodic-points", "--c", "10000000"],
     ["limit-set", "--samples", "1", "--depth", "2", "--c", "3000"],
@@ -304,7 +304,17 @@ def test_oversized_words_are_refused_before_building(monkeypatch, capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ") and str(cli.MAX_WORD_LETTERS) in lines[0]
+    bound = cli.MAX_BLOCKS if "--max-blocks" in argv else cli.MAX_WORD_LETTERS
+    assert len(lines) == 1 and lines[0].startswith("error: ") and str(bound) in lines[0]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_largest_max_blocks_is_accepted(capsys, fmt):
+    # the refuted count at the bound prints in full under either format
+    assert main(["periodic-points", "--max-blocks", str(cli.MAX_BLOCKS), "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    refuted = json.loads(out)["refuted"] if fmt == "json" else int(out.splitlines()[1].split(": ")[1])
+    assert 1 << cli.MAX_BLOCKS < refuted < 1 << (cli.MAX_BLOCKS + 1)
 
 
 def test_unwritable_out_is_a_usage_error(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import ast
+import functools
 import itertools
 import math
 import pathlib
@@ -554,6 +555,8 @@ class TestPreimageChains:
             assert letters == sum(2 * link.prefix_len for link in chain.links)
             assert peak < bound_mib * 2**20, (t, peak)
 
+
+@functools.lru_cache(maxsize=None)
 def brute_force_first_return(pattern, horizon=64):
     # decimate the cyclic word itself: its first |pattern| names after a
     # decimation are every other name of two periods
@@ -563,6 +566,33 @@ def brute_force_first_return(pattern, horizon=64):
         if w == pattern:
             return steps
     return None
+
+
+def enumerated_periodic_points(sys, max_blocks):
+    # the enumeration that the closed form replaces: every pattern spelled,
+    # its return found by brute-force decimation, returning patterns kept
+    # once per primitive root of their letters, and each kept word tested
+    # by rotation_index.  The (points, refuted) of each max_blocks up to the
+    # given one, and the number of words kept
+    points, refuted, seen, results = {"Gamma1", "Gamma2"}, 0, set(), []
+    for size in range(1, max_blocks + 1):
+        for bits in itertools.product("SL", repeat=size):
+            pattern = "".join(bits)
+            if brute_force_first_return(pattern) is None:
+                refuted += 1
+                continue
+            word = sys.sigma(pattern)
+            root = word[: (word + word).find(word, 1)]
+            if root in seen:
+                continue
+            seen.add(root)
+            j = sys.rotation_index(streams.periodic_word(word, f"({pattern})^w"))
+            if j is None:
+                refuted += 1
+            else:
+                points.add("S^w" if j == 0 else "L^w" if word == sys.l_word * size else f"T^{j}(S^w)")
+        results.append((sorted(points), refuted))
+    return results, len(seen)
 
 
 SEVEN_SYSTEMS = [
@@ -577,62 +607,49 @@ class TestPeriodicPoints:
         points, _ = dynamics.periodic_point_search(OmegaSystem(params), max_blocks=6)
         assert points == ["Gamma1", "Gamma2", "L^w", "S^w"]
 
-    def test_doubling_pattern_refuted_by_membership(self, monkeypatch, sys):
+    def test_doubling_pattern_refuted_by_membership(self, sys):
         # (LSS)^w returns under decimation, but its word is not a shift of
         # S^w: it lies outside the subshift and is counted as refuted
         assert brute_force_first_return("LSS") is not None
-        real, outside = OmegaSystem.rotation_index, []
+        assert sys.rotation_index(streams.periodic_word(sys.sigma("LSS"), "(LSS)^w")) is None
+        results, _ = enumerated_periodic_points(sys, 3)
+        assert dynamics.periodic_point_search(sys, 3) == results[-1]
 
-        def spy(self, word):
-            j = real(self, word)
-            if j is None:
-                outside.append(word.prefix(3 * self.block_len))
-            return j
-
-        monkeypatch.setattr(OmegaSystem, "rotation_index", spy)
-        _, refuted = dynamics.periodic_point_search(sys, max_blocks=3)
-        assert sys.sigma("LSS") in outside
-        no_return = sum(brute_force_first_return("".join(bits)) is None
-                        for size in range(1, 4) for bits in itertools.product("SL", repeat=size))
-        assert refuted == no_return + len(outside)
-
-    def test_return_steps_match_brute_force(self, monkeypatch, sys):
-        # every pattern's first return is the brute-force one; with every
-        # returning word taken as S^w, exactly the non-returning patterns are
-        # refuted
-        want_refuted = 0
-        for size in range(1, 13):
+    def test_return_steps_match_brute_force(self):
+        # Lemma A: with N = 2^e N', N' odd, a pattern returns under
+        # decimation iff it has period N'; the powers of 2 mod N reach the
+        # idempotent that is 0 mod 2^e and 1 mod N'
+        for size in range(1, 15):
+            odd = size // (size & -size)
+            idempotent = next(pow(2, s, size) for s in range(1, 2 * size + 1)
+                              if pow(2, 2 * s, size) == pow(2, s, size))
+            assert idempotent % (size // odd) == 0 and idempotent % odd == 1 % odd
             for bits in itertools.product("SL", repeat=size):
                 pattern = "".join(bits)
-                ret = brute_force_first_return(pattern)
-                assert dynamics._first_return(pattern) == ret, pattern
-                want_refuted += ret is None
-        monkeypatch.setattr(OmegaSystem, "rotation_index", lambda self, word: 0)
-        points, refuted = dynamics.periodic_point_search(sys, max_blocks=12)
-        assert points == ["Gamma1", "Gamma2", "S^w"]
-        assert refuted == want_refuted
+                returns = brute_force_first_return(pattern) is not None
+                assert returns == (pattern == pattern[odd:] + pattern[:odd]), pattern
 
     @pytest.mark.parametrize("params", SEVEN_SYSTEMS)
-    def test_kept_candidates_match_a_letter_level_dedupe(self, monkeypatch, params):
-        # two candidates are one infinite word iff their letters share the
-        # primitive root; keep the first of each, as the letter route did.
-        # With no returning word in the subshift, each kept one is refuted
-        monkeypatch.setattr(OmegaSystem, "rotation_index", lambda self, word: None)
+    def test_kept_candidates_match_a_letter_level_dedupe(self, params):
+        # the closed form against the enumeration, at every max_blocks up
+        # to 12: same labels, same refuted count
         sys = OmegaSystem(params)
-        points, refuted = dynamics.periodic_point_search(sys, max_blocks=8)
-        no_return, want, seen = 0, [], set()
-        for size in range(1, 9):
-            for bits in itertools.product("SL", repeat=size):
-                pattern = "".join(bits)
-                word = sys.sigma(pattern)
-                root = word[: (word + word).find(word, 1)]
-                if brute_force_first_return(pattern) is None:
-                    no_return += 1
-                elif root not in seen:
-                    seen.add(root)
-                    want.append(f"({pattern})^w")
-        assert points == ["Gamma1", "Gamma2"]
-        assert refuted == no_return + len(want) and len(want) > 20
+        results, kept = enumerated_periodic_points(sys, 12)
+        assert [dynamics.periodic_point_search(sys, mb) for mb in range(1, 13)] == results
+        assert kept > 20
+
+    def test_rotation_index_is_called_at_most_twice(self, monkeypatch, sys):
+        # only S^w and L^w are tested for membership (Lemma B)
+        real, calls = OmegaSystem.rotation_index, []
+
+        def spy(self, word):
+            calls.append(word)
+            return real(self, word)
+
+        monkeypatch.setattr(OmegaSystem, "rotation_index", spy)
+        points, refuted = dynamics.periodic_point_search(sys, 14)
+        assert points == ["Gamma1", "Gamma2", "L^w", "S^w"] and refuted > 0
+        assert len(calls) <= 2
 
     def test_search_keeps_no_record_per_pattern(self, sys):
         # 32,766 patterns of up to 14 names are counted, not listed

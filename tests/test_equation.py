@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from squareful import equation, words
-from squareful.omega import OmegaParams, OmegaSystem, tau
+from squareful.omega import SWAPPED, OmegaParams, OmegaSystem, tau
 from squareful.squares import build_alphabet, factor_minimal_squares
 from squareful.sturmian import reversed_standard_word
 
@@ -112,6 +112,26 @@ class TestEnumerate:
         want = [u for u in sorted(candidates, key=lambda u: (len(u), u))
                 if equation.is_solution(sys.alphabet, u) is not None]
         assert [c.word for c in equation.enumerate_solutions(sys, 32)] == want
+
+    @pytest.mark.parametrize("bmax", [1, 5, 16, 40])
+    @pytest.mark.parametrize("params", [
+        OmegaParams(), OmegaParams(k=5, seed=SWAPPED), OmegaParams(a=2, b=1), OmegaParams(c=2),
+        OmegaParams(a=2, b=1, c=2), OmegaParams(b=1, c=2, k=5, seed=SWAPPED),
+    ])
+    def test_periodic_part_equals_the_rotation_harvest(self, params, bmax):
+        # every rotation of the block word, each repeated reps times, gives
+        # the squares of S^w for a factor window of w names; the aperiodic
+        # part's factor windows plus these rotations give the same solutions
+        sys = OmegaSystem(params)
+        reps, names = 2 * bmax // sys.block_len + 2, equation.window_names(sys.block_len, bmax)
+        rotations = set().union(*(equation.harvest_square_factors(rot * reps, bmax)
+                                  for rot in words.conjugates(sys.s_word)))
+        assert equation.harvest_square_factors(sys.s_word * names, bmax) == rotations
+        windows = sys.factors(names)
+        candidates = rotations.union(*(equation.harvest_square_factors(sys.sigma(w), bmax) for w in windows))
+        want = [u for u in sorted(candidates, key=lambda u: (len(u), u))
+                if equation.is_solution(sys.alphabet, u) is not None]
+        assert [c.word for c in equation.enumerate_solutions(sys, bmax)] == want
 
 
 class TestConjugateAudit:
