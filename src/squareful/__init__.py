@@ -11,10 +11,9 @@ word equation solutions).
 from .omega import OmegaParams, OmegaSystem, tau
 from .squares import SquareAlphabet, build_alphabet, factor_minimal_squares, in_pi, sqrt_finite
 from .streams import InfiniteWord, SLProduct, expand, shift, sqrt_stream
-from .sturmian import ContinuedFraction, RotationSystem, reversed_standard_word, standard_word
+from .sturmian import RotationSystem, reversed_standard_word, standard_word
 
 __all__ = [
-    "ContinuedFraction",
     "InfiniteWord",
     "OmegaParams",
     "OmegaSystem",

@@ -25,7 +25,6 @@ is the largest depth of a start's remainder.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from typing import Callable, Iterable
 
 from . import equation, squares, streams
@@ -68,32 +67,40 @@ def fibonacci_estimate(s_len: int) -> str:
 
 
 def intercept_phases(sys: OmegaSystem) -> tuple[list[int], int]:
-    """Rotation phases by exact intercept arithmetic, with their proven bound.
+    """Rotation phases by exact intercept arithmetic on integer cells, with
+    their proven bound.
 
-    ``T^j(S^omega)`` is the rotation word of intercept ``rho_S + j * slope``,
-    where ``[rho_S, ...)`` is the arc ``[S]`` of intercepts coded by ``S``.
-    Its phase is the least ``i`` with ``psi^i`` of that intercept in ``[S]``
-    or ``[L]``, ``psi`` being :meth:`RotationSystem.sqrt_intercept`.  The
-    arcs ``[L]`` and ``[S]`` meet at ``1 - slope``, and ``psi`` halves the
-    distance to that point, which starts at most ``1 - slope``: so the
-    phase is at most ``ceil(log2((1 - slope) / min(|[S]|, |[L]|)))``, and a
-    longer iteration raises.  Returns the phase of every rotation ``j`` in
-    order, and the bound.
+    The slope is ``alpha = p/n`` with ``n = |S|`` and ``p`` the number of
+    1s of ``S``; cell ``c`` is the intercept arc ``[c/n, (c+1)/n)``.  Lemma:
+    ``1 - alpha = (n - p)/n`` is a cell edge, so the coding is constant on
+    each cell (letter ``i`` of cell ``c`` is 1 iff ``(c + i p) mod n >=
+    n - p``), and ``psi(rho) = (rho + 1 - alpha)/2``, the map of
+    :meth:`RotationSystem.sqrt_intercept`, sends cell ``c`` into cell
+    ``floor((c + n - p)/2)``.  ``T^j(S^omega)`` is the coding of cell
+    ``(c_S + j p) mod n``, where ``c_S`` is the cell coded by ``S``, and its
+    phase is the number of steps to the cell of ``S`` or of ``L``.  Those
+    two cells meet at the edge ``n - p``, and a step halves the distance in
+    cells to that edge, which starts at most ``n - p``: so the phase is at
+    most ``ceil(log2(n - p))``, and a longer iteration raises.  Returns the
+    phase of every rotation ``j`` in order, and the bound.
     """
-    rot = sys.rotation_system()
-    arcs = [rot.factor_interval(sys.s_word), rot.factor_interval(sys.l_word)]
-    if None in arcs:
-        raise ValueError("block words are not factors of the rotation coding")
-    ratio = (1 - rot.slope) / min(arc.length for arc in arcs)
-    t = ratio.numerator.bit_length() - ratio.denominator.bit_length()
-    bound = t if ratio <= Fraction(2) ** t else t + 1  # ratio lies in (2^(t-1), 2^(t+1))
+    n, p = sys.block_len, sys.s_word.count("1")
+    w0 = "".join("1" if i * p % n >= n - p else "0" for i in range(n))
+    cells = []
+    for word in (sys.s_word, sys.l_word):
+        at = (w0 + w0).find(word)
+        if at < 0:
+            raise ValueError("block words are not factors of the rotation coding")
+        cells.append(at * p % n)
+    c_s, c_l = cells
+    bound = (n - p - 1).bit_length()
     phases = []
-    for j in range(sys.block_len):
-        rho, steps = (arcs[0].lo + j * rot.slope) % 1, 0
-        while not any(arc.contains(rho) for arc in arcs):
+    for j in range(n):
+        c, steps = (c_s + j * p) % n, 0
+        while c != c_s and c != c_l:
             if steps == bound:
                 raise AssertionError("psi iteration exceeded its proven bound")
-            rho, steps = rot.sqrt_intercept(rho), steps + 1
+            c, steps = (c + n - p) // 2, steps + 1
         phases.append(steps)
     return phases, bound
 

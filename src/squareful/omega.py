@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 
 from . import squares, streams, words
-from .sturmian import ContinuedFraction, RotationSystem, reversed_standard_word
+from .sturmian import reversed_standard_word
 from .squares import SquareAlphabet
 from .streams import InfiniteWord, SLProduct
 
@@ -108,14 +108,6 @@ class OmegaSystem:
     @property
     def block_len(self) -> int:
         return len(self.s_word)
-
-    def slope(self) -> ContinuedFraction:
-        """Truncation of the slope at index k, so that q_k = len(s_word)."""
-        d = self.params.directive(self.params.k)
-        return ContinuedFraction((0, d[0] + 1) + tuple(d[1:]))
-
-    def rotation_system(self) -> RotationSystem:
-        return RotationSystem(self.slope().value())
 
     def sigma(self, blockword: str) -> str:
         return blockword.translate(self._sigma_table)

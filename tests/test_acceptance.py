@@ -29,6 +29,11 @@ def fib_sys():
     return OmegaSystem(OmegaParams())
 
 
+def random_names(rng: random.Random) -> str:
+    """4096 block names, one per random bit."""
+    return f"{rng.getrandbits(4096):04096b}".translate(str.maketrans("01", "SL"))
+
+
 def test_criterion_01_table1_reproduction():
     start = time.time()
     lengths = [8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987]
@@ -38,20 +43,19 @@ def test_criterion_01_table1_reproduction():
     # independent of the walk: each row's start, replayed forward on a
     # fresh system with the other blocks named by Gamma1* or at random,
     # attains the value, and so does iterate_sqrt on the Gamma1*-tail word;
-    # seeded random starts never exceed it; up to |S| = 233 every rotation's
-    # phase equals intercept iteration and stays within its bound; and each
-    # row is the bit length of the number of 0s of S (a conjecture)
+    # seeded random starts never exceed it; every rotation's phase equals
+    # intercept iteration on integer cells and stays within its bound; and
+    # each row is the bit length of the number of 0s of S (a conjecture)
     rng = random.Random(2018)
     replayed, random_max, phases_ok, closed_ok = [], [], True, True
     for row in rows:
         engine = OrbitEngine(dynamics.fibonacci_system(row.s_len))
         sys = engine.sys
         closed_ok &= row.steps == sys.s_word.count("0").bit_length()
-        if row.s_len <= 233:
-            phases, bound = dynamics.intercept_phases(sys)
-            phases_ok &= max(phases) <= bound
-            phases_ok &= phases == [engine.rotation_phase(j) for j in range(row.s_len)]
-        fill = [rng.choice("SL") for _ in range(4096)]
+        phases, bound = dynamics.intercept_phases(sys)
+        phases_ok &= max(phases) <= bound
+        phases_ok &= phases == [engine.rotation_phase(j) for j in range(row.s_len)]
+        fill = random_names(rng)
         shift, first = row.start
         star = sys.gamma_star(1)
         blocks = streams.from_function(lambda i: first if i == 0 else star.letter(i - 1), "start")
@@ -61,7 +65,7 @@ def test_criterion_01_table1_reproduction():
         replayed.append(on_gamma if on_gamma == orbit.n_fixed == at_random else None)
         worst = 0
         for _ in range(50):
-            seq = [rng.choice("SL") for _ in range(4096)]
+            seq = random_names(rng)
             steps = engine.steps_to_fixed(rng.randrange(1, row.s_len), rng.choice("SL"),
                                           lambda i: seq[i % 4096])
             worst = max(worst, steps if steps is not None else 10**9)
@@ -72,7 +76,7 @@ def test_criterion_01_table1_reproduction():
         got == want == replayed and all(m <= g for m, g in zip(random_max, got))
         and phases_ok and closed_ok and elapsed < 600,
         f"steps={got}, start replay={replayed}, random starts max={random_max}, "
-        f"intercept phases to 233 {'agree' if phases_ok else 'DISAGREE'}, "
+        f"intercept phases of all rotations {'agree' if phases_ok else 'DISAGREE'}, "
         f"bit length of #0s {'agrees' if closed_ok else 'DISAGREES'}, {elapsed:.1f}s",
     )
 

@@ -1,18 +1,21 @@
 import ast
+import collections
 import functools
 import itertools
 import math
 import pathlib
 import random
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from squareful import dynamics, equation, squares, streams
 from squareful.dynamics import OrbitEngine
-from squareful.omega import PERIODIC, PLAIN, SWAPPED, TYPE_D, OmegaParams, OmegaSystem
+from squareful.omega import PERIODIC, PLAIN, SWAPPED, TYPE_B, TYPE_C, TYPE_D, OmegaParams, OmegaSystem
 from squareful.streams import expand, shift
+from squareful.sturmian import RotationSystem
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +55,44 @@ class TestEstimates:
         with pytest.raises(ValueError):
             dynamics.fibonacci_estimate(12)
 
+def grid_systems():
+    """The 108 systems with a <= 3, b <= 2, c <= 2, 3 <= k <= 6 and either seed."""
+    for a, b, c, k, seed in itertools.product(range(1, 4), range(3), (1, 2), range(3, 7),
+                                              (PLAIN, SWAPPED)):
+        try:
+            yield OmegaSystem(OmegaParams(a=a, b=b, c=c, k=k, seed=seed))
+        except ValueError:
+            continue
+
+
+def fraction_cells(sys):
+    """The rotation of slope p/n (n = |S|, p its 1s) and the intercepts
+    ``c/n`` whose codings are S and L, found by scanning every cell."""
+    n = sys.block_len
+    rot = RotationSystem(Fraction(sys.s_word.count("1"), n))
+    rho_s, rho_l = (next(rho for rho in map(Fraction, range(n), itertools.repeat(n))
+                         # most cells are refused on a short prefix
+                         if rot.coding(rho, 8) == word[:8] and rot.coding(rho, n) == word)
+                    for word in (sys.s_word, sys.l_word))
+    return rot, rho_s, rho_l
+
+
+def fraction_phases(sys):
+    """Rotation phases by iterating ``sqrt_intercept`` on Fraction intercepts
+    until one lies in the half-open cell of S or of L, and the least ``t``
+    with ``2^t / n >= 1 - slope``: the oracle for ``intercept_phases``."""
+    rot, rho_s, rho_l = fraction_cells(sys)
+    width = Fraction(1, rot.q)
+    phases = []
+    for j in range(rot.q):
+        rho, steps = (rho_s + j * rot.slope) % 1, 0
+        while not any(lo <= rho < lo + width for lo in (rho_s, rho_l)):
+            assert steps < rot.q
+            rho, steps = rot.sqrt_intercept(rho), steps + 1
+        phases.append(steps)
+    return phases, next(t for t in itertools.count() if 2**t * width >= 1 - rot.slope)
+
+
 class TestRotationPhase:
     def test_bound_and_psi_steps(self, sys):
         phases, bound = dynamics.intercept_phases(sys)
@@ -63,7 +104,7 @@ class TestRotationPhase:
         # the fixed point of the intercept map
         phases, _ = dynamics.intercept_phases(sys)
         assert [j for j, p in enumerate(phases) if p == 0] == sorted([0, engine.l_index])
-        rot = sys.rotation_system()
+        rot, _, _ = fraction_cells(sys)
         assert rot.coding(1 - rot.slope, rot.q) in (sys.s_word, sys.l_word)
 
     @pytest.mark.parametrize("params", [
@@ -74,12 +115,49 @@ class TestRotationPhase:
         # rotation j is the coding of the j-th intercept
         sys = OmegaSystem(params)
         phases, bound = dynamics.intercept_phases(sys)
-        engine, rot = OrbitEngine(sys), sys.rotation_system()
+        engine, (rot, rho_s, _) = OrbitEngine(sys), fraction_cells(sys)
         assert phases == [engine.rotation_phase(j) for j in range(sys.block_len)]
         assert max(phases) <= bound
-        rho_s = rot.factor_interval(sys.s_word).lo
         s = sys.s_word
         assert all(rot.coding(rho_s + j * rot.slope, rot.q) == s[j:] + s[:j] for j in range(rot.q))
+
+    def test_cells_equal_fraction_intercepts(self):
+        # integer cells against Fraction intercepts, on the grid and on the
+        # Fibonacci rows to 233
+        systems = [*grid_systems(), *map(dynamics.fibonacci_system, (8, 13, 21, 34, 55, 89, 144, 233))]
+        assert len(systems) == 116 and max(s.block_len for s in systems) == 233
+        for sys in systems:
+            assert dynamics.intercept_phases(sys) == fraction_phases(sys), sys.params
+
+    def test_rotation_successor_is_the_cell_map(self):
+        """The EJC 2017 theorem on cells: the square root of ``T^j(S^omega)``
+        is ``T^succ(j)(S^omega)`` with ``succ(j) = (floor((c_j + n - p)/2) -
+        c_S) p^-1 mod n``, ``c_j = c_S + j p mod n`` being its cell.
+
+        The type rule of the remainder ``("S", j)`` is observed on this grid,
+        not proved: B iff ``n - j`` is even and ``succ(j) = (n + j)/2``, C iff
+        ``j`` is even and ``succ(j) = j/2``, otherwise D."""
+        kinds = collections.Counter()
+        for sys in grid_systems():
+            engine, n, p = OrbitEngine(sys), sys.block_len, sys.s_word.count("1")
+            c_s = next(c for c in range(n) if sys.s_word == "".join(
+                "1" if (c + i * p) % n >= n - p else "0" for i in range(n)))
+            p_inv = pow(p, -1, n)
+            for j in range(n):
+                succ = ((c_s + j * p) % n + n - p) // 2
+                succ = (succ - c_s) * p_inv % n
+                assert engine.rotation_successor(j) == succ, (sys.params, j)
+                if j == 0:
+                    continue
+                kind, _ = sys.sqrt_step("S", j, "SSSS")
+                if (n - j) % 2 == 0 and succ == (n + j) // 2:
+                    assert kind == TYPE_B, (sys.params, j)
+                elif j % 2 == 0 and succ == j // 2:
+                    assert kind == TYPE_C, (sys.params, j)
+                else:
+                    assert kind == TYPE_D, (sys.params, j)
+                kinds[kind] += 1
+        assert kinds == {TYPE_B: 752, TYPE_C: 724, TYPE_D: 1584}
 
 
 class TestOrbitEngine:
@@ -288,16 +366,11 @@ class TestTable1:
     def test_supremum_is_the_bit_length_of_the_zeros(self):
         # the conjectured closed form, off the Fibonacci rows
         checked = 0
-        for a, b, c, k, seed in itertools.product(range(1, 4), range(3), (1, 2), range(3, 7),
-                                                  (PLAIN, SWAPPED)):
-            try:
-                sys = OmegaSystem(OmegaParams(a=a, b=b, c=c, k=k, seed=seed))
-            except ValueError:
-                continue
+        for sys in grid_systems():
             if sys.block_len <= 150:
                 checked += 1
                 want = sys.s_word.count("0").bit_length()
-                assert OrbitEngine(sys).steps_supremum() == want, (a, b, c, k, seed)
+                assert OrbitEngine(sys).steps_supremum() == want, sys.params
         assert checked == 108
 
 

@@ -1,36 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
 
 from squareful import words
-from squareful.sturmian import (
-    Arc,
-    ContinuedFraction,
-    RotationSystem,
-    reversed_standard_word,
-    standard_word,
-)
+from squareful.sturmian import RotationSystem, reversed_standard_word, standard_word
 
-
-def nested_eval(quots):
-    # independent evaluation of the nested fraction, innermost first
-    val = Fraction(quots[-1])
-    for a in reversed(quots[:-1]):
-        val = a + 1 / val
-    return val
-
-
-class TestContinuedFraction:
-    def test_canonicalization_folds_trailing_one(self):
-        assert ContinuedFraction((0, 2, 1, 1, 1)).quotients == (0, 2, 1, 2)
-
-    def test_of_fraction_round_trip(self):
-        for frac in (Fraction(3, 8), Fraction(5, 13), Fraction(8, 21), Fraction(7, 10)):
-            cf = ContinuedFraction.of_fraction(frac)
-            assert cf.value() == frac
-            assert cf.value() == nested_eval(list(cf.quotients))
-            assert cf.quotients[-1] >= 2
 
 class TestStandardWords:
     def test_fibonacci_examples(self):
@@ -71,6 +45,14 @@ class TestRotation:
             RotationSystem(Fraction(1, 2))
         RotationSystem(Fraction(5, 13))  # fine
 
+    def test_params_read_the_first_two_quotients(self):
+        # 3/8 = [0; 2, 1, 2], 5/13 = [0; 2, 1, 1, 2], 7/17 = [0; 2, 2, 3]
+        assert RotationSystem(Fraction(3, 8)).params() == (1, 0)
+        assert RotationSystem(Fraction(5, 13)).params() == (1, 0)
+        assert RotationSystem(Fraction(7, 17)).params() == (1, 1)
+        with pytest.raises(ValueError):
+            RotationSystem(Fraction(2, 7))  # [0; 3, 2]
+
     def test_coding_endpoints(self, rot38):
         alpha = rot38.slope
         assert rot38.coding(1 - alpha, 1) == "1"
@@ -85,25 +67,6 @@ class TestRotation:
         for j in range(8):
             w = rot38.coding(Fraction(j, 8), 24)
             assert w[:16] == w[8:24]
-
-    def test_factor_interval_basics(self, rot38):
-        arc0 = rot38.factor_interval("0")
-        assert (arc0.lo, arc0.hi) == (Fraction(0), 1 - rot38.slope)
-        arc1 = rot38.factor_interval("1")
-        assert arc1.length == rot38.slope
-        assert rot38.factor_interval("11") is None  # 11 is not a factor
-
-    def test_level_eight_arcs_are_eighths(self, rot38):
-        for arc in rot38.level_arcs(8):
-            assert arc.length == Fraction(1, 8)
-
-    def test_factor_interval_lengths_sum_to_one(self, rot38):
-        for n in (1, 2, 5, 7):
-            arcs = rot38.level_arcs(n)
-            assert sum(a.length for a in arcs) == 1
-            # every arc codes a distinct factor
-            factors = {rot38.coding(a.lo, n) for a in arcs}
-            assert len(factors) == len(arcs)
 
     def test_sqrt_intercept(self, rot38):
         alpha = rot38.slope
@@ -127,30 +90,12 @@ class TestRotation:
         (Fraction(3, 8), 1),
         (Fraction(3, 8), 7),
         (Fraction(5, 13), 5),
+        (Fraction(5, 13), 13),
     ])
     def test_lex_interval_order(self, slope, n):
-        # circle order of the level-n arcs (the first starts at 0) is the
-        # lexicographic order of the factors they code
+        # in circle order from 0, the cells [c/q, (c+1)/q) code the length-n
+        # factors in lexicographic order, each factor on consecutive cells
         rot = RotationSystem(slope)
-        factors = [rot.coding(arc.lo, n) for arc in rot.level_arcs(n)]
+        factors = [rot.coding(Fraction(c, rot.q), n) for c in range(rot.q)]
         assert factors == sorted(factors)
-
-
-class TestArc:
-    def test_wrap_pieces(self):
-        arc = Arc(Fraction(3, 4), Fraction(1, 4))
-        assert arc.wraps
-        assert arc.pieces() == [(Fraction(3, 4), Fraction(1)), (Fraction(0), Fraction(1, 4))]
-        assert arc.length == Fraction(1, 2)
-        assert arc.contains(Fraction(7, 8))
-        assert arc.contains(Fraction(0))
-        assert not arc.contains(Fraction(1, 2))
-
-    @given(st.integers(0, 23), st.integers(1, 23))
-    def test_contains_matches_pieces(self, a, b):
-        lo, hi = Fraction(a, 24), Fraction((a + b) % 24, 24)
-        arc = Arc(lo, hi)
-        for t in range(24):
-            rho = Fraction(t, 24)
-            in_pieces = any(p_lo <= rho < p_hi for p_lo, p_hi in arc.pieces())
-            assert arc.contains(rho) == in_pieces
+        assert len(set(factors)) == min(n + 1, rot.q)
