@@ -10,16 +10,18 @@ of block ``first``.  One application of the map,
   odd-indexed blocks,
 * consumes ``y`` plus one block, leaving the even-indexed blocks, or
 * certifies that the image is globally periodic with period a rotation of the
-  block word, after which the orbit lives in the finite periodic part and is
-  followed by exact rotation bookkeeping.
+  block word, after which the orbit lives in the finite periodic part.
 
-In the first two cases the root of ``y`` is again a remainder, and a
-rotation ``T^j(S^omega)`` steps as the remainder ``("S", j)`` over S blocks.
-Table 1 is a walk on the graph whose nodes are the remainders and the
-rotations: each node has one successor, because the engine checks that a
-remainder's step does not depend on the names of the blocks after it.  A
-node's depth is its step count to ``S^omega`` or ``L^omega``; the supremum
-is the largest depth of a start's remainder.
+In the first two cases the root of ``y`` is again a remainder.  The periodic
+part is integer arithmetic: by the intercept map of the Sturmian square root
+(EJC 2017), :func:`intercept_phases` steps each rotation ``T^j(S^omega)`` to
+its successor on integer cells and counts its phase, the steps to
+``S^omega`` or ``L^omega``.  Table 1 is a walk on the graph whose nodes are
+the remainders: each has one successor, a remainder or a rotation, because
+the engine checks that a remainder's step does not depend on the names of
+the blocks after it.  A remainder's depth is its step count to ``S^omega``
+or ``L^omega``, ending in a rotation's phase; the supremum is the largest
+depth of a start's remainder.
 """
 
 from __future__ import annotations
@@ -66,9 +68,9 @@ def fibonacci_estimate(s_len: int) -> str:
     return f"{(e - 100) // 100}.{(e - 100) % 100:02d}"
 
 
-def intercept_phases(sys: OmegaSystem) -> tuple[list[int], int]:
-    """Rotation phases by exact intercept arithmetic on integer cells, with
-    their proven bound.
+def intercept_phases(sys: OmegaSystem) -> tuple[list[int], list[int], int]:
+    """Rotation successors and phases by exact intercept arithmetic on
+    integer cells, with the phases' proven bound.
 
     The slope is ``alpha = p/n`` with ``n = |S|`` and ``p`` the number of
     1s of ``S``; cell ``c`` is the intercept arc ``[c/n, (c+1)/n)``.  Lemma:
@@ -77,12 +79,15 @@ def intercept_phases(sys: OmegaSystem) -> tuple[list[int], int]:
     n - p``), and ``psi(rho) = (rho + 1 - alpha)/2``, the map of
     :meth:`RotationSystem.sqrt_intercept`, sends cell ``c`` into cell
     ``floor((c + n - p)/2)``.  ``T^j(S^omega)`` is the coding of cell
-    ``(c_S + j p) mod n``, where ``c_S`` is the cell coded by ``S``, and its
-    phase is the number of steps to the cell of ``S`` or of ``L``.  Those
-    two cells meet at the edge ``n - p``, and a step halves the distance in
-    cells to that edge, which starts at most ``n - p``: so the phase is at
-    most ``ceil(log2(n - p))``, and a longer iteration raises.  Returns the
-    phase of every rotation ``j`` in order, and the bound.
+    ``(c_S + j p) mod n``, where ``c_S`` is the cell coded by ``S``, so the
+    square root of ``T^j(S^omega)`` is ``T^j'(S^omega)`` with ``j' =
+    (floor((c + n - p)/2) - c_S) p^-1 mod n`` (``p`` and ``n`` are coprime,
+    as ``S`` is primitive).  The phase is the number of steps to the cell of
+    ``S`` or of ``L``.  Those two cells meet at the edge ``n - p``, and a
+    step halves the distance in cells to that edge, which starts at most
+    ``n - p``: so the phase is at most ``ceil(log2(n - p))``, and a longer
+    iteration raises.  Returns the successor and the phase of every rotation
+    ``j`` in order, and the bound.
     """
     n, p = sys.block_len, sys.s_word.count("1")
     w0 = "".join("1" if i * p % n >= n - p else "0" for i in range(n))
@@ -93,16 +98,17 @@ def intercept_phases(sys: OmegaSystem) -> tuple[list[int], int]:
             raise ValueError("block words are not factors of the rotation coding")
         cells.append(at * p % n)
     c_s, c_l = cells
-    bound = (n - p - 1).bit_length()
-    phases = []
+    bound, p_inv = (n - p - 1).bit_length(), pow(p, -1, n)
+    successors, phases = [], []
     for j in range(n):
         c, steps = (c_s + j * p) % n, 0
+        successors.append(((c + n - p) // 2 - c_s) * p_inv % n)
         while c != c_s and c != c_l:
             if steps == bound:
                 raise AssertionError("psi iteration exceeded its proven bound")
             c, steps = (c + n - p) // 2, steps + 1
         phases.append(steps)
-    return phases, bound
+    return successors, phases, bound
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +117,7 @@ def intercept_phases(sys: OmegaSystem) -> tuple[list[int], int]:
 
 _TAILS = ["".join(p) for p in itertools.product("LS", repeat=D_LOOKAHEAD)]
 FORWARD_CAP = 40
-_Node = tuple[str, int] | int  # a remainder (first, shift) or a rotation index
+_Remainder = tuple[str, int]
 
 
 class OrbitEngine:
@@ -119,60 +125,54 @@ class OrbitEngine:
 
     The counts are depths in a graph where every node has one successor.  A
     node is a remainder ``(first, shift)``, whose successor is its square
-    root step, or a rotation index ``j`` of ``T^j(S^omega)``, whose
-    successor is the rotation index of its square root.  The rotations 0
-    and :attr:`l_index` (``S^omega`` and ``L^omega``) have depth 0.
+    root step: another remainder after type B or C, and after type D the
+    rotation ``T^j(S^omega)``, whose depth is its phase.  The rotations and
+    their phases come from :func:`intercept_phases`, computed on first use;
+    the rotations 0 and :attr:`l_index` (``S^omega`` and ``L^omega``) have
+    phase 0.
     """
 
     def __init__(self, sys: OmegaSystem):
         self.sys = sys
         self.n = sys.block_len
         self.l_index = sys.conjugate_index(sys.l_word)
-        self._depth: dict[_Node, int] = {0: 0, self.l_index: 0}
+        self._depth: dict[_Remainder, int] = {}
+        self._phases: list[int] | None = None
 
-    def _successor(self, node: _Node) -> _Node:
-        """The next node: a remainder after type B or C, a rotation after D.
-
-        A remainder's step must come out the same under all 16 tails of the
-        :data:`~squareful.omega.D_LOOKAHEAD` names it can read, so that its
-        depth is the step count of every start that reaches it.  A rotation
-        goes to its D index or its B/C root's shift; ``S^omega`` is type A.
-        """
-        if node == 0:
-            return 0
-        if isinstance(node, int):
-            kind, out = self.sys.sqrt_step("S", node, "S" * D_LOOKAHEAD)
-            if kind != TYPE_D and out[0] != "S":
-                raise AssertionError(f"the square root of T^{node}(S^w) is not a rotation of S^w")
-            return out if kind == TYPE_D else out[1]
+    def _step(self, node: _Remainder) -> tuple[str, _Remainder | int]:
+        """The square root step of a remainder, which must come out the same
+        under all 16 tails of the :data:`~squareful.omega.D_LOOKAHEAD` names
+        it can read, so that its depth is the step count of every start that
+        reaches it."""
         outcomes = {self.sys.sqrt_step(*node, names) for names in _TAILS}
         if len(outcomes) != 1:
             raise AssertionError(f"the square root step of the remainder {node!r} depends on the block names")
-        return outcomes.pop()[1]
+        return outcomes.pop()
 
-    def _depth_of(self, node: _Node) -> int:
+    def _depth_of(self, node: _Remainder) -> int:
         """Steps from ``node`` to ``S^omega`` or ``L^omega``, memoized."""
-        path: dict[_Node, None] = {}
+        path: dict[_Remainder, None] = {}
         while node not in self._depth:
             if node in path:
                 raise AssertionError("orbit cycled; contradicts the finite-time theorem")
             path[node] = None
-            node = self._successor(node)
-        depth = self._depth[node]
+            kind, out = self._step(node)
+            if kind == TYPE_D:
+                depth = self.rotation_phase(out)
+                break
+            node = out
+        else:
+            depth = self._depth[node]
         for back in reversed(path):
             depth += 1
             self._depth[back] = depth
         return depth
 
-    # -- periodic part -------------------------------------------------------
-
-    def rotation_successor(self, j: int) -> int:
-        """Rotation index of the square root of ``T^j(S^omega)``."""
-        return self._successor(j)
-
     def rotation_phase(self, j: int) -> int:
         """Steps for ``T^j(S^omega)`` to reach ``S^omega`` or ``L^omega``."""
-        return self._depth_of(j)
+        if self._phases is None:
+            _, self._phases, _ = intercept_phases(self.sys)
+        return self._phases[j]
 
     # -- orbits of shifted products --------------------------------------------
 
@@ -252,21 +252,23 @@ def iterate_sqrt(sys: OmegaSystem, src: InfiniteWord, m: int) -> OrbitRecord:
     Uses the structural route when the source carries product provenance and
     the raw lazy tokenizer otherwise.  A word is ``periodic`` only as a type D
     image or by :meth:`OmegaSystem.rotation_index`; ``stream`` means the word
-    is not known to be a shift of ``S^omega``, and no guess is made.
+    is not known to be a shift of ``S^omega``, and no guess is made.  The
+    periodic part follows the rotation successors of :func:`intercept_phases`.
     """
     n = sys.block_len
     record = OrbitRecord(start=src.descriptor)
     cur, rotation = src, None
-    engine = OrbitEngine(sys)
     start_fp = src.prefix(n)
     for step in range(m + 1):
         if rotation is None:
             rotation = sys.rotation_index(cur)
+            if rotation is not None:  # the orbit stays in the periodic part
+                successors, phases, _ = intercept_phases(sys)
         if rotation is not None:
             fp, outcome = sys.omega_p_word(rotation).prefix(n), PERIODIC
             if record.n_periodic is None:
                 record.n_periodic = step
-            if record.n_fixed is None and rotation in (0, engine.l_index):
+            if record.n_fixed is None and phases[rotation] == 0:
                 record.n_fixed = step
         else:
             fp = cur.prefix(n)
@@ -275,7 +277,7 @@ def iterate_sqrt(sys: OmegaSystem, src: InfiniteWord, m: int) -> OrbitRecord:
         if step == m:
             break
         if rotation is not None:
-            rotation = engine.rotation_successor(rotation)
+            rotation = successors[rotation]
         elif cur.product is not None:
             cur, _ = sys.sqrt_of_product(cur.product)
         else:

@@ -105,10 +105,7 @@ def conjugate_solution_audit(alph: SquareAlphabet, u: str) -> ConjugateAuditRepo
         raise ValueError("conjugate audit expects a primitive word")
     if is_solution(alph, u) is None:
         raise ValueError("conjugate audit expects a solution")
-    hits = []
-    for v in words.conjugates(u)[1:]:
-        if v != u and is_solution(alph, v) is not None:
-            hits.append(v)
+    hits = [v for v in words.conjugates(u) if v != u and is_solution(alph, v) is not None]
     return ConjugateAuditReport(u, hits)
 
 

@@ -27,21 +27,12 @@ class TokenizationError(ValueError):
 
 class SquareAlphabet:
     """The six minimal roots and their squares for parameters ``(a, b)``;
-    equal by value, so that it can key a cache."""
+    built once per ``(a, b)`` by :func:`build_alphabet`."""
 
     __slots__ = ("a", "b", "roots", "squares")
 
     def __init__(self, a: int, b: int, roots: tuple[str, ...], squares: tuple[str, ...]):
         self.a, self.b, self.roots, self.squares = a, b, roots, squares
-
-    def _fields(self) -> tuple:
-        return self.a, self.b, self.roots, self.squares
-
-    def __eq__(self, other):
-        return self._fields() == other._fields() if type(other) is type(self) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
 
     @property
     def max_square_len(self) -> int:

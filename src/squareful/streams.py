@@ -287,22 +287,12 @@ class SLProduct:
 class BlockWord:
     """The product of the last ``size <= 2 * len(block)`` names of ``block``
     squared, as a view of ``block``: ``len`` counts its letters without
-    building them; ``names`` and ``str`` build its names and letters.
-    Equal by field."""
+    building them; ``names`` and ``str`` build its names and letters."""
 
     __slots__ = ("block", "size", "s_word", "l_word")
 
     def __init__(self, block: str, size: int, s_word: str, l_word: str):
         self.block, self.size, self.s_word, self.l_word = block, size, s_word, l_word
-
-    def _fields(self) -> tuple:
-        return self.block, self.size, self.s_word, self.l_word
-
-    def __eq__(self, other):
-        return self._fields() == other._fields() if type(other) is type(self) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
 
     @property
     def names(self) -> str:

@@ -2,21 +2,24 @@
 
 Words are plain Python strings over a two-letter alphabet, either ``{'0','1'}``
 or ``{'S','L'}`` (block-level words).  Indexing is 0-based throughout and every
-operation returns a fresh string.
+word returned is a fresh string.
 """
 
 from __future__ import annotations
 
+from typing import Iterator
 
-def conjugates(w: str) -> list[str]:
-    """All rotations of ``w`` in order, starting with ``w`` itself.
 
-    The list has exactly ``len(w)`` entries and contains repeats when ``w``
-    is a proper power.
+def conjugates(w: str) -> Iterator[str]:
+    """All rotations of ``w`` in order, starting with ``w`` itself, built one
+    at a time.
+
+    There are exactly ``len(w)`` of them, with repeats when ``w`` is a
+    proper power.  The empty word raises at the call.
     """
     if not w:
         raise ValueError("the empty word has no conjugates")
-    return [w[i:] + w[:i] for i in range(len(w))]
+    return (w[i:] + w[:i] for i in range(len(w)))
 
 
 def is_primitive(w: str) -> bool:

@@ -34,7 +34,7 @@ def random_names(rng: random.Random) -> str:
     return f"{rng.getrandbits(4096):04096b}".translate(str.maketrans("01", "SL"))
 
 
-def test_criterion_01_table1_reproduction():
+def test_criterion_01_table1_reproduction(rotation_walk):
     start = time.time()
     lengths = [8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987]
     rows = dynamics.table1_experiment(lengths)
@@ -43,8 +43,9 @@ def test_criterion_01_table1_reproduction():
     # independent of the walk: each row's start, replayed forward on a
     # fresh system with the other blocks named by Gamma1* or at random,
     # attains the value, and so does iterate_sqrt on the Gamma1*-tail word;
-    # seeded random starts never exceed it; every rotation's phase equals
-    # intercept iteration on integer cells and stays within its bound; and
+    # seeded random starts never exceed it; every rotation's successor and
+    # phase by intercept iteration on integer cells equal the tokenizer's
+    # rotation walk, and each phase stays within its bound; and
     # each row is the bit length of the number of 0s of S (a conjecture)
     rng = random.Random(2018)
     replayed, random_max, phases_ok, closed_ok = [], [], True, True
@@ -52,9 +53,9 @@ def test_criterion_01_table1_reproduction():
         engine = OrbitEngine(dynamics.fibonacci_system(row.s_len))
         sys = engine.sys
         closed_ok &= row.steps == sys.s_word.count("0").bit_length()
-        phases, bound = dynamics.intercept_phases(sys)
+        successors, phases, bound = dynamics.intercept_phases(sys)
         phases_ok &= max(phases) <= bound
-        phases_ok &= phases == [engine.rotation_phase(j) for j in range(row.s_len)]
+        phases_ok &= (successors, phases) == rotation_walk(sys)
         fill = random_names(rng)
         shift, first = row.start
         star = sys.gamma_star(1)

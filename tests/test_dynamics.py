@@ -78,44 +78,53 @@ def fraction_cells(sys):
 
 
 def fraction_phases(sys):
-    """Rotation phases by iterating ``sqrt_intercept`` on Fraction intercepts
-    until one lies in the half-open cell of S or of L, and the least ``t``
-    with ``2^t / n >= 1 - slope``: the oracle for ``intercept_phases``."""
+    """Rotation successors and phases by ``sqrt_intercept`` on Fraction
+    intercepts, and the least ``t`` with ``2^t / n >= 1 - slope``: the oracle
+    for ``intercept_phases``.  The successor of rotation ``j`` is the
+    rotation whose half-open cell holds the image of its intercept; the
+    phase iterates the image until it lies in the cell of S or of L."""
     rot, rho_s, rho_l = fraction_cells(sys)
     width = Fraction(1, rot.q)
-    phases = []
-    for j in range(rot.q):
-        rho, steps = (rho_s + j * rot.slope) % 1, 0
+    lows = [(rho_s + j * rot.slope) % 1 for j in range(rot.q)]
+    index = {lo: j for j, lo in enumerate(lows)}
+    successors, phases = [], []
+    for rho in lows:
+        image = rot.sqrt_intercept(rho)
+        successors.append(index[math.floor(image * rot.q) * width])
+        steps = 0
         while not any(lo <= rho < lo + width for lo in (rho_s, rho_l)):
             assert steps < rot.q
             rho, steps = rot.sqrt_intercept(rho), steps + 1
         phases.append(steps)
-    return phases, next(t for t in itertools.count() if 2**t * width >= 1 - rot.slope)
+    return successors, phases, next(t for t in itertools.count() if 2**t * width >= 1 - rot.slope)
 
 
 class TestRotationPhase:
     def test_bound_and_psi_steps(self, sys):
-        phases, bound = dynamics.intercept_phases(sys)
+        _, phases, bound = dynamics.intercept_phases(sys)
         assert bound == 3  # ceil(log2((1 - 3/8) / (1/8)))
         assert len(phases) == 8 and max(phases) <= bound
 
     def test_psi_steps_zero_cases(self, sys, engine):
         # only S^w and L^w start inside [S] or [L], and so does 1 - slope,
         # the fixed point of the intercept map
-        phases, _ = dynamics.intercept_phases(sys)
-        assert [j for j, p in enumerate(phases) if p == 0] == sorted([0, engine.l_index])
+        successors, phases, _ = dynamics.intercept_phases(sys)
+        fixed = sorted([0, engine.l_index])
+        assert [j for j, p in enumerate(phases) if p == 0] == fixed
+        assert [successors[j] for j in fixed] == fixed
         rot, _, _ = fraction_cells(sys)
         assert rot.coding(1 - rot.slope, rot.q) in (sys.s_word, sys.l_word)
 
     @pytest.mark.parametrize("params", [
         OmegaParams(), OmegaParams(c=2, k=5), OmegaParams(a=2, b=1, k=5, seed=SWAPPED),
     ])
-    def test_phase_table_matches_psi(self, params):
-        # the symbolic rotation phase equals exact intercept iteration, and
-        # rotation j is the coding of the j-th intercept
+    def test_phase_table_matches_psi(self, params, rotation_walk):
+        # the cell table equals the tokenizer's rotation walk, the engine
+        # reads its phases, and rotation j is the coding of the j-th intercept
         sys = OmegaSystem(params)
-        phases, bound = dynamics.intercept_phases(sys)
+        successors, phases, bound = dynamics.intercept_phases(sys)
         engine, (rot, rho_s, _) = OrbitEngine(sys), fraction_cells(sys)
+        assert (successors, phases) == rotation_walk(sys)
         assert phases == [engine.rotation_phase(j) for j in range(sys.block_len)]
         assert max(phases) <= bound
         s = sys.s_word
@@ -129,26 +138,22 @@ class TestRotationPhase:
         for sys in systems:
             assert dynamics.intercept_phases(sys) == fraction_phases(sys), sys.params
 
-    def test_rotation_successor_is_the_cell_map(self):
+    def test_rotation_successor_is_the_cell_map(self, rotation_walk):
         """The EJC 2017 theorem on cells: the square root of ``T^j(S^omega)``
         is ``T^succ(j)(S^omega)`` with ``succ(j) = (floor((c_j + n - p)/2) -
-        c_S) p^-1 mod n``, ``c_j = c_S + j p mod n`` being its cell.
+        c_S) p^-1 mod n``, ``c_j = c_S + j p mod n`` being its cell.  The
+        table of :func:`intercept_phases` equals the tokenizer's walk on the
+        grid, successors and phases.
 
         The type rule of the remainder ``("S", j)`` is observed on this grid,
         not proved: B iff ``n - j`` is even and ``succ(j) = (n + j)/2``, C iff
         ``j`` is even and ``succ(j) = j/2``, otherwise D."""
         kinds = collections.Counter()
         for sys in grid_systems():
-            engine, n, p = OrbitEngine(sys), sys.block_len, sys.s_word.count("1")
-            c_s = next(c for c in range(n) if sys.s_word == "".join(
-                "1" if (c + i * p) % n >= n - p else "0" for i in range(n)))
-            p_inv = pow(p, -1, n)
-            for j in range(n):
-                succ = ((c_s + j * p) % n + n - p) // 2
-                succ = (succ - c_s) * p_inv % n
-                assert engine.rotation_successor(j) == succ, (sys.params, j)
-                if j == 0:
-                    continue
+            n = sys.block_len
+            successors, phases, _ = dynamics.intercept_phases(sys)
+            assert (successors, phases) == rotation_walk(sys), sys.params
+            for j, succ in enumerate(successors[1:], 1):
                 kind, _ = sys.sqrt_step("S", j, "SSSS")
                 if (n - j) % 2 == 0 and succ == (n + j) // 2:
                     assert kind == TYPE_B, (sys.params, j)
@@ -158,6 +163,17 @@ class TestRotationPhase:
                     assert kind == TYPE_D, (sys.params, j)
                 kinds[kind] += 1
         assert kinds == {TYPE_B: 752, TYPE_C: 724, TYPE_D: 1584}
+
+    def test_engine_builds_no_table(self, monkeypatch):
+        # the table is computed on the first type-D image, never in
+        # __init__, and building an engine tokenizes nothing
+        def unreachable(*args):
+            raise AssertionError("called while building an engine")
+
+        monkeypatch.setattr(dynamics, "intercept_phases", unreachable)
+        monkeypatch.setattr(squares, "factor_minimal_squares", unreachable)
+        for s_len in (8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987):
+            assert OrbitEngine(dynamics.fibonacci_system(s_len)).n == s_len
 
 
 class TestOrbitEngine:
@@ -393,7 +409,7 @@ class TestNameFreeStep:
     def test_sixteen_tails_per_remainder(self, monkeypatch):
         # a type-D image reaches at most four blocks after the remainder, so
         # the walk takes each remainder's step under the 16 four-name tails;
-        # a rotation T^j(S^w) adds one step of ("S", j) under "SSSS"
+        # rotations step on cells and add no step
         for s_len in (8, 89):
             sys = dynamics.fibonacci_system(s_len)
             step, calls = sys.sqrt_step, {}
@@ -405,9 +421,7 @@ class TestNameFreeStep:
             monkeypatch.setattr(sys, "sqrt_step", counted)
             assert OrbitEngine(sys).steps_supremum() == dynamics.TABLE1_REFERENCE[s_len]
             assert calls
-            for (first, _), tails in calls.items():
-                if first == "S" and tails.count("SSSS") == 2:
-                    tails.remove("SSSS")
+            for tails in calls.values():
                 assert len(set(tails)) == len(tails) == 16 and all(len(names) == 4 for names in tails)
 
     def test_supremum_is_the_largest_forward_count(self):
@@ -589,17 +603,17 @@ class TestPreimageChains:
                 routes = [dynamics.preimage_chain(sys, shift(star, t), depth=6,
                                                   letter_verify_cap=cap)
                           for cap in (10**12, 0)]
-                full, capped = ([(l.level, l.prefix_len, l.preimage, str(l.preimage), l.verified)
-                                 for l in chain.links] for chain in routes)
+                full, capped = ([(l.level, l.prefix_len, len(l.preimage), l.preimage.names,
+                                  str(l.preimage), l.verified) for l in chain.links] for chain in routes)
                 assert routes[0].status == routes[1].status == "ok"
                 assert full == capped
                 assert len(full) == 6 and all(verified for *_, verified in full)
-                for level, prefix_len, preimage, letters, _ in full:
-                    assert len(preimage) == len(letters) == 2 * prefix_len
+                for level, prefix_len, size, names, letters, _ in full:
+                    assert size == len(letters) == 2 * prefix_len
                     top = sys.gamma(level + 1)
                     assert letters == (top + top)[-2 * prefix_len :]
                     nxt, top_names = prefix_len // sys.block_len, sys.tau_block(level + 1)
-                    assert preimage.names == (top_names + top_names)[-2 * nxt :]
+                    assert names == (top_names + top_names)[-2 * nxt :]
                     branches.add(2 * nxt > len(top_names))
         assert branches == {False, True}
 

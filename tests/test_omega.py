@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from squareful import omega, squares, streams, words
-from squareful.dynamics import AlignmentTower, OrbitEngine, fibonacci_system
+from squareful.dynamics import AlignmentTower, OrbitEngine, fibonacci_system, intercept_phases
 from squareful.omega import PERIODIC, PLAIN, SWAPPED, OmegaParams, OmegaSystem, tau
 from squareful.squares import in_pi, sqrt_finite, square_matcher
 from squareful.streams import expand, periodic_word, shift, sl_cycle
@@ -322,6 +322,7 @@ class TestSqrtStepAgainstLetters:
     def test_structural_iterates_match_raw_stream(self, abck):
         sys = OmegaSystem(OmegaParams(*abck))
         engine = OrbitEngine(sys)
+        successors, phases, _ = intercept_phases(sys)
         n = sys.block_len
         for shift, names in self.starts(sys):
             steps = engine.steps_to_fixed(shift, names[0], lambda i: names[i % len(names)])
@@ -334,10 +335,10 @@ class TestSqrtStepAgainstLetters:
                     if outcome == PERIODIC:
                         rotation = sys.conjugate_index(word.prefix(n))
                 else:
-                    rotation = engine.rotation_successor(rotation)
+                    rotation = successors[rotation]
                     word = sys.omega_p_word(rotation)
                 assert word.prefix(3 * n) == raw.prefix(3 * n)
-            assert rotation in (0, engine.l_index)
+            assert rotation in (0, engine.l_index) and phases[rotation] == 0
 
 
 class TestBlockCoordinates:
@@ -358,17 +359,18 @@ class TestBlockCoordinates:
         assert kinds == {"B", "C", "D"}
 
     def test_rotation_successors_match_letters(self):
-        # a rotation j >= 1 steps as the remainder ("S", j) over S blocks; its
-        # successor is the rotation the tokenizer reads off the root's letters
+        # the cell map's successor of rotation j is the rotation that the raw
+        # lazy tokenizer reads off the letters of the square root
         grid = [OmegaParams(a, b, c, k, seed) for a in (1, 2, 3) for b in (0, 1) for c in (1, 2)
                 for k in (4, 6) for seed in (PLAIN, SWAPPED)]
         kinds = []
         for params in grid:
             sys = OmegaSystem(params)
-            engine, n = OrbitEngine(sys), sys.block_len
+            successors, _, _ = intercept_phases(sys)
+            n = sys.block_len
             for j in range(n):
                 root = streams.sqrt_stream(sys.alphabet, sys.omega_p_word(j)).prefix(n)
-                assert engine.rotation_successor(j) == sys.conjugate_index(root), (params, j)
+                assert successors[j] == sys.conjugate_index(root), (params, j)
                 kinds.append(sys.sqrt_step("S", j, "SSSS")[0] if j else "A")
         assert len(kinds) == 1212 and {"B", "C", "D"} <= set(kinds)
 

@@ -7,14 +7,21 @@ binary_words = st.text(alphabet="01", min_size=1, max_size=40)
 
 
 def test_conjugates_examples():
-    assert words.conjugates("01") == ["01", "10"]
-    assert words.conjugates("00") == ["00", "00"]
+    assert list(words.conjugates("01")) == ["01", "10"]
+    assert list(words.conjugates("00")) == ["00", "00"]
+
+
+def test_conjugates_are_lazy_and_refuse_the_empty_word():
+    rots = words.conjugates("0010")
+    assert next(rots) == "0010" and next(rots) == "0100"
+    with pytest.raises(ValueError):
+        words.conjugates("")
 
 
 def test_conjugates_contains_swapped_companion():
     # the reversed standard word and its swapped companion are conjugate
     sbar = "1001001010010"
-    rots = words.conjugates(sbar)
+    rots = list(words.conjugates(sbar))
     assert len(rots) == 13
     assert words.swap_first_two(sbar) in rots
 
