@@ -21,7 +21,7 @@ import json
 import sys as _sys
 
 from . import dynamics, equation, squares, streams
-from .omega import OmegaParams, OmegaSystem
+from .omega import OmegaParams, OmegaSystem, covering_level
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -29,8 +29,8 @@ EXIT_USAGE = 2
 
 # The most letters a command may build from --k and table1 --fib (the block
 # word S) and from --j (gamma_j and gamma_bar_j together), and the most block
-# names that --c (tau^2(S) and tau^2(L) together) and eq enumerate --bmax may
-# spell; a larger request is a usage error.
+# names that --c (tau^2(S) and tau^2(L) together) and the factor windows of eq
+# enumerate --bmax may spell; a larger request is a usage error.
 MAX_WORD_LETTERS = 10_000_000
 # The largest periodic-points --max-blocks.  The search spells no pattern, so
 # only its output limits it: the refuted count is below 2^(mb + 1), at most
@@ -77,11 +77,11 @@ def _system(ns) -> OmegaSystem:
     ``|S| = q_k`` follows the length recurrence of the standard words.  As
     ``q_i >= F_(i+2)`` and ``2c + 1 >= 3``, capping ``k`` and ``j`` at 64
     leaves an over-limit size over the limit.  Every system reads the
-    ``tau^2`` blocks of both names, ``2 (2c + 1)^2`` names.  The factor
-    windows of ``--bmax`` are slices of ``tau^i(ab)`` for the (at most
-    four) 2-letter factors ``ab``, one per name of ``tau^i(a)``, each of
-    :func:`equation.window_names` names, with ``|tau^i(a)| = (2c + 1)^i`` the
-    least power at least one less (:meth:`OmegaSystem.factors`).
+    ``tau^2`` blocks of both names, ``2 (2c + 1)^2`` names.  ``--bmax``
+    bounds the names of its factor windows, of :func:`equation.window_names`
+    names, one per name of ``tau^j(a)`` in each of the (at most four)
+    covering texts, ``j = covering_level(c, names)``; it caps the default
+    system at 4568, though the harvest reads only the texts.
     ``--max-blocks`` builds no word; :data:`MAX_BLOCKS` bounds it."""
     params = OmegaParams(a=ns.a, b=ns.b, c=ns.c, k=ns.k, seed=ns.seed_word)
     prev, n = 1, 1
@@ -94,10 +94,8 @@ def _system(ns) -> OmegaSystem:
     if "j" in ns and 2 * n * (2 * ns.c + 1) ** min(ns.j, 64) > MAX_WORD_LETTERS:
         raise ValueError(f"--j {ns.j}: gamma_j and gamma_bar_j have more than {MAX_WORD_LETTERS} letters")
     if "bmax" in ns:
-        names, span = equation.window_names(n, ns.bmax), 1
-        while span < names - 1:
-            span *= 2 * ns.c + 1
-        if 4 * span * names > MAX_WORD_LETTERS:
+        names = equation.window_names(n, ns.bmax)
+        if 4 * (2 * ns.c + 1) ** covering_level(ns.c, names) * names > MAX_WORD_LETTERS:
             raise ValueError(f"--bmax {ns.bmax}: the factor windows spell more than {MAX_WORD_LETTERS} names")
     return OmegaSystem(params)
 

@@ -369,8 +369,11 @@ class PreimageIndex:
     followed by ``sigma`` of the odd- or even-indexed names; ``window_blocks``
     names reach past every pair that ``match_len`` root letters read (at most
     16 pairs after two names).  Type D is the step's own claim, the one the
-    orbit engine uses: the root is ``T^j(S^omega)``.  A preimage keeps its
-    first witness, in sorted window order and then by ascending shift.
+    orbit engine uses: the root is ``T^j(S^omega)``, the ``j``-th rotation of
+    ``S`` repeated.  The step reads only the window's first ``1 +
+    D_LOOKAHEAD`` names, so it is taken once per such prefix and shift.  A
+    preimage keeps its first witness, in sorted window order and then by
+    ascending shift.
     """
 
     def __init__(self, sys: OmegaSystem):
@@ -382,8 +385,11 @@ class PreimageIndex:
         need_letters = 2 * need + sys.alphabet.max_square_len + n
         self.window_blocks = need_letters // n + 2
         self.table: dict[str, dict[str, PreimageHit]] = {}
+        steps: dict[str, list[tuple[str, tuple[str, int] | int]]] = {}
         for window in sys.factors(self.window_blocks):
-            size, text = len(window), sys.sigma(window)
+            size, text, lead = len(window), sys.sigma(window), window[: 1 + D_LOOKAHEAD]
+            if lead not in steps:
+                steps[lead] = [sys.sqrt_step(lead[0], ell, lead[1:]) for ell in range(1, n)]
             # sigma of the first name of each whole pair from name 0 and from name 1
             even = sys.sigma(window[0::2][: size // 2])
             odd = sys.sigma(window[1::2][: (size - 1) // 2])
@@ -391,9 +397,9 @@ class PreimageIndex:
                 if ell == 0:
                     root = even
                 else:
-                    kind, out = sys.sqrt_step(window[0], ell, window[1 : 1 + D_LOOKAHEAD])
+                    kind, out = steps[lead][ell - 1]
                     if kind == TYPE_D:
-                        root = sys.omega_p_word(out).prefix(need)
+                        root = (sys.s_word[out:] + sys.s_word[:out]) * (need // n)
                     else:
                         head, shift = out
                         root = sys.sigma(head)[shift:] + (odd if kind == TYPE_B else even[n:])

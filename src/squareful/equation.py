@@ -62,19 +62,20 @@ def enumerate_solutions(sys: OmegaSystem, bmax: int) -> list[SolutionCertificate
     length up to ``bmax``.
 
     The candidates are the roots ``u``, ``|u| <= bmax``, of the squares that
-    are factors of the subshift, harvested from exact factor sets.  A factor
-    of at most ``2 bmax`` letters of the aperiodic part starts inside some
-    block and ends at most ``|S| + 2 bmax - 2`` letters after that block's
-    start, so it lies in ``sigma(w)`` for a block-name factor ``w`` of
-    ``ceil((2 bmax - 1) / |S|) + 1`` names (:meth:`OmegaSystem.factors`).
-    The periodic part adds the squares of ``S^|w|``, as many copies of the
-    block word as ``w`` has names: a factor of ``S^omega`` can be taken to
-    start inside the first block.
+    are factors of the subshift.  A factor of at most ``2 bmax`` letters of
+    the aperiodic part starts inside some block and ends at most ``|S| +
+    2 bmax - 2`` letters after that block's start, so it lies in
+    ``sigma(w)`` for a block-name factor ``w`` of ``ceil((2 bmax - 1) / |S|)
+    + 1`` names, a slice of one of the at most four texts of
+    :meth:`OmegaSystem.covering_texts`.  Each text is in the language, so
+    ``sigma`` of each is harvested once.  The periodic part adds the squares
+    of ``S^|w|``, as many copies of the block word as ``w`` has names: a
+    factor of ``S^omega`` can be taken to start inside the first block.
     """
     names = window_names(sys.block_len, bmax)
     candidates = harvest_square_factors(sys.s_word * names, bmax)
-    for w in sys.factors(names):
-        candidates |= harvest_square_factors(sys.sigma(w), bmax)
+    for text in sys.covering_texts(names):
+        candidates |= harvest_square_factors(sys.sigma(text), bmax)
     out = []
     for u in sorted(candidates, key=lambda u: (len(u), u)):
         cert = is_solution(sys.alphabet, u)

@@ -77,6 +77,15 @@ def tau(c: int, blockword: str) -> str:
     return blockword.translate({ord("S"): "L" + "S" * (2 * c), ord("L"): "S" * (2 * c + 1)})
 
 
+def covering_level(c: int, length: int) -> int:
+    """The least ``j`` with ``(2c + 1)^j >= length - 1``, the level of
+    :meth:`OmegaSystem.covering_texts` (``|tau^j(S)| = |tau^j(L)| = (2c + 1)^j``)."""
+    j, size = 0, 1
+    while size < length - 1:
+        j, size = j + 1, size * (2 * c + 1)
+    return j
+
+
 class OmegaSystem:
     """Derived data and operations for one parameter choice.
 
@@ -121,8 +130,10 @@ class OmegaSystem:
             cache[top] = tau(self.params.c, cache[top - 1])
         return cache[j]
 
-    def factors(self, length: int) -> list[str]:
-        """The sorted factors of ``length`` block names of the tau language.
+    def covering_texts(self, length: int) -> list[str]:
+        """The texts ``tau^j(a) tau^j(b)`` cut after ``length - 1`` names of
+        ``tau^j(b)``, one per 2-letter factor ``ab`` of the tau language (at
+        most four), with ``j = covering_level(c, length)``.
 
         tau is primitive, so the language is the set of factors of the
         ``tau^i(S)``.  Its 2-letter factors are the closure of those of
@@ -130,17 +141,15 @@ class OmegaSystem:
         factor of ``tau^(i+1)(S)`` lies in ``tau(ab)`` for a 2-letter factor
         ``ab`` of ``tau^i(S)``.
 
-        Lemma: let ``j`` be least with ``min(|tau^j(S)|, |tau^j(L)|) >=
-        length - 1``.  Then the factors of length ``length`` are exactly the
-        slices of ``tau^j(a) tau^j(b)`` of that length that start inside
-        ``tau^j(a)``, over the 2-letter factors ``ab``.  Proof: a factor of
-        ``tau^j(tau^i(S))`` starts inside the image of some name ``a`` of
-        ``tau^i(S)``, and the image of the name ``b`` after it has at least
-        ``length - 1`` names, so the factor ends inside ``tau^j(ab)`` (when
-        ``a`` is the last name, take for ``b`` any right neighbour of ``a``).
-        Conversely ``tau^j(ab)`` is in the language.
+        Lemma: the factors of ``length`` names are exactly the slices of that
+        length of these texts, that is those of ``tau^j(ab)`` that start
+        inside ``tau^j(a)``.  Proof: a factor of ``tau^j(tau^i(S))`` starts
+        inside the image of some name ``a`` of ``tau^i(S)``, and the image of
+        the name ``b`` after it has ``(2c + 1)^j >= length - 1`` names, so the
+        factor ends inside ``tau^j(ab)`` (when ``a`` is the last name, take
+        for ``b`` any right neighbour of ``a``).  Conversely ``tau^j(ab)`` is
+        in the language.
         """
-        c = self.params.c
 
         def pairs_of(blockword: str) -> set[str]:
             return {blockword[i : i + 2] for i in range(len(blockword) - 1)}
@@ -149,16 +158,16 @@ class OmegaSystem:
         new = pairs_of(self.tau_block(1))
         while new:
             pairs |= new
-            new = {ab for xy in new for ab in pairs_of(tau(c, xy))} - pairs
-        j = 0
-        while min(len(self.tau_block(j)), len(self.tau_block(j, bar=True))) < length - 1:
-            j += 1
-        found: set[str] = set()
-        for a, b in pairs:
-            left = self.tau_block(j, bar=a == "L")
-            text = left + self.tau_block(j, bar=b == "L")
-            found.update(text[i : i + length] for i in range(len(left)))
-        return sorted(found)
+            new = {ab for xy in new for ab in pairs_of(tau(self.params.c, xy))} - pairs
+        j = covering_level(self.params.c, length)
+        blocks = {"S": self.tau_block(j), "L": self.tau_block(j, bar=True)}
+        return [(blocks[a] + blocks[b])[: len(blocks[a]) + length - 1] for a, b in sorted(pairs)]
+
+    def factors(self, length: int) -> list[str]:
+        """The sorted factors of ``length`` block names of the tau language:
+        the slices of the covering texts (:meth:`covering_texts`)."""
+        return sorted({text[i : i + length] for text in self.covering_texts(length)
+                       for i in range(len(text) - length + 1)})
 
     def gamma(self, j: int) -> str:
         return self.sigma(self.tau_block(j))

@@ -308,6 +308,16 @@ def test_oversized_words_are_refused_before_building(monkeypatch, capsys, argv):
     assert len(lines) == 1 and lines[0].startswith("error: ") and str(bound) in lines[0]
 
 
+def test_largest_bmax_is_accepted(monkeypatch, capsys):
+    # the factor windows of --bmax 4568 spell 4 * 3^7 * 1143 <= 10^7 names
+    # at the default system, those of 4569 spell 4 * 3^7 * 1144 > 10^7
+    monkeypatch.setattr(cli.equation, "enumerate_solutions", lambda sys, bmax: [])
+    assert main(["eq", "enumerate", "--bmax", "4568"]) == 0
+    assert main(["eq", "enumerate", "--bmax", "4569"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: --bmax 4569")
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_largest_max_blocks_is_accepted(capsys, fmt):
     # the refuted count at the bound prints in full under either format

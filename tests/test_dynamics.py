@@ -13,7 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from squareful import dynamics, equation, squares, streams
 from squareful.dynamics import OrbitEngine
-from squareful.omega import PERIODIC, PLAIN, SWAPPED, TYPE_B, TYPE_C, TYPE_D, OmegaParams, OmegaSystem
+from squareful.omega import (
+    D_LOOKAHEAD, PERIODIC, PLAIN, SWAPPED, TYPE_B, TYPE_C, TYPE_D, OmegaParams, OmegaSystem,
+)
 from squareful.streams import expand, shift
 from squareful.sturmian import RotationSystem
 
@@ -503,6 +505,17 @@ class TestPreimages:
                 table.setdefault(out[:need], {}).setdefault(key, (key, ell, window))
         assert {out: {key: (hit.preimage_prefix, hit.shift, hit.window) for key, hit in bucket.items()}
                 for out, bucket in index.table.items()} == table
+
+    @pytest.mark.parametrize("params", [OmegaParams(), OmegaParams(c=2, seed=SWAPPED), OmegaParams(3, 2, 1, 6)])
+    def test_one_step_table_per_window_head(self, monkeypatch, params):
+        # the step reads the first 1 + D_LOOKAHEAD names of a window, so the
+        # build takes it once per such head and nonzero shift
+        sys, calls = OmegaSystem(params), []
+        step = OmegaSystem.sqrt_step
+        monkeypatch.setattr(OmegaSystem, "sqrt_step", lambda self, *args: calls.append(args) or step(self, *args))
+        index = dynamics.PreimageIndex(sys)
+        heads = {w[: 1 + D_LOOKAHEAD] for w in sys.factors(index.window_blocks)}
+        assert 0 < len(calls) <= len(heads) * (sys.block_len - 1)
 
     def test_short_window_raises(self, monkeypatch):
         # windows cut to 20 names give roots of fewer than match_len letters

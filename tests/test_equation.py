@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from squareful import equation, words
-from squareful.omega import SWAPPED, OmegaParams, OmegaSystem, tau
+from squareful.omega import PLAIN, SWAPPED, OmegaParams, OmegaSystem, tau
 from squareful.squares import build_alphabet, factor_minimal_squares
 from squareful.sturmian import reversed_standard_word
 
@@ -79,6 +79,12 @@ class TestStandardSolutions:
             assert dfs_is_solution(ALPH, u) == (equation.is_solution(ALPH, u) is not None)
 
 
+def solutions(sys, candidates):
+    """The candidates that solve the equation, in the order of enumerate_solutions."""
+    return [u for u in sorted(candidates, key=lambda u: (len(u), u))
+            if equation.is_solution(sys.alphabet, u) is not None]
+
+
 @pytest.fixture(scope="module")
 def sys():
     return OmegaSystem(OmegaParams())
@@ -109,9 +115,7 @@ class TestEnumerate:
         texts = [sys.big_gamma(1).prefix(10**5)]
         texts += [rot * (64 // sys.block_len + 2) for rot in words.conjugates(sys.s_word)]
         candidates = set().union(*(equation.harvest_square_factors(t, 32) for t in texts))
-        want = [u for u in sorted(candidates, key=lambda u: (len(u), u))
-                if equation.is_solution(sys.alphabet, u) is not None]
-        assert [c.word for c in equation.enumerate_solutions(sys, 32)] == want
+        assert [c.word for c in equation.enumerate_solutions(sys, 32)] == solutions(sys, candidates)
 
     @pytest.mark.parametrize("bmax", [1, 5, 16, 40])
     @pytest.mark.parametrize("params", [
@@ -129,9 +133,26 @@ class TestEnumerate:
         assert equation.harvest_square_factors(sys.s_word * names, bmax) == rotations
         windows = sys.factors(names)
         candidates = rotations.union(*(equation.harvest_square_factors(sys.sigma(w), bmax) for w in windows))
-        want = [u for u in sorted(candidates, key=lambda u: (len(u), u))
-                if equation.is_solution(sys.alphabet, u) is not None]
-        assert [c.word for c in equation.enumerate_solutions(sys, bmax)] == want
+        assert [c.word for c in equation.enumerate_solutions(sys, bmax)] == solutions(sys, candidates)
+
+    def test_covering_texts_equal_the_window_harvest_on_a_grid(self):
+        # the squares of sigma of every factor window, one harvest per window
+        grid = [OmegaParams(a, b, c, k, seed) for a in (1, 2, 3) for b in (0, 1, 2) for c in (1, 2)
+                for k in (3, 4, 5, 6) for seed in (PLAIN, SWAPPED)]
+        systems = []
+        for params in grid:
+            try:
+                systems.append(OmegaSystem(params))
+            except ValueError:  # |S| <= |S6|
+                pass
+        assert len(systems) == 108
+        for sys in systems:
+            for bmax in (1, 16, 40):
+                names = equation.window_names(sys.block_len, bmax)
+                candidates = equation.harvest_square_factors(sys.s_word * names, bmax).union(
+                    *(equation.harvest_square_factors(sys.sigma(w), bmax) for w in sys.factors(names)))
+                got = [c.word for c in equation.enumerate_solutions(sys, bmax)]
+                assert got == solutions(sys, candidates), (sys.params, bmax)
 
 
 class TestConjugateAudit:

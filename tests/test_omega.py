@@ -197,6 +197,16 @@ class TestFactors:
             scan = {corpus[i : i + length] for i in range(len(corpus) - length + 1)}
             assert sys.factors(length) == sorted(scan), (params, length)
 
+    @pytest.mark.parametrize("c", [1, 2, 3])
+    def test_covering_level_is_the_least_covering_tau_power(self, c):
+        # the least j with min(|tau^j(S)|, |tau^j(L)|) >= length - 1, built
+        levels = [["S", "L"]]
+        while min(map(len, levels[-1])) < 299:
+            levels.append([tau(c, w) for w in levels[-1]])
+        for length in range(1, 301):
+            j = next(j for j, level in enumerate(levels) if min(map(len, level)) >= length - 1)
+            assert omega.covering_level(c, length) == j, (c, length)
+
 
 class TestCrucialProperties:
     @pytest.mark.parametrize("c", [1, 2])
