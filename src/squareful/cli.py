@@ -29,8 +29,9 @@ EXIT_USAGE = 2
 
 # The most letters a command may build from --k and table1 --fib (the block
 # word S) and from --j (gamma_j and gamma_bar_j together), and the most block
-# names that --c (tau^2(S) and tau^2(L) together) and the factor windows of eq
-# enumerate --bmax may spell; a larger request is a usage error.
+# names that --c (tau^2(S) and tau^2(L) together, the size of the tau blocks
+# that the chains, the covering texts and omega gamma build) and the factor
+# windows of eq enumerate --bmax may spell; a larger request is a usage error.
 MAX_WORD_LETTERS = 10_000_000
 # The largest periodic-points --max-blocks.  The search spells no pattern, so
 # only its output limits it: the refuted count is below 2^(mb + 1), at most
@@ -76,12 +77,15 @@ def _system(ns) -> OmegaSystem:
 
     ``|S| = q_k`` follows the length recurrence of the standard words.  As
     ``q_i >= F_(i+2)`` and ``2c + 1 >= 3``, capping ``k`` and ``j`` at 64
-    leaves an over-limit size over the limit.  Every system reads the
-    ``tau^2`` blocks of both names, ``2 (2c + 1)^2`` names.  ``--bmax``
-    bounds the names of its factor windows, of :func:`equation.window_names`
-    names, one per name of ``tau^j(a)`` in each of the (at most four)
-    covering texts, ``j = covering_level(c, names)``; it caps the default
-    system at 4568, though the harvest reads only the texts.
+    leaves an over-limit size over the limit.  ``--c`` bounds the ``2 (2c +
+    1)^2`` names of ``tau^2(S)`` and ``tau^2(L)``, the size of the tau blocks
+    that the preimage chains, the covering texts and ``omega gamma`` build
+    (``Gamma*`` reads none).  ``--bmax`` bounds the names of its factor
+    windows, of :func:`equation.window_names` names, one per name of
+    ``tau^j(a)`` in each of four covering texts (the bound counts four,
+    though the lemma of :func:`~squareful.omega.tau` leaves three), ``j =
+    covering_level(c, names)``; it caps the default system at 4568, though
+    the harvest reads only the texts.
     ``--max-blocks`` builds no word; :data:`MAX_BLOCKS` bounds it."""
     params = OmegaParams(a=ns.a, b=ns.b, c=ns.c, k=ns.k, seed=ns.seed_word)
     prev, n = 1, 1

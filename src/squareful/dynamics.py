@@ -128,14 +128,13 @@ class OrbitEngine:
     root step: another remainder after type B or C, and after type D the
     rotation ``T^j(S^omega)``, whose depth is its phase.  The rotations and
     their phases come from :func:`intercept_phases`, computed on first use;
-    the rotations 0 and :attr:`l_index` (``S^omega`` and ``L^omega``) have
-    phase 0.
+    the rotations 0 and ``sys.conjugate_index(sys.l_word)`` (``S^omega`` and
+    ``L^omega``) have phase 0.
     """
 
     def __init__(self, sys: OmegaSystem):
         self.sys = sys
         self.n = sys.block_len
-        self.l_index = sys.conjugate_index(sys.l_word)
         self._depth: dict[_Remainder, int] = {}
         self._phases: list[int] | None = None
 
@@ -484,9 +483,10 @@ class AlignmentTower:
     """Lazy start offsets of the level-j factorization grids of a block product.
 
     Level ``j + 1`` is pinned by desubstituting the level-``j`` name sequence:
-    the marked letter ``L`` occurs only at image boundaries, so its first
-    occurrence fixes the parse offset.  ``start(j)`` is the absolute start
-    position of the level-``j`` grid in level-0 blocks.
+    ``tau(x) = xbar S^(2c)`` (:func:`~squareful.omega.tau`), so the marked
+    letter ``L`` occurs only at image starts, and its first occurrence fixes
+    the parse offset.  ``start(j)`` is the absolute start position of the
+    level-``j`` grid in level-0 blocks.
 
     The window of block names grows on demand (each level divides the usable
     window by the substitution length), capped at ``block_budget``.  It is
@@ -660,17 +660,12 @@ def periodic_point_search(sys: OmegaSystem, max_blocks: int) -> tuple[list[str],
     sum over ``N`` of ``2^N - 2^N'`` and, for odd ``N``, the ``P(N)``
     primitive words, less ``S`` and ``L`` where found.
 
-    ``Gamma1`` and ``Gamma2`` are fixed: with ``m = 2c + 1``, ``Gamma*[qm +
-    r] = tau(Gamma'*[q])[r]`` (tau swaps the two fixed points of tau^2), so
-    if ``tau(a)[2r % m] == tau(b)[r]`` for all ``a, b`` and ``0 < r < m``
-    (checked), ``Gamma*[2i] = Gamma*[i]`` by induction on ``i`` (for ``r =
-    0`` it holds at ``q < i``).
+    ``Gamma1`` and ``Gamma2`` are fixed: ``Gamma*[2i] = Gamma*[i]``, as
+    ``v_m(2i) = v_m(i)`` for odd ``m = 2c + 1`` (:func:`~squareful.omega.tau`,
+    consequence (d)).
     """
     if not _block_pairs_halve(sys):
         raise AssertionError("a block pair does not halve; block decimation is not exact")
-    m, images = 2 * sys.params.c + 1, (sys.tau_block(1), sys.tau_block(1, bar=True))
-    if any(a[2 * r % m] != b[r] for a in images for b in images for r in range(1, m)):
-        raise AssertionError("tau(a)[2r % m] != tau(b)[r]; Gamma*[2i] = Gamma*[i] is not proved")
     found = [label for label, word in (("S^w", sys.s_omega()), ("L^w", sys.l_omega()))
              if sys.rotation_index(word) is not None]
     # P(N) = 2^N - sum of P(d) over the proper divisors d of N, for odd N

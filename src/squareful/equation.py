@@ -66,7 +66,7 @@ def enumerate_solutions(sys: OmegaSystem, bmax: int) -> list[SolutionCertificate
     the aperiodic part starts inside some block and ends at most ``|S| +
     2 bmax - 2`` letters after that block's start, so it lies in
     ``sigma(w)`` for a block-name factor ``w`` of ``ceil((2 bmax - 1) / |S|)
-    + 1`` names, a slice of one of the at most four texts of
+    + 1`` names, a slice of one of the three texts of
     :meth:`OmegaSystem.covering_texts`.  Each text is in the language, so
     ``sigma`` of each is harvested once.  The periodic part adds the squares
     of ``S^|w|``, as many copies of the block word as ``w`` has names: a

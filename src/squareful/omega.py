@@ -71,7 +71,28 @@ class OmegaParams:
 
 
 def tau(c: int, blockword: str) -> str:
-    """Blockwise image under ``S -> L S^(2c)``, ``L -> S^(2c+1)``."""
+    """Blockwise image under ``S -> L S^(2c)``, ``L -> S^(2c+1)``.
+
+    Lemma: ``tau(x) = xbar S^(2c)`` for a name ``x``, where ``xbar`` is the
+    other name.  With ``m = 2c + 1``, four consequences:
+
+    (a) ``tau^j(S)`` and ``tau^j(L)`` differ only in name 0: by induction on
+        ``j``, their images differ only in the image of name 0, and
+        ``tau(x)``, ``tau(xbar)`` differ only in their name 0.
+    (b) The two fixed points ``x`` of ``tau^2``, seeded ``x[0] = S`` and
+        ``x[0] = L``, are Toeplitz words: for ``n >= 1``, ``x[n] = L`` iff
+        the m-adic valuation ``v_m(n)`` is odd.  tau maps each to the other,
+        ``x'``, so by the lemma ``x[qm + r] = tau(x'[q])[r]`` is ``S`` for
+        ``0 < r < m`` and the other name than ``x'[q]`` for ``r = 0``;
+        induct on ``v_m(n)``.
+    (c) The 2-letter factors of the tau language (the factors of the
+        ``tau^i(S)``) are ``LS``, ``SL`` and ``SS``: an ``L`` of ``tau(w)``
+        starts an image and follows the last name ``S`` of the one before,
+        so ``LL`` never occurs, while ``tau(S) = L S^(2c)`` holds ``LS`` and
+        ``SS`` and ``tau^2(L) = tau(S) tau(S) ...`` holds ``SL``.
+    (d) ``v_m(2i) = v_m(i)`` because ``m`` is odd, so by (b) ``x[2i] =
+        x[i]`` for every ``i``: taking every other name fixes ``x``.
+    """
     if c < 1:
         raise ValueError("c must be >= 1")
     return blockword.translate({ord("S"): "L" + "S" * (2 * c), ord("L"): "S" * (2 * c + 1)})
@@ -89,9 +110,10 @@ def covering_level(c: int, length: int) -> int:
 class OmegaSystem:
     """Derived data and operations for one parameter choice.
 
-    Caches the tau tower, which the tau^2 fixed points are read off; instances
-    are cheap to share, but the lazy sources they hand out follow the
-    single-consumer rule of :mod:`squareful.streams`.
+    Caches the tau blocks ``tau^j(S)``, which the covering texts, ``gamma``
+    and the preimage chains read; instances are cheap to share, but the lazy
+    sources they hand out follow the single-consumer rule of
+    :mod:`squareful.streams`.
     """
 
     def __init__(self, params: OmegaParams):
@@ -107,8 +129,7 @@ class OmegaSystem:
         self.s_word = seed_word
         self.l_word = words.swap_first_two(seed_word)
         self._sigma_table = {ord("S"): self.s_word, ord("L"): self.l_word}
-        self._gamma_blocks: dict[int, str] = {0: "S"}
-        self._gamma_bar_blocks: dict[int, str] = {0: "L"}
+        self._tau_blocks = ["S"]
         self._gamma_star: dict[int, InfiniteWord] = {}
         self._steps: dict[tuple[str, int, str], tuple[str, tuple[str, int] | int]] = {}
 
@@ -121,25 +142,19 @@ class OmegaSystem:
     def sigma(self, blockword: str) -> str:
         return blockword.translate(self._sigma_table)
 
-    def tau_block(self, j: int, bar: bool = False) -> str:
-        """``tau^j(S)`` (or ``tau^j(L)``) as a word over the block names."""
-        cache = self._gamma_bar_blocks if bar else self._gamma_blocks
-        top = max(cache)
-        while top < j:
-            top += 1
-            cache[top] = tau(self.params.c, cache[top - 1])
-        return cache[j]
+    def tau_block(self, j: int) -> str:
+        """``tau^j(S)`` as a word over the block names."""
+        blocks = self._tau_blocks
+        while len(blocks) <= j:
+            blocks.append(tau(self.params.c, blocks[-1]))
+        return blocks[j]
 
     def covering_texts(self, length: int) -> list[str]:
         """The texts ``tau^j(a) tau^j(b)`` cut after ``length - 1`` names of
-        ``tau^j(b)``, one per 2-letter factor ``ab`` of the tau language (at
-        most four), with ``j = covering_level(c, length)``.
-
-        tau is primitive, so the language is the set of factors of the
-        ``tau^i(S)``.  Its 2-letter factors are the closure of those of
-        ``tau(S)`` under "the 2-letter factors of ``tau(ab)``": a 2-letter
-        factor of ``tau^(i+1)(S)`` lies in ``tau(ab)`` for a 2-letter factor
-        ``ab`` of ``tau^i(S)``.
+        ``tau^j(b)``, one per 2-letter factor ``ab`` of the tau language
+        (``LS``, ``SL`` and ``SS``, by (c) of :func:`tau`), with ``j =
+        covering_level(c, length)``; ``tau^j(L)`` is ``tau^j(S)`` with name
+        0 flipped, by (a).
 
         Lemma: the factors of ``length`` names are exactly the slices of that
         length of these texts, that is those of ``tau^j(ab)`` that start
@@ -150,18 +165,9 @@ class OmegaSystem:
         for ``b`` any right neighbour of ``a``).  Conversely ``tau^j(ab)`` is
         in the language.
         """
-
-        def pairs_of(blockword: str) -> set[str]:
-            return {blockword[i : i + 2] for i in range(len(blockword) - 1)}
-
-        pairs: set[str] = set()
-        new = pairs_of(self.tau_block(1))
-        while new:
-            pairs |= new
-            new = {ab for xy in new for ab in pairs_of(tau(self.params.c, xy))} - pairs
-        j = covering_level(self.params.c, length)
-        blocks = {"S": self.tau_block(j), "L": self.tau_block(j, bar=True)}
-        return [(blocks[a] + blocks[b])[: len(blocks[a]) + length - 1] for a, b in sorted(pairs)]
+        top = self.tau_block(covering_level(self.params.c, length))
+        blocks = {"S": top, "L": ("L" if top[0] == "S" else "S") + top[1:]}
+        return [(blocks[a] + blocks[b])[: len(top) + length - 1] for a, b in ("LS", "SL", "SS")]
 
     def factors(self, length: int) -> list[str]:
         """The sorted factors of ``length`` block names of the tau language:
@@ -173,7 +179,9 @@ class OmegaSystem:
         return self.sigma(self.tau_block(j))
 
     def gamma_bar(self, j: int) -> str:
-        return self.sigma(self.tau_block(j, bar=True))
+        """``sigma(tau^j(L))``, which by (a) of :func:`tau` is ``gamma(j)``
+        with its first block swapped for the other, that is its first two letters."""
+        return words.swap_first_two(self.gamma(j))
 
     # -- infinite words ------------------------------------------------------
 
@@ -183,7 +191,7 @@ class OmegaSystem:
         if which not in (1, 2):
             raise ValueError("which must be 1 or 2")
         if which not in self._gamma_star:
-            self._gamma_star[which] = _TauFixedPoint(self, which)
+            self._gamma_star[which] = _TauFixedPoint(2 * self.params.c + 1, which)
         return self._gamma_star[which]
 
     def product(self, blocks: InfiniteWord, shift: int = 0) -> SLProduct:
@@ -318,27 +326,21 @@ class OmegaSystem:
 
 
 class _TauFixedPoint(InfiniteWord):
-    """The tau^2 fixed point ``x`` that starts with ``S`` (1) or ``L`` (2),
-    read off the cached tau tower with no memo.
+    """The tau^2 fixed point that starts with ``S`` (1) or ``L`` (2), read by
+    m-adic valuation with no memo, by (b) of :func:`tau`: a window ``[a, b)``
+    is all ``S``, then ``L`` and ``S`` in turn at the multiples of ``m``,
+    ``m^2``, ... below ``b``, one strided slice per power, and the seed at 0."""
 
-    Lemma: ``x = tau^2(x)`` gives ``x = tau^r(x)`` for every even ``r``, and
-    tau maps a name to ``m = 2c + 1`` names, so ``x[i m^r : (i+1) m^r] =
-    tau^r(x[i])``.  A window ``[a, b)`` takes the largest even ``r >= 2``
-    with ``m^(r+2) <= b - a`` (else 2), reads ``x[a // m^r : ceil(b / m^r)]``
-    the same way down to the seed ``x[0:1]``, and slices the join of their
-    ``tau^r`` blocks: O(b - a) work."""
-
-    def __init__(self, sys: OmegaSystem, which: int):
+    def __init__(self, m: int, which: int):
         super().__init__((), f"Gamma{which}*")
-        self._sys, self._seed = sys, "S" if which == 1 else "L"
+        self._m, self._seed = m, b"S" if which == 1 else b"L"
 
     def _window(self, a: int, b: int) -> str:
-        if b <= 1:
-            return self._seed[a:b]
-        m, r = 2 * self._sys.params.c + 1, 2
-        while m ** (r + 4) <= b - a:
-            r += 2
-        size = m**r
-        lo, hi = a // size, -(-b // size)
-        text = "".join(self._sys.tau_block(r, bar=x == "L") for x in self._window(lo, hi))
-        return text[a - lo * size : b - lo * size]
+        out, size, name = bytearray(b"S") * (b - a), self._m, b"L"
+        while size < b:
+            skip = -a % size
+            out[skip::size] = name * len(range(skip, b - a, size))
+            size, name = size * self._m, b"S" if name == b"L" else b"L"
+        if a == 0 < b:
+            out[0:1] = self._seed
+        return out.decode()

@@ -6,12 +6,13 @@ views, pure functions of their source's windows that keep no letters:
 ``periodic_word`` slices its period, ``from_function`` calls its letter
 function once per index, ``shift``, ``decimate`` and ``expand`` read one
 window of their source per request, and the tau^2 fixed points of
-:mod:`squareful.omega` are read off the tau tower.  Two sources memoize, as
-one string grown per request: a word over a chunk iterable, whose chunks can
-be pulled only once, and ``sqrt_stream``, whose tokenization must start at a
-square boundary.  A square root of a non-squareful input raises
-:class:`SourcePoisonedError` at the failing input offset, after the letters
-before it, so orbit code can report the offending position cleanly.
+:mod:`squareful.omega` write a window by m-adic valuation.  Two sources
+memoize, as one string grown per request: a word over a chunk iterable,
+whose chunks can be pulled only once, and ``sqrt_stream``, whose
+tokenization must start at a square boundary.  A square root of a
+non-squareful input raises :class:`SourcePoisonedError` at the failing input
+offset, after the letters before it, so orbit code can report the offending
+position cleanly.
 """
 
 from __future__ import annotations
@@ -174,6 +175,12 @@ class _DecimatedWord(InfiniteWord):
         return known and (len(self._head) + max(0, -(-(known[0] - self._offset) // self._stride)),
                           known[1] // math.gcd(known[1], self._stride))
 
+    def decimated(self, offset: int, head: str, descriptor: str) -> _DecimatedWord:
+        """:func:`decimate` of this view, as one view of its source."""
+        rel = offset - len(self._head)
+        return _DecimatedWord(self._src, self._offset + self._stride * (rel if rel >= 0 else rel % 2),
+                              2 * self._stride, head + self._head[offset::2], descriptor)
+
 
 def decimate(src: InfiniteWord, offset: int, head: str, descriptor: str) -> InfiniteWord:
     """The word ``head`` followed by every other letter of ``src`` from
@@ -186,13 +193,9 @@ def decimate(src: InfiniteWord, offset: int, head: str, descriptor: str) -> Infi
     its offset moves to the inner source letter that comes next.  Period
     ``p`` from ``start`` gives ``p / gcd(p, stride)`` from ``|head| +
     max(0, ceil((start - offset) / stride))``."""
-    stride = 2
     if isinstance(src, _DecimatedWord):
-        inner, rel = src._head, offset - len(src._head)
-        head += inner[offset::2]
-        offset = src._offset + src._stride * (rel if rel >= 0 else rel % 2)
-        src, stride = src._src, 2 * src._stride
-    return _DecimatedWord(src, offset, stride, head, descriptor)
+        return src.decimated(offset, head, descriptor)
+    return _DecimatedWord(src, offset, 2, head, descriptor)
 
 
 SQRT_PIECE = 1 << 14  # input letters tokenized per piece of a square root

@@ -111,7 +111,7 @@ class TestRotationPhase:
         # only S^w and L^w start inside [S] or [L], and so does 1 - slope,
         # the fixed point of the intercept map
         successors, phases, _ = dynamics.intercept_phases(sys)
-        fixed = sorted([0, engine.l_index])
+        fixed = sorted([0, sys.conjugate_index(sys.l_word)])
         assert [j for j, p in enumerate(phases) if p == 0] == fixed
         assert [successors[j] for j in fixed] == fixed
         rot, _, _ = fraction_cells(sys)

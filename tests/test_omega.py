@@ -20,6 +20,40 @@ def sys():
     return OmegaSystem(OmegaParams())
 
 
+def tau_power(c: int, blockword: str, j: int) -> str:
+    """``tau^j(blockword)``, built with ``tau``."""
+    for _ in range(j):
+        blockword = tau(c, blockword)
+    return blockword
+
+
+def fixed_point_prefixes(c: int, need: int) -> tuple[str, str]:
+    """Prefixes of at least ``need`` names of Gamma1* and Gamma2*, built
+    with ``tau``: tau maps each tau^2 fixed point to the other, and a prefix
+    of ``ceil(need / m)`` names maps to a prefix of ``need``."""
+    m, one, two = 2 * c + 1, "S", "L"
+    while len(one) < need:
+        one, two = tau(c, two[: -(-need // m)]), tau(c, one[: -(-need // m)])
+    return one, two
+
+
+def closure_pairs(c: int) -> set[str]:
+    """The 2-letter factors of the tau language as a closure: those of
+    ``tau(S)``, then those of ``tau(ab)`` for each factor ``ab`` found."""
+
+    def pairs_of(blockword: str) -> set[str]:
+        return {blockword[i : i + 2] for i in range(len(blockword) - 1)}
+
+    pairs, new = set(), pairs_of(tau(c, "S"))
+    while new:
+        pairs |= new
+        new = {ab for xy in new for ab in pairs_of(tau(c, xy))} - pairs
+    return pairs
+
+
+LEMMA_SYSTEMS = [OmegaParams(c=c, seed=seed) for c in range(1, 6) for seed in (PLAIN, SWAPPED)]
+
+
 class TestTau:
     def test_basic_substitution(self):
         assert tau(1, "S") == "LSS"
@@ -120,7 +154,8 @@ class TestGammaStar:
         for which in (1, 2):
             star = sys.gamma_star(which)
             for j in range(jmax + 1):
-                assert star.prefix(m2**j) == sys.tau_block(2 * j, bar=which == 2)
+                level = sys.tau_block(2 * j) if which == 1 else tau_power(c, "L", 2 * j)
+                assert star.prefix(m2**j) == level
 
     @pytest.mark.parametrize("c, j", [(1, 7), (2, 5), (3, 4)])
     def test_windows_are_slices_of_a_tau_squared_level(self, c, j):
@@ -129,11 +164,45 @@ class TestGammaStar:
         m = 2 * c + 1
         rng = random.Random(c)
         for which in (1, 2):
-            star, level = sys.gamma_star(which), sys.tau_block(2 * j, bar=which == 2)
+            star = sys.gamma_star(which)
+            level = sys.tau_block(2 * j) if which == 1 else tau_power(c, "L", 2 * j)
             for _ in range(200):
                 a = rng.randrange(m ** (2 * j))
                 b = min(m ** (2 * j), a + rng.choice((0, 1, 2, m, m**2 + 1, 10**3, 10**5)))
                 assert star.window(a, b) == level[a:b]
+
+    @pytest.mark.parametrize("c", range(1, 6))
+    def test_windows_match_the_tau_tower_up_to_3_14(self, c):
+        # 100 random windows per fixed point and c, 1,000 in all, against
+        # prefixes built with tau
+        sys, rng = OmegaSystem(OmegaParams(c=c)), random.Random(25 + c)
+        m = 2 * c + 1
+        prefixes = fixed_point_prefixes(c, 3**14 + 10**5)
+        for which, prefix in zip((1, 2), prefixes):
+            star = sys.gamma_star(which)
+            for _ in range(100):
+                a = rng.randrange(3**14)
+                b = a + rng.choice((0, 1, 2, m, m**2 + 1, 10**3, 10**5))
+                assert star.window(a, b) == prefix[a:b], (c, which, a, b)
+
+    def test_reads_build_no_tau_block(self, monkeypatch):
+        # Gamma* windows and Gamma1 letters come from the valuation rule,
+        # with tau_block and tau patched to raise
+        ones, twos = fixed_point_prefixes(1, 3**14 + 1000)
+        probe = OmegaSystem(OmegaParams())
+        letters = probe.sigma(ones[: 10**5 // probe.block_len + 1])[: 10**5]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a fixed point read built a tau block")
+
+        monkeypatch.setattr(OmegaSystem, "tau_block", refuse)
+        monkeypatch.setattr(omega, "tau", refuse)
+        sys, rng = OmegaSystem(OmegaParams()), random.Random(3)
+        for which, prefix in ((1, ones), (2, twos)):
+            star = sys.gamma_star(which)
+            for a in (0, 1, 3**14 - 1000, *(rng.randrange(3**14) for _ in range(50))):
+                assert star.window(a, a + 1000) == prefix[a : a + 1000]
+        assert sys.big_gamma(1).prefix(10**5) == letters
 
     def test_window_sweep_keeps_no_names(self):
         sys = OmegaSystem(OmegaParams())
@@ -182,6 +251,42 @@ class TestGammaStar:
             if not tracing:
                 tracemalloc.stop()
         assert peak < 4 * 2**20
+
+
+class TestSubstitutionLemma:
+    """The consequences of ``tau(x) = xbar S^(2c)`` against the routes they
+    replaced, built with ``tau``."""
+
+    @pytest.mark.parametrize("params", LEMMA_SYSTEMS)
+    def test_l_blocks_differ_from_s_blocks_in_name_zero(self, params):
+        sys, c = OmegaSystem(params), params.c
+        for j in range(5 if c < 3 else 4):
+            s_block, l_block = tau_power(c, "S", j), tau_power(c, "L", j)
+            assert s_block[1:] == l_block[1:] and s_block[0] != l_block[0]
+            assert sys.tau_block(j) == s_block
+            assert sys.gamma_bar(j) == sys.sigma(l_block)
+
+    @pytest.mark.parametrize("params", LEMMA_SYSTEMS)
+    def test_covering_texts_use_the_closure_pairs(self, params):
+        sys, c = OmegaSystem(params), params.c
+        pairs = closure_pairs(c)
+        assert pairs == {"LS", "SL", "SS"}
+        for length in [*range(1, 61), 100, 250]:
+            j = omega.covering_level(c, length)
+            blocks = {x: tau_power(c, x, j) for x in "SL"}
+            texts = [(blocks[a] + blocks[b])[: len(blocks[a]) + length - 1] for a, b in sorted(pairs)]
+            assert sys.covering_texts(length) == texts, (params, length)
+
+    @pytest.mark.parametrize("c", range(1, 6))
+    def test_fixed_points_are_fixed_by_decimation(self, c):
+        # the identity tau(a)[2r % m] == tau(b)[r], 0 < r < m, which gives
+        # Gamma*[2i] = Gamma*[i] by induction on i, and that equality itself
+        m, images = 2 * c + 1, (tau(c, "S"), tau(c, "L"))
+        assert all(a[2 * r % m] == b[r] for a in images for b in images for r in range(1, m))
+        sys = OmegaSystem(OmegaParams(c=c))
+        for which, prefix in zip((1, 2), fixed_point_prefixes(c, 2 * 10**4)):
+            assert prefix[: 2 * 10**4 : 2] == prefix[: 10**4]
+            assert sys.gamma_star(which).prefix(2 * 10**4)[::2] == prefix[: 10**4]
 
 
 class TestFactors:
@@ -348,7 +453,7 @@ class TestSqrtStepAgainstLetters:
                     rotation = successors[rotation]
                     word = sys.omega_p_word(rotation)
                 assert word.prefix(3 * n) == raw.prefix(3 * n)
-            assert rotation in (0, engine.l_index) and phases[rotation] == 0
+            assert rotation in (0, sys.conjugate_index(sys.l_word)) and phases[rotation] == 0
 
 
 class TestBlockCoordinates:
@@ -479,7 +584,7 @@ class TestOmegaP:
         finally:
             if not tracing:
                 tracemalloc.stop()
-        assert engine.n == 121_393 and engine.l_index is not None
+        assert engine.n == 121_393 and engine.sys.conjugate_index(engine.sys.l_word) is not None
         assert peak < 4 * 2**20, peak
 
     def test_codings_are_exactly_the_rotations(self, sys):
