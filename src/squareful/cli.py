@@ -229,13 +229,19 @@ def cmd_preimages(ns) -> Result:
         raise ValueError(f"target must supply {need} letters")
     hits = dynamics.PreimageIndex(sys).find(target[:need])
     junction = dynamics.junction_signature(sys, hits) if len(hits) == 2 else None
+    # the injectivity cap holds off the periodic part: at most two
+    # preimages, and two only in the junction form
+    periodic = target[:need] in sys.s_word * (need // sys.block_len + 2)
     lines = [f"{len(hits)} preimage(s)"]
     lines += [f"  shift {h.shift:3d}  {h.preimage_prefix}" for h in hits]
     if len(hits) == 2:
         lines.append(f"junction form: {junction}")
+    if periodic:
+        lines.append("periodic part: the target is a factor of S^omega, where the cap does not apply")
     preimages = [{"prefix": h.preimage_prefix, "shift": h.shift, "window": h.window} for h in hits]
     return Result({"target": target[:need], "count": len(hits), "preimages": preimages,
-                   "junction_form": junction}, "\n".join(lines), len(hits) <= 2)
+                   "junction_form": junction}, "\n".join(lines),
+                  periodic or len(hits) < 2 or bool(junction))
 
 
 def cmd_limit_set(ns) -> Result:

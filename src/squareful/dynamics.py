@@ -352,11 +352,14 @@ class PreimageIndex:
     * candidates are identified (deduplicated and reported) by their first
       ``2 * resolution`` letters, with ``resolution = 4 |S|``.
 
-    The match depth must comfortably exceed the resolution: candidates
+    The match depth must comfortably exceed the resolution: for a target
+    outside the periodic part (no factor of ``S^omega``), candidates
     differing within the resolution but mapping to the same word forever are
-    exactly the junction pairs of the injectivity theorem, while look-alikes
-    whose roots diverge later are pruned because the divergence of a variant
-    at scale ``resolution`` shows up within a small multiple of it.
+    exactly the junction pairs of the injectivity theorem, at most two, while
+    look-alikes whose roots diverge later are pruned because the divergence
+    of a variant at scale ``resolution`` shows up within a small multiple of
+    it.  A target in the periodic part is the type-D image of many windows,
+    and the theorem caps nothing there.
 
     The roots are read off the square root step and block decimation, with
     the block pairs checked to halve (:func:`_block_pairs_halve`).  Lemma:
@@ -417,36 +420,28 @@ class PreimageIndex:
 
 
 def junction_signature(sys: OmegaSystem, hits: list[PreimageHit]) -> bool:
-    """Whether a two-preimage answer has the left-extension shape.
+    """Whether a two-preimage answer has the left-extension shape: the two
+    windows swap one block ``S <-> L`` whose first letter is in the prefix,
+    after a product of minimal squares and one whole block (when that much
+    is visible), i.e. the ``zS`` part of the left extensions of the two
+    fixed points.
 
-    The two preimage prefixes must differ in exactly one adjacent transposed
-    pair: the swapped first two letters of one block on the candidates' block
-    grid.  Everything before the swapped block must be a product of minimal
-    squares followed by one whole block (when that much is visible), i.e. the
-    ``zS`` part of the left extensions of the two fixed points.
+    Read on the hits' window names, which spell the prefixes: at shift
+    ``ell`` name ``q`` starts at prefix letter ``q |S| - ell``.  ``S`` and
+    ``L`` differ only in their first two letters, so the prefix shows name
+    ``q`` when one of those two letters lies inside it (name 0 only for
+    ``ell <= 1``), and shows nothing else of the names.  A swap shown by its
+    first letter alone, on the prefix's last letter, is a swap all the same.
     """
-    if len(hits) != 2:
+    if len(hits) != 2 or hits[0].shift != hits[1].shift:
         return False
-    if hits[0].shift != hits[1].shift:
+    n, ell, size = sys.block_len, hits[0].shift, len(hits[0].preimage_prefix)
+    x, y = hits[0].window, hits[1].window
+    swapped = [q for q in range(0 if ell <= 1 else 1, (size + ell - 1) // n + 1) if x[q] != y[q]]
+    if len(swapped) != 1:
         return False
-    a, b = hits[0].preimage_prefix, hits[1].preimage_prefix
-    diffs = [i for i in range(min(len(a), len(b))) if a[i] != b[i]]
-    if len(diffs) != 2 or diffs[1] != diffs[0] + 1:
-        return False
-    p = diffs[0]
-    if a[p : p + 2] != b[p + 1] + b[p]:
-        return False
-    n = sys.block_len
-    head_len = (n - hits[0].shift) % n
-    if (p - head_len) % n:
-        return False
-    if p >= n:
-        if a[p - n : p] not in (sys.s_word, sys.l_word):
-            return False
-        before = a[: p - n]
-        if before and not squares.in_pi(sys.alphabet, before):
-            return False
-    return True
+    p = swapped[0] * n - ell
+    return p >= 0 and (p <= n or squares.in_pi(sys.alphabet, hits[0].preimage_prefix[: p - n]))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines; the whole suite is designed to finish well inside ten minutes.
 """
 
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -12,7 +13,7 @@ import pytest
 
 from squareful import dynamics, equation, streams, words
 from squareful.dynamics import OrbitEngine
-from squareful.omega import SWAPPED, OmegaParams, OmegaSystem
+from squareful.omega import PLAIN, SWAPPED, OmegaParams, OmegaSystem
 from squareful.squares import build_alphabet, factor_minimal_squares, sqrt_finite
 from squareful.sturmian import RotationSystem
 
@@ -214,11 +215,42 @@ def test_criterion_08_injectivity_cap(fib_sys):
 
 @pytest.mark.parametrize("params", [
     OmegaParams(a=2, b=1, k=4), OmegaParams(c=2, k=4), OmegaParams(k=5, seed=SWAPPED),
-    OmegaParams(a=2, b=1, k=5),
+    OmegaParams(a=2, b=1, k=5), OmegaParams(k=6),
 ])
 def test_criterion_08_across_systems(params):
     ok, doubles = _injectivity_cap(OmegaSystem(params), 3_000)
     report(f"08 injectivity cap on {params}", ok and doubles > 0, f"{doubles} junction targets")
+
+
+def test_criterion_08_every_aperiodic_bucket():
+    # every bucket of the index on the 108 systems with a <= 3, b <= 2,
+    # c <= 2, 3 <= k <= 6 and either seed: a key outside the periodic part
+    # (no factor of S^omega) has at most two hits, and two only in the
+    # junction form; the periodic part is outside the cap and only counted
+    start = time.time()
+    systems = doubles = crowded = periodic_doubles = 0
+    ok = True
+    for a, b, c, k, seed in itertools.product(range(1, 4), range(3), (1, 2), range(3, 7),
+                                              (PLAIN, SWAPPED)):
+        try:
+            sys = OmegaSystem(OmegaParams(a, b, c, k, seed))
+        except ValueError:  # |S| <= |S6|
+            continue
+        systems += 1
+        index = dynamics.PreimageIndex(sys)
+        s_omega = sys.s_word * (index.match_len // sys.block_len + 2)
+        for key in index.table:
+            hits = index.find(key)
+            if key in s_omega:
+                crowded += len(hits) > 2
+                periodic_doubles += len(hits) == 2
+            elif len(hits) > 1:
+                doubles += 1
+                ok &= len(hits) == 2 and dynamics.junction_signature(sys, hits)
+    report(f"08 injectivity cap on every aperiodic bucket of {systems} systems",
+           ok and systems == 108 and doubles > 0,
+           f"{doubles} junction doubles; periodic part: {crowded} buckets of 3+ hits, "
+           f"{periodic_doubles} doubles; {time.time() - start:.1f}s")
 
 
 def test_criterion_09_limit_set(fib_sys):

@@ -163,6 +163,24 @@ class TestPreimagesCommand:
     def test_short_target_usage_error(self, capsys):
         assert run(capsys, "preimages", "0101")[0] == 2
 
+    def test_double_without_junction_form_is_a_violation(self, capsys, monkeypatch):
+        # off the periodic part two preimages must have the junction form;
+        # in it the cap does not apply, whatever the count
+        sys = OmegaSystem(OmegaParams(k=6))
+        target = sys.big_gamma(1).prefix(11 + 16 * sys.block_len)[11:]
+        assert run(capsys, "preimages", "--k", "6", target)[0] == 0
+        monkeypatch.setattr(dynamics, "junction_signature", lambda sys, hits: False)
+        code, out = run(capsys, "preimages", "--k", "6", target)
+        assert (code, out.splitlines()[-1]) == (1, "junction form: False")
+        monkeypatch.undo()
+        # at c = 2, T^2(S^omega) has two preimages that swap no block
+        s_omega = OmegaSystem(OmegaParams(c=2)).s_word * 18
+        code, out = run(capsys, "preimages", "--c", "2", s_omega[2:130])
+        assert code == 0
+        assert out.startswith("2 preimage(s)") and out.splitlines()[-2:] == [
+            "junction form: False",
+            "periodic part: the target is a factor of S^omega, where the cap does not apply"]
+
 
 class TestMiscCommands:
     def test_limit_set(self, capsys):

@@ -67,6 +67,43 @@ def grid_systems():
             continue
 
 
+def letter_scan_junction(sys, hits):
+    """The junction form read letter by letter, the oracle for
+    :func:`squareful.dynamics.junction_signature`: the two prefixes differ
+    in exactly one adjacent transposed pair, the first two letters of a
+    block on the hits' block grid, and everything before the block before
+    it is a product of minimal squares.  It cannot see a swap whose second
+    letter lies past the prefix."""
+    if len(hits) != 2 or hits[0].shift != hits[1].shift:
+        return False
+    a, b = hits[0].preimage_prefix, hits[1].preimage_prefix
+    diffs = [i for i in range(min(len(a), len(b))) if a[i] != b[i]]
+    if len(diffs) != 2 or diffs[1] != diffs[0] + 1:
+        return False
+    p, n = diffs[0], sys.block_len
+    if a[p : p + 2] != b[p + 1] + b[p] or (p - (n - hits[0].shift) % n) % n:
+        return False
+    if p >= n:
+        if a[p - n : p] not in (sys.s_word, sys.l_word):
+            return False
+        before = a[: p - n]
+        if before and not squares.in_pi(sys.alphabet, before):
+            return False
+    return True
+
+
+def only_the_last_letter_differs(hits):
+    a, b = hits[0].preimage_prefix, hits[1].preimage_prefix
+    return a[:-1] == b[:-1] and a != b
+
+
+def widened(sys, hits):
+    """The hits with their prefixes spelled one letter further from their
+    windows, which shows both letters of a swap on the last letter."""
+    return [dynamics.PreimageHit(sys.sigma(h.window)[h.shift : h.shift + len(h.preimage_prefix) + 1],
+                                 h.shift, h.window) for h in hits]
+
+
 def fraction_cells(sys):
     """The rotation of slope p/n (n = |S|, p its 1s) and the intercepts
     ``c/n`` whose codings are S and L, found by scanning every cell."""
@@ -480,6 +517,51 @@ class TestPreimages:
         hits = index.find(target)
         assert len(hits) == 2
         assert dynamics.junction_signature(sys, hits)
+
+    def test_names_equal_the_letter_scan_on_every_grid_double(self):
+        # every double of every index on the grid; where the prefixes differ
+        # only in their last letter the swap is read on names alone
+        doubles, last_letter = 0, 0
+        for sys in grid_systems():
+            index = dynamics.PreimageIndex(sys)
+            for key in index.table:
+                hits = index.find(key)
+                if len(hits) == 2:
+                    doubles += 1
+                    if only_the_last_letter_differs(hits):
+                        last_letter += 1
+                        assert dynamics.junction_signature(sys, hits), sys.params
+                        assert letter_scan_junction(sys, widened(sys, hits)), sys.params
+                    else:
+                        assert dynamics.junction_signature(sys, hits) == letter_scan_junction(sys, hits), sys.params
+        assert (doubles, last_letter) == (11_056, 36)
+
+    @pytest.mark.parametrize("params", [OmegaParams(), OmegaParams(c=2, seed=SWAPPED), OmegaParams(3, 2, 1, 6)])
+    def test_names_equal_the_letter_scan_on_flipped_windows(self, params):
+        # pairs that are no index double: one window and a copy with one or
+        # two names flipped, at a random shift, each spelling its own prefix;
+        # the scan reads a swap on the last letter one letter further
+        sys, rng = OmegaSystem(params), random.Random(26)
+        n, flip = sys.block_len, {"S": "L", "L": "S"}
+        windows = sys.factors(10)
+        verdicts = collections.Counter()
+        for _ in range(400):
+            x, ell = rng.choice(windows), rng.randrange(n)
+            flips = rng.sample(range(10), rng.choice((1, 2)))
+            y = "".join(flip[name] if q in flips else name for q, name in enumerate(x))
+            hits = [dynamics.PreimageHit(sys.sigma(w)[ell : ell + 8 * n], ell, w) for w in (x, y)]
+            if hits[0].preimage_prefix == hits[1].preimage_prefix:
+                continue
+            got = dynamics.junction_signature(sys, hits)
+            if only_the_last_letter_differs(hits):
+                hits = widened(sys, hits)
+            assert got == letter_scan_junction(sys, hits)
+            verdicts[got] += 1
+        assert verdicts[True] and verdicts[False]
+        # one window at two shifts is no junction pair
+        x = rng.choice(windows)
+        hits = [dynamics.PreimageHit(sys.sigma(x)[ell : ell + 8 * n], ell, x) for ell in (1, 2)]
+        assert not dynamics.junction_signature(sys, hits)
 
     @pytest.mark.parametrize("params", [
         OmegaParams(), OmegaParams(c=2, seed=SWAPPED), OmegaParams(a=2, b=1, k=5),
