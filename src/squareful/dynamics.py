@@ -30,7 +30,7 @@ import itertools
 from typing import Callable, Iterable
 
 from . import equation, squares, streams
-from .omega import D_LOOKAHEAD, PERIODIC, TYPE_B, TYPE_D, OmegaParams, OmegaSystem
+from .omega import D_LOOKAHEAD, FLIP, PERIODIC, TYPE_B, TYPE_D, OmegaParams, OmegaSystem
 from .streams import BlockWord, InfiniteWord
 
 # ---------------------------------------------------------------------------
@@ -339,6 +339,9 @@ def preimage_match_len(sys: OmegaSystem) -> int:
     return 16 * sys.block_len
 
 
+_NOT_HALVING = "a block pair does not halve; block decimation is not exact"
+
+
 class PreimageIndex:
     """Index of square roots of every shifted factor window of the subshift.
 
@@ -362,7 +365,7 @@ class PreimageIndex:
     and the theorem caps nothing there.
 
     The roots are read off the square root step and block decimation, with
-    the block pairs checked to halve (:func:`_block_pairs_halve`).  Lemma:
+    the block pairs checked to halve (:attr:`OmegaSystem.pairs_halve`).  Lemma:
     the window ``w`` shifted by ``ell`` is the remainder ``(w[0], ell)`` over
     the blocks ``w[1:]``.  At ``ell = 0`` its root is ``sigma(w[0::2])``.
     Otherwise :meth:`OmegaSystem.sqrt_step` gives a type B or C root, a
@@ -379,8 +382,8 @@ class PreimageIndex:
     """
 
     def __init__(self, sys: OmegaSystem):
-        if not _block_pairs_halve(sys):
-            raise AssertionError("a block pair does not halve; block decimation is not exact")
+        if not sys.pairs_halve:
+            raise AssertionError(_NOT_HALVING)
         n = sys.block_len
         self.match_len = need = preimage_match_len(sys)
         resolution = need // 4
@@ -470,7 +473,6 @@ class PreimageChain:
         self.status = status  # "ok", "budget", or "fixed_point"
 
 
-_DESUB = {ord("S"): "L", ord("L"): "S"}
 TOWER_PIECE = 1 << 16  # level-0 block names streamed through the tower per piece
 
 
@@ -522,7 +524,7 @@ class AlignmentTower:
             if piece.count("L") != firsts.count("L"):
                 raise AssertionError("block names do not parse as substitution images")
             phase[1] += len(piece)
-            piece = firsts.translate(_DESUB)
+            piece = firsts.translate(FLIP)
         self._top.append(piece)
 
     def _extend(self) -> bool:
@@ -566,18 +568,18 @@ def preimage_chain(
     block, which the system caches (a :class:`~squareful.streams.BlockWord`);
     its names and letters are built only when a caller asks for them.
 
-    Each link is verified by one of two exact routes, and every chain checks
-    :func:`_block_pairs_halve` once.  Up to ``letter_verify_cap`` letters of
-    ``v_n`` the letter route retokenizes ``sigma`` of the names of ``v_n``
-    and compares its root with ``sigma`` of the names of ``u_n``.  Above the
-    cap no letter is built: the name route checks that the block pairs halve
+    Each link is verified by one of two exact routes.  Up to
+    ``letter_verify_cap`` letters of ``v_n`` the letter route retokenizes
+    ``sigma`` of the names of ``v_n`` and compares its root with ``sigma``
+    of the names of ``u_n``.  Above the cap no letter is built: the name
+    route checks that the block pairs halve
+    (:attr:`~squareful.omega.OmegaSystem.pairs_halve`, once per system)
     and that the even-indexed names of ``v_n``, read as strided slices of
     the block, spell the names of ``u_n``.
     """
     m = 2 * sys.params.c + 1
     tower = AlignmentTower(sys, names, block_budget)
     links: list[ChainLink] = []
-    pairs_ok = _block_pairs_halve(sys)
     pos = 0
     for _ in range(depth):
         k = 0
@@ -608,24 +610,10 @@ def preimage_chain(
             over = 2 * nxt - len(top)
             head = top[-2 * nxt :: 2] if over <= 0 else top[-over::2]
             tail = top[over % 2 :: 2] if over > 0 else ""
-            ok = pairs_ok and u_names.startswith(head) and u_names.endswith(tail)
+            ok = sys.pairs_halve and u_names.startswith(head) and u_names.endswith(tail)
         links.append(ChainLink(k, nxt * sys.block_len, v, ok))
         pos = nxt
     return PreimageChain(links, "ok")
-
-
-def _block_pairs_halve(sys: OmegaSystem) -> bool:
-    """Whether ``sqrt(xy) = x`` for the four block pairs.
-
-    If so, ``sqrt(sigma(x0 x1 x2 ...)) = sigma(x0 x2 x4 ...)`` for every
-    name sequence: the greedy factorization of a concatenation of square
-    products is the concatenation of their factorizations.
-    """
-    return all(
-        squares.sqrt_finite(sys.alphabet, x + y) == x
-        for x in (sys.s_word, sys.l_word)
-        for y in (sys.s_word, sys.l_word)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +626,7 @@ def periodic_point_search(sys: OmegaSystem, max_blocks: int) -> tuple[list[str],
     ``Gamma2`` are added.  Returns the sorted labels of the periodic points
     found and the number of patterns refuted, counted with none spelled.
 
-    A decimation halves the names (:func:`_block_pairs_halve`, checked), so
+    A decimation halves the names (:attr:`OmegaSystem.pairs_halve`, checked), so
     after ``s`` of them name ``t`` reads name ``t 2^s mod N``; write ``N =
     |p| = 2^e N'`` with ``N'`` odd.  Lemma A: ``p`` returns iff it has period
     ``N'``.  If it returns after ``s`` steps, the powers of ``2^s`` mod ``N``
@@ -659,8 +647,8 @@ def periodic_point_search(sys: OmegaSystem, max_blocks: int) -> tuple[list[str],
     ``v_m(2i) = v_m(i)`` for odd ``m = 2c + 1`` (:func:`~squareful.omega.tau`,
     consequence (d)).
     """
-    if not _block_pairs_halve(sys):
-        raise AssertionError("a block pair does not halve; block decimation is not exact")
+    if not sys.pairs_halve:
+        raise AssertionError(_NOT_HALVING)
     found = [label for label, word in (("S^w", sys.s_omega()), ("L^w", sys.l_omega()))
              if sys.rotation_index(word) is not None]
     # P(N) = 2^N - sum of P(d) over the proper divisors d of N, for odd N

@@ -5,6 +5,17 @@ whose squares tile ``w^2``.  Because products of minimal squares are unique,
 this holds exactly when ``w^2`` tokenizes completely and the roots of that
 tokenization concatenate back to ``w``; a depth-first check over all root
 factorizations of ``w`` is kept in the test suite as an independent oracle.
+
+The doubling-orbit generator gives each orbit of ``i -> 2i mod n`` on
+``Z_n``, ``n`` odd, one letter ``S`` or ``L``.  Positions ``1 .. n-1`` of
+such an assignment are a body ``u`` of the package's one substitution
+``x -> xbar u`` (:func:`~squareful.omega.tau`), of which the system's
+``S^(2c)`` is one case.  Its periodic words ``sigma((xbar u)^omega)`` and
+its two ``tau^2`` fixed points, read by m-adic valuation
+(:func:`~squareful.omega.fixed_point`), are fixed by the square root map:
+lemma parts (a), (b) and (d) hold for any body.  Part (c), the 2-letter
+factors ``LS``, ``SL`` and ``SS``, and what rests on it (the covering texts
+and the factor windows below) stay at ``S^(2c)``.
 """
 
 from __future__ import annotations
@@ -120,14 +131,6 @@ class DoublingPattern:
     def __init__(self, n: int, orbits: tuple[tuple[int, ...], ...]):
         self.n, self.orbits = n, orbits
 
-    def assignment_to_word(self, assignment: dict[tuple[int, ...], str]) -> str:
-        letters = [""] * self.n
-        for orbit in self.orbits:
-            letter = assignment[orbit]
-            for i in orbit:
-                letters[i] = letter
-        return "".join(letters)
-
 
 def doubling_orbits(n: int) -> DoublingPattern:
     """Partition of ``Z_n`` into orbits of ``i -> 2i mod n`` (``n`` odd)."""
@@ -148,36 +151,40 @@ def doubling_orbits(n: int) -> DoublingPattern:
     return DoublingPattern(n, tuple(orbits))
 
 
-def pattern_to_substitution(
-    pattern: DoublingPattern, assignment: dict[tuple[int, ...], str]
-) -> tuple[str, str]:
-    """The pair of block images induced by an orbit assignment.
+def pattern_to_substitution(pattern: DoublingPattern, assignment: dict[tuple[int, ...], str]) -> str:
+    """The body ``u`` of the substitution ``x -> xbar u`` that an orbit
+    assignment induces (:func:`~squareful.omega.tau`): positions ``1 ..
+    n-1`` of the assignment word, so the images are ``tau(u, "S") = L u``
+    and ``tau(u, "L") = S u``, with position 0 the free slot ``xbar``.
 
-    Positions ``1 .. n-1`` follow the assignment; position 0 is the free slot
-    and is set to ``L`` in the image of ``S`` and to ``S`` in the image of
-    ``L`` (matching the basic substitution ``S -> L S S``, ``L -> S S S``).
+    The images have the doubling property ``w[i] = w[2i mod n]`` for ``0 <
+    i < n`` by construction: an assignment gives each doubling orbit one
+    letter, ``i`` and ``2i mod n`` lie in one orbit, and ``2i mod n`` is
+    not 0 for odd ``n``.  So by (d) of :func:`~squareful.omega.tau` the
+    ``tau^2`` fixed points of ``u`` satisfy ``x[2i] = x[i]``, and where the
+    block pairs halve (:attr:`~squareful.omega.OmegaSystem.pairs_halve`)
+    the square root map fixes ``sigma(x)``, which is ``sigma`` of every
+    other name of ``x``.  An entry for the orbit ``(0,)`` is ignored.
     """
-    fixed = {orb: letter for orb, letter in assignment.items() if orb != (0,)}
-    for orb in pattern.orbits:
-        if orb != (0,) and orb not in fixed:
-            raise ValueError(f"assignment missing orbit {orb}")
-    body = pattern.assignment_to_word({**fixed, (0,): "?"})
-    s_image = "L" + body[1:]
-    l_image = "S" + body[1:]
-    for u in (s_image, l_image):
-        for i in range(1, pattern.n):
-            if u[i] != u[2 * i % pattern.n]:
-                raise AssertionError("induced image violates the doubling property")
-    return s_image, l_image
+    letters = [""] * pattern.n  # position 0, the free slot, stays empty
+    for orbit in pattern.orbits[1:]:  # orbits[0] is (0,)
+        if orbit not in assignment:
+            raise ValueError(f"assignment missing orbit {orbit}")
+        for i in orbit:
+            letters[i] = assignment[orbit]
+    return "".join(letters)
 
 
 def check_self_sqrt(sys: OmegaSystem, blockword: str) -> bool:
     """Whether the square root fixes ``sigma(blockword^omega)``, exactly.
 
-    ``blockword`` must have odd length and satisfy ``u[i] == u[2i mod n]``
-    for ``i >= 1``.  The root has period ``p'`` from ``start'`` and the word
-    period ``q = |sigma(blockword)|``; by Fine and Wilf their first ``start' +
-    p' + q`` letters decide.
+    For odd ``n = |blockword|`` this decides exactly whether ``u[i] ==
+    u[2i mod n]`` for every ``i``, ``u`` the block word, where the block
+    pairs halve (:attr:`~squareful.omega.OmegaSystem.pairs_halve`): the root
+    is ``sigma`` of the names ``u[2i mod n]``, and ``sigma`` is a code.
+    This stream check is the independent route: the root has period ``p'``
+    from ``start'`` and the word period ``q = |sigma(blockword)|``; by Fine
+    and Wilf their first ``start' + p' + q`` letters decide.
     """
     if len(blockword) % 2 == 0:
         raise ValueError("block word must have odd length")
@@ -190,13 +197,12 @@ def check_self_sqrt(sys: OmegaSystem, blockword: str) -> bool:
 
 
 def all_doubling_checks(sys: OmegaSystem, n: int) -> list[tuple[str, bool]]:
-    """Fixed-point check for every orbit assignment of ``Z_n`` under doubling."""
+    """Fixed-point check for every orbit assignment of ``Z_n`` under
+    doubling: the periodic words ``tau(u, "L") = S u``, then ``tau(u, "S") =
+    L u``, of the bodies ``u`` of the free orbits
+    (:func:`pattern_to_substitution`); at ``n = 1`` the body is empty and
+    the words are ``S`` and ``L``."""
     pattern = doubling_orbits(n)
-    free_orbits = [orb for orb in pattern.orbits if orb != (0,)]
-    results = []
-    for bits in itertools.product("SL", repeat=len(free_orbits) + 1):
-        assignment = {orb: bits[i + 1] for i, orb in enumerate(free_orbits)}
-        assignment[(0,)] = bits[0]
-        word = pattern.assignment_to_word(assignment)
-        results.append((word, check_self_sqrt(sys, word)))
-    return results
+    bodies = [pattern_to_substitution(pattern, dict(zip(pattern.orbits[1:], bits)))
+              for bits in itertools.product("SL", repeat=len(pattern.orbits) - 1)]
+    return [(word, check_self_sqrt(sys, word)) for word in (x + u for x in "SL" for u in bodies)]

@@ -1,6 +1,7 @@
 """The subshift of optimal squareful words built from reversed standard words.
 
-The construction has two layers.  A block substitution
+The construction has two layers.  A block substitution, :func:`tau` with
+the body ``S^(2c)``,
 
     tau: S -> L S^(2c),  L -> S^(2c+1)
 
@@ -17,6 +18,7 @@ periodic word ``S^omega`` closes the system under the square root map.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from . import squares, streams, words
@@ -34,6 +36,8 @@ TYPE_D = "D"
 
 PRODUCT_FORM = "in_omega_a_form"
 PERIODIC = "periodic"
+
+FLIP = {ord("S"): "L", ord("L"): "S"}  # swaps the names: x -> xbar
 
 # Blocks after the remainder that a type-D image reads: it reads 2|S| + |S6^2|
 # letters, |y| >= 1 of them from the remainder, and |S6^2| < 2|S| because
@@ -70,32 +74,56 @@ class OmegaParams:
         return ((self.a, self.b + 1) + (1,) * upto)[:upto]
 
 
-def tau(c: int, blockword: str) -> str:
-    """Blockwise image under ``S -> L S^(2c)``, ``L -> S^(2c+1)``.
+def tau(body: str, blockword: str) -> str:
+    """Blockwise image under ``x -> xbar body``, where ``xbar`` is the other
+    name: ``S -> L body``, ``L -> S body``.  This is the package's one
+    substitution; the system's is ``body = S^(2c)`` (:class:`OmegaSystem`),
+    and an assignment of the doubling orbits gives another
+    (:func:`~squareful.equation.pattern_to_substitution`).
 
-    Lemma: ``tau(x) = xbar S^(2c)`` for a name ``x``, where ``xbar`` is the
-    other name.  With ``m = 2c + 1``, four consequences:
+    ``body`` is a nonempty word over ``S``/``L`` of even length, so every
+    image has the odd length ``m = |body| + 1``.  Lemma, for any body:
 
     (a) ``tau^j(S)`` and ``tau^j(L)`` differ only in name 0: by induction on
         ``j``, their images differ only in the image of name 0, and
         ``tau(x)``, ``tau(xbar)`` differ only in their name 0.
     (b) The two fixed points ``x`` of ``tau^2``, seeded ``x[0] = S`` and
-        ``x[0] = L``, are Toeplitz words: for ``n >= 1``, ``x[n] = L`` iff
-        the m-adic valuation ``v_m(n)`` is odd.  tau maps each to the other,
-        ``x'``, so by the lemma ``x[qm + r] = tau(x'[q])[r]`` is ``S`` for
-        ``0 < r < m`` and the other name than ``x'[q]`` for ``r = 0``;
-        induct on ``v_m(n)``.
-    (c) The 2-letter factors of the tau language (the factors of the
-        ``tau^i(S)``) are ``LS``, ``SL`` and ``SS``: an ``L`` of ``tau(w)``
-        starts an image and follows the last name ``S`` of the one before,
-        so ``LL`` never occurs, while ``tau(S) = L S^(2c)`` holds ``LS`` and
-        ``SS`` and ``tau^2(L) = tau(S) tau(S) ...`` holds ``SL``.
-    (d) ``v_m(2i) = v_m(i)`` because ``m`` is odd, so by (b) ``x[2i] =
-        x[i]`` for every ``i``: taking every other name fixes ``x``.
+        ``x[0] = L``, are Toeplitz words: for ``n = m^v n'`` with ``m`` not
+        dividing ``n'``, ``x[n]`` is ``tau(body, "S")[n' mod m]`` flipped
+        ``v`` times.  tau maps each to the other, ``x'``, so ``x[qm + r] =
+        tau(x'[q])[r]`` is ``body[r - 1]`` for ``0 < r < m`` and the other
+        name than ``x'[q]`` for ``r = 0``; induct on ``v``.  At ``S^(2c)``,
+        ``x[n] = L`` iff ``v`` is odd.
+    (c) Only for ``body = S^(2c)``: the 2-letter factors of the tau language
+        (the factors of the ``tau^i(S)``) are ``LS``, ``SL`` and ``SS``: an
+        ``L`` of ``tau(w)`` starts an image and follows the last name ``S``
+        of the one before, so ``LL`` never occurs, while ``tau(S) = L
+        S^(2c)`` holds ``LS`` and ``SS`` and ``tau^2(L) = tau(S) tau(S)
+        ...`` holds ``SL``.  What rests on (c) (:func:`covering_level`, the
+        covering texts and factors, the preimage index, the alignment tower
+        and the chains) is stated for ``S^(2c)`` and takes ``c``.
+    (d) If ``body[i - 1] = body[(2i mod m) - 1]`` for ``0 < i < m``, then
+        ``x[2i] = x[i]`` for every ``i``: taking every other name fixes
+        ``x``.  By (b), as ``v_m(2n) = v_m(n)`` because ``m`` is odd and
+        ``2n' mod m = 2(n' mod m) mod m`` is not 0.  ``S^(2c)`` has the
+        property, and so has every body of a doubling-orbit assignment.
     """
-    if c < 1:
-        raise ValueError("c must be >= 1")
-    return blockword.translate({ord("S"): "L" + "S" * (2 * c), ord("L"): "S" * (2 * c + 1)})
+    _check_body(body)
+    return blockword.translate({ord("S"): "L" + body, ord("L"): "S" + body})
+
+
+def _check_body(body: str) -> None:
+    if not body or len(body) % 2 or body.strip("SL"):
+        raise ValueError(f"body must be a nonempty word over S and L of even length, not {body!r}")
+
+
+def fixed_point(body: str, seed: str) -> InfiniteWord:
+    """Block names of the ``tau^2`` fixed point of ``body`` with ``x[0] =
+    seed``, a view that keeps no names (:class:`_TauFixedPoint`)."""
+    _check_body(body)
+    if seed not in ("S", "L"):
+        raise ValueError("seed must be 'S' or 'L'")
+    return _TauFixedPoint(body, seed)
 
 
 def covering_level(c: int, length: int) -> int:
@@ -110,8 +138,9 @@ def covering_level(c: int, length: int) -> int:
 class OmegaSystem:
     """Derived data and operations for one parameter choice.
 
-    Caches the tau blocks ``tau^j(S)``, which the covering texts, ``gamma``
-    and the preimage chains read; instances are cheap to share, but the lazy
+    The substitution is :func:`tau` with ``body = S^(2c)``.  Caches the tau
+    blocks ``tau^j(S)``, which the covering texts, ``gamma`` and the
+    preimage chains read; instances are cheap to share, but the lazy
     sources they hand out follow the single-consumer rule of
     :mod:`squareful.streams`.
     """
@@ -129,6 +158,7 @@ class OmegaSystem:
         self.s_word = seed_word
         self.l_word = words.swap_first_two(seed_word)
         self._sigma_table = {ord("S"): self.s_word, ord("L"): self.l_word}
+        self._body = "S" * (2 * params.c)
         self._tau_blocks = ["S"]
         self._gamma_star: dict[int, InfiniteWord] = {}
         self._steps: dict[tuple[str, int, str], tuple[str, tuple[str, int] | int]] = {}
@@ -142,11 +172,22 @@ class OmegaSystem:
     def sigma(self, blockword: str) -> str:
         return blockword.translate(self._sigma_table)
 
+    @functools.cached_property
+    def pairs_halve(self) -> bool:
+        """Whether ``sqrt(xy) = x`` for the four block pairs.
+
+        If so, ``sqrt(sigma(x0 x1 x2 ...)) = sigma(x0 x2 x4 ...)`` for every
+        name sequence: the greedy factorization of a concatenation of square
+        products is the concatenation of their factorizations.
+        """
+        blocks = (self.s_word, self.l_word)
+        return all(squares.sqrt_finite(self.alphabet, x + y) == x for x in blocks for y in blocks)
+
     def tau_block(self, j: int) -> str:
         """``tau^j(S)`` as a word over the block names."""
         blocks = self._tau_blocks
         while len(blocks) <= j:
-            blocks.append(tau(self.params.c, blocks[-1]))
+            blocks.append(tau(self._body, blocks[-1]))
         return blocks[j]
 
     def covering_texts(self, length: int) -> list[str]:
@@ -187,11 +228,12 @@ class OmegaSystem:
 
     def gamma_star(self, which: int) -> InfiniteWord:
         """Block names of the tau^2 fixed point (1 starts S..., 2 starts L...),
-        a view that keeps no names (:class:`_TauFixedPoint`)."""
+        a view that keeps no names (:func:`fixed_point`)."""
         if which not in (1, 2):
             raise ValueError("which must be 1 or 2")
         if which not in self._gamma_star:
-            self._gamma_star[which] = _TauFixedPoint(2 * self.params.c + 1, which)
+            star = self._gamma_star[which] = fixed_point(self._body, "SL"[which - 1])
+            star.descriptor = f"Gamma{which}*"
         return self._gamma_star[which]
 
     def product(self, blocks: InfiniteWord, shift: int = 0) -> SLProduct:
@@ -326,21 +368,32 @@ class OmegaSystem:
 
 
 class _TauFixedPoint(InfiniteWord):
-    """The tau^2 fixed point that starts with ``S`` (1) or ``L`` (2), read by
-    m-adic valuation with no memo, by (b) of :func:`tau`: a window ``[a, b)``
-    is all ``S``, then ``L`` and ``S`` in turn at the multiples of ``m``,
-    ``m^2``, ... below ``b``, one strided slice per power, and the seed at 0."""
+    """The tau^2 fixed point of ``body`` seeded ``seed``, read by m-adic
+    valuation with no memo, by (b) of :func:`tau`.  Level ``v`` is the
+    pattern ``seed body`` flipped ``v`` times: a window ``[a, b)`` takes
+    level ``v`` at ``n / m^v mod m`` for every ``n`` that ``m^v`` divides,
+    one strided slice per power ``m^v < b``, each power overwriting the
+    multiples of the next, and the seed at 0."""
 
-    def __init__(self, m: int, which: int):
-        super().__init__((), f"Gamma{which}*")
-        self._m, self._seed = m, b"S" if which == 1 else b"L"
+    def __init__(self, body: str, seed: str):
+        super().__init__((), f"fix({seed}, {body})")
+        level = seed + body
+        # the rotations of the level patterns, by the parity of the level
+        self._rotations = tuple([bytearray((word[r:] + word[:r]).encode()) for r in range(len(word))]
+                                for word in (level, level.translate(FLIP)))
 
     def _window(self, a: int, b: int) -> str:
-        out, size, name = bytearray(b"S") * (b - a), self._m, b"L"
+        m, rotations = len(self._rotations[0]), self._rotations
+        out = rotations[0][a % m] * ((b - a) // m + 1)
+        del out[b - a :]
+        size, v = m, 1
         while size < b:
             skip = -a % size
-            out[skip::size] = name * len(range(skip, b - a, size))
-            size, name = size * self._m, b"S" if name == b"L" else b"L"
+            count = len(range(skip, b - a, size))
+            names = rotations[v % 2][(a + skip) // size % m] * (count // m + 1)
+            del names[count:]
+            out[skip::size] = names
+            size, v = size * m, v + 1
         if a == 0 < b:
-            out[0:1] = self._seed
+            out[0] = rotations[0][0][0]  # the seed
         return out.decode()

@@ -11,9 +11,9 @@ from fractions import Fraction
 
 import pytest
 
-from squareful import dynamics, equation, streams, words
+from squareful import dynamics, equation, omega, streams, words
 from squareful.dynamics import OrbitEngine
-from squareful.omega import PLAIN, SWAPPED, OmegaParams, OmegaSystem
+from squareful.omega import PLAIN, SWAPPED, OmegaParams, OmegaSystem, tau
 from squareful.squares import build_alphabet, factor_minimal_squares, sqrt_finite
 from squareful.sturmian import RotationSystem
 
@@ -294,8 +294,29 @@ def test_criterion_11_doubling_generator(fib_sys):
     ok = pattern.orbits == ((0,), (1, 2, 4), (3, 5, 6))
     results = equation.all_doubling_checks(fib_sys, 7)
     ok &= len(results) == 8 and all(fixed for _, fixed in results)
-    s_img, l_img = equation.pattern_to_substitution(
+    u = equation.pattern_to_substitution(
         pattern, {(1, 2, 4): "S", (3, 5, 6): "L"}
     )
-    ok &= (s_img, l_img) == ("LSSLSLL", "SSSLSLL")
-    report("11 doubling-orbit generator", ok)
+    ok &= (tau(u, "S"), tau(u, "L")) == ("LSSLSLL", "SSSLSLL")
+    # the aperiodic fixed points: both tau^2 fixed points x of every body,
+    # read by valuation, equal tau^2 iterated on 5 n^2 names.  The square
+    # root map fixes sigma(x) by (d) of omega.tau, as the block pairs halve;
+    # sqrt_stream on that prefix is the oracle, not the proof.
+    ok &= fib_sys.pairs_halve
+    points = fixed = 0
+    for n in (7, 9, 15, 21):
+        pattern, size = equation.doubling_orbits(n), 5 * n * n
+        free = pattern.orbits[1:]
+        for bits in itertools.product("SL", repeat=len(free)):
+            body = equation.pattern_to_substitution(pattern, dict(zip(free, bits)))
+            for seed in "SL":
+                x, iterate = omega.fixed_point(body, seed), seed
+                while len(iterate) < size:
+                    iterate = tau(body, tau(body, iterate[: size // (n * n) + 1]))
+                ok &= x.prefix(size) == iterate[:size]
+                src, letters = streams.expand(fib_sys.product(x)), size * fib_sys.block_len
+                points += 1
+                fixed += streams.sqrt_stream(fib_sys.alphabet, src).prefix(letters) == src.prefix(letters)
+    ok &= points == fixed == 112
+    report("11 doubling-orbit generator", ok,
+           f"8 periodic words at n = 7, {fixed} of {points} aperiodic fixed points at n = 7, 9, 15, 21")

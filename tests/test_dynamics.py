@@ -712,6 +712,31 @@ class TestPreimageChains:
                     branches.add(2 * nxt > len(top_names))
         assert branches == {False, True}
 
+    def test_pair_halving_is_checked_once_per_system(self, monkeypatch):
+        # the index, the periodic-point search and the name route of the
+        # chains read one cached check; where the pairs do not halve, the
+        # first two refuse with one message and no link by names verifies
+        calls = []
+        sqrt_finite = squares.sqrt_finite
+
+        def record(alph, w):
+            calls.append(w)
+            return sqrt_finite(alph, w)
+
+        monkeypatch.setattr(squares, "sqrt_finite", record)
+        sys = OmegaSystem(OmegaParams())
+        dynamics.PreimageIndex(sys)
+        dynamics.periodic_point_search(sys, 4)
+        chain = dynamics.preimage_chain(sys, shift(sys.gamma_star(1), 1), depth=4, letter_verify_cap=0)
+        assert len(calls) == 4 and all(link.verified for link in chain.links)
+        monkeypatch.setattr(OmegaSystem, "pairs_halve", False)
+        sys = OmegaSystem(OmegaParams())
+        for refused in (dynamics.PreimageIndex, lambda s: dynamics.periodic_point_search(s, 4)):
+            with pytest.raises(AssertionError, match="^a block pair does not halve; block decimation is not exact$"):
+                refused(sys)
+        chain = dynamics.preimage_chain(sys, shift(sys.gamma_star(1), 1), depth=4, letter_verify_cap=0)
+        assert len(chain.links) == 4 and not any(link.verified for link in chain.links)
+
     def test_deep_chain_memory(self):
         # a level-11 link on T^48(Gamma1*) and a level-12 link on T^75: the
         # name route builds no letters of a prefix, of a building block or of

@@ -183,7 +183,7 @@ class TestSquaresInOmegaStar:
         # rotations of some tau^k(S), and every tau^k(S) that fits occurs
         blocks = "S"
         while len(blocks) < 200_000:
-            blocks = tau(1, tau(1, blocks))
+            blocks = tau("SS", tau("SS", blocks))
         roots = {u for u in equation.harvest_square_factors(blocks[:200_000], 10)
                  if words.is_primitive(u)}
         tau_words = ["S", "LSS", "SSSLSSLSS"]  # tau^k(S) up to 10 names
@@ -194,7 +194,7 @@ class TestSquaresInOmegaStar:
     def test_ll_never_occurs(self):
         blocks = "S"
         while len(blocks) < 5000:
-            blocks = tau(1, blocks)
+            blocks = tau("SS", blocks)
         assert "LL" not in blocks
 
 
@@ -208,23 +208,24 @@ class TestDoubling:
 
     def test_pattern_to_substitution_n7(self):
         pattern = equation.doubling_orbits(7)
-        s_img, l_img = equation.pattern_to_substitution(
+        u = equation.pattern_to_substitution(
             pattern, {(1, 2, 4): "S", (3, 5, 6): "L"}
         )
-        assert (s_img, l_img) == ("LSSLSLL", "SSSLSLL")
+        assert (tau(u, "S"), tau(u, "L")) == ("LSSLSLL", "SSSLSLL")
 
     def test_pattern_to_substitution_recovers_tau(self):
         pattern = equation.doubling_orbits(3)
-        assert equation.pattern_to_substitution(pattern, {(1, 2): "S"}) == ("LSS", "SSS")
+        u = equation.pattern_to_substitution(pattern, {(1, 2): "S"})
+        assert (tau(u, "S"), tau(u, "L")) == ("LSS", "SSS")
 
     def test_images_satisfy_doubling_property(self):
         for n in (3, 5, 7, 9):
             pattern = equation.doubling_orbits(n)
             free = [o for o in pattern.orbits if o != (0,)]
-            s_img, l_img = equation.pattern_to_substitution(
+            body = equation.pattern_to_substitution(
                 pattern, {o: ("S" if i % 2 else "L") for i, o in enumerate(free)}
             )
-            for u in (s_img, l_img):
+            for u in (tau(body, "S"), tau(body, "L")):
                 for i in range(1, n):
                     assert u[i] == u[2 * i % n]
 

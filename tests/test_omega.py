@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from squareful import omega, squares, streams, words
+from squareful import equation, omega, squares, streams, words
 from squareful.dynamics import AlignmentTower, OrbitEngine, fibonacci_system, intercept_phases
 from squareful.omega import PERIODIC, PLAIN, SWAPPED, OmegaParams, OmegaSystem, tau
 from squareful.squares import in_pi, sqrt_finite, square_matcher
@@ -23,7 +23,7 @@ def sys():
 def tau_power(c: int, blockword: str, j: int) -> str:
     """``tau^j(blockword)``, built with ``tau``."""
     for _ in range(j):
-        blockword = tau(c, blockword)
+        blockword = tau("S" * (2 * c), blockword)
     return blockword
 
 
@@ -33,7 +33,7 @@ def fixed_point_prefixes(c: int, need: int) -> tuple[str, str]:
     of ``ceil(need / m)`` names maps to a prefix of ``need``."""
     m, one, two = 2 * c + 1, "S", "L"
     while len(one) < need:
-        one, two = tau(c, two[: -(-need // m)]), tau(c, one[: -(-need // m)])
+        one, two = tau("S" * (2 * c), two[: -(-need // m)]), tau("S" * (2 * c), one[: -(-need // m)])
     return one, two
 
 
@@ -44,23 +44,63 @@ def closure_pairs(c: int) -> set[str]:
     def pairs_of(blockword: str) -> set[str]:
         return {blockword[i : i + 2] for i in range(len(blockword) - 1)}
 
-    pairs, new = set(), pairs_of(tau(c, "S"))
+    pairs, new = set(), pairs_of(tau("S" * (2 * c), "S"))
     while new:
         pairs |= new
-        new = {ab for xy in new for ab in pairs_of(tau(c, xy))} - pairs
+        new = {ab for xy in new for ab in pairs_of(tau("S" * (2 * c), xy))} - pairs
     return pairs
 
+
+def fixed_point_window(body: str, seed: str, a: int, b: int) -> str:
+    """Names ``[a, b)`` of the tau^2 fixed point of ``body`` seeded
+    ``seed``, built with ``tau``: it is the tau image of the other fixed
+    point, so the names are a slice of the image of that one's names ``[a //
+    m, ceil(b / m))``."""
+    if b <= 1:
+        return seed[a:b]
+    m = len(body) + 1
+    lo = a // m
+    other = fixed_point_window(body, "L" if seed == "S" else "S", lo, -(-b // m))
+    return tau(body, other)[a - lo * m : b - lo * m]
+
+
+def doubling_bodies(n: int) -> list[str]:
+    """The body of every assignment of the free doubling orbits of ``Z_n``."""
+    pattern = equation.doubling_orbits(n)
+    free = pattern.orbits[1:]
+    return [equation.pattern_to_substitution(pattern, dict(zip(free, bits)))
+            for bits in itertools.product("SL", repeat=len(free))]
+
+
+# every doubling body with n <= 21, and bodies without the doubling property,
+# for which (b) of tau holds all the same
+BODIES = [u for n in range(3, 22, 2) for u in doubling_bodies(n)] + [
+    "LS", "SL", "SLLS", "LLSSLS", "SSSSSSSSSL", "LSLLSSSLSLLLSLSSLSLL"]
 
 LEMMA_SYSTEMS = [OmegaParams(c=c, seed=seed) for c in range(1, 6) for seed in (PLAIN, SWAPPED)]
 
 
 class TestTau:
     def test_basic_substitution(self):
-        assert tau(1, "S") == "LSS"
-        assert tau(1, "L") == "SSS"
-        assert tau(2, "SL") == "LSSSS" + "SSSSS"
+        assert tau("SS", "S") == "LSS"
+        assert tau("SS", "L") == "SSS"
+        assert tau("SSSS", "SL") == "LSSSS" + "SSSSS"
         with pytest.raises(ValueError):
-            tau(0, "S")
+            tau("", "S")
+
+    def test_doubling_body(self):
+        assert tau("SSLSLL", "SL") == "LSSLSLL" + "SSSLSLL"
+
+    @pytest.mark.parametrize("body", ["S", "SSS", "SX", "ss", "S L"])
+    def test_body_is_a_nonempty_even_word_over_s_and_l(self, body):
+        with pytest.raises(ValueError):
+            tau(body, "S")
+        with pytest.raises(ValueError):
+            omega.fixed_point(body, "S")
+
+    def test_fixed_point_seed_is_a_name(self):
+        with pytest.raises(ValueError):
+            omega.fixed_point("SS", "X")
 
 
 class TestParams:
@@ -185,12 +225,30 @@ class TestGammaStar:
                 b = a + rng.choice((0, 1, 2, m, m**2 + 1, 10**3, 10**5))
                 assert star.window(a, b) == prefix[a:b], (c, which, a, b)
 
+    def test_windows_of_every_body_match_tau_squared(self):
+        # windows at offsets up to m^6 and of up to 10^4 names of both fixed
+        # points of every body, 2,128 in all, against windows built with tau
+        rng, reads = random.Random(27), 0
+        for body in BODIES:
+            m = len(body) + 1
+            for seed in "SL":
+                star = omega.fixed_point(body, seed)
+                for a in (0, 1, *(rng.randrange(m**6) for _ in range(12))):
+                    b = a + rng.choice((0, 1, 2, m, m * m + 1, 10**3, 10**4))
+                    assert star.window(a, b) == fixed_point_window(body, seed, a, b), (body, seed, a, b)
+                    reads += 1
+        assert reads == 2128
+
     def test_reads_build_no_tau_block(self, monkeypatch):
-        # Gamma* windows and Gamma1 letters come from the valuation rule,
-        # with tau_block and tau patched to raise
+        # Gamma* windows, Gamma1 letters and the fixed points of every body
+        # come from the valuation rule, with tau_block and tau patched to raise
         ones, twos = fixed_point_prefixes(1, 3**14 + 1000)
         probe = OmegaSystem(OmegaParams())
         letters = probe.sigma(ones[: 10**5 // probe.block_len + 1])[: 10**5]
+        offsets = random.Random(26)
+        windows = [(body, seed, a, fixed_point_window(body, seed, a, a + 1000))
+                   for body in BODIES for seed in "SL"
+                   for a in (0, offsets.randrange((len(body) + 1) ** 6))]
 
         def refuse(*args, **kwargs):
             raise AssertionError("a fixed point read built a tau block")
@@ -203,6 +261,8 @@ class TestGammaStar:
             for a in (0, 1, 3**14 - 1000, *(rng.randrange(3**14) for _ in range(50))):
                 assert star.window(a, a + 1000) == prefix[a : a + 1000]
         assert sys.big_gamma(1).prefix(10**5) == letters
+        for body, seed, a, expected in windows:
+            assert omega.fixed_point(body, seed).window(a, a + 1000) == expected, (body, seed, a)
 
     def test_window_sweep_keeps_no_names(self):
         sys = OmegaSystem(OmegaParams())
@@ -281,7 +341,7 @@ class TestSubstitutionLemma:
     def test_fixed_points_are_fixed_by_decimation(self, c):
         # the identity tau(a)[2r % m] == tau(b)[r], 0 < r < m, which gives
         # Gamma*[2i] = Gamma*[i] by induction on i, and that equality itself
-        m, images = 2 * c + 1, (tau(c, "S"), tau(c, "L"))
+        m, images = 2 * c + 1, (tau("S" * (2 * c), "S"), tau("S" * (2 * c), "L"))
         assert all(a[2 * r % m] == b[r] for a in images for b in images for r in range(1, m))
         sys = OmegaSystem(OmegaParams(c=c))
         for which, prefix in zip((1, 2), fixed_point_prefixes(c, 2 * 10**4)):
@@ -307,7 +367,7 @@ class TestFactors:
         # the least j with min(|tau^j(S)|, |tau^j(L)|) >= length - 1, built
         levels = [["S", "L"]]
         while min(map(len, levels[-1])) < 299:
-            levels.append([tau(c, w) for w in levels[-1]])
+            levels.append([tau("S" * (2 * c), w) for w in levels[-1]])
         for length in range(1, 301):
             j = next(j for j, level in enumerate(levels) if min(map(len, level)) >= length - 1)
             assert omega.covering_level(c, length) == j, (c, length)
