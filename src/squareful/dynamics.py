@@ -116,7 +116,6 @@ def intercept_phases(sys: OmegaSystem) -> tuple[list[int], list[int], int]:
 
 
 _TAILS = ["".join(p) for p in itertools.product("LS", repeat=D_LOOKAHEAD)]
-FORWARD_CAP = 40
 _Remainder = tuple[str, int]
 
 
@@ -175,29 +174,24 @@ class OrbitEngine:
 
     # -- orbits of shifted products --------------------------------------------
 
-    def steps_to_fixed(self, shift: int, first: str, fetch: Callable[[int], str]) -> int | None:
+    def steps_to_fixed(self, shift: int, first: str, fetch: Callable[[int], str]) -> int:
         """Least ``m`` with the m-th square root equal to ``S^omega`` or
-        ``L^omega``, or None past :data:`FORWARD_CAP` steps.
+        ``L^omega``: the depth of the start's remainder ``(first, shift)``,
+        the last ``|S| - shift`` letters of block ``first``.
 
-        ``fetch(i)`` names the i-th block (i >= 1) of the unshifted product;
-        ``first`` names block 0, of which the start word keeps the last
-        ``|S| - shift`` letters.  Periodicity is seen only in a type-D
-        image, so when a type B or C image is already ``S^omega`` or
-        ``L^omega`` (the tail is eventually constant) it counts one more.
+        ``fetch(i)`` names the i-th block (i >= 1) of the unshifted product,
+        but no tail changes the count, so it is not read.  Proof: a forward
+        walk reads the four :data:`~squareful.omega.D_LOOKAHEAD` names after
+        each remainder, which are one of the 16 tails :meth:`_step` checks,
+        so it takes the graph's step at every remainder and ends at the same
+        rotation; the count raises exactly where :meth:`_step` does.
+        Periodicity is seen only in a type-D image, so when a type B or C
+        image is already ``S^omega`` or ``L^omega`` (the tail is eventually
+        constant) the count, like the forward walk, is one more.
         """
         if not 0 < shift < self.n:
             raise ValueError("start word must be a properly shifted product")
-        stride, base = 1, 0  # block t of the current word is block t*stride + base
-        for steps in range(1, FORWARD_CAP + 2):
-            names = "".join(fetch(t * stride + base) for t in range(1, D_LOOKAHEAD + 1))
-            kind, out = self.sys.sqrt_step(first, shift, names)
-            if kind == TYPE_D:
-                return steps + self.rotation_phase(out)
-            first, shift = out
-            if kind == TYPE_B:
-                base -= stride
-            stride *= 2
-        return None
+        return self._depth_of((first, shift))
 
     def start(self) -> tuple[int, str]:
         """A properly shifted start ``(shift, first)`` attaining

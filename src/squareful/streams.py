@@ -97,15 +97,19 @@ class InfiniteWord:
         raise SourcePoisonedError(self.descriptor, have)
 
 
+def _cycle(period: str, start: int, stop: int) -> str:
+    """The letters ``[start:stop]`` of ``period^omega``."""
+    skip, n = start % len(period), stop - start
+    return (period * -(-(skip + n) // len(period)))[skip : skip + n]
+
+
 class _PeriodicWord(InfiniteWord):
     def __init__(self, period: str, descriptor: str):
         super().__init__((), descriptor)
         self._period = period
 
     def _window(self, start: int, stop: int) -> str:
-        p = len(self._period)
-        skip, n = start % p, stop - start
-        return (self._period * -(-(skip + n) // p))[skip : skip + n]
+        return _cycle(self._period, start, stop)
 
     def period(self) -> tuple[int, int]:
         return 0, len(self._period)
@@ -161,6 +165,9 @@ class _DecimatedWord(InfiniteWord):
 
     def __init__(self, src: InfiniteWord, offset: int, stride: int, head: str, descriptor: str):
         super().__init__((), descriptor)
+        known = src.period()
+        if known and offset >= known[0]:  # read a periodic source modulo its period
+            offset, stride = known[0] + (offset - known[0]) % known[1], stride % known[1] or known[1]
         self._src, self._offset, self._stride, self._head = src, offset, stride, head
 
     def _window(self, start: int, stop: int) -> str:
@@ -192,7 +199,12 @@ def decimate(src: InfiniteWord, offset: int, head: str, descriptor: str) -> Infi
     (at most two names on the orbit route, whose heads are one name), and
     its offset moves to the inner source letter that comes next.  Period
     ``p`` from ``start`` gives ``p / gcd(p, stride)`` from ``|head| +
-    max(0, ceil((start - offset) / stride))``."""
+    max(0, ceil((start - offset) / stride))``.  Such a source is read
+    modulo its period: once ``offset >= start``, the view keeps
+    ``start + (offset - start) mod p`` and ``stride mod p`` (``p`` if ``p``
+    divides it), which take the same letters, so a request spans at most
+    ``p`` source letters per letter it returns however often the stride
+    has doubled."""
     if isinstance(src, _DecimatedWord):
         return src.decimated(offset, head, descriptor)
     return _DecimatedWord(src, offset, 2, head, descriptor)
@@ -207,6 +219,17 @@ class _SqrtWord(InfiniteWord):
     def __init__(self, alph: SquareAlphabet, src: InfiniteWord):
         super().__init__((), f"sqrt({src.descriptor})")
         self._alph, self._src = alph, src
+
+    def _window(self, start: int, stop: int) -> str:
+        try:  # walk only if the request reads that much input; a failed walk leaves it to the pieces
+            known = self._src.period()
+            s, p = self._walk if known and 2 * stop >= sum(known) else (stop, 0)
+        except SourcePoisonedError:
+            s, p = stop, 0
+        if stop <= s + p:
+            return super()._window(start, stop)
+        body = super()._window(s, s + p)  # the root repeats it past s + p
+        return self._memo[start:s] + _cycle(body, max(start, s) - s, stop - s)
 
     def _fill(self, n: int) -> Iterator[str]:
         # the input consumed so far is twice the output, and every square
@@ -261,7 +284,13 @@ def sqrt_stream(alph: SquareAlphabet, src: InfiniteWord) -> InfiniteWord:
     If ``src`` has period ``p`` from ``start``, the factorization past
     ``start`` depends on positions mod ``p`` only: ``period()`` walks it to
     a position met before mod ``p`` (at most ``p`` squares past ``start``),
-    reading ``start + p`` letters, and the root repeats from there.
+    reading ``start + p`` letters, and the root repeats from there, with
+    period ``p'`` from ``start'``.  So a request past ``start' + p'`` that
+    would read ``start + p`` input letters anyway runs the walk, fills the
+    memo to ``start' + p'`` only and serves the rest from that period, so
+    each root of an orbit reads a bounded prefix of the root below it, not
+    twice its own output.  A walk that fails leaves the request to the
+    pieces, which serve the letters before the failure.
     """
     return _SqrtWord(alph, src)
 

@@ -1,6 +1,7 @@
 import pytest
 
-from squareful.omega import TYPE_D
+from squareful.dynamics import intercept_phases
+from squareful.omega import D_LOOKAHEAD, TYPE_B, TYPE_D
 
 
 def tokenizer_rotation_walk(sys):
@@ -29,6 +30,41 @@ def tokenizer_rotation_walk(sys):
     return successors, phases
 
 
+FORWARD_CAP = 40
+
+
+def forward_count(sys, shift, first, fetch):
+    """Square root steps from a shifted product to ``S^omega`` or
+    ``L^omega`` by a forward walk over its block names, the oracle for
+    :meth:`squareful.dynamics.OrbitEngine.steps_to_fixed`; None past
+    :data:`FORWARD_CAP` steps.
+
+    ``fetch(i)`` names the i-th block (i >= 1) of the unshifted product;
+    ``first`` names block 0, of which the start word keeps the last ``|S| -
+    shift`` letters.  Each step is one :meth:`OmegaSystem.sqrt_step` on the
+    remainder and the next four names of the current word, whose block
+    ``t`` is block ``t * stride + base`` of the start; a type D image ends
+    the walk with its rotation's phase.  It sees periodicity only there, so
+    when a type B or C image is already ``S^omega`` or ``L^omega`` (the tail
+    is eventually constant) it counts one more."""
+    stride, base = 1, 0
+    for steps in range(1, FORWARD_CAP + 2):
+        names = "".join(fetch(t * stride + base) for t in range(1, D_LOOKAHEAD + 1))
+        kind, out = sys.sqrt_step(first, shift, names)
+        if kind == TYPE_D:
+            return steps + intercept_phases(sys)[1][out]
+        first, shift = out
+        if kind == TYPE_B:
+            base -= stride
+        stride *= 2
+    return None
+
+
 @pytest.fixture
 def rotation_walk():
     return tokenizer_rotation_walk
+
+
+@pytest.fixture
+def forward():
+    return forward_count

@@ -35,14 +35,14 @@ def random_names(rng: random.Random) -> str:
     return f"{rng.getrandbits(4096):04096b}".translate(str.maketrans("01", "SL"))
 
 
-def test_criterion_01_table1_reproduction(rotation_walk):
+def test_criterion_01_table1_reproduction(rotation_walk, forward):
     start = time.time()
     lengths = [8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987]
     rows = dynamics.table1_experiment(lengths)
     got = [r.steps for r in rows]
     want = [dynamics.TABLE1_REFERENCE[s] for s in lengths]
-    # independent of the walk: each row's start, replayed forward on a
-    # fresh system with the other blocks named by Gamma1* or at random,
+    # independent of the walk: each row's start, replayed by the forward
+    # count (the oracle in conftest) on a fresh system with the other blocks named by Gamma1* or at random,
     # attains the value, and so does iterate_sqrt on the Gamma1*-tail word;
     # seeded random starts never exceed it; every rotation's successor and
     # phase by intercept iteration on integer cells equal the tokenizer's
@@ -51,8 +51,7 @@ def test_criterion_01_table1_reproduction(rotation_walk):
     rng = random.Random(2018)
     replayed, random_max, phases_ok, closed_ok = [], [], True, True
     for row in rows:
-        engine = OrbitEngine(dynamics.fibonacci_system(row.s_len))
-        sys = engine.sys
+        sys = dynamics.fibonacci_system(row.s_len)
         closed_ok &= row.steps == sys.s_word.count("0").bit_length()
         successors, phases, bound = dynamics.intercept_phases(sys)
         phases_ok &= max(phases) <= bound
@@ -61,15 +60,14 @@ def test_criterion_01_table1_reproduction(rotation_walk):
         shift, first = row.start
         star = sys.gamma_star(1)
         blocks = streams.from_function(lambda i: first if i == 0 else star.letter(i - 1), "start")
-        on_gamma = engine.steps_to_fixed(shift, first, lambda i: star.letter(i - 1))
+        on_gamma = forward(sys, shift, first, lambda i: star.letter(i - 1))
         orbit = dynamics.iterate_sqrt(sys, streams.expand(sys.product(blocks, shift)), row.steps)
-        at_random = engine.steps_to_fixed(shift, first, lambda i: fill[i % 4096])
+        at_random = forward(sys, shift, first, lambda i: fill[i % 4096])
         replayed.append(on_gamma if on_gamma == orbit.n_fixed == at_random else None)
         worst = 0
         for _ in range(50):
             seq = random_names(rng)
-            steps = engine.steps_to_fixed(rng.randrange(1, row.s_len), rng.choice("SL"),
-                                          lambda i: seq[i % 4096])
+            steps = forward(sys, rng.randrange(1, row.s_len), rng.choice("SL"), lambda i: seq[i % 4096])
             worst = max(worst, steps if steps is not None else 10**9)
         random_max.append(worst)
     elapsed = time.time() - start

@@ -150,6 +150,14 @@ class TestOrbitCommand:
         assert "not known to be a shift of S^omega" in " ".join(capsys.readouterr().out.split())
 
 
+    @pytest.mark.parametrize("kind, word", [("letters", "0010010100101"), ("blocks", "SLL")])
+    def test_long_orbit_of_a_periodic_source(self, capsys, kind, word):
+        # a decimation reads its periodic names modulo their period and a
+        # root repeats its first period, so 200 steps stay small
+        code, out = run(capsys, "orbit", "--input-kind", kind, "--word", word, "--steps", "200")
+        assert code == 0
+        assert len(out.split("\n")) == 203
+
 class TestPreimagesCommand:
     def test_on_generated_target(self, capsys):
         sys = OmegaSystem(OmegaParams())

@@ -396,13 +396,49 @@ class TestLongOrbits:
         assert {s.outcome for rec in nested for s in rec.steps} == {"A", "B", "C", "D", "periodic"}
 
 
+class PieceRoot(streams._SqrtWord):
+    """The square root tokenized a piece at a time at every offset, also past
+    its period, so each level of an orbit reads about twice its output from
+    the level below."""
+
+    _window = streams.InfiniteWord._window
+
+
+class TestPeriodicOrbits:
+    def test_records_match_reads_past_the_period(self, monkeypatch):
+        # periodic letter words and block patterns: reading a decimation
+        # modulo its source's period and a root modulo its own period leaves
+        # every record of 14 steps as the nested views and piecewise roots give it
+        systems = [OmegaSystem(OmegaParams()), OmegaSystem(OmegaParams(k=5)),
+                   OmegaSystem(OmegaParams(a=2, b=1, c=2, k=4))]
+        sources = [(systems[0], lambda: streams.periodic_word("0010010100101"))]  # the 5/13 rotation word
+        for sys in systems:
+            for pattern in ("S", "L", "SL", "SLL", "SSL", "SLSLL"):
+                letters = sys.sigma(pattern)
+                for j in (0, 3):
+                    sources.append((sys, lambda sys=sys, p=pattern, j=j:
+                                    expand(streams.sl_cycle(p, sys.s_word, sys.l_word, j))))
+                    sources.append((sys, lambda w=letters[j:] + letters[:j]: streams.periodic_word(w)))
+
+        def records():
+            recs = [dynamics.iterate_sqrt(sys, make(), 14) for sys, make in sources]
+            return [(r.start, r.n_periodic, r.n_fixed,
+                     [(s.fingerprint, s.outcome, s.versus_start) for s in r.steps]) for r in recs]
+
+        fast = records()
+        monkeypatch.setattr(streams, "decimate", NestedDecimation)
+        monkeypatch.setattr(streams, "sqrt_stream", PieceRoot)
+        assert fast == records()
+        assert len(fast) == 73
+
+
 class TestTable1:
     def test_first_rows(self):
         rows = dynamics.table1_experiment([8, 13])
         assert [r.steps for r in rows] == [3, 4]
 
     @pytest.mark.parametrize("lead", ["S", "L"])
-    def test_witness_replays_to_the_supremum(self, lead):
+    def test_witness_replays_to_the_supremum(self, lead, forward):
         # the row's start attains the value with the other blocks named by
         # the Gamma* that starts with ``lead`` (and so does iterate_sqrt on
         # that word) or at random; an all-S tail may read one more
@@ -414,9 +450,9 @@ class TestTable1:
             blocks = streams.from_function(lambda i: first if i == 0 else star.letter(i - 1), "w")
             orbit = dynamics.iterate_sqrt(sys, expand(sys.product(blocks, shift_letters)), row.steps)
             fill = [rng.choice("SL") for _ in range(256)]
-            assert engine.steps_to_fixed(*row.start, lambda i: star.letter(i - 1)) == row.steps
+            assert forward(sys, *row.start, lambda i: star.letter(i - 1)) == row.steps
             assert orbit.n_fixed == row.steps
-            assert engine.steps_to_fixed(*row.start, lambda i: fill[i % 256]) == row.steps
+            assert forward(sys, *row.start, lambda i: fill[i % 256]) == row.steps
 
     def test_supremum_is_the_bit_length_of_the_zeros(self):
         # the conjectured closed form, off the Fibonacci rows
@@ -463,18 +499,35 @@ class TestNameFreeStep:
             for tails in calls.values():
                 assert len(set(tails)) == len(tails) == 16 and all(len(names) == 4 for names in tails)
 
-    def test_supremum_is_the_largest_forward_count(self):
+    def test_supremum_is_the_largest_forward_count(self, forward):
         rng = random.Random(5)
         grid = [OmegaParams(a, b, c, k, seed) for a in (1, 2) for b in (0, 1) for c in (1, 2)
                 for k in (4, 5) for seed in (PLAIN, SWAPPED)]  # |S| from 8 to 27
         for params in grid:
             sys = OmegaSystem(params)
-            engine, forward = OrbitEngine(sys), OrbitEngine(OmegaSystem(params))
+            engine, fresh = OrbitEngine(sys), OmegaSystem(params)
             value = engine.steps_supremum()
             fill = [rng.choice("SL") for _ in range(256)]
             starts = [(shift, first) for shift in range(1, sys.block_len) for first in "SL"]
-            assert value == max(forward.steps_to_fixed(*s, lambda i: "S") for s in starts), params
-            assert forward.steps_to_fixed(*engine.start(), lambda i: fill[i % 256]) == value, params
+            assert value == max(forward(fresh, *s, lambda i: "S") for s in starts), params
+            assert forward(fresh, *engine.start(), lambda i: fill[i % 256]) == value, params
+
+    def test_depth_is_the_forward_count_on_the_grid(self, forward):
+        # 40 starts per system, with random, Gamma1*-offset and constant
+        # tails: the depth of the start's remainder is the forward count
+        rng, checked = random.Random(28), 0
+        for sys in grid_systems():
+            if sys.block_len > 150:
+                continue
+            engine, fresh, star = OrbitEngine(sys), OmegaSystem(sys.params), sys.gamma_star(1)
+            for t in range(40):
+                seq, offset = [rng.choice("SL") for _ in range(256)], rng.randrange(10**4)
+                const = rng.choice("SL")
+                fetch = [lambda i: seq[i % 256], lambda i: star.letter(offset + i), lambda i: const][t % 3]
+                start = rng.randrange(1, sys.block_len), rng.choice("SL")
+                assert engine.steps_to_fixed(*start, fetch) == forward(fresh, *start, fetch), (sys.params, start)
+                checked += 1
+        assert checked == 108 * 40
 
 
 class TestPreimages:

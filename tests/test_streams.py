@@ -426,6 +426,36 @@ class TestPeriod:
         assert exc.value.position == 4
 
 
+    def test_failed_walk_serves_the_letters_before_the_failure(self):
+        # the period 010101001001011 tokenizes to offset 28, past its end: a
+        # request that reads one period but stops short of 28 is served
+        word = "010101001001011"
+        root = sqrt_stream(ALPH, periodic_word(word))
+        assert root.prefix(14) == sqrt_finite(ALPH, (word * 2)[:28])
+        for ask in (root.period, lambda: root.prefix(15)):
+            with pytest.raises(SourcePoisonedError) as exc:
+                ask()
+            assert exc.value.position == 28
+
+class TestPeriodicOrbits:
+    def test_decimations_read_one_period(self, sys):
+        # each type A step doubles the stride over the names SLL; read modulo
+        # their period, a window of the 24th root spells no long stretch
+        src = expand(sl_cycle("SLL", sys.s_word, sys.l_word))
+        record = []
+        assert traced_peak(lambda: record.append(dynamics.iterate_sqrt(sys, src, 24))) < 2 * 2**20
+        assert {s.outcome for s in record[0].steps} == {"A"}
+
+    def test_roots_repeat_past_their_period(self, sys):
+        # the 5/13 rotation word is squareful here but outside the periodic
+        # part; each root past its first period is read from it, so the 18
+        # nested roots do not each read twice their output from the one below
+        src = periodic_word("0010010100101")
+        record = []
+        assert traced_peak(lambda: record.append(dynamics.iterate_sqrt(sys, src, 18))) < 2 * 2**20
+        assert {s.outcome for s in record[0].steps} == {"stream"}
+
+
 class TestSLProduct:
     def test_expand_examples(self, sys):
         assert expand(sl_cycle("S", sys.s_word, sys.l_word)).prefix(24) == sys.s_word * 3
