@@ -29,8 +29,8 @@ EXIT_USAGE = 2
 
 # The most letters a command may build from --k and table1 --fib (the block
 # word S) and from --j (gamma_j and gamma_bar_j together), and the most block
-# names that --c (tau^2(S) and tau^2(L) together, the size of the tau blocks
-# that the chains, the covering texts and omega gamma build) and the factor
+# names that --c (tau^2(S) and tau^2(L) together, the size of the rotation
+# tables of the fixed points that every tau block is read from) and the factor
 # windows of eq enumerate --bmax may spell; a larger request is a usage error.
 MAX_WORD_LETTERS = 10_000_000
 # The largest periodic-points --max-blocks.  The search spells no pattern, so
@@ -78,14 +78,16 @@ def _system(ns) -> OmegaSystem:
     ``|S| = q_k`` follows the length recurrence of the standard words.  As
     ``q_i >= F_(i+2)`` and ``2c + 1 >= 3``, capping ``k`` and ``j`` at 64
     leaves an over-limit size over the limit.  ``--c`` bounds the ``2 (2c +
-    1)^2`` names of ``tau^2(S)`` and ``tau^2(L)``, the size of the tau blocks
-    that the preimage chains, the covering texts and ``omega gamma`` build
-    (``Gamma*`` reads none).  ``--bmax`` bounds the names of its factor
-    windows, of :func:`equation.window_names` names, one per name of
-    ``tau^j(a)`` in each of four covering texts (the bound counts four,
-    though the lemma of :func:`~squareful.omega.tau` leaves three), ``j =
-    covering_level(c, names)``; it caps the default system at 4568, though
-    the harvest reads only the texts.
+    1)^2`` names of ``tau^2(S)`` and ``tau^2(L)``, the size of the rotation
+    tables that :func:`~squareful.omega.fixed_point` builds (``m = 2c + 1``
+    rotations of two ``m``-name level patterns), from which ``Gamma*``, the
+    preimage chains, the covering texts and ``omega gamma`` read every tau
+    block; no command builds one by substitution.  ``--bmax`` bounds the
+    names of its factor windows, of :func:`equation.window_names` names, one
+    per name of ``tau^j(a)`` in each of four covering texts (the bound counts
+    four, though the lemma of :func:`~squareful.omega.tau` leaves three),
+    ``j = covering_level(c, names)``; it caps the default system at 4568,
+    though the harvest reads only the texts.
     ``--max-blocks`` builds no word; :data:`MAX_BLOCKS` bounds it."""
     params = OmegaParams(a=ns.a, b=ns.b, c=ns.c, k=ns.k, seed=ns.seed_word)
     prev, n = 1, 1

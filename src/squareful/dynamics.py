@@ -370,7 +370,9 @@ class PreimageIndex:
     16 pairs after two names).  Type D is the step's own claim, the one the
     orbit engine uses: the root is ``T^j(S^omega)``, the ``j``-th rotation of
     ``S`` repeated.  The step reads only the window's first ``1 +
-    D_LOOKAHEAD`` names, so it is taken once per such prefix and shift.  A
+    D_LOOKAHEAD`` names, so it is taken once per such prefix and shift, and
+    the letters it fixes (``sigma(head)[shift':]`` or the rotation root) are
+    kept with it; a window then only joins them to its names' letters.  A
     preimage keeps its first witness, in sorted window order and then by
     ascending shift.
     """
@@ -384,24 +386,24 @@ class PreimageIndex:
         need_letters = 2 * need + sys.alphabet.max_square_len + n
         self.window_blocks = need_letters // n + 2
         self.table: dict[str, dict[str, PreimageHit]] = {}
-        steps: dict[str, list[tuple[str, tuple[str, int] | int]]] = {}
+        # per lead, per shift: the root letters the step fixes and the index
+        # in `tails` of what follows them
+        heads: dict[str, list[tuple[str, int]]] = {}
         for window in sys.factors(self.window_blocks):
             size, text, lead = len(window), sys.sigma(window), window[: 1 + D_LOOKAHEAD]
-            if lead not in steps:
-                steps[lead] = [sys.sqrt_step(lead[0], ell, lead[1:]) for ell in range(1, n)]
+            if lead not in heads:
+                heads[lead] = [("", 0)]
+                for ell in range(1, n):
+                    kind, out = sys.sqrt_step(lead[0], ell, lead[1:])
+                    if kind == TYPE_D:
+                        heads[lead].append(((sys.s_word[out:] + sys.s_word[:out]) * (need // n), 3))
+                    else:
+                        heads[lead].append((sys.sigma(out[0])[out[1] :], 1 if kind == TYPE_B else 2))
             # sigma of the first name of each whole pair from name 0 and from name 1
             even = sys.sigma(window[0::2][: size // 2])
-            odd = sys.sigma(window[1::2][: (size - 1) // 2])
-            for ell in range(n):
-                if ell == 0:
-                    root = even
-                else:
-                    kind, out = steps[lead][ell - 1]
-                    if kind == TYPE_D:
-                        root = (sys.s_word[out:] + sys.s_word[:out]) * (need // n)
-                    else:
-                        head, shift = out
-                        root = sys.sigma(head)[shift:] + (odd if kind == TYPE_B else even[n:])
+            tails = even, sys.sigma(window[1::2][: (size - 1) // 2]), even[n:], ""
+            for ell, (head, tail) in enumerate(heads[lead]):
+                root = head + tails[tail]
                 if len(root) < need:
                     raise AssertionError("window too short for the requested match depth")
                 key = text[ell : ell + 2 * resolution]
@@ -447,8 +449,9 @@ def junction_signature(sys: OmegaSystem, hits: list[PreimageHit]) -> bool:
 
 class ChainLink:
     """One link of a preimage chain.  The preimage is a view of its building
-    block: ``len(preimage)`` counts its letters, ``preimage.names`` and
-    ``str(preimage)`` build its names and letters."""
+    block, a fixed-point window, and keeps no names: ``len(preimage)``
+    counts its letters, ``preimage.names()`` and ``str(preimage)`` read its
+    names and spell its letters."""
 
     __slots__ = ("level", "prefix_len", "preimage", "verified")
 
@@ -558,9 +561,11 @@ def preimage_chain(
     squared level-``(k_n + 1)`` building block, with ``sqrt(v_n) == u_n``.
     Both are built on block names: the names of ``u_n`` must end
     ``tau^(k_n + 1)(S)``, and ``v_n`` is the product of the last ``2 |u_n|``
-    names of that block squared.  A link keeps ``v_n`` as a view of that
-    block, which the system caches (a :class:`~squareful.streams.BlockWord`);
-    its names and letters are built only when a caller asks for them.
+    names of that block squared.  The block is a window of a fixed point
+    (:meth:`~squareful.omega.OmegaSystem.tau_source`), and a link keeps
+    ``v_n`` as a view of that window (a
+    :class:`~squareful.streams.BlockWord`), so no link keeps a name: its
+    names and letters are read only when a caller asks for them.
 
     Each link is verified by one of two exact routes.  Up to
     ``letter_verify_cap`` letters of ``v_n`` the letter route retokenizes
@@ -568,8 +573,7 @@ def preimage_chain(
     of the names of ``u_n``.  Above the cap no letter is built: the name
     route checks that the block pairs halve
     (:attr:`~squareful.omega.OmegaSystem.pairs_halve`, once per system)
-    and that the even-indexed names of ``v_n``, read as strided slices of
-    the block, spell the names of ``u_n``.
+    and that the even-indexed names of ``v_n`` spell the names of ``u_n``.
     """
     m = 2 * sys.params.c + 1
     tower = AlignmentTower(sys, names, block_budget)
@@ -588,23 +592,16 @@ def preimage_chain(
             if (pos - nxt_start) % (m ** (k + 1)) != 0:
                 break
             k += 1
-        nxt = pos + ((nxt_start - pos) % (m ** (k + 1)))
-        top = sys.tau_block(k + 1)
-        u_names = names.prefix(nxt)
-        if not top.endswith(u_names):
+        size = m ** (k + 1)
+        nxt = pos + (nxt_start - pos) % size
+        u_names, block = names.prefix(nxt), sys.tau_source(k + 1)
+        if nxt > size or block.window(size - nxt, size) != u_names:
             raise AssertionError("chain prefix is not a suffix of the next building block")
-        # v_n is the last 2 * nxt names of top + top (nxt <= len(top) because
-        # top ends with u_names); its even-indexed names are one strided slice
-        # of top, or two when v_n reaches into the first copy, and their
-        # lengths add up to nxt
-        v = BlockWord(top, 2 * nxt, sys.s_word, sys.l_word)
+        v = BlockWord(block, size, 2 * nxt, sys.s_word, sys.l_word)
         if len(v) <= letter_verify_cap:
-            ok = squares.sqrt_finite(sys.alphabet, sys.sigma(v.names)) == sys.sigma(u_names)
+            ok = squares.sqrt_finite(sys.alphabet, sys.sigma(v.names())) == sys.sigma(u_names)
         else:
-            over = 2 * nxt - len(top)
-            head = top[-2 * nxt :: 2] if over <= 0 else top[-over::2]
-            tail = top[over % 2 :: 2] if over > 0 else ""
-            ok = sys.pairs_halve and u_names.startswith(head) and u_names.endswith(tail)
+            ok = sys.pairs_halve and v.names(2) == u_names
         links.append(ChainLink(k, nxt * sys.block_len, v, ok))
         pos = nxt
     return PreimageChain(links, "ok")

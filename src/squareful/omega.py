@@ -138,11 +138,12 @@ def covering_level(c: int, length: int) -> int:
 class OmegaSystem:
     """Derived data and operations for one parameter choice.
 
-    The substitution is :func:`tau` with ``body = S^(2c)``.  Caches the tau
-    blocks ``tau^j(S)``, which the covering texts, ``gamma`` and the
-    preimage chains read; instances are cheap to share, but the lazy
-    sources they hand out follow the single-consumer rule of
-    :mod:`squareful.streams`.
+    The substitution is :func:`tau` with ``body = S^(2c)``.  Its blocks
+    ``tau^j(S)`` and ``tau^j(L)``, which the covering texts, ``gamma`` and
+    the preimage chains read, are windows of the fixed points ``Gamma1*``
+    and ``Gamma2*`` (:meth:`tau_source`), so the system keeps no names;
+    instances are cheap to share, but the lazy sources they hand out follow
+    the single-consumer rule of :mod:`squareful.streams`.
     """
 
     def __init__(self, params: OmegaParams):
@@ -159,7 +160,6 @@ class OmegaSystem:
         self.l_word = words.swap_first_two(seed_word)
         self._sigma_table = {ord("S"): self.s_word, ord("L"): self.l_word}
         self._body = "S" * (2 * params.c)
-        self._tau_blocks = ["S"]
         self._gamma_star: dict[int, InfiniteWord] = {}
         self._steps: dict[tuple[str, int, str], tuple[str, tuple[str, int] | int]] = {}
 
@@ -183,19 +183,25 @@ class OmegaSystem:
         blocks = (self.s_word, self.l_word)
         return all(squares.sqrt_finite(self.alphabet, x + y) == x for x in blocks for y in blocks)
 
+    def tau_source(self, j: int, name: str = "S") -> InfiniteWord:
+        """The fixed point whose first ``(2c + 1)^j`` names are
+        ``tau^j(name)``, the one seeded ``name`` flipped ``j`` times: by (b)
+        of :func:`tau`, tau maps each fixed point to the other, so ``tau^j``
+        maps the one seeded ``name``, which starts with ``name``, to it."""
+        return self.gamma_star(1 + (j + (name == "L")) % 2)
+
     def tau_block(self, j: int) -> str:
-        """``tau^j(S)`` as a word over the block names."""
-        blocks = self._tau_blocks
-        while len(blocks) <= j:
-            blocks.append(tau(self._body, blocks[-1]))
-        return blocks[j]
+        """``tau^j(S)`` as a word over the block names, a window of
+        :meth:`tau_source`: ``Gamma1*`` for even ``j``, ``Gamma2*`` for odd."""
+        return self.tau_source(j).prefix((2 * self.params.c + 1) ** j)
 
     def covering_texts(self, length: int) -> list[str]:
         """The texts ``tau^j(a) tau^j(b)`` cut after ``length - 1`` names of
         ``tau^j(b)``, one per 2-letter factor ``ab`` of the tau language
         (``LS``, ``SL`` and ``SS``, by (c) of :func:`tau`), with ``j =
-        covering_level(c, length)``; ``tau^j(L)`` is ``tau^j(S)`` with name
-        0 flipped, by (a).
+        covering_level(c, length)``; each part is a prefix of a fixed point
+        (:meth:`tau_source`), and by (a) ``tau^j(L)`` is ``tau^j(S)`` with
+        name 0 flipped, as the fixed points differ only in name 0.
 
         Lemma: the factors of ``length`` names are exactly the slices of that
         length of these texts, that is those of ``tau^j(ab)`` that start
@@ -206,9 +212,10 @@ class OmegaSystem:
         for ``b`` any right neighbour of ``a``).  Conversely ``tau^j(ab)`` is
         in the language.
         """
-        top = self.tau_block(covering_level(self.params.c, length))
-        blocks = {"S": top, "L": ("L" if top[0] == "S" else "S") + top[1:]}
-        return [(blocks[a] + blocks[b])[: len(top) + length - 1] for a, b in ("LS", "SL", "SS")]
+        j = covering_level(self.params.c, length)
+        size = (2 * self.params.c + 1) ** j
+        return [self.tau_source(j, a).prefix(size) + self.tau_source(j, b).prefix(length - 1)
+                for a, b in ("LS", "SL", "SS")]
 
     def factors(self, length: int) -> list[str]:
         """The sorted factors of ``length`` block names of the tau language:
@@ -220,9 +227,10 @@ class OmegaSystem:
         return self.sigma(self.tau_block(j))
 
     def gamma_bar(self, j: int) -> str:
-        """``sigma(tau^j(L))``, which by (a) of :func:`tau` is ``gamma(j)``
-        with its first block swapped for the other, that is its first two letters."""
-        return words.swap_first_two(self.gamma(j))
+        """``sigma(tau^j(L))``, ``tau^j(L)`` read as a window of the other
+        fixed point than ``tau^j(S)`` (:meth:`tau_source`); by (a) of
+        :func:`tau` it is ``gamma(j)`` with its first block swapped."""
+        return self.sigma(self.tau_source(j, "L").prefix((2 * self.params.c + 1) ** j))
 
     # -- infinite words ------------------------------------------------------
 

@@ -317,25 +317,27 @@ class SLProduct:
 
 
 class BlockWord:
-    """The product of the last ``size <= 2 * len(block)`` names of ``block``
-    squared, as a view of ``block``: ``len`` counts its letters without
-    building them; ``names`` and ``str`` build its names and letters."""
+    """The product of the last ``size <= 2 * block_len`` names of the block
+    squared, the block being the first ``block_len`` names of ``source``, as
+    a view of that window: ``len`` counts its letters without reading a
+    name, ``names`` reads its names and ``str`` spells them."""
 
-    __slots__ = ("block", "size", "s_word", "l_word")
+    __slots__ = ("source", "block_len", "size", "s_word", "l_word")
 
-    def __init__(self, block: str, size: int, s_word: str, l_word: str):
-        self.block, self.size, self.s_word, self.l_word = block, size, s_word, l_word
+    def __init__(self, source: InfiniteWord, block_len: int, size: int, s_word: str, l_word: str):
+        self.source, self.block_len, self.size, self.s_word, self.l_word = source, block_len, size, s_word, l_word
 
-    @property
-    def names(self) -> str:
-        cut = len(self.block) - self.size
-        return self.block[cut:] if cut >= 0 else self.block[cut:] + self.block
+    def names(self, step: int = 1) -> str:
+        """Every ``step``-th name from name 0, one or two strided windows of ``source``."""
+        n, cut = self.block_len, self.block_len - self.size
+        head = self.source.window(cut % n, n)[::step]
+        return head if cut >= 0 else head + self.source.prefix(n)[-cut % step :: step]
 
     def __len__(self) -> int:
         return self.size * len(self.s_word)
 
     def __str__(self) -> str:
-        return self.names.translate({ord("S"): self.s_word, ord("L"): self.l_word})
+        return self.names().translate({ord("S"): self.s_word, ord("L"): self.l_word})
 
 
 class _ExpandedWord(InfiniteWord):

@@ -751,7 +751,7 @@ class TestPreimageChains:
                 routes = [dynamics.preimage_chain(sys, shift(star, t), depth=6,
                                                   letter_verify_cap=cap)
                           for cap in (10**12, 0)]
-                full, capped = ([(l.level, l.prefix_len, len(l.preimage), l.preimage.names,
+                full, capped = ([(l.level, l.prefix_len, len(l.preimage), l.preimage.names(),
                                   str(l.preimage), l.verified) for l in chain.links] for chain in routes)
                 assert routes[0].status == routes[1].status == "ok"
                 assert full == capped
@@ -814,6 +814,29 @@ class TestPreimageChains:
             assert all(link.verified for link in chain.links)
             assert letters == sum(2 * link.prefix_len for link in chain.links)
             assert peak < bound_mib * 2**20, (t, peak)
+
+    def test_chain_keeps_no_block(self):
+        # a link is a view of a fixed-point window: a depth-10 chain on
+        # T^80(Gamma1*), up to a level-12 link of 3^13-name blocks, retains
+        # no block while it is alive, and the system none once it is dropped
+        sys = OmegaSystem(OmegaParams())
+        names = shift(sys.gamma_star(1), 80)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            chain = dynamics.preimage_chain(sys, names, depth=10, block_budget=12_000_000)
+            alive = tracemalloc.get_traced_memory()[0] - base
+            status, levels = chain.status, [link.level for link in chain.links]
+            del chain
+            dropped = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert status == "ok" and len(levels) == 10 and levels[-1] == 12
+        assert alive < 0.1 * 2**20, alive
+        assert dropped < 0.1 * 2**20, dropped
 
 
 @functools.lru_cache(maxsize=None)

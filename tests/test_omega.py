@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from squareful import equation, omega, squares, streams, words
+from squareful import dynamics, equation, omega, squares, streams, words
 from squareful.dynamics import AlignmentTower, OrbitEngine, fibonacci_system, intercept_phases
 from squareful.omega import PERIODIC, PLAIN, SWAPPED, OmegaParams, OmegaSystem, tau
 from squareful.squares import in_pi, sqrt_finite, square_matcher
@@ -240,8 +240,11 @@ class TestGammaStar:
         assert reads == 2128
 
     def test_reads_build_no_tau_block(self, monkeypatch):
-        # Gamma* windows, Gamma1 letters and the fixed points of every body
-        # come from the valuation rule, with tau_block and tau patched to raise
+        # Gamma* windows, Gamma1 letters, the fixed points of every body and
+        # every tau block reader (the blocks, gamma, gamma_bar, the covering
+        # texts and factors, the preimage index and a depth-10 chain) come
+        # from the valuation rule, with tau patched to raise; what they must
+        # give is built with tau first
         ones, twos = fixed_point_prefixes(1, 3**14 + 1000)
         probe = OmegaSystem(OmegaParams())
         letters = probe.sigma(ones[: 10**5 // probe.block_len + 1])[: 10**5]
@@ -249,11 +252,21 @@ class TestGammaStar:
         windows = [(body, seed, a, fixed_point_window(body, seed, a, a + 1000))
                    for body in BODIES for seed in "SL"
                    for a in (0, offsets.randrange((len(body) + 1) ** 6))]
+        blocks = [(tau_power(1, "S", j), tau_power(1, "L", j)) for j in range(10)]
+        texts = {length: [(blocks[j][a == "L"] + blocks[j][b == "L"])[: 3**j + length - 1]
+                          for a, b in ("LS", "SL", "SS")]
+                 for length in (1, 2, 3, 10, 28, 100, 250)
+                 for j in [omega.covering_level(1, length)]}
+
+        def hits(index):
+            return {key: [(hit.shift, hit.window) for hit in bucket.values()]
+                    for key, bucket in index.table.items()}
+
+        table = hits(dynamics.PreimageIndex(probe))
 
         def refuse(*args, **kwargs):
             raise AssertionError("a fixed point read built a tau block")
 
-        monkeypatch.setattr(OmegaSystem, "tau_block", refuse)
         monkeypatch.setattr(omega, "tau", refuse)
         sys, rng = OmegaSystem(OmegaParams()), random.Random(3)
         for which, prefix in ((1, ones), (2, twos)):
@@ -263,6 +276,22 @@ class TestGammaStar:
         assert sys.big_gamma(1).prefix(10**5) == letters
         for body, seed, a, expected in windows:
             assert omega.fixed_point(body, seed).window(a, a + 1000) == expected, (body, seed, a)
+        for j, (s_block, l_block) in enumerate(blocks):
+            assert sys.tau_block(j) == s_block, j
+            assert sys.gamma(j) == sys.sigma(s_block) and sys.gamma_bar(j) == sys.sigma(l_block), j
+        for length, expected in texts.items():
+            assert sys.covering_texts(length) == expected, length
+            assert sys.factors(length) == sorted({text[i : i + length] for text in expected
+                                                  for i in range(len(text) - length + 1)}), length
+        assert hits(dynamics.PreimageIndex(sys)) == table
+        t, pos, links = 5, 0, []
+        for _ in range(10):  # the link levels and prefixes by 3-adic arithmetic
+            k = next(k for k in itertools.count() if (pos + t) % 3 ** (k + 1))
+            pos += (-t - pos) % 3 ** (k + 1)
+            links.append((k, pos * sys.block_len))
+        chain = dynamics.preimage_chain(sys, shift(sys.gamma_star(1), t), depth=10)
+        assert chain.status == "ok" and all(link.verified for link in chain.links)
+        assert [(link.level, link.prefix_len) for link in chain.links] == links
 
     def test_window_sweep_keeps_no_names(self):
         sys = OmegaSystem(OmegaParams())
@@ -319,12 +348,18 @@ class TestSubstitutionLemma:
 
     @pytest.mark.parametrize("params", LEMMA_SYSTEMS)
     def test_l_blocks_differ_from_s_blocks_in_name_zero(self, params):
-        sys, c = OmegaSystem(params), params.c
-        for j in range(5 if c < 3 else 4):
-            s_block, l_block = tau_power(c, "S", j), tau_power(c, "L", j)
+        # tau^j(S) and tau^j(L), read as fixed-point windows (tau_block and
+        # tau_source), against tau iterated, for every j with (2c + 1)^j <= 3^13
+        sys, body = OmegaSystem(params), "S" * (2 * params.c)
+        s_block, l_block, j = "S", "L", 0
+        while len(s_block) <= 3**13:
             assert s_block[1:] == l_block[1:] and s_block[0] != l_block[0]
-            assert sys.tau_block(j) == s_block
-            assert sys.gamma_bar(j) == sys.sigma(l_block)
+            assert sys.tau_block(j) == s_block, (params, j)
+            assert sys.tau_source(j, "L").prefix(len(l_block)) == l_block, (params, j)
+            if j < 5:
+                assert sys.gamma_bar(j) == sys.sigma(l_block)
+            s_block, l_block, j = tau(body, s_block), tau(body, l_block), j + 1
+        assert j == {1: 14, 2: 9, 3: 8, 4: 7, 5: 6}[params.c]
 
     @pytest.mark.parametrize("params", LEMMA_SYSTEMS)
     def test_covering_texts_use_the_closure_pairs(self, params):
@@ -332,9 +367,10 @@ class TestSubstitutionLemma:
         pairs = closure_pairs(c)
         assert pairs == {"LS", "SL", "SS"}
         for length in [*range(1, 61), 100, 250]:
-            j = omega.covering_level(c, length)
-            blocks = {x: tau_power(c, x, j) for x in "SL"}
-            texts = [(blocks[a] + blocks[b])[: len(blocks[a]) + length - 1] for a, b in sorted(pairs)]
+            # tau^j(L) is tau^j(S) with name 0 flipped, by (a)
+            top = tau_power(c, "S", omega.covering_level(c, length))
+            blocks = {"S": top, "L": top[0].translate(omega.FLIP) + top[1:]}
+            texts = [(blocks[a] + blocks[b])[: len(top) + length - 1] for a, b in sorted(pairs)]
             assert sys.covering_texts(length) == texts, (params, length)
 
     @pytest.mark.parametrize("c", range(1, 6))
