@@ -14,14 +14,15 @@ of block ``first``.  One application of the map,
 
 In the first two cases the root of ``y`` is again a remainder.  The periodic
 part is integer arithmetic: by the intercept map of the Sturmian square root
-(EJC 2017), :func:`intercept_phases` steps each rotation ``T^j(S^omega)`` to
-its successor on integer cells and counts its phase, the steps to
-``S^omega`` or ``L^omega``.  Table 1 is a walk on the graph whose nodes are
-the remainders: each has one successor, a remainder or a rotation, because
-the engine checks that a remainder's step does not depend on the names of
-the blocks after it.  A remainder's depth is its step count to ``S^omega``
-or ``L^omega``, ending in a rotation's phase; the supremum is the largest
-depth of a start's remainder.
+(EJC 2017), :attr:`OmegaSystem.rotations` steps each rotation
+``T^j(S^omega)`` to its successor on integer cells and counts its phase, the
+steps to ``S^omega`` or ``L^omega``; it is the system's one table, which the
+engine and :func:`iterate_sqrt` read.  Table 1 is a walk on the graph whose
+nodes are the remainders: each has one successor, a remainder or a rotation,
+because the engine checks that a remainder's step does not depend on the
+names of the blocks after it.  A remainder's depth is its step count to
+``S^omega`` or ``L^omega``, ending in a rotation's phase; the supremum is the
+largest depth of a start's remainder.
 """
 
 from __future__ import annotations
@@ -68,49 +69,6 @@ def fibonacci_estimate(s_len: int) -> str:
     return f"{(e - 100) // 100}.{(e - 100) % 100:02d}"
 
 
-def intercept_phases(sys: OmegaSystem) -> tuple[list[int], list[int], int]:
-    """Rotation successors and phases by exact intercept arithmetic on
-    integer cells, with the phases' proven bound.
-
-    The slope is ``alpha = p/n`` with ``n = |S|`` and ``p`` the number of
-    1s of ``S``; cell ``c`` is the intercept arc ``[c/n, (c+1)/n)``.  Lemma:
-    ``1 - alpha = (n - p)/n`` is a cell edge, so the coding is constant on
-    each cell (letter ``i`` of cell ``c`` is 1 iff ``(c + i p) mod n >=
-    n - p``), and ``psi(rho) = (rho + 1 - alpha)/2``, the map of
-    :meth:`RotationSystem.sqrt_intercept`, sends cell ``c`` into cell
-    ``floor((c + n - p)/2)``.  ``T^j(S^omega)`` is the coding of cell
-    ``(c_S + j p) mod n``, where ``c_S`` is the cell coded by ``S``, so the
-    square root of ``T^j(S^omega)`` is ``T^j'(S^omega)`` with ``j' =
-    (floor((c + n - p)/2) - c_S) p^-1 mod n`` (``p`` and ``n`` are coprime,
-    as ``S`` is primitive).  The phase is the number of steps to the cell of
-    ``S`` or of ``L``.  Those two cells meet at the edge ``n - p``, and a
-    step halves the distance in cells to that edge, which starts at most
-    ``n - p``: so the phase is at most ``ceil(log2(n - p))``, and a longer
-    iteration raises.  Returns the successor and the phase of every rotation
-    ``j`` in order, and the bound.
-    """
-    n, p = sys.block_len, sys.s_word.count("1")
-    w0 = "".join("1" if i * p % n >= n - p else "0" for i in range(n))
-    cells = []
-    for word in (sys.s_word, sys.l_word):
-        at = (w0 + w0).find(word)
-        if at < 0:
-            raise ValueError("block words are not factors of the rotation coding")
-        cells.append(at * p % n)
-    c_s, c_l = cells
-    bound, p_inv = (n - p - 1).bit_length(), pow(p, -1, n)
-    successors, phases = [], []
-    for j in range(n):
-        c, steps = (c_s + j * p) % n, 0
-        successors.append(((c + n - p) // 2 - c_s) * p_inv % n)
-        while c != c_s and c != c_l:
-            if steps == bound:
-                raise AssertionError("psi iteration exceeded its proven bound")
-            c, steps = (c + n - p) // 2, steps + 1
-        phases.append(steps)
-    return successors, phases, bound
-
-
 # ---------------------------------------------------------------------------
 # the exact orbit engine
 
@@ -125,17 +83,16 @@ class OrbitEngine:
     The counts are depths in a graph where every node has one successor.  A
     node is a remainder ``(first, shift)``, whose successor is its square
     root step: another remainder after type B or C, and after type D the
-    rotation ``T^j(S^omega)``, whose depth is its phase.  The rotations and
-    their phases come from :func:`intercept_phases`, computed on first use;
-    the rotations 0 and ``sys.conjugate_index(sys.l_word)`` (``S^omega`` and
-    ``L^omega``) have phase 0.
+    rotation ``T^j(S^omega)``, whose depth is its phase, read from the
+    system's one table :attr:`OmegaSystem.rotations`; the rotations 0 and
+    ``sys.conjugate_index(sys.l_word)`` (``S^omega`` and ``L^omega``) have
+    phase 0.
     """
 
     def __init__(self, sys: OmegaSystem):
         self.sys = sys
         self.n = sys.block_len
         self._depth: dict[_Remainder, int] = {}
-        self._phases: list[int] | None = None
 
     def _step(self, node: _Remainder) -> tuple[str, _Remainder | int]:
         """The square root step of a remainder, which must come out the same
@@ -168,9 +125,7 @@ class OrbitEngine:
 
     def rotation_phase(self, j: int) -> int:
         """Steps for ``T^j(S^omega)`` to reach ``S^omega`` or ``L^omega``."""
-        if self._phases is None:
-            _, self._phases, _ = intercept_phases(self.sys)
-        return self._phases[j]
+        return self.sys.rotations[1][j]
 
     # -- orbits of shifted products --------------------------------------------
 
@@ -243,10 +198,12 @@ def iterate_sqrt(sys: OmegaSystem, src: InfiniteWord, m: int) -> OrbitRecord:
     """Record ``m`` square root steps starting from ``src``.
 
     Uses the structural route when the source carries product provenance and
-    the raw lazy tokenizer otherwise.  A word is ``periodic`` only as a type D
-    image or by :meth:`OmegaSystem.rotation_index`; ``stream`` means the word
-    is not known to be a shift of ``S^omega``, and no guess is made.  The
-    periodic part follows the rotation successors of :func:`intercept_phases`.
+    the raw lazy tokenizer otherwise.  A product iterate takes its type and
+    its root from one :meth:`OmegaSystem.sqrt_of_product`.  A word is
+    ``periodic`` only as a type D image or by
+    :meth:`OmegaSystem.rotation_index`; ``stream`` means the word is not
+    known to be a shift of ``S^omega``, and no guess is made.  The periodic
+    part follows the rotation successors of :attr:`OmegaSystem.rotations`.
     """
     n = sys.block_len
     record = OrbitRecord(start=src.descriptor)
@@ -255,24 +212,24 @@ def iterate_sqrt(sys: OmegaSystem, src: InfiniteWord, m: int) -> OrbitRecord:
     for step in range(m + 1):
         if rotation is None:
             rotation = sys.rotation_index(cur)
-            if rotation is not None:  # the orbit stays in the periodic part
-                successors, phases, _ = intercept_phases(sys)
-        if rotation is not None:
+        if rotation is not None:  # the orbit stays in the periodic part
             fp, outcome = sys.omega_p_word(rotation).prefix(n), PERIODIC
             if record.n_periodic is None:
                 record.n_periodic = step
-            if record.n_fixed is None and phases[rotation] == 0:
+            if record.n_fixed is None and sys.rotations[1][rotation] == 0:
                 record.n_fixed = step
+        elif cur.product is not None:
+            root, kind = sys.sqrt_of_product(cur.product)
+            fp, outcome = cur.prefix(n), TYPE_D if kind == PERIODIC else kind
         else:
-            fp = cur.prefix(n)
-            outcome = sys.classify_type(cur.product)[0] if cur.product is not None else "stream"
+            fp, outcome = cur.prefix(n), "stream"
         record.steps.append(OrbitStep(fp, outcome, _compare(start_fp, fp)))
         if step == m:
             break
         if rotation is not None:
-            rotation = successors[rotation]
+            rotation = sys.rotations[0][rotation]
         elif cur.product is not None:
-            cur, _ = sys.sqrt_of_product(cur.product)
+            cur = root
         else:
             cur = streams.sqrt_stream(sys.alphabet, cur)
     return record

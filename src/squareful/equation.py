@@ -21,6 +21,7 @@ and the factor windows below) stay at ``S^(2c)``.
 from __future__ import annotations
 
 import itertools
+import re
 
 from . import squares, streams, words
 from .omega import OmegaSystem
@@ -51,13 +52,12 @@ def is_solution(alph: SquareAlphabet, w: str) -> SolutionCertificate | None:
 
 
 def harvest_square_factors(text: str, max_root_len: int) -> set[str]:
-    """Distinct primitive-or-not roots ``u`` with ``u^2`` a factor of ``text``."""
+    """Distinct primitive-or-not roots ``u`` with ``u^2`` a factor of ``text``,
+    one regex pass per root length ``half``: a lookahead that matches at
+    every position where the next ``half`` letters repeat."""
     found: set[str] = set()
-    for half in range(1, max_root_len + 1):
-        step = 2 * half
-        for i in range(len(text) - step + 1):
-            if text[i : i + half] == text[i + half : i + step]:
-                found.add(text[i : i + half])
+    for half in range(1, min(max_root_len, len(text) // 2) + 1):
+        found.update(re.findall(f"(?=(.{{{half}}})\\1)", text, re.S))
     return found
 
 

@@ -14,6 +14,12 @@ periodic word ``S^omega`` closes the system under the square root map.
 ``gamma(j)`` and ``gamma_bar(j)`` are the level-``j`` building blocks
 ``sigma(tau^j(S))`` and ``sigma(tau^j(L))``; ``big_gamma(1)`` and
 ``big_gamma(2)`` are the two aperiodic fixed points of the square root map.
+
+The square root map acts on shifted block products through one kernel,
+:meth:`OmegaSystem.sqrt_step`, which :meth:`OmegaSystem.sqrt_of_product`
+writes as views.  Its type D images are the rotations ``T^j(S^omega)``, the
+periodic part, whose successors and phases are the one integer table
+:attr:`OmegaSystem.rotations`.
 """
 
 from __future__ import annotations
@@ -34,7 +40,6 @@ TYPE_B = "B"
 TYPE_C = "C"
 TYPE_D = "D"
 
-PRODUCT_FORM = "in_omega_a_form"
 PERIODIC = "periodic"
 
 FLIP = {ord("S"): "L", ord("L"): "S"}  # swaps the names: x -> xbar
@@ -270,6 +275,50 @@ class OmegaSystem:
         j = (self.s_word * 2).find(u) if len(u) == self.block_len else -1
         return j if j >= 0 else None
 
+    @functools.cached_property
+    def rotations(self) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+        """Rotation successors and phases by exact intercept arithmetic on
+        integer cells, with the phases' proven bound.
+
+        The slope is ``alpha = p/n`` with ``n = |S|`` and ``p`` the number of
+        1s of ``S``; cell ``c`` is the intercept arc ``[c/n, (c+1)/n)``.  Lemma:
+        ``1 - alpha = (n - p)/n`` is a cell edge, so the coding is constant on
+        each cell (letter ``i`` of cell ``c`` is 1 iff ``(c + i p) mod n >=
+        n - p``), and ``psi(rho) = (rho + 1 - alpha)/2``, the map of
+        :meth:`~squareful.sturmian.RotationSystem.sqrt_intercept` (EJC 2017),
+        sends cell ``c`` into cell ``floor((c + n - p)/2)``.  ``T^j(S^omega)``
+        is the coding of cell ``(c_S + j p) mod n``, where ``c_S`` is the cell
+        coded by ``S``, so the square root of ``T^j(S^omega)`` is
+        ``T^j'(S^omega)`` with ``j' = (floor((c + n - p)/2) - c_S) p^-1 mod
+        n`` (``p`` and ``n`` are coprime, as ``S`` is primitive).  The phase is
+        the number of steps to the cell of ``S`` or of ``L``.  Those two cells
+        meet at the edge ``n - p``, and a step halves the distance in cells to
+        that edge, which starts at most ``n - p``: so the phase is at most
+        ``ceil(log2(n - p))``, and a longer iteration raises.  Returns the
+        successor and the phase of every rotation ``j`` in order, and the
+        bound; the one table of the periodic part, computed on first use.
+        """
+        n, p = self.block_len, self.s_word.count("1")
+        w0 = "".join("1" if i * p % n >= n - p else "0" for i in range(n))
+        cells = []
+        for word in (self.s_word, self.l_word):
+            at = (w0 + w0).find(word)
+            if at < 0:
+                raise ValueError("block words are not factors of the rotation coding")
+            cells.append(at * p % n)
+        c_s, c_l = cells
+        bound, p_inv = (n - p - 1).bit_length(), pow(p, -1, n)
+        successors, phases = [], []
+        for j in range(n):
+            c, steps = (c_s + j * p) % n, 0
+            successors.append(((c + n - p) // 2 - c_s) * p_inv % n)
+            while c != c_s and c != c_l:
+                if steps == bound:
+                    raise AssertionError("psi iteration exceeded its proven bound")
+                c, steps = (c + n - p) // 2, steps + 1
+            phases.append(steps)
+        return tuple(successors), tuple(phases), bound
+
     # -- the square root step --------------------------------------------------
 
     def sqrt_step(self, first: str, shift: int, names: str) -> tuple[str, tuple[str, int] | int]:
@@ -320,9 +369,9 @@ class OmegaSystem:
         self._steps[key] = step
         return step
 
-    def _product_step(self, prod: SLProduct) -> tuple[str, tuple[str, int] | int | None]:
+    def _product_step(self, prod: SLProduct) -> tuple[str, tuple[str, int] | int]:
         if prod.shift == 0:
-            return TYPE_A, None
+            return TYPE_A, ("", 0)
         return self.sqrt_step(prod.blocks.letter(0), prod.shift, prod.blocks.window(1, 1 + D_LOOKAHEAD))
 
     # -- type classification and square roots --------------------------------
@@ -339,25 +388,22 @@ class OmegaSystem:
         return kind, 0
 
     def sqrt_of_product(self, prod: SLProduct) -> tuple[InfiniteWord, str]:
-        """Square root of a shifted product, with its structural outcome.
+        """Square root of a shifted product, with the type of its step.
 
-        Types A-C yield another shifted product (the descriptor is recovered
-        exactly); type D yields ``T^j(S^omega)``, cross-checked against the raw
-        stream on ``3|S|`` letters (it raises and decides nothing).
+        This is :meth:`sqrt_step` written as views.  Types A, B and C yield
+        the root remainder (none for A) over every other block name from
+        offset 0, 1 or 2, a shifted product again, as the block pairs after
+        the remainder halve (:attr:`pairs_halve`); type D yields
+        ``T^j(S^omega)`` with the label :data:`PERIODIC`, the step's own
+        claim, which no letter route re-checks.
         """
-        kind, result = self._product_step(prod)
-        descriptor = f"sqrt-blocks[{prod.blocks.descriptor}]"
-        if kind == TYPE_A:
-            out_blocks = streams.decimate(prod.blocks, 0, "", descriptor)
-            return streams.expand(self.product(out_blocks)), PRODUCT_FORM
+        kind, out = self._product_step(prod)
         if kind == TYPE_D:
-            word, n = self.omega_p_word(result), self.block_len
-            if streams.sqrt_stream(self.alphabet, streams.expand(prod)).prefix(3 * n) != word.prefix(3 * n):
-                raise AssertionError(f"type D image is not T^{result}(S^w)")
-            return word, PERIODIC
-        head, shift = result
-        out_blocks = streams.decimate(prod.blocks, 1 if kind == TYPE_B else 2, head, descriptor)
-        return streams.expand(self.product(out_blocks, shift)), PRODUCT_FORM
+            return self.omega_p_word(out), PERIODIC
+        head, shift = out
+        descriptor = f"sqrt-blocks[{prod.blocks.descriptor}]"
+        blocks = streams.decimate(prod.blocks, (TYPE_A, TYPE_B, TYPE_C).index(kind), head, descriptor)
+        return streams.expand(self.product(blocks, shift)), kind
 
     # -- membership helpers ---------------------------------------------------
 

@@ -4,7 +4,7 @@ A :class:`RotationSystem` is exact: its slope and intercepts are
 :class:`fractions.Fraction` values supplied by the caller, and circle points
 live in ``[0, 1)``.  The module itself imports no ``fractions``; the
 subshift's own intercept arithmetic runs on integer cells (see
-:func:`squareful.dynamics.intercept_phases`).  Irrational-slope words are
+:attr:`squareful.omega.OmegaSystem.rotations`).  Irrational-slope words are
 never produced by rotation; they come combinatorially from the standard word
 recurrence or from substitutions (see :mod:`squareful.omega`).
 """

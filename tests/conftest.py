@@ -1,12 +1,11 @@
 import pytest
 
-from squareful.dynamics import intercept_phases
 from squareful.omega import D_LOOKAHEAD, TYPE_B, TYPE_D
 
 
 def tokenizer_rotation_walk(sys):
     """Successor and phase of every rotation ``T^j(S^omega)`` by the
-    tokenizer, the oracle for :func:`squareful.dynamics.intercept_phases`.
+    tokenizer, the oracle for :attr:`squareful.omega.OmegaSystem.rotations`.
 
     For ``j >= 1`` the rotation is the remainder ``("S", j)`` over S blocks,
     so its square root is one :meth:`OmegaSystem.sqrt_step`: the rotation of
@@ -27,7 +26,7 @@ def tokenizer_rotation_walk(sys):
             assert steps < n, "the rotations cycle without reaching S^w or L^w"
             j, steps = successors[j], steps + 1
         phases.append(steps)
-    return successors, phases
+    return tuple(successors), tuple(phases)
 
 
 FORWARD_CAP = 40
@@ -52,7 +51,7 @@ def forward_count(sys, shift, first, fetch):
         names = "".join(fetch(t * stride + base) for t in range(1, D_LOOKAHEAD + 1))
         kind, out = sys.sqrt_step(first, shift, names)
         if kind == TYPE_D:
-            return steps + intercept_phases(sys)[1][out]
+            return steps + sys.rotations[1][out]
         first, shift = out
         if kind == TYPE_B:
             base -= stride

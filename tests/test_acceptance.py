@@ -53,7 +53,7 @@ def test_criterion_01_table1_reproduction(rotation_walk, forward):
     for row in rows:
         sys = dynamics.fibonacci_system(row.s_len)
         closed_ok &= row.steps == sys.s_word.count("0").bit_length()
-        successors, phases, bound = dynamics.intercept_phases(sys)
+        successors, phases, bound = sys.rotations
         phases_ok &= max(phases) <= bound
         phases_ok &= (successors, phases) == rotation_walk(sys)
         fill = random_names(rng)

@@ -8,6 +8,9 @@ own unit test reaches is a second route to a claim that nothing else
 checks, and is deleted instead.  Likewise a defaulted parameter that no
 caller there passes is a knob that nothing turns, and becomes a constant.
 The benchmark files are only read here.
+
+No code of the package reaches into another object's private attributes:
+an underscore attribute is read only on ``self``, ``cls`` or ``super()``.
 """
 
 import ast
@@ -129,3 +132,26 @@ def test_every_default_is_passed_by_a_caller():
                           name == called and (spread or param in kws or (pos is not None and npos > pos))
                           for name, npos, kws, spread in seen))
     assert not unpassed, "defaulted parameters no caller passes: " + ", ".join(unpassed)
+
+
+def foreign_private_attributes(tree: ast.Module) -> list[str]:
+    """Each ``owner._name`` whose owner is not ``self``, ``cls`` or
+    ``super()``, as ``line: source``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            owner = node.value
+            if isinstance(owner, ast.Name) and owner.id in ("self", "cls"):
+                continue
+            if isinstance(owner, ast.Call) and getattr(owner.func, "id", None) == "super":
+                continue
+            found.append(f"{node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_no_code_reads_another_objects_private_attributes():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert len(sources) > 5  # the scan sees the package
+    reached = [f"{path.name}:{where}" for path in sources
+               for where in foreign_private_attributes(ast.parse(path.read_text()))]
+    assert not reached, "private attributes read from outside their object: " + ", ".join(reached)

@@ -119,7 +119,7 @@ def fraction_cells(sys):
 def fraction_phases(sys):
     """Rotation successors and phases by ``sqrt_intercept`` on Fraction
     intercepts, and the least ``t`` with ``2^t / n >= 1 - slope``: the oracle
-    for ``intercept_phases``.  The successor of rotation ``j`` is the
+    for :attr:`OmegaSystem.rotations`.  The successor of rotation ``j`` is the
     rotation whose half-open cell holds the image of its intercept; the
     phase iterates the image until it lies in the cell of S or of L."""
     rot, rho_s, rho_l = fraction_cells(sys)
@@ -135,19 +135,19 @@ def fraction_phases(sys):
             assert steps < rot.q
             rho, steps = rot.sqrt_intercept(rho), steps + 1
         phases.append(steps)
-    return successors, phases, next(t for t in itertools.count() if 2**t * width >= 1 - rot.slope)
+    return tuple(successors), tuple(phases), next(t for t in itertools.count() if 2**t * width >= 1 - rot.slope)
 
 
 class TestRotationPhase:
     def test_bound_and_psi_steps(self, sys):
-        _, phases, bound = dynamics.intercept_phases(sys)
+        _, phases, bound = sys.rotations
         assert bound == 3  # ceil(log2((1 - 3/8) / (1/8)))
         assert len(phases) == 8 and max(phases) <= bound
 
     def test_psi_steps_zero_cases(self, sys, engine):
         # only S^w and L^w start inside [S] or [L], and so does 1 - slope,
         # the fixed point of the intercept map
-        successors, phases, _ = dynamics.intercept_phases(sys)
+        successors, phases, _ = sys.rotations
         fixed = sorted([0, sys.conjugate_index(sys.l_word)])
         assert [j for j, p in enumerate(phases) if p == 0] == fixed
         assert [successors[j] for j in fixed] == fixed
@@ -161,10 +161,10 @@ class TestRotationPhase:
         # the cell table equals the tokenizer's rotation walk, the engine
         # reads its phases, and rotation j is the coding of the j-th intercept
         sys = OmegaSystem(params)
-        successors, phases, bound = dynamics.intercept_phases(sys)
+        successors, phases, bound = sys.rotations
         engine, (rot, rho_s, _) = OrbitEngine(sys), fraction_cells(sys)
         assert (successors, phases) == rotation_walk(sys)
-        assert phases == [engine.rotation_phase(j) for j in range(sys.block_len)]
+        assert phases == tuple(engine.rotation_phase(j) for j in range(sys.block_len))
         assert max(phases) <= bound
         s = sys.s_word
         assert all(rot.coding(rho_s + j * rot.slope, rot.q) == s[j:] + s[:j] for j in range(rot.q))
@@ -175,13 +175,13 @@ class TestRotationPhase:
         systems = [*grid_systems(), *map(dynamics.fibonacci_system, (8, 13, 21, 34, 55, 89, 144, 233))]
         assert len(systems) == 116 and max(s.block_len for s in systems) == 233
         for sys in systems:
-            assert dynamics.intercept_phases(sys) == fraction_phases(sys), sys.params
+            assert sys.rotations == fraction_phases(sys), sys.params
 
     def test_rotation_successor_is_the_cell_map(self, rotation_walk):
         """The EJC 2017 theorem on cells: the square root of ``T^j(S^omega)``
         is ``T^succ(j)(S^omega)`` with ``succ(j) = (floor((c_j + n - p)/2) -
         c_S) p^-1 mod n``, ``c_j = c_S + j p mod n`` being its cell.  The
-        table of :func:`intercept_phases` equals the tokenizer's walk on the
+        table :attr:`OmegaSystem.rotations` equals the tokenizer's walk on the
         grid, successors and phases.
 
         The type rule of the remainder ``("S", j)`` is observed on this grid,
@@ -190,7 +190,7 @@ class TestRotationPhase:
         kinds = collections.Counter()
         for sys in grid_systems():
             n = sys.block_len
-            successors, phases, _ = dynamics.intercept_phases(sys)
+            successors, phases, _ = sys.rotations
             assert (successors, phases) == rotation_walk(sys), sys.params
             for j, succ in enumerate(successors[1:], 1):
                 kind, _ = sys.sqrt_step("S", j, "SSSS")
@@ -209,10 +209,26 @@ class TestRotationPhase:
         def unreachable(*args):
             raise AssertionError("called while building an engine")
 
-        monkeypatch.setattr(dynamics, "intercept_phases", unreachable)
+        monkeypatch.setattr(OmegaSystem, "rotations", property(unreachable))
         monkeypatch.setattr(squares, "factor_minimal_squares", unreachable)
         for s_len in (8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987):
             assert OrbitEngine(dynamics.fibonacci_system(s_len)).n == s_len
+
+    @pytest.mark.parametrize("params", [OmegaParams(), OmegaParams(a=2, b=1, c=2, k=5, seed=SWAPPED)])
+    def test_one_rotation_table_per_system(self, params, monkeypatch, forward):
+        # the engine, iterate_sqrt and the forward oracle read one table,
+        # built once per system however many of them ask for it
+        built, build = [], OmegaSystem.rotations.func
+        table = functools.cached_property(lambda self: built.append(self) or build(self))
+        table.__set_name__(OmegaSystem, "rotations")
+        monkeypatch.setattr(OmegaSystem, "rotations", table)
+        sys = OmegaSystem(params)
+        assert OrbitEngine(sys).steps_supremum() >= 1
+        for j in (1, 2, sys.block_len - 1):
+            record = dynamics.iterate_sqrt(sys, shift(sys.s_omega(), j), 4)
+            assert record.n_periodic == 0
+        assert forward(sys, 1, "S", lambda i: "S") is not None
+        assert built == [sys]
 
 
 class TestOrbitEngine:

@@ -32,6 +32,29 @@ def dfs_is_solution(alph, w):
     return expand(0, [])
 
 
+def window_harvest(text, max_root_len):
+    """The roots ``u`` of the squares ``uu`` in ``text``, one window
+    comparison per position and root length: the oracle for
+    :func:`equation.harvest_square_factors`."""
+    return {text[i : i + half] for half in range(1, max_root_len + 1)
+            for i in range(len(text) - 2 * half + 1) if text[i : i + half] == text[i + half : i + 2 * half]}
+
+
+class TestHarvest:
+    @settings(max_examples=500, deadline=None)
+    @given(st.text("01", max_size=120), st.integers(0, 70))
+    def test_regex_passes_equal_the_window_scan(self, text, max_root_len):
+        assert equation.harvest_square_factors(text, max_root_len) == window_harvest(text, max_root_len)
+
+    @pytest.mark.parametrize("abck", [(1, 0, 1, 4), (2, 1, 1, 4), (1, 0, 2, 4)])
+    def test_covering_texts_equal_the_window_scan(self, abck):
+        sys = OmegaSystem(OmegaParams(*abck))
+        for bmax in (16, 64):
+            names = equation.window_names(sys.block_len, bmax)
+            for text in [sys.s_word * names, *map(sys.sigma, sys.covering_texts(names))]:
+                assert equation.harvest_square_factors(text, bmax) == window_harvest(text, bmax)
+
+
 class TestIsSolution:
     def test_examples(self):
         cert = equation.is_solution(ALPH, "01010")
