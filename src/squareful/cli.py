@@ -21,7 +21,7 @@ import json
 import sys as _sys
 
 from . import dynamics, equation, squares, streams
-from .omega import OmegaParams, OmegaSystem, covering_level
+from .omega import PERIODIC, TYPE_D, OmegaParams, OmegaSystem, covering_level
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -75,33 +75,35 @@ def _system_args(p: argparse.ArgumentParser):
 def _system(ns) -> OmegaSystem:
     """The system of the parameter flags, sized before any word is built.
 
-    ``|S| = q_k`` follows the length recurrence of the standard words.  As
-    ``q_i >= F_(i+2)`` and ``2c + 1 >= 3``, capping ``k`` and ``j`` at 64
-    leaves an over-limit size over the limit.  ``--c`` bounds the ``2 (2c +
-    1)^2`` names of ``tau^2(S)`` and ``tau^2(L)``, the size of the rotation
-    tables that :func:`~squareful.omega.fixed_point` builds (``m = 2c + 1``
-    rotations of two ``m``-name level patterns), from which ``Gamma*``, the
-    preimage chains, the covering texts and ``omega gamma`` read every tau
-    block; no command builds one by substitution.  ``--bmax`` bounds the
+    ``|S| = q_k`` follows the length recurrence of the standard words, and
+    the substitution length ``m = 2c + 1`` (:attr:`OmegaSystem.m`) is
+    derived once from ``--c``, as the guards run before the system exists.
+    As ``q_i >= F_(i+2)`` and ``m >= 3``, capping ``k`` and ``j`` at 64
+    leaves an over-limit size over the limit.  ``--c`` bounds the ``2 m^2``
+    names of ``tau^2(S)`` and ``tau^2(L)``, the size of the rotation tables
+    that :func:`~squareful.omega.fixed_point` builds (``m`` rotations of two
+    ``m``-name level patterns), from which ``Gamma*``, the preimage chains,
+    the covering texts and ``omega gamma`` read every tau block; no command
+    builds one by substitution.  ``--bmax`` bounds the
     names of its factor windows, of :func:`equation.window_names` names, one
     per name of ``tau^j(a)`` in each of four covering texts (the bound counts
     four, though the lemma of :func:`~squareful.omega.tau` leaves three),
-    ``j = covering_level(c, names)``; it caps the default system at 4568,
+    ``j = covering_level(m, names)``; it caps the default system at 4568,
     though the harvest reads only the texts.
     ``--max-blocks`` builds no word; :data:`MAX_BLOCKS` bounds it."""
     params = OmegaParams(a=ns.a, b=ns.b, c=ns.c, k=ns.k, seed=ns.seed_word)
-    prev, n = 1, 1
+    m, prev, n = 2 * ns.c + 1, 1, 1
     for d in params.directive(min(ns.k, 64)):
         prev, n = n, d * n + prev
     if n > MAX_WORD_LETTERS:
         raise ValueError(f"--k {ns.k}: the block word has more than {MAX_WORD_LETTERS} letters")
-    if 2 * (2 * ns.c + 1) ** 2 > MAX_WORD_LETTERS:
+    if 2 * m**2 > MAX_WORD_LETTERS:
         raise ValueError(f"--c {ns.c}: tau^2(S) and tau^2(L) have more than {MAX_WORD_LETTERS} names")
-    if "j" in ns and 2 * n * (2 * ns.c + 1) ** min(ns.j, 64) > MAX_WORD_LETTERS:
+    if "j" in ns and 2 * n * m ** min(ns.j, 64) > MAX_WORD_LETTERS:
         raise ValueError(f"--j {ns.j}: gamma_j and gamma_bar_j have more than {MAX_WORD_LETTERS} letters")
     if "bmax" in ns:
         names = equation.window_names(n, ns.bmax)
-        if 4 * (2 * ns.c + 1) ** covering_level(ns.c, names) * names > MAX_WORD_LETTERS:
+        if 4 * m ** covering_level(m, names) * names > MAX_WORD_LETTERS:
             raise ValueError(f"--bmax {ns.bmax}: the factor windows spell more than {MAX_WORD_LETTERS} names")
     return OmegaSystem(params)
 
@@ -173,7 +175,11 @@ def cmd_omega_gamma(ns) -> Result:
 def cmd_omega_classify(ns) -> Result:
     sys = _system(ns)
     prod = streams.sl_cycle(ns.blocks, sys.s_word, sys.l_word, ns.shift)
-    kind, pi_len = sys.classify_type(prod)
+    _, kind = sys.sqrt_of_product(prod)
+    if kind == PERIODIC:
+        kind, pi_len = TYPE_D, 0
+    else:  # the square-product prefix the step consumes: none, the remainder, or it and one block
+        pi_len = "ABC".index(kind) * sys.block_len - prod.shift
     return Result({"type": kind, "pi_prefix_len": pi_len}, f"type {kind} (square-product prefix length {pi_len})")
 
 

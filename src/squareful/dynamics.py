@@ -451,7 +451,7 @@ class AlignmentTower:
     """
 
     def __init__(self, sys: OmegaSystem, names: InfiniteWord, block_budget: int):
-        self.m = 2 * sys.params.c + 1
+        self.m = sys.m
         self._names = names
         self._cap = block_budget
         self._window = min(4096, block_budget)
@@ -532,7 +532,7 @@ def preimage_chain(
     (:attr:`~squareful.omega.OmegaSystem.pairs_halve`, once per system)
     and that the even-indexed names of ``v_n`` spell the names of ``u_n``.
     """
-    m = 2 * sys.params.c + 1
+    m = sys.m
     tower = AlignmentTower(sys, names, block_budget)
     links: list[ChainLink] = []
     pos = 0
@@ -592,8 +592,8 @@ def periodic_point_search(sys: OmegaSystem, max_blocks: int) -> tuple[list[str],
     primitive words, less ``S`` and ``L`` where found.
 
     ``Gamma1`` and ``Gamma2`` are fixed: ``Gamma*[2i] = Gamma*[i]``, as
-    ``v_m(2i) = v_m(i)`` for odd ``m = 2c + 1`` (:func:`~squareful.omega.tau`,
-    consequence (d)).
+    ``v_m(2i) = v_m(i)`` for the odd ``m`` of :attr:`OmegaSystem.m`
+    (:func:`~squareful.omega.tau`, consequence (d)).
     """
     if not sys.pairs_halve:
         raise AssertionError(_NOT_HALVING)
@@ -619,17 +619,17 @@ def _orbit_lengths(modulus: int) -> list[int]:
     return lengths
 
 
-def doubling_period_increasing(c: int, imax: int) -> bool:
+def doubling_period_increasing(m: int, imax: int) -> bool:
     """Exhaustively verify that doubling periods grow strictly along every
-    chain ``k_{i+1} = k_i + r m^i`` with ``m = 2c + 1``, ``m`` not dividing
-    ``k_1``, ``0 <= r < m`` and ``1 <= i < imax``.
+    chain ``k_{i+1} = k_i + r m^i`` for the substitution length ``m``
+    (:attr:`OmegaSystem.m`), ``m`` not dividing ``k_1``, ``0 <= r < m`` and
+    ``1 <= i < imax``.
 
     The doubling period of ``k`` modulo ``M``, the least ``p >= 1`` with
     ``(2^p - 1) k = 0 mod M``, is the length of the orbit of ``k`` in
     :func:`equation.doubling_orbits`, as ``(2^p - 1) k = 0`` iff ``2^p k =
     k``.  The chain values at level ``i`` are the ``0 < k < m^i`` that ``m``
     does not divide."""
-    m = 2 * c + 1
     here = _orbit_lengths(m)
     for i in range(1, imax):
         there = _orbit_lengths(m ** (i + 1))

@@ -5,6 +5,7 @@ the body ``S^(2c)``,
 
     tau: S -> L S^(2c),  L -> S^(2c+1)
 
+whose images have the one length :attr:`OmegaSystem.m` ``= 2c + 1``,
 generates an aperiodic minimal subshift over the letters ``S``/``L``; the
 letter substitution sigma sends ``S`` and ``L`` to a reversed standard word
 ``w`` and its first-two-letters-swapped companion ``L(w)``.  Applying sigma to
@@ -16,10 +17,10 @@ periodic word ``S^omega`` closes the system under the square root map.
 ``big_gamma(2)`` are the two aperiodic fixed points of the square root map.
 
 The square root map acts on shifted block products through one kernel,
-:meth:`OmegaSystem.sqrt_step`, which :meth:`OmegaSystem.sqrt_of_product`
-writes as views.  Its type D images are the rotations ``T^j(S^omega)``, the
-periodic part, whose successors and phases are the one integer table
-:attr:`OmegaSystem.rotations`.
+:meth:`OmegaSystem.sqrt_step`, which :meth:`OmegaSystem.sqrt_of_product`,
+the one typed step of a product, writes as views.  Its type D images are
+the rotations ``T^j(S^omega)``, the periodic part, whose successors and
+phases are the one integer table :attr:`OmegaSystem.rotations`.
 """
 
 from __future__ import annotations
@@ -104,9 +105,10 @@ def tau(body: str, blockword: str) -> str:
         ``L`` of ``tau(w)`` starts an image and follows the last name ``S``
         of the one before, so ``LL`` never occurs, while ``tau(S) = L
         S^(2c)`` holds ``LS`` and ``SS`` and ``tau^2(L) = tau(S) tau(S)
-        ...`` holds ``SL``.  What rests on (c) (:func:`covering_level`, the
-        covering texts and factors, the preimage index, the alignment tower
-        and the chains) is stated for ``S^(2c)`` and takes ``c``.
+        ...`` holds ``SL``.  What rests on (c) (the covering texts and
+        factors, the preimage index, the alignment tower and the chains) is
+        stated for ``S^(2c)`` and reads ``m`` from :attr:`OmegaSystem.m`;
+        :func:`covering_level` rests on no fact of the body but its ``m``.
     (d) If ``body[i - 1] = body[(2i mod m) - 1]`` for ``0 < i < m``, then
         ``x[2i] = x[i]`` for every ``i``: taking every other name fixes
         ``x``.  By (b), as ``v_m(2n) = v_m(n)`` because ``m`` is odd and
@@ -131,19 +133,21 @@ def fixed_point(body: str, seed: str) -> InfiniteWord:
     return _TauFixedPoint(body, seed)
 
 
-def covering_level(c: int, length: int) -> int:
-    """The least ``j`` with ``(2c + 1)^j >= length - 1``, the level of
-    :meth:`OmegaSystem.covering_texts` (``|tau^j(S)| = |tau^j(L)| = (2c + 1)^j``)."""
+def covering_level(m: int, length: int) -> int:
+    """The least ``j`` with ``m^j >= length - 1``, the level of
+    :meth:`OmegaSystem.covering_texts` (``|tau^j(S)| = |tau^j(L)| = m^j``
+    for the substitution length ``m``, :attr:`OmegaSystem.m`)."""
     j, size = 0, 1
     while size < length - 1:
-        j, size = j + 1, size * (2 * c + 1)
+        j, size = j + 1, size * m
     return j
 
 
 class OmegaSystem:
     """Derived data and operations for one parameter choice.
 
-    The substitution is :func:`tau` with ``body = S^(2c)``.  Its blocks
+    The substitution is :func:`tau` with ``body = S^(2c)``, so every image
+    has ``m = 2c + 1`` names; ``m`` is derived here alone.  Its blocks
     ``tau^j(S)`` and ``tau^j(L)``, which the covering texts, ``gamma`` and
     the preimage chains read, are windows of the fixed points ``Gamma1*``
     and ``Gamma2*`` (:meth:`tau_source`), so the system keeps no names;
@@ -164,7 +168,8 @@ class OmegaSystem:
         self.s_word = seed_word
         self.l_word = words.swap_first_two(seed_word)
         self._sigma_table = {ord("S"): self.s_word, ord("L"): self.l_word}
-        self._body = "S" * (2 * params.c)
+        self.m = 2 * params.c + 1
+        self._body = "S" * (self.m - 1)
         self._gamma_star: dict[int, InfiniteWord] = {}
         self._steps: dict[tuple[str, int, str], tuple[str, tuple[str, int] | int]] = {}
 
@@ -189,7 +194,7 @@ class OmegaSystem:
         return all(squares.sqrt_finite(self.alphabet, x + y) == x for x in blocks for y in blocks)
 
     def tau_source(self, j: int, name: str = "S") -> InfiniteWord:
-        """The fixed point whose first ``(2c + 1)^j`` names are
+        """The fixed point whose first ``m^j`` names are
         ``tau^j(name)``, the one seeded ``name`` flipped ``j`` times: by (b)
         of :func:`tau`, tau maps each fixed point to the other, so ``tau^j``
         maps the one seeded ``name``, which starts with ``name``, to it."""
@@ -198,13 +203,13 @@ class OmegaSystem:
     def tau_block(self, j: int) -> str:
         """``tau^j(S)`` as a word over the block names, a window of
         :meth:`tau_source`: ``Gamma1*`` for even ``j``, ``Gamma2*`` for odd."""
-        return self.tau_source(j).prefix((2 * self.params.c + 1) ** j)
+        return self.tau_source(j).prefix(self.m**j)
 
     def covering_texts(self, length: int) -> list[str]:
         """The texts ``tau^j(a) tau^j(b)`` cut after ``length - 1`` names of
         ``tau^j(b)``, one per 2-letter factor ``ab`` of the tau language
         (``LS``, ``SL`` and ``SS``, by (c) of :func:`tau`), with ``j =
-        covering_level(c, length)``; each part is a prefix of a fixed point
+        covering_level(m, length)``; each part is a prefix of a fixed point
         (:meth:`tau_source`), and by (a) ``tau^j(L)`` is ``tau^j(S)`` with
         name 0 flipped, as the fixed points differ only in name 0.
 
@@ -212,13 +217,13 @@ class OmegaSystem:
         length of these texts, that is those of ``tau^j(ab)`` that start
         inside ``tau^j(a)``.  Proof: a factor of ``tau^j(tau^i(S))`` starts
         inside the image of some name ``a`` of ``tau^i(S)``, and the image of
-        the name ``b`` after it has ``(2c + 1)^j >= length - 1`` names, so the
+        the name ``b`` after it has ``m^j >= length - 1`` names, so the
         factor ends inside ``tau^j(ab)`` (when ``a`` is the last name, take
         for ``b`` any right neighbour of ``a``).  Conversely ``tau^j(ab)`` is
         in the language.
         """
-        j = covering_level(self.params.c, length)
-        size = (2 * self.params.c + 1) ** j
+        j = covering_level(self.m, length)
+        size = self.m**j
         return [self.tau_source(j, a).prefix(size) + self.tau_source(j, b).prefix(length - 1)
                 for a, b in ("LS", "SL", "SS")]
 
@@ -235,7 +240,7 @@ class OmegaSystem:
         """``sigma(tau^j(L))``, ``tau^j(L)`` read as a window of the other
         fixed point than ``tau^j(S)`` (:meth:`tau_source`); by (a) of
         :func:`tau` it is ``gamma(j)`` with its first block swapped."""
-        return self.sigma(self.tau_source(j, "L").prefix((2 * self.params.c + 1) ** j))
+        return self.sigma(self.tau_source(j, "L").prefix(self.m**j))
 
     # -- infinite words ------------------------------------------------------
 
@@ -369,35 +374,23 @@ class OmegaSystem:
         self._steps[key] = step
         return step
 
-    def _product_step(self, prod: SLProduct) -> tuple[str, tuple[str, int] | int]:
-        if prod.shift == 0:
-            return TYPE_A, ("", 0)
-        return self.sqrt_step(prod.blocks.letter(0), prod.shift, prod.blocks.window(1, 1 + D_LOOKAHEAD))
-
-    # -- type classification and square roots --------------------------------
-
-    def classify_type(self, prod: SLProduct) -> tuple[str, int]:
-        """Type (A)-(D) of a shifted product, with the Pi-prefix length used.
-
-        The prefix length is ``|S| - shift`` for type B, ``2|S| - shift``
-        for type C, and 0 for types A and D.
-        """
-        kind, _ = self._product_step(prod)
-        if kind in (TYPE_B, TYPE_C):
-            return kind, (1 if kind == TYPE_B else 2) * self.block_len - prod.shift
-        return kind, 0
+    # -- the square root of a product ------------------------------------------
 
     def sqrt_of_product(self, prod: SLProduct) -> tuple[InfiniteWord, str]:
-        """Square root of a shifted product, with the type of its step.
+        """Square root of a shifted product, with the type of its step: the
+        one typed step of a product.
 
-        This is :meth:`sqrt_step` written as views.  Types A, B and C yield
-        the root remainder (none for A) over every other block name from
-        offset 0, 1 or 2, a shifted product again, as the block pairs after
-        the remainder halve (:attr:`pairs_halve`); type D yields
+        This is :meth:`sqrt_step` written as views.  An unshifted product is
+        type A; otherwise the step is the kernel's B, C or D.  Types A, B and
+        C yield the root remainder (none for A) over every other block name
+        from offset 0, 1 or 2, a shifted product again, as the block pairs
+        after the remainder halve (:attr:`pairs_halve`); type D yields
         ``T^j(S^omega)`` with the label :data:`PERIODIC`, the step's own
         claim, which no letter route re-checks.
         """
-        kind, out = self._product_step(prod)
+        kind, out = TYPE_A, ("", 0)
+        if prod.shift:
+            kind, out = self.sqrt_step(prod.blocks.letter(0), prod.shift, prod.blocks.window(1, 1 + D_LOOKAHEAD))
         if kind == TYPE_D:
             return self.omega_p_word(out), PERIODIC
         head, shift = out

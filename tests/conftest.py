@@ -1,6 +1,30 @@
+import itertools
+
 import pytest
 
-from squareful.omega import D_LOOKAHEAD, TYPE_B, TYPE_D
+from squareful.omega import D_LOOKAHEAD, PLAIN, SWAPPED, TYPE_B, TYPE_D, OmegaParams, OmegaSystem
+
+
+def _builds(params):
+    try:
+        OmegaSystem(params)
+    except ValueError:  # |S| <= |S6|
+        return False
+    return True
+
+
+# The one parameter grid of the suite: the 108 systems with a <= 3, b <= 2,
+# c <= 2, 3 <= k <= 6 and either seed that build.  A test imports it with
+# ``from conftest import GRID, grid_systems``, as ``parametrize`` cannot
+# take a fixture.
+GRID = [params for params in itertools.starmap(OmegaParams, itertools.product(
+    range(1, 4), range(3), (1, 2), range(3, 7), (PLAIN, SWAPPED))) if _builds(params)]
+
+
+def grid_systems():
+    """A fresh system for each parameter choice of :data:`GRID`, so that no
+    memo is shared between tests."""
+    return (OmegaSystem(params) for params in GRID)
 
 
 def tokenizer_rotation_walk(sys):

@@ -13,9 +13,11 @@ import pytest
 
 from squareful import dynamics, equation, omega, streams, words
 from squareful.dynamics import OrbitEngine
-from squareful.omega import PLAIN, SWAPPED, OmegaParams, OmegaSystem, tau
+from squareful.omega import SWAPPED, OmegaParams, OmegaSystem, tau
 from squareful.squares import build_alphabet, factor_minimal_squares, sqrt_finite
 from squareful.sturmian import RotationSystem
+
+from conftest import grid_systems
 
 
 def report(name: str, ok: bool, detail: str = ""):
@@ -228,12 +230,7 @@ def test_criterion_08_every_aperiodic_bucket():
     start = time.time()
     systems = doubles = crowded = periodic_doubles = 0
     ok = True
-    for a, b, c, k, seed in itertools.product(range(1, 4), range(3), (1, 2), range(3, 7),
-                                              (PLAIN, SWAPPED)):
-        try:
-            sys = OmegaSystem(OmegaParams(a, b, c, k, seed))
-        except ValueError:  # |S| <= |S6|
-            continue
+    for sys in grid_systems():
         systems += 1
         index = dynamics.PreimageIndex(sys)
         s_omega = sys.s_word * (index.match_len // sys.block_len + 2)
@@ -251,7 +248,7 @@ def test_criterion_08_every_aperiodic_bucket():
            f"{periodic_doubles} doubles; {time.time() - start:.1f}s")
 
 
-def test_criterion_09_limit_set(fib_sys):
+def test_criterion_09_limit_set(fib_sys, forward):
     star = fib_sys.gamma_star(1)
     ok = True
     # block shifts whose hierarchy alignment starts at level <= 1, so a
@@ -268,22 +265,25 @@ def test_criterion_09_limit_set(fib_sys):
         ok &= all(x < y for x, y in zip(lens, lens[1:]))
         if not ok:
             break
-    engine = OrbitEngine(fib_sys)
+    # each escape count equals the forward walk (the oracle in conftest) on
+    # a fresh system, and stays within the Table 1 value
+    engine, fresh = OrbitEngine(fib_sys), OmegaSystem(fib_sys.params)
     bound = dynamics.TABLE1_REFERENCE[fib_sys.block_len]
     rng = random.Random(2024)
     for _ in range(100):
         seq = [rng.choice("SL") for _ in range(128)]
-        ell = rng.randrange(1, fib_sys.block_len)
-        steps = engine.steps_to_fixed(ell, rng.choice("SL"), lambda i: seq[i % 128])
-        ok &= steps is not None and steps <= bound
-    report("09 limit set (100 chains of depth 10; 100 escapes within n)", ok)
+        ell, first = rng.randrange(1, fib_sys.block_len), rng.choice("SL")
+        fetch = lambda i: seq[i % 128]
+        steps = engine.steps_to_fixed(ell, first, fetch)
+        ok &= steps == forward(fresh, ell, first, fetch) and steps <= bound
+    report("09 limit set (100 chains of depth 10; 100 escapes, each the forward count and within n)", ok)
 
 
 def test_criterion_10_periodic_points(fib_sys):
     points, _ = dynamics.periodic_point_search(fib_sys, max_blocks=8)
     ok = points == ["Gamma1", "Gamma2", "L^w", "S^w"]
-    for c in (1, 2, 3):
-        ok &= dynamics.doubling_period_increasing(c, 6)
+    for m in (3, 5, 7):  # c = 1, 2, 3
+        ok &= dynamics.doubling_period_increasing(m, 6)
     report("10 periodic points and doubling-period growth", ok, f"points={points}")
 
 

@@ -155,3 +155,34 @@ def test_no_code_reads_another_objects_private_attributes():
     reached = [f"{path.name}:{where}" for path in sources
                for where in foreign_private_attributes(ast.parse(path.read_text()))]
     assert not reached, "private attributes read from outside their object: " + ", ".join(reached)
+
+
+# The scopes that may read an attribute named ``c``: the parameters, the
+# system, which derives the substitution length ``m = 2c + 1`` from them
+# (``OmegaSystem.m``), and the CLI guard, which sizes words from ``--c``
+# before the system exists.  Every other reader takes ``m``.
+C_READERS = {"omega.py": ("OmegaParams", "OmegaSystem.__init__"), "cli.py": ("_system",)}
+
+
+def c_reads(tree: ast.Module, allowed: tuple[str, ...]) -> list[int]:
+    """The lines that read an attribute ``c`` outside the scopes ``allowed``,
+    qualified names of classes and functions."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        elif (isinstance(node, ast.Attribute) and node.attr == "c" and isinstance(node.ctx, ast.Load)
+              and not any(scope == a or scope.startswith(a + ".") for a in allowed)):
+            found.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+def test_only_the_system_derives_the_substitution_length():
+    reads = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+             for line in c_reads(ast.parse(path.read_text()), C_READERS.get(path.name, ()))]
+    assert not reads, "reads of c outside OmegaParams, OmegaSystem.__init__ and cli._system: " + ", ".join(reads)

@@ -73,12 +73,16 @@ class TestBasicCommands:
         assert sys.gamma(1) in out
 
     def test_omega_classify(self, capsys):
-        code, out = run(capsys, "omega", "classify", "--blocks", "S", "--shift", "4",
-                        "--format", "json")
-        assert code == 0
-        payload = json.loads(out)
-        validate(payload, "classify.json")
-        assert payload == {"type": "C", "pi_prefix_len": 12}
+        # S = 01010010: the remainder 010010 of shift 2 is a square product,
+        # 0010 of shift 4 is one with the next block, 010 of shift 5 neither
+        for shift, kind, pi_len in ((0, "A", 0), (2, "B", 6), (4, "C", 12), (5, "D", 0)):
+            argv = ("omega", "classify", "--blocks", "S", "--shift", str(shift))
+            code, out = run(capsys, *argv, "--format", "json")
+            assert code == 0
+            payload = json.loads(out)
+            validate(payload, "classify.json")
+            assert payload == {"type": kind, "pi_prefix_len": pi_len}
+            assert run(capsys, *argv) == (0, f"type {kind} (square-product prefix length {pi_len})")
 
 
 class TestTables:

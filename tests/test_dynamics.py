@@ -14,10 +14,12 @@ from hypothesis import given, settings, strategies as st
 from squareful import dynamics, equation, squares, streams
 from squareful.dynamics import OrbitEngine
 from squareful.omega import (
-    D_LOOKAHEAD, PERIODIC, PLAIN, SWAPPED, TYPE_B, TYPE_C, TYPE_D, OmegaParams, OmegaSystem,
+    D_LOOKAHEAD, PERIODIC, SWAPPED, TYPE_B, TYPE_C, TYPE_D, OmegaParams, OmegaSystem,
 )
 from squareful.streams import expand, shift
 from squareful.sturmian import RotationSystem
+
+from conftest import GRID, grid_systems
 
 
 @pytest.fixture(scope="module")
@@ -56,16 +58,6 @@ class TestEstimates:
     def test_rejects_non_fibonacci(self):
         with pytest.raises(ValueError):
             dynamics.fibonacci_estimate(12)
-
-def grid_systems():
-    """The 108 systems with a <= 3, b <= 2, c <= 2, 3 <= k <= 6 and either seed."""
-    for a, b, c, k, seed in itertools.product(range(1, 4), range(3), (1, 2), range(3, 7),
-                                              (PLAIN, SWAPPED)):
-        try:
-            yield OmegaSystem(OmegaParams(a=a, b=b, c=c, k=k, seed=seed))
-        except ValueError:
-            continue
-
 
 def letter_scan_junction(sys, hits):
     """The junction form read letter by letter, the oracle for
@@ -517,8 +509,7 @@ class TestNameFreeStep:
 
     def test_supremum_is_the_largest_forward_count(self, forward):
         rng = random.Random(5)
-        grid = [OmegaParams(a, b, c, k, seed) for a in (1, 2) for b in (0, 1) for c in (1, 2)
-                for k in (4, 5) for seed in (PLAIN, SWAPPED)]  # |S| from 8 to 27
+        grid = [p for p in GRID if p.a <= 2 and p.b <= 1 and p.k in (4, 5)]  # |S| from 8 to 27
         for params in grid:
             sys = OmegaSystem(params)
             engine, fresh = OrbitEngine(sys), OmegaSystem(params)
@@ -987,7 +978,7 @@ class TestDoublingPeriod:
                 assert lengths[k] == direct(k, M)
 
     def test_increasing_claim_small(self):
-        assert dynamics.doubling_period_increasing(1, 4)
+        assert dynamics.doubling_period_increasing(3, 4)
 
 
 class TestAsymptotics:

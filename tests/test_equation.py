@@ -2,9 +2,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from squareful import equation, words
-from squareful.omega import PLAIN, SWAPPED, OmegaParams, OmegaSystem, tau
+from squareful.omega import SWAPPED, OmegaParams, OmegaSystem, tau
 from squareful.squares import build_alphabet, factor_minimal_squares
 from squareful.sturmian import reversed_standard_word
+
+from conftest import grid_systems
 
 ALPH = build_alphabet(1, 0)
 SBAR = "1001001010010"
@@ -160,14 +162,7 @@ class TestEnumerate:
 
     def test_covering_texts_equal_the_window_harvest_on_a_grid(self):
         # the squares of sigma of every factor window, one harvest per window
-        grid = [OmegaParams(a, b, c, k, seed) for a in (1, 2, 3) for b in (0, 1, 2) for c in (1, 2)
-                for k in (3, 4, 5, 6) for seed in (PLAIN, SWAPPED)]
-        systems = []
-        for params in grid:
-            try:
-                systems.append(OmegaSystem(params))
-            except ValueError:  # |S| <= |S6|
-                pass
+        systems = list(grid_systems())
         assert len(systems) == 108
         for sys in systems:
             for bmax in (1, 16, 40):

@@ -14,6 +14,8 @@ from squareful.squares import in_pi, sqrt_finite, square_matcher
 from squareful.streams import expand, periodic_word, shift, sl_cycle
 from squareful.sturmian import RotationSystem
 
+from conftest import GRID
+
 
 @pytest.fixture(scope="module")
 def sys():
@@ -108,6 +110,7 @@ class TestParams:
         assert sys.s_word == "01010010"
         assert sys.l_word == "10010010"
         assert sys.block_len == 8
+        assert sys.m == 3  # tau: S -> L S S, L -> S S S
         assert sys.s_word.count("1") == 3  # the slope is 3/8
 
     def test_block_word_must_be_longer_than_largest_root(self):
@@ -256,7 +259,7 @@ class TestGammaStar:
         texts = {length: [(blocks[j][a == "L"] + blocks[j][b == "L"])[: 3**j + length - 1]
                           for a, b in ("LS", "SL", "SS")]
                  for length in (1, 2, 3, 10, 28, 100, 250)
-                 for j in [omega.covering_level(1, length)]}
+                 for j in [omega.covering_level(3, length)]}
 
         def hits(index):
             return {key: [(hit.shift, hit.window) for hit in bucket.values()]
@@ -368,7 +371,7 @@ class TestSubstitutionLemma:
         assert pairs == {"LS", "SL", "SS"}
         for length in [*range(1, 61), 100, 250]:
             # tau^j(L) is tau^j(S) with name 0 flipped, by (a)
-            top = tau_power(c, "S", omega.covering_level(c, length))
+            top = tau_power(c, "S", omega.covering_level(sys.m, length))
             blocks = {"S": top, "L": top[0].translate(omega.FLIP) + top[1:]}
             texts = [(blocks[a] + blocks[b])[: len(top) + length - 1] for a, b in sorted(pairs)]
             assert sys.covering_texts(length) == texts, (params, length)
@@ -406,7 +409,7 @@ class TestFactors:
             levels.append([tau("S" * (2 * c), w) for w in levels[-1]])
         for length in range(1, 301):
             j = next(j for j, level in enumerate(levels) if min(map(len, level)) >= length - 1)
-            assert omega.covering_level(c, length) == j, (c, length)
+            assert omega.covering_level(2 * c + 1, length) == j, (c, length)
 
 
 class TestCrucialProperties:
@@ -423,11 +426,10 @@ class TestCrucialProperties:
 
 class TestClassification:
     def test_types(self, sys):
-        assert sys.classify_type(sl_cycle("S", sys.s_word, sys.l_word, 0))[0] == "A"
-        kind, pi_len = sys.classify_type(sl_cycle("S", sys.s_word, sys.l_word, 4))
-        assert (kind, pi_len) == ("C", 12)
+        assert sys.sqrt_of_product(sl_cycle("S", sys.s_word, sys.l_word, 0))[1] == "A"
+        assert sys.sqrt_of_product(sl_cycle("S", sys.s_word, sys.l_word, 4))[1] == "C"
         # 010 . S^w is type D: neither 010 nor 010 + block is a square product
-        assert sys.classify_type(sl_cycle("S", sys.s_word, sys.l_word, 5))[0] == "D"
+        assert sys.sqrt_of_product(sl_cycle("S", sys.s_word, sys.l_word, 5))[1] == PERIODIC
 
     def test_type_b(self, sys):
         # shift 6 leaves the remainder 10, which is not a square product;
@@ -441,12 +443,12 @@ class TestClassification:
                     lambda i, f=first: f if i == 0 else "S", "w"
                 )
                 prod = streams.SLProduct(blocks, ell, sys.s_word, sys.l_word)
-                kind, _ = sys.classify_type(prod)
+                _, kind = sys.sqrt_of_product(prod)
                 y = word0[ell:]
                 expected = (
                     "B" if in_pi(sys.alphabet, y)
                     else "C" if in_pi(sys.alphabet, y + sys.s_word)
-                    else "D"
+                    else PERIODIC
                 )
                 assert kind == expected
 
@@ -508,21 +510,11 @@ class TestSqrtOfProduct:
             assert sys.rotation_index(out) is not None
 
 
-SQRT_STEP_SYSTEMS = [(1, 0, 1, 4), (2, 1, 1, 4), (1, 0, 2, 4), (1, 0, 1, 6)]
-
-
-def grid_sample():
-    """Every fifth of the 108 systems with a <= 3, b <= 2, c <= 2, 3 <= k
-    <= 6 and either seed, from the third: 22 systems, none of them in
-    :data:`SQRT_STEP_SYSTEMS`."""
-    grid = []
-    for abcks in itertools.product(range(1, 4), range(3), (1, 2), range(3, 7), (PLAIN, SWAPPED)):
-        try:
-            OmegaSystem(OmegaParams(*abcks))
-        except ValueError:
-            continue
-        grid.append(abcks)
-    return grid[2::5]
+SQRT_STEP_SYSTEMS = [OmegaParams(1, 0, 1, 4), OmegaParams(2, 1, 1, 4), OmegaParams(1, 0, 2, 4),
+                     OmegaParams(1, 0, 1, 6)]
+# every fifth system of the grid from the third: 22 systems, none of them in
+# SQRT_STEP_SYSTEMS
+GRID_SAMPLE = GRID[2::5]
 
 
 class TestSqrtStepAgainstLetters:
@@ -538,7 +530,7 @@ class TestSqrtStepAgainstLetters:
 
     @pytest.mark.parametrize("abck", SQRT_STEP_SYSTEMS)
     def test_type_matches_in_pi_on_prefixes(self, abck):
-        sys = OmegaSystem(OmegaParams(*abck))
+        sys = OmegaSystem(abck)
         n = sys.block_len
         for shift, names in self.starts(sys):
             kind, _ = sys.sqrt_step(names[0], shift, names[1:])
@@ -547,11 +539,13 @@ class TestSqrtStepAgainstLetters:
                     else "C" if in_pi(sys.alphabet, text[: 2 * n - shift]) else "D")
             assert kind == want
 
-    @pytest.mark.parametrize("abck", SQRT_STEP_SYSTEMS + grid_sample())
+    @pytest.mark.parametrize("abck", SQRT_STEP_SYSTEMS + GRID_SAMPLE)
     def test_structural_iterates_match_raw_stream(self, abck):
         # the oracle of every structural iterate, a type D image included:
-        # no code of the package re-checks one on letters
-        sys = OmegaSystem(OmegaParams(*abck))
+        # no code of the package re-checks one on letters; each step's type
+        # is checked on the letters of its word, as in_pi on the remainder
+        # and on the remainder and the next block
+        sys = OmegaSystem(abck)
         engine = OrbitEngine(sys)
         successors, phases, _ = sys.rotations
         n = sys.block_len
@@ -562,9 +556,11 @@ class TestSqrtStepAgainstLetters:
             for _ in range(steps):
                 raw = streams.sqrt_stream(sys.alphabet, raw)
                 if rotation is None:
-                    kind, _ = sys.classify_type(word.product)
+                    cut, text = word.product.shift, word.prefix(2 * n)
+                    want = ("A" if cut == 0 else "B" if in_pi(sys.alphabet, text[: n - cut])
+                            else "C" if in_pi(sys.alphabet, text[: 2 * n - cut]) else PERIODIC)
                     word, outcome = sys.sqrt_of_product(word.product)
-                    assert outcome == (PERIODIC if kind == "D" else kind)
+                    assert outcome == want
                     if outcome == PERIODIC:
                         rotation = sys.conjugate_index(word.prefix(n))
                 else:
@@ -575,13 +571,14 @@ class TestSqrtStepAgainstLetters:
 
 
 class TestBlockCoordinates:
+    # the 48 systems of the grid with b <= 1 and k in (4, 6)
+    grid = [params for params in GRID if params.b <= 1 and params.k in (4, 6)]
+
     def test_roots_of_block_suffixes_are_block_suffixes(self):
         # for every remainder (first, shift) and next block, the B/C root
         # coordinates from sqrt_step spell the root of the letters
-        grid = [OmegaParams(a, b, c, k, seed) for a in (1, 2, 3) for b in (0, 1) for c in (1, 2)
-                for k in (4, 6) for seed in (PLAIN, SWAPPED)]
         kinds = set()
-        for params in grid:
+        for params in self.grid:
             sys = OmegaSystem(params)
             for first, nxt, cut in itertools.product("SL", "SL", range(1, sys.block_len)):
                 kind, out = sys.sqrt_step(first, cut, nxt * 4)
@@ -594,10 +591,8 @@ class TestBlockCoordinates:
     def test_rotation_successors_match_letters(self):
         # the cell map's successor of rotation j is the rotation that the raw
         # lazy tokenizer reads off the letters of the square root
-        grid = [OmegaParams(a, b, c, k, seed) for a in (1, 2, 3) for b in (0, 1) for c in (1, 2)
-                for k in (4, 6) for seed in (PLAIN, SWAPPED)]
         kinds = []
-        for params in grid:
+        for params in self.grid:
             sys = OmegaSystem(params)
             successors, _, _ = sys.rotations
             n = sys.block_len
