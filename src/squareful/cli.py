@@ -21,7 +21,7 @@ import json
 import sys as _sys
 
 from . import dynamics, equation, squares, streams
-from .omega import PERIODIC, TYPE_D, OmegaParams, OmegaSystem, covering_level
+from .omega import CONSUMED, PERIODIC, TYPE_D, OmegaParams, OmegaSystem, covering_level
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -179,7 +179,7 @@ def cmd_omega_classify(ns) -> Result:
     if kind == PERIODIC:
         kind, pi_len = TYPE_D, 0
     else:  # the square-product prefix the step consumes: none, the remainder, or it and one block
-        pi_len = "ABC".index(kind) * sys.block_len - prod.shift
+        pi_len = CONSUMED[kind] * sys.block_len - prod.shift
     return Result({"type": kind, "pi_prefix_len": pi_len}, f"type {kind} (square-product prefix length {pi_len})")
 
 

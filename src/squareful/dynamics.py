@@ -31,7 +31,7 @@ import itertools
 from typing import Callable, Iterable
 
 from . import equation, squares, streams
-from .omega import D_LOOKAHEAD, FLIP, PERIODIC, TYPE_B, TYPE_D, OmegaParams, OmegaSystem
+from .omega import CONSUMED, D_LOOKAHEAD, FLIP, PERIODIC, TYPE_A, TYPE_D, OmegaParams, OmegaSystem
 from .streams import BlockWord, InfiniteWord
 
 # ---------------------------------------------------------------------------
@@ -113,7 +113,7 @@ class OrbitEngine:
             path[node] = None
             kind, out = self._step(node)
             if kind == TYPE_D:
-                depth = self.rotation_phase(out)
+                depth = self.sys.rotations[1][out]
                 break
             node = out
         else:
@@ -122,10 +122,6 @@ class OrbitEngine:
             depth += 1
             self._depth[back] = depth
         return depth
-
-    def rotation_phase(self, j: int) -> int:
-        """Steps for ``T^j(S^omega)`` to reach ``S^omega`` or ``L^omega``."""
-        return self.sys.rotations[1][j]
 
     # -- orbits of shifted products --------------------------------------------
 
@@ -344,18 +340,19 @@ class PreimageIndex:
         self.window_blocks = need_letters // n + 2
         self.table: dict[str, dict[str, PreimageHit]] = {}
         # per lead, per shift: the root letters the step fixes and the index
-        # in `tails` of what follows them
+        # in `tails` of what follows them: the names the step consumes, or 3
+        # (nothing) for a type D image
         heads: dict[str, list[tuple[str, int]]] = {}
         for window in sys.factors(self.window_blocks):
             size, text, lead = len(window), sys.sigma(window), window[: 1 + D_LOOKAHEAD]
             if lead not in heads:
-                heads[lead] = [("", 0)]
+                heads[lead] = [("", CONSUMED[TYPE_A])]
                 for ell in range(1, n):
                     kind, out = sys.sqrt_step(lead[0], ell, lead[1:])
                     if kind == TYPE_D:
                         heads[lead].append(((sys.s_word[out:] + sys.s_word[:out]) * (need // n), 3))
                     else:
-                        heads[lead].append((sys.sigma(out[0])[out[1] :], 1 if kind == TYPE_B else 2))
+                        heads[lead].append((sys.sigma(out[0])[out[1] :], CONSUMED[kind]))
             # sigma of the first name of each whole pair from name 0 and from name 1
             even = sys.sigma(window[0::2][: size // 2])
             tails = even, sys.sigma(window[1::2][: (size - 1) // 2]), even[n:], ""

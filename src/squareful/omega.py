@@ -41,6 +41,8 @@ TYPE_B = "B"
 TYPE_C = "C"
 TYPE_D = "D"
 
+CONSUMED = {TYPE_A: 0, TYPE_B: 1, TYPE_C: 2}  # block names a type A, B or C step consumes
+
 PERIODIC = "periodic"
 
 FLIP = {ord("S"): "L", ord("L"): "S"}  # swaps the names: x -> xbar
@@ -383,7 +385,8 @@ class OmegaSystem:
         This is :meth:`sqrt_step` written as views.  An unshifted product is
         type A; otherwise the step is the kernel's B, C or D.  Types A, B and
         C yield the root remainder (none for A) over every other block name
-        from offset 0, 1 or 2, a shifted product again, as the block pairs
+        from offset 0, 1 or 2 (the names the step consumes,
+        :data:`CONSUMED`), a shifted product again, as the block pairs
         after the remainder halve (:attr:`pairs_halve`); type D yields
         ``T^j(S^omega)`` with the label :data:`PERIODIC`, the step's own
         claim, which no letter route re-checks.
@@ -395,7 +398,7 @@ class OmegaSystem:
             return self.omega_p_word(out), PERIODIC
         head, shift = out
         descriptor = f"sqrt-blocks[{prod.blocks.descriptor}]"
-        blocks = streams.decimate(prod.blocks, (TYPE_A, TYPE_B, TYPE_C).index(kind), head, descriptor)
+        blocks = streams.decimate(prod.blocks, CONSUMED[kind], head, descriptor)
         return streams.expand(self.product(blocks, shift)), kind
 
     # -- membership helpers ---------------------------------------------------

@@ -3,9 +3,9 @@
 An :class:`InfiniteWord` answers ``window(start, stop)``, the letters
 ``[start:stop]``; ``prefix`` and ``letter`` are windows.  Most words are
 views, pure functions of their source's windows that keep no letters:
-``periodic_word`` slices its period, ``from_function`` calls its letter
-function once per index, ``shift``, ``decimate`` and ``expand`` read one
-window of their source per request, and the tau^2 fixed points of
+``periodic_word`` slices its period, ``shift`` and ``decimate`` are one
+strided view (a shift has stride 1 and no head) and read one window of
+their source per request, as ``expand`` does, and the tau^2 fixed points of
 :mod:`squareful.omega` write a window by m-adic valuation.  Two sources
 memoize, as one string grown per request: a word over a chunk iterable,
 whose chunks can be pulled only once, and ``sqrt_stream``, whose
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .squares import SquareAlphabet, factor_minimal_squares, square_matcher
 
@@ -122,57 +122,19 @@ def periodic_word(period: str, descriptor: str | None = None) -> InfiniteWord:
     return _PeriodicWord(period, descriptor or f"({period})^w")
 
 
-class _FunctionWord(InfiniteWord):
-    def __init__(self, f: Callable[[int], str], descriptor: str):
-        super().__init__((), descriptor)
-        self._f = f
-
-    def _window(self, start: int, stop: int) -> str:
-        return "".join(map(self._f, range(start, stop)))
-
-
-def from_function(f: Callable[[int], str], descriptor: str) -> InfiniteWord:
-    """Oracle built from a letter function ``i -> w[i]``, called once per
-    index a request covers."""
-    return _FunctionWord(f, descriptor)
-
-
-class _ShiftedWord(InfiniteWord):
-    """The view ``T^j(src)``: one window of ``src`` per request."""
-
-    def __init__(self, src: InfiniteWord, j: int):
-        super().__init__((), f"T^{j}({src.descriptor})")
-        self._src, self._j = src, j
-
-    def _window(self, start: int, stop: int) -> str:
-        return self._src.window(self._j + start, self._j + stop)
-
-    def period(self) -> tuple[int, int] | None:
-        known = self._src.period()
-        return known and (max(0, known[0] - self._j), known[1])
-
-
-def shift(src: InfiniteWord, j: int) -> InfiniteWord:
-    """The shifted word ``T^j(src)``, a view of ``src``; period ``p`` from
-    ``start`` gives ``p`` from ``max(0, start - j)``."""
-    if j < 0:
-        raise ValueError("shift must be >= 0")
-    return _ShiftedWord(src, j) if j else src
-
-
-class _DecimatedWord(InfiniteWord):
+class _StridedWord(InfiniteWord):
     """``head`` then ``src[offset], src[offset + stride], ...``, one strided window per request."""
 
     def __init__(self, src: InfiniteWord, offset: int, stride: int, head: str, descriptor: str):
         super().__init__((), descriptor)
-        known = src.period()
+        known = stride > 1 and src.period()  # a shift reads nothing when built
         if known and offset >= known[0]:  # read a periodic source modulo its period
             offset, stride = known[0] + (offset - known[0]) % known[1], stride % known[1] or known[1]
         self._src, self._offset, self._stride, self._head = src, offset, stride, head
 
     def _window(self, start: int, stop: int) -> str:
         lo, hi, step = max(0, start - len(self._head)), stop - len(self._head), self._stride
-        if hi <= lo:
+        if hi <= lo and (self._head or step > 1):  # a shift forwards an empty read to its source
             return self._head[start:stop]
         tail = self._src.window(self._offset + step * lo, self._offset + step * (hi - 1) + 1)[::step]
         return self._head[start:stop] + tail
@@ -182,32 +144,42 @@ class _DecimatedWord(InfiniteWord):
         return known and (len(self._head) + max(0, -(-(known[0] - self._offset) // self._stride)),
                           known[1] // math.gcd(known[1], self._stride))
 
-    def decimated(self, offset: int, head: str, descriptor: str) -> _DecimatedWord:
+    def decimated(self, offset: int, head: str, descriptor: str) -> _StridedWord:
         """:func:`decimate` of this view, as one view of its source."""
         rel = offset - len(self._head)
-        return _DecimatedWord(self._src, self._offset + self._stride * (rel if rel >= 0 else rel % 2),
-                              2 * self._stride, head + self._head[offset::2], descriptor)
+        return _StridedWord(self._src, self._offset + self._stride * (rel if rel >= 0 else rel % 2),
+                            2 * self._stride, head + self._head[offset::2], descriptor)
+
+
+def shift(src: InfiniteWord, j: int) -> InfiniteWord:
+    """The shifted word ``T^j(src)``: the view :func:`decimate` builds, with
+    stride 1 and no head, so its period is that formula's at ``d = 1``:
+    period ``p`` from ``start`` gives ``p`` from ``max(0, start - j)``.
+    Building it reads nothing of ``src``, not even its period."""
+    if j < 0:
+        raise ValueError("shift must be >= 0")
+    return _StridedWord(src, j, 1, "", f"T^{j}({src.descriptor})") if j else src
 
 
 def decimate(src: InfiniteWord, offset: int, head: str, descriptor: str) -> InfiniteWord:
     """The word ``head`` followed by every other letter of ``src`` from
     ``offset`` on.  A request reads the span it covers with one ``window``.
 
-    A decimation of a decimation is one view of the first source, so a view
-    reached by any number of square root steps is one level deep: its
-    stride doubles, the letters it takes from the inner head join its head
-    (at most two names on the orbit route, whose heads are one name), and
-    its offset moves to the inner source letter that comes next.  Period
-    ``p`` from ``start`` gives ``p / gcd(p, stride)`` from ``|head| +
+    A decimation of a shift or of a decimation is one view of the first
+    source, so a view reached by any number of square root steps is one
+    level deep: its stride doubles, the letters it takes from the inner head
+    join its head (at most two names on the orbit route, whose heads are one
+    name), and its offset moves to the inner source letter that comes next.
+    Period ``p`` from ``start`` gives ``p / gcd(p, stride)`` from ``|head| +
     max(0, ceil((start - offset) / stride))``.  Such a source is read
     modulo its period: once ``offset >= start``, the view keeps
     ``start + (offset - start) mod p`` and ``stride mod p`` (``p`` if ``p``
     divides it), which take the same letters, so a request spans at most
     ``p`` source letters per letter it returns however often the stride
     has doubled."""
-    if isinstance(src, _DecimatedWord):
+    if isinstance(src, _StridedWord):
         return src.decimated(offset, head, descriptor)
-    return _DecimatedWord(src, offset, 2, head, descriptor)
+    return _StridedWord(src, offset, 2, head, descriptor)
 
 
 SQRT_PIECE = 1 << 14  # input letters tokenized per piece of a square root
@@ -331,7 +303,7 @@ class BlockWord:
         """Every ``step``-th name from name 0, one or two strided windows of ``source``."""
         n, cut = self.block_len, self.block_len - self.size
         head = self.source.window(cut % n, n)[::step]
-        return head if cut >= 0 else head + self.source.prefix(n)[-cut % step :: step]
+        return head if cut >= 0 else head + self.source.prefix(n)[cut % step :: step]
 
     def __len__(self) -> int:
         return self.size * len(self.s_word)

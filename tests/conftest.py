@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from squareful import streams
 from squareful.omega import D_LOOKAHEAD, PLAIN, SWAPPED, TYPE_B, TYPE_D, OmegaParams, OmegaSystem
 
 
@@ -25,6 +26,12 @@ def grid_systems():
     """A fresh system for each parameter choice of :data:`GRID`, so that no
     memo is shared between tests."""
     return (OmegaSystem(params) for params in GRID)
+
+
+def indexed_word(f, descriptor):
+    """The word ``f(0) f(1) f(2) ...``, a source over the chunks ``f(i)``,
+    which calls ``f`` once per index up to the furthest letter read."""
+    return streams.InfiniteWord(map(f, itertools.count()), descriptor)
 
 
 def tokenizer_rotation_walk(sys):

@@ -17,7 +17,7 @@ from squareful.omega import SWAPPED, OmegaParams, OmegaSystem, tau
 from squareful.squares import build_alphabet, factor_minimal_squares, sqrt_finite
 from squareful.sturmian import RotationSystem
 
-from conftest import grid_systems
+from conftest import grid_systems, indexed_word
 
 
 def report(name: str, ok: bool, detail: str = ""):
@@ -61,7 +61,7 @@ def test_criterion_01_table1_reproduction(rotation_walk, forward):
         fill = random_names(rng)
         shift, first = row.start
         star = sys.gamma_star(1)
-        blocks = streams.from_function(lambda i: first if i == 0 else star.letter(i - 1), "start")
+        blocks = indexed_word(lambda i: first if i == 0 else star.letter(i - 1), "start")
         on_gamma = forward(sys, shift, first, lambda i: star.letter(i - 1))
         orbit = dynamics.iterate_sqrt(sys, streams.expand(sys.product(blocks, shift)), row.steps)
         at_random = forward(sys, shift, first, lambda i: fill[i % 4096])
@@ -143,7 +143,7 @@ def test_criterion_06_worked_examples(fib_sys):
     ok &= "".join(roots1) == sbar and "".join(roots2) == sbar
 
     star = fib_sys.gamma_star(1)
-    blocks = streams.from_function(
+    blocks = indexed_word(
         lambda i: "S" if i < 2 else star.letter(i - 2), "S2+Gamma1*"
     )
     prod = streams.SLProduct(blocks, 4, fib_sys.s_word, fib_sys.l_word)
@@ -200,7 +200,7 @@ def _injectivity_cap(sys: OmegaSystem, targets: int) -> tuple[bool, int]:
             return tail[i] if i < len(tail) else star.letter(i - len(tail))
 
         prod = streams.SLProduct(
-            streams.from_function(mk, "zS+G*"), 0, sys.s_word, sys.l_word
+            indexed_word(mk, "zS+G*"), 0, sys.s_word, sys.l_word
         )
         target = streams.sqrt_stream(sys.alphabet, streams.expand(prod)).prefix(m)
         hits = index.find(target)

@@ -19,7 +19,7 @@ from squareful.omega import (
 from squareful.streams import expand, shift
 from squareful.sturmian import RotationSystem
 
-from conftest import GRID, grid_systems
+from conftest import GRID, grid_systems, indexed_word
 
 
 @pytest.fixture(scope="module")
@@ -150,13 +150,12 @@ class TestRotationPhase:
         OmegaParams(), OmegaParams(c=2, k=5), OmegaParams(a=2, b=1, k=5, seed=SWAPPED),
     ])
     def test_phase_table_matches_psi(self, params, rotation_walk):
-        # the cell table equals the tokenizer's rotation walk, the engine
-        # reads its phases, and rotation j is the coding of the j-th intercept
+        # the cell table equals the tokenizer's rotation walk, and rotation j
+        # is the coding of the j-th intercept
         sys = OmegaSystem(params)
         successors, phases, bound = sys.rotations
-        engine, (rot, rho_s, _) = OrbitEngine(sys), fraction_cells(sys)
+        rot, rho_s, _ = fraction_cells(sys)
         assert (successors, phases) == rotation_walk(sys)
-        assert phases == tuple(engine.rotation_phase(j) for j in range(sys.block_len))
         assert max(phases) <= bound
         s = sys.s_word
         assert all(rot.coding(rho_s + j * rot.slope, rot.q) == s[j:] + s[:j] for j in range(rot.q))
@@ -246,7 +245,7 @@ class TestOrbitEngine:
         engine = OrbitEngine(sys)
         over = []
         for j in range(1, sys.block_len):
-            phase = engine.rotation_phase(j)
+            phase = sys.rotations[1][j]
             assert dynamics.iterate_sqrt(sys, shift(sys.s_omega(), j), phase).n_fixed == phase
             over.append(engine.steps_to_fixed(j, "S", lambda i: "S") - phase)
         assert set(over) == {0, 1}
@@ -274,7 +273,7 @@ class TestOrbitEngine:
 class TestIterate:
     def test_section3_orbit_record(self, sys):
         star = sys.gamma_star(1)
-        blocks = streams.from_function(
+        blocks = indexed_word(
             lambda i: "S" if i < 2 else star.letter(i - 2), "S2+Gamma1*"
         )
         prod = streams.SLProduct(blocks, 4, sys.s_word, sys.l_word)
@@ -298,7 +297,7 @@ class TestIterate:
         # the word agrees with a shift of S^omega on its first seventeen
         # blocks; the orbit must still take exactly the forward count's steps
         star = sys.gamma_star(1)
-        blocks = streams.from_function(lambda i: "S" if i < 18 else star.letter(i - 18), "S18+Gamma1*")
+        blocks = indexed_word(lambda i: "S" if i < 18 else star.letter(i - 18), "S18+Gamma1*")
         for shift_letters in range(1, sys.block_len):
             src = expand(streams.SLProduct(blocks, shift_letters, sys.s_word, sys.l_word))
             want = engine.steps_to_fixed(shift_letters, "S", blocks.letter)
@@ -326,7 +325,7 @@ class TestIterate:
         # every two steps until the orbit certifies periodic
         star = sys.gamma_star(1)
         for ell, first in ((2, "S"), (4, "S"), (6, "S")):
-            blocks = streams.from_function(
+            blocks = indexed_word(
                 lambda i, f=first: f if i == 0 else star.letter(i), "w"
             )
             src = expand(streams.SLProduct(blocks, ell, sys.s_word, sys.l_word))
@@ -391,7 +390,7 @@ class TestLongOrbits:
         # the fixed points take type A steps only; the run of S blocks gives
         # type B, C and D steps, and so heads, at the shifts below
         star = sys.gamma_star(1)
-        blocks = streams.from_function(lambda i: "S" if i < 18 else star.letter(i - 18), "S18+Gamma1*")
+        blocks = indexed_word(lambda i: "S" if i < 18 else star.letter(i - 18), "S18+Gamma1*")
         sources = [lambda: sys.big_gamma(1), lambda: sys.big_gamma(2)] + [
             lambda ell=ell: expand(sys.product(blocks, ell)) for ell in (2, 4, 6)]
         flat = [dynamics.iterate_sqrt(sys, src(), 450) for src in sources]
@@ -455,7 +454,7 @@ class TestTable1:
             engine = OrbitEngine(dynamics.fibonacci_system(row.s_len))
             (shift_letters, first), sys = row.start, engine.sys
             star = sys.gamma_star("SL".index(lead) + 1)
-            blocks = streams.from_function(lambda i: first if i == 0 else star.letter(i - 1), "w")
+            blocks = indexed_word(lambda i: first if i == 0 else star.letter(i - 1), "w")
             orbit = dynamics.iterate_sqrt(sys, expand(sys.product(blocks, shift_letters)), row.steps)
             fill = [rng.choice("SL") for _ in range(256)]
             assert forward(sys, *row.start, lambda i: star.letter(i - 1)) == row.steps
@@ -562,7 +561,7 @@ class TestPreimages:
         def mk(i):
             return zs[i] if i < len(zs) else star.letter(i - len(zs))
 
-        prod = streams.SLProduct(streams.from_function(mk, "zS+G*"), 0,
+        prod = streams.SLProduct(indexed_word(mk, "zS+G*"), 0,
                                  sys.s_word, sys.l_word)
         target = streams.sqrt_stream(sys.alphabet, expand(prod)).prefix(index.match_len)
         hits = index.find(target)

@@ -14,7 +14,7 @@ from squareful.squares import in_pi, sqrt_finite, square_matcher
 from squareful.streams import expand, periodic_word, shift, sl_cycle
 from squareful.sturmian import RotationSystem
 
-from conftest import GRID
+from conftest import GRID, indexed_word
 
 
 @pytest.fixture(scope="module")
@@ -439,7 +439,7 @@ class TestClassification:
         for first in "SL":
             word0 = sys.s_word if first == "S" else sys.l_word
             for ell in range(1, n):
-                blocks = streams.from_function(
+                blocks = indexed_word(
                     lambda i, f=first: f if i == 0 else "S", "w"
                 )
                 prod = streams.SLProduct(blocks, ell, sys.s_word, sys.l_word)

@@ -12,6 +12,7 @@ from squareful import dynamics, streams
 from squareful.omega import OmegaParams, OmegaSystem
 from squareful.squares import build_alphabet, factor_minimal_squares, sqrt_finite
 from squareful.streams import (
+    BlockWord,
     InfiniteWord,
     SLProduct,
     SourcePoisonedError,
@@ -169,12 +170,6 @@ class TestInfiniteWord:
                 tracemalloc.stop()
         assert held < 2**16
 
-    def test_from_function_calls_f_on_the_requested_indices(self):
-        calls = []
-        word = streams.from_function(lambda i: calls.append(i) or "SL"[i % 2], "f")
-        assert (word.window(5, 9), word.letter(20), word.prefix(3)) == ("LSLS", "S", "SLS")
-        assert calls == [5, 6, 7, 8, 20, 0, 1, 2]
-
     def test_chunks_read_before_the_end_are_kept(self):
         src = InfiniteWord(["ab", "c"], "abc")
         with pytest.raises(SourcePoisonedError) as exc:
@@ -193,7 +188,7 @@ class TestInfiniteWord:
             todo += cls.__subclasses__()
             if cls.__module__.startswith("squareful."):
                 found.append(cls)
-        assert {"_ShiftedWord", "_TauFixedPoint", "_SqrtWord"} <= {c.__name__ for c in found}
+        assert {"_StridedWord", "_TauFixedPoint", "_SqrtWord"} <= {c.__name__ for c in found}
         for cls in found:
             assert not {"window", "prefix", "letter", "ensure"} & set(vars(cls)), cls
         assert not hasattr(InfiniteWord, "ensure")
@@ -210,6 +205,25 @@ class TestShift:
     def test_zero_shift_is_identity(self, sys):
         g = sys.big_gamma(1)
         assert shift(g, 0) is g
+
+    def test_building_reads_nothing(self):
+        # a shift of a root whose period poisons reads neither a letter nor
+        # the period when built; the first read meets the poison
+        src = periodic_word("1")
+        root = sqrt_stream(ALPH, src)
+        view = shift(root, 2)
+        assert (src.max_queried, root.max_queried) == (0, 0)
+        with pytest.raises(SourcePoisonedError):
+            view.prefix(1)
+
+    def test_decimation_of_a_shift_is_one_view(self):
+        # a shift is the stride-1 decimation view, so decimating it reads
+        # the first source and never the shift
+        view = shift(periodic_word("SLLSLSSLL"), 5)
+        view.window = lambda a, b: pytest.fail("the decimation read the shift")
+        word = decimate(view, 1, "L", "d")
+        assert type(word) is type(view)
+        assert word.prefix(40) == "L" + ("SLLSLSSLL" * 10)[5:][1::2][:39]
 
     def test_shares_the_source_memo(self):
         sys = OmegaSystem(OmegaParams())
@@ -478,6 +492,14 @@ class TestSLProduct:
             streams.SLProduct(periodic_word("S"), 0, sys.s_word, "01")
         with pytest.raises(ValueError):
             sl_cycle("SX", sys.s_word, sys.l_word)
+
+    @pytest.mark.parametrize("block_len", range(1, 8))
+    def test_block_word_names_take_every_step_th_name(self, block_len):
+        # the last `size` names of the block squared, every `step`-th from name 0
+        block = "abcdefg"[:block_len]
+        for size, step in itertools.product(range(1, 2 * block_len + 1), range(1, 7)):
+            word = BlockWord(periodic_word(block), block_len, size, "0", "1")
+            assert word.names(step) == (block + block)[-size:][::step], (size, step)
 
     def test_block_words(self, sys):
         prod = sl_cycle("SL", sys.s_word, sys.l_word)
