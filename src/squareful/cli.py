@@ -86,10 +86,9 @@ def _system(ns) -> OmegaSystem:
     the covering texts and ``omega gamma`` read every tau block; no command
     builds one by substitution.  ``--bmax`` bounds the
     names of its factor windows, of :func:`equation.window_names` names, one
-    per name of ``tau^j(a)`` in each of four covering texts (the bound counts
-    four, though the lemma of :func:`~squareful.omega.tau` leaves three),
-    ``j = covering_level(m, names)``; it caps the default system at 4568,
-    though the harvest reads only the texts.
+    per name of ``tau^j(a)`` in each of the three covering texts that (c) of
+    :func:`~squareful.omega.tau` leaves, ``j = covering_level(m, names)``; it
+    caps the default system at 6092, though the harvest reads only the texts.
     ``--max-blocks`` builds no word; :data:`MAX_BLOCKS` bounds it."""
     params = OmegaParams(a=ns.a, b=ns.b, c=ns.c, k=ns.k, seed=ns.seed_word)
     m, prev, n = 2 * ns.c + 1, 1, 1
@@ -103,7 +102,7 @@ def _system(ns) -> OmegaSystem:
         raise ValueError(f"--j {ns.j}: gamma_j and gamma_bar_j have more than {MAX_WORD_LETTERS} letters")
     if "bmax" in ns:
         names = equation.window_names(n, ns.bmax)
-        if 4 * m ** covering_level(m, names) * names > MAX_WORD_LETTERS:
+        if 3 * m ** covering_level(m, names) * names > MAX_WORD_LETTERS:
             raise ValueError(f"--bmax {ns.bmax}: the factor windows spell more than {MAX_WORD_LETTERS} names")
     return OmegaSystem(params)
 

@@ -4,7 +4,7 @@ The workhorse is :class:`OrbitEngine`, which iterates the square root map on
 shifted block products ``y . B1 B2 B3 ...`` exactly, in block coordinates:
 the remainder ``y`` is ``(first, shift)``, the last ``|S| - shift`` letters
 of block ``first``.  One application of the map,
-:meth:`OmegaSystem.sqrt_step` (one greedy walk per memo miss), either
+:meth:`OmegaSystem.sqrt_step` (one greedy walk, which keeps nothing), either
 
 * consumes ``y`` alone (``y`` is a product of minimal squares), leaving the
   odd-indexed blocks,
@@ -20,7 +20,8 @@ steps to ``S^omega`` or ``L^omega``; it is the system's one table, which the
 engine and :func:`iterate_sqrt` read.  Table 1 is a walk on the graph whose
 nodes are the remainders: each has one successor, a remainder or a rotation,
 because the engine checks that a remainder's step does not depend on the
-names of the blocks after it.  A remainder's depth is its step count to
+names of the blocks after it, walking once per names-read prefix
+(:meth:`OmegaSystem.names_read`).  A remainder's depth is its step count to
 ``S^omega`` or ``L^omega``, ending in a rotation's phase; the supremum is the
 largest depth of a start's remainder.
 """
@@ -86,38 +87,50 @@ class OrbitEngine:
     rotation ``T^j(S^omega)``, whose depth is its phase, read from the
     system's one table :attr:`OmegaSystem.rotations`; the rotations 0 and
     ``sys.conjugate_index(sys.l_word)`` (``S^omega`` and ``L^omega``) have
-    phase 0.
+    phase 0.  A remainder with shift >= 2 spells the same letters whatever
+    its first block, so the graph has ``|S|`` remainders, and their depths
+    are one flat table of ``|S|`` bytes: slot ``shift`` holds ``("S",
+    shift)`` and slot 0 holds ``("L", 1)``, with 0 while unknown (every
+    remainder is at least one step from a rotation).
     """
 
     def __init__(self, sys: OmegaSystem):
         self.sys = sys
         self.n = sys.block_len
-        self._depth: dict[_Remainder, int] = {}
+        self._depth = bytearray(self.n)
 
-    def _step(self, node: _Remainder) -> tuple[str, _Remainder | int]:
+    def _step(self, slot: int) -> tuple[str, _Remainder | int]:
         """The square root step of a remainder, which must come out the same
         under all 16 tails of the :data:`~squareful.omega.D_LOOKAHEAD` names
         it can read, so that its depth is the step count of every start that
-        reaches it."""
-        outcomes = {self.sys.sqrt_step(*node, names) for names in _TAILS}
-        if len(outcomes) != 1:
-            raise AssertionError(f"the square root step of the remainder {node!r} depends on the block names")
-        return outcomes.pop()
+        reaches it.  A step stands for every tail that starts with the names
+        it read (:meth:`OmegaSystem.names_read`), so the kernel is walked
+        once per names-read prefix."""
+        first, shift = ("S", slot) if slot else ("L", 1)
+        steps: dict[str, tuple[str, _Remainder | int]] = {}  # by the names each step read
+        for names in _TAILS:
+            if not any(names.startswith(read) for read in steps):
+                step = self.sys.sqrt_step(first, shift, names)
+                steps[names[: self.sys.names_read(step[0], shift)]] = step
+        if len(set(steps.values())) != 1:
+            raise AssertionError(f"the square root step of the remainder {(first, shift)!r} depends on the block names")
+        return step
 
-    def _depth_of(self, node: _Remainder) -> int:
-        """Steps from ``node`` to ``S^omega`` or ``L^omega``, memoized."""
-        path: dict[_Remainder, None] = {}
-        while node not in self._depth:
-            if node in path:
+    def _depth_of(self, first: str, shift: int) -> int:
+        """Steps from the remainder ``(first, shift)`` to ``S^omega`` or
+        ``L^omega``, kept in the depth table."""
+        path: dict[int, None] = {}
+        while not self._depth[slot := shift if shift > 1 or first == "S" else 0]:
+            if slot in path:
                 raise AssertionError("orbit cycled; contradicts the finite-time theorem")
-            path[node] = None
-            kind, out = self._step(node)
+            path[slot] = None
+            kind, out = self._step(slot)
             if kind == TYPE_D:
                 depth = self.sys.rotations[1][out]
                 break
-            node = out
+            first, shift = out
         else:
-            depth = self._depth[node]
+            depth = self._depth[slot]
         for back in reversed(path):
             depth += 1
             self._depth[back] = depth
@@ -142,14 +155,14 @@ class OrbitEngine:
         """
         if not 0 < shift < self.n:
             raise ValueError("start word must be a properly shifted product")
-        return self._depth_of((first, shift))
+        return self._depth_of(first, shift)
 
     def start(self) -> tuple[int, str]:
         """A properly shifted start ``(shift, first)`` attaining
         :meth:`steps_supremum` under every tail of names, exactly unless the
         tail is eventually constant (then it may count one more)."""
         starts = [(shift, first) for shift in range(1, self.n) for first in "SL"]
-        return max(starts, key=lambda s: self._depth_of((s[1], s[0])))
+        return max(starts, key=lambda s: self._depth_of(s[1], s[0]))
 
     def steps_supremum(self) -> int:
         """Exact maximum of :meth:`steps_to_fixed` over every properly
@@ -158,7 +171,7 @@ class OrbitEngine:
         Conjecture, checked on Table 1 and on a parameter grid but not
         proved: it equals ``s_word.count("0").bit_length()``."""
         shift, first = self.start()
-        return self._depth_of((first, shift))
+        return self._depth_of(first, shift)
 
 
 # ---------------------------------------------------------------------------
@@ -323,9 +336,11 @@ class PreimageIndex:
     16 pairs after two names).  Type D is the step's own claim, the one the
     orbit engine uses: the root is ``T^j(S^omega)``, the ``j``-th rotation of
     ``S`` repeated.  The step reads only the window's first ``1 +
-    D_LOOKAHEAD`` names, so it is taken once per such prefix and shift, and
-    the letters it fixes (``sigma(head)[shift':]`` or the rotation root) are
-    kept with it; a window then only joins them to its names' letters.  A
+    D_LOOKAHEAD`` names, and of them only its :meth:`OmegaSystem.names_read`,
+    so it is walked once per remainder and names-read prefix across all such
+    leads, and the letters it fixes (``sigma(head)[shift':]`` or the
+    rotation root) are kept per lead and shift; a window then only joins
+    them to its names' letters.  A
     preimage keeps its first witness, in sorted window order and then by
     ascending shift.
     """
@@ -343,12 +358,20 @@ class PreimageIndex:
         # in `tails` of what follows them: the names the step consumes, or 3
         # (nothing) for a type D image
         heads: dict[str, list[tuple[str, int]]] = {}
+        # per remainder, the steps taken, by the names each read; a shift >= 2
+        # reads no name of the first block
+        steps: dict[tuple[str, int], dict[str, tuple]] = {}
         for window in sys.factors(self.window_blocks):
             size, text, lead = len(window), sys.sigma(window), window[: 1 + D_LOOKAHEAD]
             if lead not in heads:
                 heads[lead] = [("", CONSUMED[TYPE_A])]
                 for ell in range(1, n):
-                    kind, out = sys.sqrt_step(lead[0], ell, lead[1:])
+                    known = steps.setdefault((lead[0] if ell < 2 else "S", ell), {})
+                    step = next((s for read, s in known.items() if lead[1:].startswith(read)), None)
+                    if step is None:
+                        step = sys.sqrt_step(lead[0], ell, lead[1:])
+                        known[lead[1 : 1 + sys.names_read(step[0], ell)]] = step
+                    kind, out = step
                     if kind == TYPE_D:
                         heads[lead].append(((sys.s_word[out:] + sys.s_word[:out]) * (need // n), 3))
                     else:

@@ -173,7 +173,6 @@ class OmegaSystem:
         self.m = 2 * params.c + 1
         self._body = "S" * (self.m - 1)
         self._gamma_star: dict[int, InfiniteWord] = {}
-        self._steps: dict[tuple[str, int, str], tuple[str, tuple[str, int] | int]] = {}
 
     # -- basic words ---------------------------------------------------------
 
@@ -328,6 +327,17 @@ class OmegaSystem:
 
     # -- the square root step --------------------------------------------------
 
+    def names_read(self, kind: str, shift: int) -> int:
+        """How many of the block names after the remainder ``(first, shift)``
+        a step of type ``kind`` reads: none for type B and the first for type
+        C, the names each consumes after the remainder's own block
+        (:data:`CONSUMED`), and for type D the ``ceil((|S| + |S6^2| +
+        shift)/|S|)`` names that :meth:`sqrt_step`'s ``2|S| + |S6^2|``
+        letters reach, at most :data:`D_LOOKAHEAD`."""
+        if kind != TYPE_D:
+            return CONSUMED[kind] - 1
+        return -(-(self.block_len + self.alphabet.max_square_len + shift) // self.block_len)
+
     def sqrt_step(self, first: str, shift: int, names: str) -> tuple[str, tuple[str, int] | int]:
         """One square root step on the remainder ``(first, shift)``, the last
         ``|S| - shift`` letters of block ``first``, and the blocks ``names``
@@ -343,38 +353,32 @@ class OmegaSystem:
         of the remainder and the blocks after it, cut at ``2|S| + |S6^2|``
         letters, thus decides the type: B iff it passes ``|S| - shift``, C iff
         it passes ``2|S| - shift``, else D, with ``j`` the rotation index of
-        its first ``|S|`` root letters.  The memo keys B on no names, C on the
-        first and D on the names the walk reads, tried in that order; S and L
-        differ only in their first two letters, so a shift >= 2 keys on "S".
+        its first ``|S|`` root letters.  So the step depends on the names only
+        through the :meth:`names_read` of its type: a B walk passes its end
+        inside the remainder and a C walk inside ``names[0]``, whatever
+        follows.  S and L differ only in their first two letters, so a shift
+        >= 2 reads no name of ``first``.  The step keeps nothing: callers that
+        take it under many tails walk once per names-read prefix.
         """
         n, read = self.block_len, 2 * self.block_len + self.alphabet.max_square_len
         if not 0 < shift < n:
             raise ValueError("shift must lie in [1, |S|)")
         if len(names) < D_LOOKAHEAD:
             raise ValueError(f"need {D_LOOKAHEAD} block names, got {names!r}")
-        f, tail = first if shift < 2 else "S", names[: -(-(read - n + shift) // n)]
-        keys = (f, shift, ""), (f, shift, names[0]), (f, shift, tail)
-        step = self._steps.get(keys[0]) or self._steps.get(keys[1]) or self._steps.get(keys[2])
-        if step:
-            return step
-        text = self.sigma(f)[shift:] + self.sigma(tail)
+        text = self.sigma(first)[shift:] + self.sigma(names[: self.names_read(TYPE_D, shift)])
         roots, _ = squares.factor_minimal_squares(self.alphabet, text[:read])
         word, ends = "".join(roots), set(itertools.accumulate(2 * len(root) for root in roots))
-        for kind, key, end in ((TYPE_B, keys[0], n - shift), (TYPE_C, keys[1], 2 * n - shift)):
+        for kind, end in ((TYPE_B, n - shift), (TYPE_C, 2 * n - shift)):
             if end in ends:
                 root = word[: end // 2]
                 head = "S" if self.s_word.endswith(root) else "L"
                 if not self.sigma(head).endswith(root):
                     raise AssertionError("the root of a block suffix is a block suffix")
-                step = kind, (head, n - len(root))
-                break
-        else:
-            key, j = keys[2], self.conjugate_index(word[:n])
-            if j is None:
-                raise AssertionError(f"periodic image {word[:n]!r} is not a rotation of the block word")
-            step = TYPE_D, j
-        self._steps[key] = step
-        return step
+                return kind, (head, n - len(root))
+        j = self.conjugate_index(word[:n])
+        if j is None:
+            raise AssertionError(f"periodic image {word[:n]!r} is not a rotation of the block word")
+        return TYPE_D, j
 
     # -- the square root of a product ------------------------------------------
 

@@ -186,3 +186,28 @@ def test_only_the_system_derives_the_substitution_length():
     reads = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
              for line in c_reads(ast.parse(path.read_text()), C_READERS.get(path.name, ()))]
     assert not reads, "reads of c outside OmegaParams, OmegaSystem.__init__ and cli._system: " + ", ".join(reads)
+
+
+def self_stores(fn: ast.FunctionDef) -> list[str]:
+    """Each store into ``self`` in ``fn``, as ``line: target``: an
+    attribute of ``self``, or a subscript or attribute of one."""
+    found = []
+    for node in ast.walk(fn):
+        if isinstance(node, (ast.Attribute, ast.Subscript)) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            owner = node
+            while isinstance(owner, (ast.Attribute, ast.Subscript)):
+                owner = owner.value
+            if isinstance(owner, ast.Name) and owner.id == "self":
+                found.append(f"{node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_the_square_root_step_keeps_nothing():
+    # the kernel is a pure function of (first, shift, names): callers that
+    # take it under many tails share walks by the names each step read
+    tree = ast.parse((PACKAGE / "omega.py").read_text())
+    system = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "OmegaSystem")
+    methods = {fn.name: fn for fn in system.body if isinstance(fn, ast.FunctionDef)}
+    assert self_stores(methods["__init__"])  # the scan sees stores
+    stores = self_stores(methods["sqrt_step"])
+    assert not stores, "OmegaSystem.sqrt_step stores into self: " + ", ".join(stores)

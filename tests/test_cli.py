@@ -339,13 +339,14 @@ def test_oversized_words_are_refused_before_building(monkeypatch, capsys, argv):
 
 
 def test_largest_bmax_is_accepted(monkeypatch, capsys):
-    # the factor windows of --bmax 4568 spell 4 * 3^7 * 1143 <= 10^7 names
-    # at the default system, those of 4569 spell 4 * 3^7 * 1144 > 10^7
+    # the factor windows of --bmax 6092 spell 3 * 3^7 * 1524 <= 10^7 names
+    # in the three covering texts of the default system, those of 6093
+    # spell 3 * 3^7 * 1525 > 10^7
     monkeypatch.setattr(cli.equation, "enumerate_solutions", lambda sys, bmax: [])
-    assert main(["eq", "enumerate", "--bmax", "4568"]) == 0
-    assert main(["eq", "enumerate", "--bmax", "4569"]) == 2
+    assert main(["eq", "enumerate", "--bmax", "6092"]) == 0
+    assert main(["eq", "enumerate", "--bmax", "6093"]) == 2
     lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: --bmax 4569")
+    assert len(lines) == 1 and lines[0].startswith("error: --bmax 6093")
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

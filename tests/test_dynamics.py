@@ -251,7 +251,8 @@ class TestOrbitEngine:
         assert set(over) == {0, 1}
 
     def test_walk_keeps_block_coordinates(self):
-        # the memos hold remainders as (first, shift), not as letters
+        # the depths of the remainders are one table of |S| bytes, and the
+        # kernel keeps nothing
         tracing = tracemalloc.is_tracing()
         if not tracing:
             tracemalloc.start()
@@ -263,7 +264,7 @@ class TestOrbitEngine:
         finally:
             if not tracing:
                 tracemalloc.stop()
-        assert kept < 2**20, kept
+        assert kept < 128 * 2**10, kept
 
     def test_rejects_unshifted(self, engine):
         with pytest.raises(ValueError):
@@ -490,21 +491,32 @@ class TestNameFreeStep:
 
     def test_sixteen_tails_per_remainder(self, monkeypatch):
         # a type-D image reaches at most four blocks after the remainder, so
-        # the walk takes each remainder's step under the 16 four-name tails;
-        # rotations step on cells and add no step
+        # the walk judges each remainder's step under the 16 four-name tails;
+        # a step stands for every tail that starts with the names it read,
+        # so the kernel is walked once per such prefix: once for type B,
+        # twice for C and 2^r times for D, which reads r = 2, 3 or 4 names;
+        # rotations add no step
+        tails = ["".join(p) for p in itertools.product("LS", repeat=D_LOOKAHEAD)]
         for s_len in (8, 89):
             sys = dynamics.fibonacci_system(s_len)
             step, calls = sys.sqrt_step, {}
 
             def counted(first, shift_letters, names):
-                calls.setdefault((first, shift_letters), []).append(names)
-                return step(first, shift_letters, names)
+                out = step(first, shift_letters, names)
+                calls.setdefault((first, shift_letters), []).append((names, out))
+                return out
 
             monkeypatch.setattr(sys, "sqrt_step", counted)
             assert OrbitEngine(sys).steps_supremum() == dynamics.TABLE1_REFERENCE[s_len]
-            assert calls
-            for tails in calls.values():
-                assert len(set(tails)) == len(tails) == 16 and all(len(names) == 4 for names in tails)
+            kinds = set()
+            for (first, shift_letters), taken in calls.items():
+                (kind, _), = {out for _, out in taken}
+                assert all(len(names) == D_LOOKAHEAD for names, _ in taken)
+                reads = [names[: sys.names_read(kind, shift_letters)] for names, _ in taken]
+                assert all(sum(tail.startswith(read) for read in reads) == 1 for tail in tails)
+                assert len(reads) == 2 ** len(reads[0])
+                kinds.add(kind)
+            assert kinds == {TYPE_B, TYPE_C, TYPE_D}
 
     def test_supremum_is_the_largest_forward_count(self, forward):
         rng = random.Random(5)
@@ -650,7 +662,7 @@ class TestPreimages:
     @pytest.mark.parametrize("params", [OmegaParams(), OmegaParams(c=2, seed=SWAPPED), OmegaParams(3, 2, 1, 6)])
     def test_one_step_table_per_window_head(self, monkeypatch, params):
         # the step reads the first 1 + D_LOOKAHEAD names of a window, so the
-        # build takes it once per such head and nonzero shift
+        # build takes it at most once per such head and nonzero shift
         sys, calls = OmegaSystem(params), []
         step = OmegaSystem.sqrt_step
         monkeypatch.setattr(OmegaSystem, "sqrt_step", lambda self, *args: calls.append(args) or step(self, *args))

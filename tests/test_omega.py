@@ -614,8 +614,9 @@ class TestOneStepKernel:
                  for node in ast.walk(tree)}
         assert not names & {"_block_root", "periodic_image", "_block_roots", "_periodic_images"}
 
-    @pytest.mark.parametrize("s_len, most", [(89, 300), (377, 1200)])
-    def test_one_walk_per_memo_miss(self, monkeypatch, s_len, most):
+    @staticmethod
+    def count_walks(monkeypatch, build):
+        """The tokenizer walks that ``build()`` takes."""
         calls, tokenize = [], squares.factor_minimal_squares
 
         def counted(alph, w):
@@ -623,8 +624,38 @@ class TestOneStepKernel:
             return tokenize(alph, w)
 
         monkeypatch.setattr(squares, "factor_minimal_squares", counted)
-        OrbitEngine(fibonacci_system(s_len)).steps_supremum()
-        assert 0 < len(calls) <= most
+        build()
+        return len(calls)
+
+    @pytest.mark.parametrize("s_len, walks", [(89, 270), (377, 1062)])
+    def test_walk_count_is_pinned(self, monkeypatch, s_len, walks):
+        # one walk per remainder and names-read prefix, on a fresh system
+        assert self.count_walks(monkeypatch, lambda: OrbitEngine(fibonacci_system(s_len)).steps_supremum()) == walks
+
+    @pytest.mark.parametrize("params, walks", [(OmegaParams(), 25 + 4), (OmegaParams(3, 2, 1, 6), 190 + 4)])
+    def test_index_walk_count_is_pinned(self, monkeypatch, params, walks):
+        # one walk per remainder and names-read prefix across all window
+        # leads, and four for the block pairs that pairs_halve checks
+        assert self.count_walks(monkeypatch, lambda: dynamics.PreimageIndex(OmegaSystem(params))) == walks
+
+    def test_step_keeps_nothing(self):
+        # every shift of a fresh |S| = 233 system under each of the 16
+        # four-name tails: 3,712 walks, and nothing keeps any of them (a memo
+        # of the steps keeps 43 KB here)
+        sys = fibonacci_system(233)
+        tails = ["".join(p) for p in itertools.product("LS", repeat=4)]
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for shift_letters, names in itertools.product(range(1, 233), tails):
+                sys.sqrt_step("S", shift_letters, names)
+            kept = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert kept < 16 * 2**10, kept
 
 
 class TestSynchronization:
