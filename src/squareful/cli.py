@@ -196,7 +196,12 @@ def cmd_orbit(ns) -> Result:
 
 
 def _parse_fib(text: str) -> list[int]:
-    lengths = [int(t) for t in text.split(",") if t]
+    lengths = []
+    for t in filter(None, text.split(",")):
+        try:
+            lengths.append(int(t))
+        except ValueError:
+            raise ValueError(f"--fib: not an integer: {t!r}") from None
     if not lengths:
         raise ValueError("--fib names no block length")
     return lengths

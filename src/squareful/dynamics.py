@@ -4,7 +4,8 @@ The workhorse is :class:`OrbitEngine`, which iterates the square root map on
 shifted block products ``y . B1 B2 B3 ...`` exactly, in block coordinates:
 the remainder ``y`` is ``(first, shift)``, the last ``|S| - shift`` letters
 of block ``first``.  One application of the map,
-:meth:`OmegaSystem.sqrt_step` (one greedy walk, which keeps nothing), either
+:meth:`OmegaSystem.remainder_step` (the kernel's greedy walk under every
+tail of block names, which keeps nothing), either
 
 * consumes ``y`` alone (``y`` is a product of minimal squares), leaving the
   odd-indexed blocks,
@@ -19,20 +20,19 @@ part is integer arithmetic: by the intercept map of the Sturmian square root
 steps to ``S^omega`` or ``L^omega``; it is the system's one table, which the
 engine and :func:`iterate_sqrt` read.  Table 1 is a walk on the graph whose
 nodes are the remainders: each has one successor, a remainder or a rotation,
-because the engine checks that a remainder's step does not depend on the
-names of the blocks after it, walking once per names-read prefix
-(:meth:`OmegaSystem.names_read`).  A remainder's depth is its step count to
-``S^omega`` or ``L^omega``, ending in a rotation's phase; the supremum is the
-largest depth of a start's remainder.
+because :meth:`OmegaSystem.remainder_step` proves that a remainder's step
+does not depend on the names of the blocks after it.  A remainder's depth is
+its step count to ``S^omega`` or ``L^omega``, ending in a rotation's phase;
+the supremum is the largest depth of a start's remainder.  The preimage
+index (:class:`PreimageIndex`) reads its roots off the same steps.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, Iterable
 
 from . import equation, squares, streams
-from .omega import CONSUMED, D_LOOKAHEAD, FLIP, PERIODIC, TYPE_A, TYPE_D, OmegaParams, OmegaSystem
+from .omega import CONSUMED, FLIP, PERIODIC, TYPE_A, TYPE_D, OmegaParams, OmegaSystem
 from .streams import BlockWord, InfiniteWord
 
 # ---------------------------------------------------------------------------
@@ -74,16 +74,14 @@ def fibonacci_estimate(s_len: int) -> str:
 # the exact orbit engine
 
 
-_TAILS = ["".join(p) for p in itertools.product("LS", repeat=D_LOOKAHEAD)]
-_Remainder = tuple[str, int]
-
-
 class OrbitEngine:
     """Exact steps-to-fixed counts on shifted products.
 
     The counts are depths in a graph where every node has one successor.  A
     node is a remainder ``(first, shift)``, whose successor is its square
-    root step: another remainder after type B or C, and after type D the
+    root step, the same under every tail of names
+    (:meth:`OmegaSystem.remainder_step`): another remainder after type B or
+    C, and after type D the
     rotation ``T^j(S^omega)``, whose depth is its phase, read from the
     system's one table :attr:`OmegaSystem.rotations`; the rotations 0 and
     ``sys.conjugate_index(sys.l_word)`` (``S^omega`` and ``L^omega``) have
@@ -99,23 +97,6 @@ class OrbitEngine:
         self.n = sys.block_len
         self._depth = bytearray(self.n)
 
-    def _step(self, slot: int) -> tuple[str, _Remainder | int]:
-        """The square root step of a remainder, which must come out the same
-        under all 16 tails of the :data:`~squareful.omega.D_LOOKAHEAD` names
-        it can read, so that its depth is the step count of every start that
-        reaches it.  A step stands for every tail that starts with the names
-        it read (:meth:`OmegaSystem.names_read`), so the kernel is walked
-        once per names-read prefix."""
-        first, shift = ("S", slot) if slot else ("L", 1)
-        steps: dict[str, tuple[str, _Remainder | int]] = {}  # by the names each step read
-        for names in _TAILS:
-            if not any(names.startswith(read) for read in steps):
-                step = self.sys.sqrt_step(first, shift, names)
-                steps[names[: self.sys.names_read(step[0], shift)]] = step
-        if len(set(steps.values())) != 1:
-            raise AssertionError(f"the square root step of the remainder {(first, shift)!r} depends on the block names")
-        return step
-
     def _depth_of(self, first: str, shift: int) -> int:
         """Steps from the remainder ``(first, shift)`` to ``S^omega`` or
         ``L^omega``, kept in the depth table."""
@@ -124,7 +105,7 @@ class OrbitEngine:
             if slot in path:
                 raise AssertionError("orbit cycled; contradicts the finite-time theorem")
             path[slot] = None
-            kind, out = self._step(slot)
+            kind, out = self.sys.remainder_step(first, shift)
             if kind == TYPE_D:
                 depth = self.sys.rotations[1][out]
                 break
@@ -145,10 +126,10 @@ class OrbitEngine:
 
         ``fetch(i)`` names the i-th block (i >= 1) of the unshifted product,
         but no tail changes the count, so it is not read.  Proof: a forward
-        walk reads the four :data:`~squareful.omega.D_LOOKAHEAD` names after
-        each remainder, which are one of the 16 tails :meth:`_step` checks,
-        so it takes the graph's step at every remainder and ends at the same
-        rotation; the count raises exactly where :meth:`_step` does.
+        walk reads the four names after each remainder, which are one of the
+        16 tails that :meth:`OmegaSystem.remainder_step` checks, so it takes
+        the graph's step at every remainder and ends at the same rotation;
+        the count raises exactly where that check does.
         Periodicity is seen only in a type-D image, so when a type B or C
         image is already ``S^omega`` or ``L^omega`` (the tail is eventually
         constant) the count, like the forward walk, is one more.
@@ -328,21 +309,21 @@ class PreimageIndex:
     the block pairs checked to halve (:attr:`OmegaSystem.pairs_halve`).  Lemma:
     the window ``w`` shifted by ``ell`` is the remainder ``(w[0], ell)`` over
     the blocks ``w[1:]``.  At ``ell = 0`` its root is ``sigma(w[0::2])``.
-    Otherwise :meth:`OmegaSystem.sqrt_step` gives a type B or C root, a
-    remainder ``(head, shift')`` that consumes ``w[0]`` or ``w[0:2]``, after
-    which every name pair halves, so the root is ``sigma(head)[shift':]``
-    followed by ``sigma`` of the odd- or even-indexed names; ``window_blocks``
-    names reach past every pair that ``match_len`` root letters read (at most
-    16 pairs after two names).  Type D is the step's own claim, the one the
-    orbit engine uses: the root is ``T^j(S^omega)``, the ``j``-th rotation of
-    ``S`` repeated.  The step reads only the window's first ``1 +
-    D_LOOKAHEAD`` names, and of them only its :meth:`OmegaSystem.names_read`,
-    so it is walked once per remainder and names-read prefix across all such
-    leads, and the letters it fixes (``sigma(head)[shift':]`` or the
-    rotation root) are kept per lead and shift; a window then only joins
-    them to its names' letters.  A
-    preimage keeps its first witness, in sorted window order and then by
-    ascending shift.
+    Otherwise :meth:`OmegaSystem.remainder_step`, the step that the orbit
+    engine walks and that no tail of names changes, gives a type B or C
+    root, a remainder ``(head, shift')`` that consumes ``w[0]`` or
+    ``w[0:2]``, after which every name pair halves, so the root is
+    ``sigma(head)[shift':]`` followed by ``sigma`` of the odd- or
+    even-indexed names; ``window_blocks`` names reach past every pair that
+    ``match_len`` root letters read (at most 16 pairs after two names).
+    Type D is the step's own claim: the root is ``T^j(S^omega)``
+    (:meth:`OmegaSystem.omega_p_word`).  As the step ignores the names after
+    the remainder, and a shift >= 2 reads no name of the first block, it is
+    taken once per remainder, ``(S, ell)`` for every shift and ``(L, 1)``,
+    and the letters it fixes (``sigma(head)[shift':]`` or the rotation root)
+    are kept per first name and shift; a window then only joins them to its
+    names' letters.  A preimage keeps its first witness, in sorted window
+    order and then by ascending shift.
     """
 
     def __init__(self, sys: OmegaSystem):
@@ -354,32 +335,25 @@ class PreimageIndex:
         need_letters = 2 * need + sys.alphabet.max_square_len + n
         self.window_blocks = need_letters // n + 2
         self.table: dict[str, dict[str, PreimageHit]] = {}
-        # per lead, per shift: the root letters the step fixes and the index
-        # in `tails` of what follows them: the names the step consumes, or 3
-        # (nothing) for a type D image
-        heads: dict[str, list[tuple[str, int]]] = {}
-        # per remainder, the steps taken, by the names each read; a shift >= 2
-        # reads no name of the first block
-        steps: dict[tuple[str, int], dict[str, tuple]] = {}
+
+        def head_of(first: str, ell: int) -> tuple[str, int]:
+            # the root letters the step fixes and the index in `tails` of what
+            # follows them: the names the step consumes, or 3 (nothing) for a
+            # type D image
+            kind, out = sys.remainder_step(first, ell)
+            if kind == TYPE_D:
+                return sys.omega_p_word(out).prefix(need), 3
+            return sys.sigma(out[0])[out[1] :], CONSUMED[kind]
+
+        # per first name, per shift; a shift >= 2 reads no name of the first block
+        by_s = [("", CONSUMED[TYPE_A])] + [head_of("S", ell) for ell in range(1, n)]
+        heads = {"S": by_s, "L": [by_s[0], head_of("L", 1), *by_s[2:]]}
         for window in sys.factors(self.window_blocks):
-            size, text, lead = len(window), sys.sigma(window), window[: 1 + D_LOOKAHEAD]
-            if lead not in heads:
-                heads[lead] = [("", CONSUMED[TYPE_A])]
-                for ell in range(1, n):
-                    known = steps.setdefault((lead[0] if ell < 2 else "S", ell), {})
-                    step = next((s for read, s in known.items() if lead[1:].startswith(read)), None)
-                    if step is None:
-                        step = sys.sqrt_step(lead[0], ell, lead[1:])
-                        known[lead[1 : 1 + sys.names_read(step[0], ell)]] = step
-                    kind, out = step
-                    if kind == TYPE_D:
-                        heads[lead].append(((sys.s_word[out:] + sys.s_word[:out]) * (need // n), 3))
-                    else:
-                        heads[lead].append((sys.sigma(out[0])[out[1] :], CONSUMED[kind]))
+            size, text = len(window), sys.sigma(window)
             # sigma of the first name of each whole pair from name 0 and from name 1
             even = sys.sigma(window[0::2][: size // 2])
             tails = even, sys.sigma(window[1::2][: (size - 1) // 2]), even[n:], ""
-            for ell, (head, tail) in enumerate(heads[lead]):
+            for ell, (head, tail) in enumerate(heads[window[0]]):
                 root = head + tails[tail]
                 if len(root) < need:
                     raise AssertionError("window too short for the requested match depth")

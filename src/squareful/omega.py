@@ -18,7 +18,9 @@ periodic word ``S^omega`` closes the system under the square root map.
 
 The square root map acts on shifted block products through one kernel,
 :meth:`OmegaSystem.sqrt_step`, which :meth:`OmegaSystem.sqrt_of_product`,
-the one typed step of a product, writes as views.  Its type D images are
+the one typed step of a product, writes as views, and which
+:meth:`OmegaSystem.remainder_step` proves free of the block names after a
+remainder, for the Table 1 walk and the preimage index.  Its type D images are
 the rotations ``T^j(S^omega)``, the periodic part, whose successors and
 phases are the one integer table :attr:`OmegaSystem.rotations`.
 """
@@ -51,6 +53,9 @@ FLIP = {ord("S"): "L", ord("L"): "S"}  # swaps the names: x -> xbar
 # letters, |y| >= 1 of them from the remainder, and |S6^2| < 2|S| because
 # |S| > |S6|, so the rest reaches at most four blocks.
 D_LOOKAHEAD = 4
+
+# every name sequence that a step can read: the 16 four-name tails
+_TAILS = ["".join(p) for p in itertools.product("LS", repeat=D_LOOKAHEAD)]
 
 
 class OmegaParams:
@@ -357,8 +362,10 @@ class OmegaSystem:
         through the :meth:`names_read` of its type: a B walk passes its end
         inside the remainder and a C walk inside ``names[0]``, whatever
         follows.  S and L differ only in their first two letters, so a shift
-        >= 2 reads no name of ``first``.  The step keeps nothing: callers that
-        take it under many tails walk once per names-read prefix.
+        >= 2 reads no name of ``first``.  The step keeps nothing:
+        :meth:`remainder_step` takes it under every tail, once per
+        names-read prefix, and :meth:`sqrt_of_product` under its product's
+        own names.
         """
         n, read = self.block_len, 2 * self.block_len + self.alphabet.max_square_len
         if not 0 < shift < n:
@@ -379,6 +386,27 @@ class OmegaSystem:
         if j is None:
             raise AssertionError(f"periodic image {word[:n]!r} is not a rotation of the block word")
         return TYPE_D, j
+
+    def remainder_step(self, first: str, shift: int) -> tuple[str, tuple[str, int] | int]:
+        """The square root step of the remainder ``(first, shift)``, proved
+        not to depend on the block names after it: :meth:`sqrt_step` under
+        every tail of the :data:`D_LOOKAHEAD` names it can read must come
+        out the same, or this raises.  A step stands for every tail that
+        starts with the names it read (:meth:`names_read`), so the kernel is
+        walked once per names-read prefix: once for type B, twice for C and
+        ``2^r`` times for a type D that reads ``r`` names.  Nothing is kept.
+
+        The orbit engine's remainder graph (Table 1) and the preimage
+        index's roots read their steps here alone.
+        """
+        steps: dict[str, tuple[str, tuple[str, int] | int]] = {}  # by the names each step read
+        for names in _TAILS:
+            if not any(names.startswith(read) for read in steps):
+                step = self.sqrt_step(first, shift, names)
+                steps[names[: self.names_read(step[0], shift)]] = step
+        if len(set(steps.values())) != 1:
+            raise AssertionError(f"the square root step of the remainder {(first, shift)!r} depends on the block names")
+        return step
 
     # -- the square root of a product ------------------------------------------
 

@@ -347,7 +347,7 @@ def expand(prod: SLProduct) -> InfiniteWord:
 
 def sl_cycle(pattern: str, s_word: str, l_word: str, shift_letters: int = 0) -> SLProduct:
     """Product whose block names repeat ``pattern`` cyclically."""
-    if set(pattern) - {"S", "L"}:
-        raise ValueError("pattern must be over the letters S and L")
+    if not pattern or set(pattern) - {"S", "L"}:
+        raise ValueError(f"block names must be a nonempty word over S and L, not {pattern!r}")
     return SLProduct(periodic_word(pattern), shift_letters, s_word, l_word)
 

@@ -209,5 +209,18 @@ def test_the_square_root_step_keeps_nothing():
     system = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "OmegaSystem")
     methods = {fn.name: fn for fn in system.body if isinstance(fn, ast.FunctionDef)}
     assert self_stores(methods["__init__"])  # the scan sees stores
-    stores = self_stores(methods["sqrt_step"])
-    assert not stores, "OmegaSystem.sqrt_step stores into self: " + ", ".join(stores)
+    for name in ("sqrt_step", "remainder_step"):
+        stores = self_stores(methods[name])
+        assert not stores, f"OmegaSystem.{name} stores into self: " + ", ".join(stores)
+
+
+def test_only_the_system_takes_the_square_root_step():
+    # the kernel is called in omega.py alone, where remainder_step proves a
+    # remainder's step free of the names after it; the engine and the index
+    # read that proof, and keep no tails or names-read rule of their own
+    callers = sorted(path.name for path in PACKAGE.glob("*.py")
+                     for node in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "sqrt_step")
+    assert callers and set(callers) == {"omega.py"}, f"sqrt_step called outside omega.py: {callers}"
+    named = referenced_names([PACKAGE / "dynamics.py"]) & {"_TAILS", "names_read", "D_LOOKAHEAD"}
+    assert not named, f"dynamics.py names {sorted(named)}"

@@ -311,6 +311,20 @@ def test_errors_exit_with_one_line(capsys, argv, code):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["omega", "classify", "--blocks", ""], "error: block names must be a nonempty word over S and L, not ''"),
+    (["orbit", "--input-kind", "blocks", "--word", ""],
+     "error: block names must be a nonempty word over S and L, not ''"),
+    (["table1", "--fib", "8,x"], "error: --fib: not an integer: 'x'"),
+    (["table2", "--fib", "8,x"], "error: --fib: not an integer: 'x'"),
+])
+def test_usage_errors_name_the_input(capsys, argv, message):
+    # the message speaks of what the user gave, not of an internal word
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [message]
+
+
 @pytest.mark.parametrize("argv", [
     ["omega", "gamma", "--j", "20"],
     ["omega", "gamma", "--k", "40", "--j", "1"],

@@ -661,14 +661,16 @@ class TestPreimages:
 
     @pytest.mark.parametrize("params", [OmegaParams(), OmegaParams(c=2, seed=SWAPPED), OmegaParams(3, 2, 1, 6)])
     def test_one_step_table_per_window_head(self, monkeypatch, params):
-        # the step reads the first 1 + D_LOOKAHEAD names of a window, so the
-        # build takes it at most once per such head and nonzero shift
-        sys, calls = OmegaSystem(params), []
-        step = OmegaSystem.sqrt_step
-        monkeypatch.setattr(OmegaSystem, "sqrt_step", lambda self, *args: calls.append(args) or step(self, *args))
-        index = dynamics.PreimageIndex(sys)
-        heads = {w[: 1 + D_LOOKAHEAD] for w in sys.factors(index.window_blocks)}
-        assert 0 < len(calls) <= len(heads) * (sys.block_len - 1)
+        # no tail of names changes a remainder's step, so the build keeps one
+        # table of steps per first name of a window and takes each remainder's
+        # step once: it walks as often as an engine that steps every
+        # remainder, plus the four walks of pairs_halve
+        walks, tokenize = [], squares.factor_minimal_squares
+        monkeypatch.setattr(squares, "factor_minimal_squares", lambda *args: walks.append(1) or tokenize(*args))
+        OrbitEngine(OmegaSystem(params)).start()
+        engine, walks[:] = len(walks), []
+        dynamics.PreimageIndex(OmegaSystem(params))
+        assert engine > 0 and len(walks) == engine + 4
 
     def test_short_window_raises(self, monkeypatch):
         # windows cut to 20 names give roots of fewer than match_len letters
@@ -685,7 +687,7 @@ class TestPreimages:
         index = next(node for node in ast.walk(tree)
                      if isinstance(node, ast.ClassDef) and node.name == "PreimageIndex")
         init = next(fn for fn in index.body if isinstance(fn, ast.FunctionDef) and fn.name == "__init__")
-        assert any(isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "sqrt_step"
+        assert any(isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "remainder_step"
                    for node in ast.walk(init))
 
 

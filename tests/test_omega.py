@@ -14,7 +14,7 @@ from squareful.squares import in_pi, sqrt_finite, square_matcher
 from squareful.streams import expand, periodic_word, shift, sl_cycle
 from squareful.sturmian import RotationSystem
 
-from conftest import GRID, indexed_word
+from conftest import GRID, grid_systems, indexed_word
 
 
 @pytest.fixture(scope="module")
@@ -632,11 +632,25 @@ class TestOneStepKernel:
         # one walk per remainder and names-read prefix, on a fresh system
         assert self.count_walks(monkeypatch, lambda: OrbitEngine(fibonacci_system(s_len)).steps_supremum()) == walks
 
-    @pytest.mark.parametrize("params, walks", [(OmegaParams(), 25 + 4), (OmegaParams(3, 2, 1, 6), 190 + 4)])
+    @pytest.mark.parametrize("params, walks", [(OmegaParams(), 53 + 4), (OmegaParams(3, 2, 1, 6), 285 + 4)])
     def test_index_walk_count_is_pinned(self, monkeypatch, params, walks):
-        # one walk per remainder and names-read prefix across all window
-        # leads, and four for the block pairs that pairs_halve checks
+        # one walk per remainder and names-read prefix, over every remainder
+        # of the system, and four for the block pairs that pairs_halve checks
         assert self.count_walks(monkeypatch, lambda: dynamics.PreimageIndex(OmegaSystem(params))) == walks
+
+    def test_remainder_step_ignores_the_tail_on_the_grid(self):
+        # every remainder of every grid system: its step is proved name-free,
+        # and it is the kernel's step under each of the 16 four-name tails; a
+        # shift >= 2 reads no name of the first block, so the index takes one
+        # step for the remainders (S, shift) and (L, shift)
+        tails = ["".join(p) for p in itertools.product("LS", repeat=4)]
+        for sys in grid_systems():
+            for first, shift_letters in [("L", 1)] + [("S", j) for j in range(1, sys.block_len)]:
+                step = sys.remainder_step(first, shift_letters)
+                assert all(sys.sqrt_step(first, shift_letters, names) == step for names in tails), \
+                    (sys.params, first, shift_letters)
+                if shift_letters > 1:
+                    assert sys.sqrt_step("L", shift_letters, tails[0]) == step, (sys.params, shift_letters)
 
     def test_step_keeps_nothing(self):
         # every shift of a fresh |S| = 233 system under each of the 16
