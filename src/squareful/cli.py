@@ -33,6 +33,10 @@ EXIT_USAGE = 2
 # tables of the fixed points that every tau block is read from) and the factor
 # windows of eq enumerate --bmax may spell; a larger request is a usage error.
 MAX_WORD_LETTERS = 10_000_000
+# The most work table1 --fib may ask for: a row builds its system's remainder
+# graph with about |S|^2 tokenizer letters, so the rows cost the sum of
+# |S|^2.  All 15 reference rows (74,049,650) fit; |S| = 10946 alone does not.
+TABLE1_LETTER_BUDGET = 75_000_000
 # The largest periodic-points --max-blocks.  The search spells no pattern, so
 # only its output limits it: the refuted count is below 2^(mb + 1), at most
 # 3,011 digits here, under Python's default int-to-str limit of 4,300 digits.
@@ -220,6 +224,14 @@ def cmd_table1(ns) -> Result:
     lengths = _parse_fib(ns.fib)
     if max(lengths) > MAX_WORD_LETTERS:
         raise ValueError(f"--fib {max(lengths)}: the block word has more than {MAX_WORD_LETTERS} letters")
+    if (cost := sum(s_len**2 for s_len in lengths)) > TABLE1_LETTER_BUDGET:
+        raise ValueError(f"--fib {ns.fib}: the rows cost {cost} letters (sum of |S|^2), over {TABLE1_LETTER_BUDGET}")
+    # a block word must be longer than |S6| of the Fibonacci systems' alphabet (a, b) = (1, 0)
+    half, shortest, after = squares.build_alphabet(1, 0).max_square_len // 2, 1, 2
+    while shortest <= half:
+        shortest, after = after, shortest + after
+    if (short := min(lengths)) <= half:
+        raise ValueError(f"--fib {short}: |S| must exceed |S6| = {half}; the shortest length is {shortest}")
     rows = [(r.s_len, r.steps, dynamics.TABLE1_REFERENCE.get(r.s_len))
             for r in dynamics.table1_experiment(lengths)]
     return _reproduce(rows, ["s_len", "steps", "reference", "verdict"],

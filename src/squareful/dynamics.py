@@ -23,8 +23,11 @@ nodes are the remainders: each has one successor, a remainder or a rotation,
 because :meth:`OmegaSystem.remainder_step` proves that a remainder's step
 does not depend on the names of the blocks after it.  A remainder's depth is
 its step count to ``S^omega`` or ``L^omega``, ending in a rotation's phase;
-the supremum is the largest depth of a start's remainder.  The preimage
-index (:class:`PreimageIndex`) reads its roots off the same steps.
+the supremum is the largest depth of a start's remainder.  That graph, with
+its depths, is the system's second table,
+:attr:`OmegaSystem.remainder_graph`, laid out and filled in ``omega``: the
+engine reads its depths and the preimage index (:class:`PreimageIndex`) its
+steps, so a system's Table 1 row and its index share one set of walks.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from __future__ import annotations
 from typing import Callable, Iterable
 
 from . import equation, squares, streams
-from .omega import CONSUMED, FLIP, PERIODIC, TYPE_A, TYPE_D, OmegaParams, OmegaSystem
+from .omega import CONSUMED, FLIP, PERIODIC, TYPE_A, TYPE_D, OmegaParams, OmegaSystem, remainder_slot, slot_remainder
 from .streams import BlockWord, InfiniteWord
 
 # ---------------------------------------------------------------------------
@@ -75,47 +78,22 @@ def fibonacci_estimate(s_len: int) -> str:
 
 
 class OrbitEngine:
-    """Exact steps-to-fixed counts on shifted products.
+    """Exact steps-to-fixed counts on shifted products, read from the
+    system's remainder graph (:attr:`OmegaSystem.remainder_graph`).
 
-    The counts are depths in a graph where every node has one successor.  A
-    node is a remainder ``(first, shift)``, whose successor is its square
-    root step, the same under every tail of names
+    A node of the graph is a remainder ``(first, shift)``, whose successor
+    is its square root step, the same under every tail of names
     (:meth:`OmegaSystem.remainder_step`): another remainder after type B or
-    C, and after type D the
-    rotation ``T^j(S^omega)``, whose depth is its phase, read from the
-    system's one table :attr:`OmegaSystem.rotations`; the rotations 0 and
-    ``sys.conjugate_index(sys.l_word)`` (``S^omega`` and ``L^omega``) have
-    phase 0.  A remainder with shift >= 2 spells the same letters whatever
-    its first block, so the graph has ``|S|`` remainders, and their depths
-    are one flat table of ``|S|`` bytes: slot ``shift`` holds ``("S",
-    shift)`` and slot 0 holds ``("L", 1)``, with 0 while unknown (every
-    remainder is at least one step from a rotation).
+    C, and after type D the rotation ``T^j(S^omega)``, whose phase ends the
+    depth.  The graph is the system's, built whole on its first read, so the
+    engine keeps nothing: a lone :meth:`steps_to_fixed` on a fresh system
+    builds every remainder's step, and a :class:`PreimageIndex` of the same
+    system reads the same steps.
     """
 
     def __init__(self, sys: OmegaSystem):
         self.sys = sys
         self.n = sys.block_len
-        self._depth = bytearray(self.n)
-
-    def _depth_of(self, first: str, shift: int) -> int:
-        """Steps from the remainder ``(first, shift)`` to ``S^omega`` or
-        ``L^omega``, kept in the depth table."""
-        path: dict[int, None] = {}
-        while not self._depth[slot := shift if shift > 1 or first == "S" else 0]:
-            if slot in path:
-                raise AssertionError("orbit cycled; contradicts the finite-time theorem")
-            path[slot] = None
-            kind, out = self.sys.remainder_step(first, shift)
-            if kind == TYPE_D:
-                depth = self.sys.rotations[1][out]
-                break
-            first, shift = out
-        else:
-            depth = self._depth[slot]
-        for back in reversed(path):
-            depth += 1
-            self._depth[back] = depth
-        return depth
 
     # -- orbits of shifted products --------------------------------------------
 
@@ -136,23 +114,23 @@ class OrbitEngine:
         """
         if not 0 < shift < self.n:
             raise ValueError("start word must be a properly shifted product")
-        return self._depth_of(first, shift)
+        return self.sys.remainder_graph[2][remainder_slot(first, shift)]
 
     def start(self) -> tuple[int, str]:
         """A properly shifted start ``(shift, first)`` attaining
         :meth:`steps_supremum` under every tail of names, exactly unless the
         tail is eventually constant (then it may count one more)."""
         starts = [(shift, first) for shift in range(1, self.n) for first in "SL"]
-        return max(starts, key=lambda s: self._depth_of(s[1], s[0]))
+        return max(starts, key=lambda s: self.sys.remainder_graph[2][remainder_slot(s[1], s[0])])
 
     def steps_supremum(self) -> int:
         """Exact maximum of :meth:`steps_to_fixed` over every properly
-        shifted product: the largest depth of a start's remainder.
+        shifted product: the largest depth in the graph, as every remainder
+        is a start's.
 
         Conjecture, checked on Table 1 and on a parameter grid but not
         proved: it equals ``s_word.count("0").bit_length()``."""
-        shift, first = self.start()
-        return self._depth_of(first, shift)
+        return max(self.sys.remainder_graph[2])
 
 
 # ---------------------------------------------------------------------------
@@ -245,11 +223,8 @@ def fibonacci_system(s_len: int) -> OmegaSystem:
 
 def table1_experiment(s_lengths: Iterable[int]) -> list[Table1Row]:
     """Maximal steps-to-fixed per block word length, with a start attaining it."""
-    rows = []
-    for s_len in s_lengths:
-        engine = OrbitEngine(fibonacci_system(s_len))
-        rows.append(Table1Row(s_len, engine.steps_supremum(), engine.start()))
-    return rows
+    engines = (OrbitEngine(fibonacci_system(s_len)) for s_len in s_lengths)
+    return [Table1Row(engine.n, engine.steps_supremum(), engine.start()) for engine in engines]
 
 
 TABLE1_REFERENCE = {8: 3, 13: 4, 21: 4, 34: 5, 55: 6, 89: 6, 144: 7, 233: 8, 377: 8,
@@ -309,20 +284,22 @@ class PreimageIndex:
     the block pairs checked to halve (:attr:`OmegaSystem.pairs_halve`).  Lemma:
     the window ``w`` shifted by ``ell`` is the remainder ``(w[0], ell)`` over
     the blocks ``w[1:]``.  At ``ell = 0`` its root is ``sigma(w[0::2])``.
-    Otherwise :meth:`OmegaSystem.remainder_step`, the step that the orbit
-    engine walks and that no tail of names changes, gives a type B or C
-    root, a remainder ``(head, shift')`` that consumes ``w[0]`` or
-    ``w[0:2]``, after which every name pair halves, so the root is
-    ``sigma(head)[shift':]`` followed by ``sigma`` of the odd- or
-    even-indexed names; ``window_blocks`` names reach past every pair that
-    ``match_len`` root letters read (at most 16 pairs after two names).
+    Otherwise :meth:`OmegaSystem.remainder_step`, the step that no tail of
+    names changes, gives a type B or C root, a remainder ``(head, shift')``
+    that consumes ``w[0]`` or ``w[0:2]``, after which every name pair
+    halves, so the root is ``sigma(head)[shift':]`` followed by ``sigma`` of
+    the odd- or even-indexed names; ``window_blocks`` names reach past every
+    pair that ``match_len`` root letters read (at most 16 pairs after two
+    names).
     Type D is the step's own claim: the root is ``T^j(S^omega)``
-    (:meth:`OmegaSystem.omega_p_word`).  As the step ignores the names after
-    the remainder, and a shift >= 2 reads no name of the first block, it is
-    taken once per remainder, ``(S, ell)`` for every shift and ``(L, 1)``,
-    and the letters it fixes (``sigma(head)[shift':]`` or the rotation root)
-    are kept per first name and shift; a window then only joins them to its
-    names' letters.  A preimage keeps its first witness, in sorted window
+    (:meth:`OmegaSystem.omega_p_word`).  The steps are read, one per slot,
+    from the system's :attr:`OmegaSystem.remainder_graph`, which the Table 1
+    engine reads too, so the index walks nothing when the graph is built and
+    every remainder once when it is not.  The letters each step fixes
+    (``sigma(head)[shift':]`` or the rotation root) are kept per slot and
+    looked up per first name and shift through
+    :func:`~squareful.omega.remainder_slot`; a window then only joins them to
+    its names' letters.  A preimage keeps its first witness, in sorted window
     order and then by ascending shift.
     """
 
@@ -331,23 +308,21 @@ class PreimageIndex:
             raise AssertionError(_NOT_HALVING)
         n = sys.block_len
         self.match_len = need = preimage_match_len(sys)
-        resolution = need // 4
-        need_letters = 2 * need + sys.alphabet.max_square_len + n
-        self.window_blocks = need_letters // n + 2
+        self.window_blocks = (2 * need + sys.alphabet.max_square_len + n) // n + 2  # the letters needed, in names
         self.table: dict[str, dict[str, PreimageHit]] = {}
 
-        def head_of(first: str, ell: int) -> tuple[str, int]:
-            # the root letters the step fixes and the index in `tails` of what
+        def head_of(kind: str, successor: int) -> tuple[str, int]:
+            # the root letters a step fixes and the index in `tails` of what
             # follows them: the names the step consumes, or 3 (nothing) for a
             # type D image
-            kind, out = sys.remainder_step(first, ell)
             if kind == TYPE_D:
-                return sys.omega_p_word(out).prefix(need), 3
-            return sys.sigma(out[0])[out[1] :], CONSUMED[kind]
+                return sys.omega_p_word(successor).prefix(need), 3
+            head, shift = slot_remainder(successor)
+            return sys.sigma(head)[shift:], CONSUMED[kind]
 
-        # per first name, per shift; a shift >= 2 reads no name of the first block
-        by_s = [("", CONSUMED[TYPE_A])] + [head_of("S", ell) for ell in range(1, n)]
-        heads = {"S": by_s, "L": [by_s[0], head_of("L", 1), *by_s[2:]]}
+        by_slot = [head_of(kind, successor) for kind, successor in zip(*sys.remainder_graph[:2])]
+        heads = {first: [("", CONSUMED[TYPE_A])] + [by_slot[remainder_slot(first, ell)] for ell in range(1, n)]
+                 for first in "SL"}
         for window in sys.factors(self.window_blocks):
             size, text = len(window), sys.sigma(window)
             # sigma of the first name of each whole pair from name 0 and from name 1
@@ -357,7 +332,7 @@ class PreimageIndex:
                 root = head + tails[tail]
                 if len(root) < need:
                     raise AssertionError("window too short for the requested match depth")
-                key = text[ell : ell + 2 * resolution]
+                key = text[ell : ell + need // 2]  # 2 * resolution letters
                 bucket = self.table.setdefault(root[:need], {})
                 if key not in bucket:
                     bucket[key] = PreimageHit(key, ell, window)
@@ -365,8 +340,7 @@ class PreimageIndex:
     def find(self, target_prefix: str) -> list[PreimageHit]:
         if len(target_prefix) != self.match_len:
             raise ValueError(f"index matches targets of length {self.match_len}")
-        bucket = self.table.get(target_prefix, {})
-        return sorted(bucket.values(), key=lambda h: h.preimage_prefix)
+        return sorted(self.table.get(target_prefix, {}).values(), key=lambda h: h.preimage_prefix)
 
 
 def junction_signature(sys: OmegaSystem, hits: list[PreimageHit]) -> bool:

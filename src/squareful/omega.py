@@ -20,13 +20,18 @@ The square root map acts on shifted block products through one kernel,
 :meth:`OmegaSystem.sqrt_step`, which :meth:`OmegaSystem.sqrt_of_product`,
 the one typed step of a product, writes as views, and which
 :meth:`OmegaSystem.remainder_step` proves free of the block names after a
-remainder, for the Table 1 walk and the preimage index.  Its type D images are
-the rotations ``T^j(S^omega)``, the periodic part, whose successors and
-phases are the one integer table :attr:`OmegaSystem.rotations`.
+remainder.  Its type D images are the rotations ``T^j(S^omega)``, the
+periodic part, whose successors and phases are the one integer table
+:attr:`OmegaSystem.rotations`.  The aperiodic part's one table is
+:attr:`OmegaSystem.remainder_graph`: one slot per remainder
+(:func:`remainder_slot` owns the layout) with its step and its depth to
+``S^omega`` or ``L^omega``, which the Table 1 engine and the preimage index
+read and never step themselves.
 """
 
 from __future__ import annotations
 
+import array
 import functools
 import itertools
 
@@ -56,6 +61,20 @@ D_LOOKAHEAD = 4
 
 # every name sequence that a step can read: the 16 four-name tails
 _TAILS = ["".join(p) for p in itertools.product("LS", repeat=D_LOOKAHEAD)]
+
+
+def remainder_slot(first: str, shift: int) -> int:
+    """The slot of the remainder ``(first, shift)`` in
+    :attr:`OmegaSystem.remainder_graph`, the one owner of its layout.  S and
+    L differ only in their first two letters, so a shift >= 2 spells the
+    same letters whatever ``first``: the ``|S|`` remainders are ``("S",
+    shift)`` in slot ``shift`` and ``("L", 1)`` in slot 0."""
+    return shift if shift > 1 or first == "S" else 0
+
+
+def slot_remainder(slot: int) -> tuple[str, int]:
+    """The remainder held in ``slot``, inverse to :func:`remainder_slot`."""
+    return ("S", slot) if slot else ("L", 1)
 
 
 class OmegaParams:
@@ -171,9 +190,8 @@ class OmegaSystem:
                 f"|reversed standard word| = {len(sbar)} must exceed "
                 f"|S6| = {self.alphabet.max_square_len // 2}; pick a larger k"
             )
-        seed_word = sbar if params.seed == PLAIN else words.swap_first_two(sbar)
-        self.s_word = seed_word
-        self.l_word = words.swap_first_two(seed_word)
+        self.s_word = sbar if params.seed == PLAIN else words.swap_first_two(sbar)
+        self.l_word = words.swap_first_two(self.s_word)
         self._sigma_table = {ord("S"): self.s_word, ord("L"): self.l_word}
         self.m = 2 * params.c + 1
         self._body = "S" * (self.m - 1)
@@ -396,8 +414,9 @@ class OmegaSystem:
         walked once per names-read prefix: once for type B, twice for C and
         ``2^r`` times for a type D that reads ``r`` names.  Nothing is kept.
 
-        The orbit engine's remainder graph (Table 1) and the preimage
-        index's roots read their steps here alone.
+        Its one caller is :attr:`remainder_graph`, which takes it once per
+        remainder and keeps the steps for the orbit engine (Table 1) and the
+        preimage index.
         """
         steps: dict[str, tuple[str, tuple[str, int] | int]] = {}  # by the names each step read
         for names in _TAILS:
@@ -407,6 +426,35 @@ class OmegaSystem:
         if len(set(steps.values())) != 1:
             raise AssertionError(f"the square root step of the remainder {(first, shift)!r} depends on the block names")
         return step
+
+    @functools.cached_property
+    def remainder_graph(self) -> tuple[str, array.array, bytes]:
+        """The remainders' steps and depths, the one table of the aperiodic
+        part, built whole on first read.
+
+        Slot :func:`remainder_slot` ``(first, shift)`` holds the remainder's
+        step type (``B``, ``C`` or ``D``), its successor (the root's slot
+        after type B or C, the rotation index after type D) and its depth,
+        the steps to ``S^omega`` or ``L^omega``, ending in the rotation's
+        phase (:attr:`rotations`).  Each remainder has one successor, as
+        :meth:`remainder_step` proves its step free of the names after it.
+        A type D slot's depth is known at once; the others are filled in
+        passes over the unknown slots, each fixing every slot whose root's
+        depth is known, and a pass that fixes none leaves only slots whose
+        roots stay among them, a cycle, and raises.  Returns the types as
+        one string, the successors and the depths, ``|S|`` entries each.
+        """
+        steps = [self.remainder_step(*slot_remainder(slot)) for slot in range(self.block_len)]
+        kinds = "".join(kind for kind, _ in steps)
+        successors = array.array("i", [out if kind == TYPE_D else remainder_slot(*out) for kind, out in steps])
+        # 1 + the rotation's phase after type D; 0 while unknown, as every depth is >= 1
+        depths = bytearray(self.rotations[1][out] + 1 if kind == TYPE_D else 0 for kind, out in steps)
+        while unknown := [slot for slot, depth in enumerate(depths) if not depth]:
+            for slot in unknown:  # 1 + the root's depth, once it is known
+                depths[slot] = (root := depths[successors[slot]]) and root + 1
+            if not any(depths[slot] for slot in unknown):
+                raise AssertionError("orbit cycled; contradicts the finite-time theorem")
+        return kinds, successors, bytes(depths)
 
     # -- the square root of a product ------------------------------------------
 

@@ -215,12 +215,20 @@ def test_the_square_root_step_keeps_nothing():
 
 
 def test_only_the_system_takes_the_square_root_step():
-    # the kernel is called in omega.py alone, where remainder_step proves a
-    # remainder's step free of the names after it; the engine and the index
-    # read that proof, and keep no tails or names-read rule of their own
-    callers = sorted(path.name for path in PACKAGE.glob("*.py")
-                     for node in ast.walk(ast.parse(path.read_text()))
-                     if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "sqrt_step")
-    assert callers and set(callers) == {"omega.py"}, f"sqrt_step called outside omega.py: {callers}"
-    named = referenced_names([PACKAGE / "dynamics.py"]) & {"_TAILS", "names_read", "D_LOOKAHEAD"}
+    # the kernel and remainder_step, which proves a remainder's step free of
+    # the names after it, are called in omega.py alone, where remainder_graph
+    # lays the steps out in slots; the engine and the index read that graph,
+    # and keep no tails, names-read rule, slot layout or depth table of their own
+    for method in ("sqrt_step", "remainder_step"):
+        callers = sorted(path.name for path in PACKAGE.glob("*.py")
+                         for node in ast.walk(ast.parse(path.read_text()))
+                         if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == method)
+        assert callers and set(callers) == {"omega.py"}, f"{method} called outside omega.py: {callers}"
+    tree = ast.parse((PACKAGE / "dynamics.py").read_text())
+    named = referenced_names([PACKAGE / "dynamics.py"]) & {"_TAILS", "names_read", "D_LOOKAHEAD", "bytearray"}
     assert not named, f"dynamics.py names {sorted(named)}"
+    # the layout's test of a first name: a compare with the name S or L
+    names = [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Compare)
+             and any(isinstance(side, ast.Constant) and side.value in ("S", "L")
+                     for side in (node.left, *node.comparators))]
+    assert not names, f"dynamics.py tests first names: {names}"

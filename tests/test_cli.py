@@ -317,6 +317,8 @@ def test_errors_exit_with_one_line(capsys, argv, code):
      "error: block names must be a nonempty word over S and L, not ''"),
     (["table1", "--fib", "8,x"], "error: --fib: not an integer: 'x'"),
     (["table2", "--fib", "8,x"], "error: --fib: not an integer: 'x'"),
+    (["table1", "--fib", "2"], "error: --fib 2: |S| must exceed |S6| = 5; the shortest length is 8"),
+    (["table1", "--fib", "3,5"], "error: --fib 3: |S| must exceed |S6| = 5; the shortest length is 8"),
 ])
 def test_usage_errors_name_the_input(capsys, argv, message):
     # the message speaks of what the user gave, not of an internal word
@@ -350,6 +352,19 @@ def test_oversized_words_are_refused_before_building(monkeypatch, capsys, argv):
     lines = captured.err.splitlines()
     bound = cli.MAX_BLOCKS if "--max-blocks" in argv else cli.MAX_WORD_LETTERS
     assert len(lines) == 1 and lines[0].startswith("error: ") and str(bound) in lines[0]
+
+
+def test_table1_budget_is_the_rows_cost(monkeypatch, capsys):
+    # a row costs about |S|^2 tokenizer letters: all 15 reference rows fit
+    # in one call and row 10946 alone does not, by arithmetic; no row runs
+    rows = list(dynamics.TABLE1_REFERENCE)
+    assert sum(s_len**2 for s_len in rows) <= cli.TABLE1_LETTER_BUDGET < 10946**2
+    monkeypatch.setattr(dynamics, "table1_experiment", lambda lengths: [])
+    assert main(["table1", "--fib", ",".join(map(str, rows))]) == 0
+    monkeypatch.setattr(dynamics, "fibonacci_system", None)
+    assert main(["table1", "--fib", "10946"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: --fib 10946: the rows cost {10946**2} letters (sum of |S|^2), over {cli.TABLE1_LETTER_BUDGET}"]
 
 
 def test_largest_bmax_is_accepted(monkeypatch, capsys):

@@ -638,6 +638,17 @@ class TestOneStepKernel:
         # of the system, and four for the block pairs that pairs_halve checks
         assert self.count_walks(monkeypatch, lambda: dynamics.PreimageIndex(OmegaSystem(params))) == walks
 
+    @pytest.mark.parametrize("params, walks", [(OmegaParams(), 53 + 4), (OmegaParams(3, 2, 1, 6), 285 + 4)])
+    @pytest.mark.parametrize("index_first", [True, False])
+    def test_one_graph_serves_the_engine_and_the_index(self, monkeypatch, params, walks, index_first):
+        # a Table 1 row and an index build on one system share one graph:
+        # one walk set per remainder, and pairs_halve's four
+        sys = OmegaSystem(params)
+        builds = [lambda: dynamics.PreimageIndex(sys),
+                  lambda: (OrbitEngine(sys).start(), OrbitEngine(sys).steps_supremum())]
+        order = builds if index_first else builds[::-1]
+        assert self.count_walks(monkeypatch, lambda: [build() for build in order]) == walks
+
     def test_remainder_step_ignores_the_tail_on_the_grid(self):
         # every remainder of every grid system: its step is proved name-free,
         # and it is the kernel's step under each of the 16 four-name tails; a
