@@ -37,6 +37,13 @@ MAX_WORD_LETTERS = 10_000_000
 # graph with about |S|^2 tokenizer letters, so the rows cost the sum of
 # |S|^2.  All 15 reference rows (74,049,650) fit; |S| = 10946 alone does not.
 TABLE1_LETTER_BUDGET = 75_000_000
+# The most orbit --steps: each step keeps a view of its word and a record,
+# about 0.7 KB at the default system, and prints a line.  The largest value
+# ran within 5 s and 180 MB max RSS on each of gamma1, the letters 00 and the
+# blocks SSL at shift 3, in either format.  A step also reads up to |S| plus
+# the start's period letters (its fingerprint, and the prefix that proves a
+# root periodic), so the steps times that stay within MAX_WORD_LETTERS.
+MAX_ORBIT_STEPS = 200_000
 # The largest periodic-points --max-blocks.  The search spells no pattern, so
 # only its output limits it: the refuted count is below 2^(mb + 1), at most
 # 3,011 digits here, under Python's default int-to-str limit of 4,300 digits.
@@ -134,8 +141,7 @@ def _word_source(sys: OmegaSystem, ns) -> streams.InfiniteWord:
     if kind == "blocks":
         prod = streams.sl_cycle(ns.word, sys.s_word, sys.l_word, ns.shift)
         return streams.expand(prod)
-    word = _read_letters(ns)
-    return streams.periodic_word(word, f"({word})^w")
+    return streams.periodic_word(_read_letters(ns))
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +193,13 @@ def cmd_omega_classify(ns) -> Result:
 
 
 def cmd_orbit(ns) -> Result:
+    if ns.steps > MAX_ORBIT_STEPS:
+        raise ValueError(f"--steps {ns.steps}: above {MAX_ORBIT_STEPS}, the orbit's views and records outgrow memory")
     sys = _system(ns)
-    record = dynamics.iterate_sqrt(sys, _word_source(sys, ns), ns.steps)
+    src = _word_source(sys, ns)
+    if (ns.steps + 1) * (sys.block_len + sum(src.period() or (0, 0))) > MAX_WORD_LETTERS:
+        raise ValueError(f"--steps {ns.steps}: the orbit reads more than {MAX_WORD_LETTERS} letters")
+    record = dynamics.iterate_sqrt(sys, src, ns.steps)
     steps = [{"fingerprint": s.fingerprint, "outcome": s.outcome, "versus_start": s.versus_start}
              for s in record.steps]
     lines = [f"start: {record.start}"]
@@ -206,6 +217,10 @@ def _parse_fib(text: str) -> list[int]:
             lengths.append(int(t))
         except ValueError:
             raise ValueError(f"--fib: not an integer: {t!r}") from None
+        try:  # every length is checked before the first row runs
+            dynamics.fibonacci_numbers(lengths[-1])
+        except ValueError:
+            raise ValueError(f"--fib {t}: not a Fibonacci number >= 2") from None
     if not lengths:
         raise ValueError("--fib names no block length")
     return lengths

@@ -477,9 +477,7 @@ class OmegaSystem:
         if kind == TYPE_D:
             return self.omega_p_word(out), PERIODIC
         head, shift = out
-        descriptor = f"sqrt-blocks[{prod.blocks.descriptor}]"
-        blocks = streams.decimate(prod.blocks, CONSUMED[kind], head, descriptor)
-        return streams.expand(self.product(blocks, shift)), kind
+        return streams.expand(self.product(streams.decimate(prod.blocks, CONSUMED[kind], head), shift)), kind
 
     # -- membership helpers ---------------------------------------------------
 

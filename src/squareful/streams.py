@@ -13,6 +13,14 @@ tokenization must start at a square boundary.  A square root of a
 non-squareful input raises :class:`SourcePoisonedError` at the failing input
 offset, after the letters before it, so orbit code can report the offending
 position cleanly.
+
+Every view names itself in its ``descriptor`` from its source and its
+kind: ``T^j(src)`` for a shift, ``T^j[blocks]`` for an expanded product,
+``sqrt-blocks[src]`` for a decimation and ``sqrt(src)`` for a square root.
+A decimation of a decimation and a root of a root are named by their depth
+over the first source that is not one, as ``sqrt-blocks^k[src]`` and
+``sqrt^k(src)``, so an orbit of ``N`` steps formats ``O(N)`` letters of
+names, not ``O(N^2)``.
 """
 
 from __future__ import annotations
@@ -122,11 +130,30 @@ def periodic_word(period: str, descriptor: str | None = None) -> InfiniteWord:
     return _PeriodicWord(period, descriptor or f"({period})^w")
 
 
-class _StridedWord(InfiniteWord):
-    """``head`` then ``src[offset], src[offset + stride], ...``, one strided window per request."""
+def _depth_name(view: InfiniteWord, src: InfiniteWord, template: str) -> str:
+    """The name of ``view``, built from ``src``: ``template`` filled with
+    ``^k``, its depth ``k`` over the first source that is not a view of its
+    kind (left out at ``k = 1``), and that source's name, which it keeps in
+    ``view.depth`` and ``view.base``.  So a name does not grow with ``k``."""
+    view.depth, view.base = (src.depth + 1, src.base) if type(src) is type(view) and src.depth else (1, src.descriptor)
+    return template.format(f"^{view.depth}" if view.depth > 1 else "", view.base)
 
-    def __init__(self, src: InfiniteWord, offset: int, stride: int, head: str, descriptor: str):
-        super().__init__((), descriptor)
+
+class _StridedWord(InfiniteWord):
+    """``head`` then ``src[offset], src[offset + stride], ...``, one strided window per request.
+
+    Asked of ``src`` as a shift (stride 1, no head), it is named ``T^j(src)``.
+    Asked as a decimation (stride 2), it is named ``sqrt-blocks[src]``, or
+    ``sqrt-blocks^k[word]`` if ``src`` is a decimation ``k - 1`` deep of
+    ``word``; a decimation of a strided view reads that view's source."""
+
+    depth = 0  # the decimations composed; a shift composes none
+
+    def __init__(self, src: InfiniteWord, offset: int, stride: int, head: str):
+        name = _depth_name(self, src, "sqrt-blocks{}[{}]") if stride > 1 else f"T^{offset}({src.descriptor})"
+        super().__init__((), name)
+        if stride > 1 and isinstance(src, _StridedWord):  # one view of the inner view's source
+            src, offset, stride, head = src.decimated(offset, head)
         known = stride > 1 and src.period()  # a shift reads nothing when built
         if known and offset >= known[0]:  # read a periodic source modulo its period
             offset, stride = known[0] + (offset - known[0]) % known[1], stride % known[1] or known[1]
@@ -144,24 +171,24 @@ class _StridedWord(InfiniteWord):
         return known and (len(self._head) + max(0, -(-(known[0] - self._offset) // self._stride)),
                           known[1] // math.gcd(known[1], self._stride))
 
-    def decimated(self, offset: int, head: str, descriptor: str) -> _StridedWord:
-        """:func:`decimate` of this view, as one view of its source."""
+    def decimated(self, offset: int, head: str) -> tuple[InfiniteWord, int, int, str]:
+        """The source, offset, stride and head of :func:`decimate` of this view, as a view of its source."""
         rel = offset - len(self._head)
-        return _StridedWord(self._src, self._offset + self._stride * (rel if rel >= 0 else rel % 2),
-                            2 * self._stride, head + self._head[offset::2], descriptor)
+        return (self._src, self._offset + self._stride * (rel if rel >= 0 else rel % 2), 2 * self._stride,
+                head + self._head[offset::2])
 
 
 def shift(src: InfiniteWord, j: int) -> InfiniteWord:
-    """The shifted word ``T^j(src)``: the view :func:`decimate` builds, with
-    stride 1 and no head, so its period is that formula's at ``d = 1``:
-    period ``p`` from ``start`` gives ``p`` from ``max(0, start - j)``.
-    Building it reads nothing of ``src``, not even its period."""
+    """The shifted word ``T^j(src)``, so named: the view :func:`decimate`
+    builds, with stride 1 and no head, so its period is that formula's at
+    ``d = 1``: period ``p`` from ``start`` gives ``p`` from ``max(0, start -
+    j)``.  Building it reads nothing of ``src``, not even its period."""
     if j < 0:
         raise ValueError("shift must be >= 0")
-    return _StridedWord(src, j, 1, "", f"T^{j}({src.descriptor})") if j else src
+    return _StridedWord(src, j, 1, "") if j else src
 
 
-def decimate(src: InfiniteWord, offset: int, head: str, descriptor: str) -> InfiniteWord:
+def decimate(src: InfiniteWord, offset: int, head: str) -> InfiniteWord:
     """The word ``head`` followed by every other letter of ``src`` from
     ``offset`` on.  A request reads the span it covers with one ``window``.
 
@@ -170,6 +197,11 @@ def decimate(src: InfiniteWord, offset: int, head: str, descriptor: str) -> Infi
     level deep: its stride doubles, the letters it takes from the inner head
     join its head (at most two names on the orbit route, whose heads are one
     name), and its offset moves to the inner source letter that comes next.
+    The view is named ``sqrt-blocks[src]``, as it holds the block names of a
+    square root of a product (:meth:`~squareful.omega.OmegaSystem.sqrt_of_product`),
+    and a decimation of that is ``sqrt-blocks^2[src]``, and so on: the name
+    is built from the first source and the depth, so it does not grow with
+    the orbit.
     Period ``p`` from ``start`` gives ``p / gcd(p, stride)`` from ``|head| +
     max(0, ceil((start - offset) / stride))``.  Such a source is read
     modulo its period: once ``offset >= start``, the view keeps
@@ -177,9 +209,7 @@ def decimate(src: InfiniteWord, offset: int, head: str, descriptor: str) -> Infi
     divides it), which take the same letters, so a request spans at most
     ``p`` source letters per letter it returns however often the stride
     has doubled."""
-    if isinstance(src, _StridedWord):
-        return src.decimated(offset, head, descriptor)
-    return _StridedWord(src, offset, 2, head, descriptor)
+    return _StridedWord(src, offset, 2, head)
 
 
 SQRT_PIECE = 1 << 14  # input letters tokenized per piece of a square root
@@ -189,7 +219,7 @@ class _SqrtWord(InfiniteWord):
     """The square root of ``src``, tokenized a piece at a time."""
 
     def __init__(self, alph: SquareAlphabet, src: InfiniteWord):
-        super().__init__((), f"sqrt({src.descriptor})")
+        super().__init__((), _depth_name(self, src, "sqrt{}({})"))
         self._alph, self._src = alph, src
 
     def _window(self, start: int, stop: int) -> str:
@@ -263,6 +293,10 @@ def sqrt_stream(alph: SquareAlphabet, src: InfiniteWord) -> InfiniteWord:
     each root of an orbit reads a bounded prefix of the root below it, not
     twice its own output.  A walk that fails leaves the request to the
     pieces, which serve the letters before the failure.
+
+    The root is named ``sqrt(src)``, and a root of a root ``k`` deep over a
+    source that is no root ``sqrt^k(src)``, so its name does not grow with
+    the depth of an orbit.
     """
     return _SqrtWord(alph, src)
 
@@ -283,9 +317,6 @@ class SLProduct:
         if len(s_word) != len(l_word):
             raise ValueError("block words must have equal length")
         self.blocks, self.shift, self.s_word, self.l_word = blocks, shift, s_word, l_word
-
-    def descriptor(self) -> str:
-        return f"T^{self.shift}[{self.blocks.descriptor}]"
 
 
 class BlockWord:
@@ -316,7 +347,7 @@ class _ExpandedWord(InfiniteWord):
     """The letters of ``prod``, one block-name window per request."""
 
     def __init__(self, prod: SLProduct):
-        super().__init__((), prod.descriptor())
+        super().__init__((), f"T^{prod.shift}[{prod.blocks.descriptor}]")
         self.product = prod
         self._table = {ord("S"): prod.s_word, ord("L"): prod.l_word}
 

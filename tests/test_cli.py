@@ -319,9 +319,20 @@ def test_errors_exit_with_one_line(capsys, argv, code):
     (["table2", "--fib", "8,x"], "error: --fib: not an integer: 'x'"),
     (["table1", "--fib", "2"], "error: --fib 2: |S| must exceed |S6| = 5; the shortest length is 8"),
     (["table1", "--fib", "3,5"], "error: --fib 3: |S| must exceed |S6| = 5; the shortest length is 8"),
+    (["table1", "--fib", "1597,2584,4181,12"], "error: --fib 12: not a Fibonacci number >= 2"),
+    (["table2", "--fib", "8,12"], "error: --fib 12: not a Fibonacci number >= 2"),
+    (["orbit", "--word", "gamma1", "--steps", str(cli.MAX_ORBIT_STEPS + 1)],
+     f"error: --steps {cli.MAX_ORBIT_STEPS + 1}: above {cli.MAX_ORBIT_STEPS}, "
+     "the orbit's views and records outgrow memory"),
 ])
-def test_usage_errors_name_the_input(capsys, argv, message):
-    # the message speaks of what the user gave, not of an internal word
+def test_usage_errors_name_the_input(monkeypatch, capsys, argv, message):
+    # the message speaks of what the user gave, not of an internal word, and
+    # comes before any row or orbit runs
+    def unreachable(*args):
+        raise AssertionError("a row or an orbit ran before the usage error")
+
+    monkeypatch.setattr(dynamics, "table1_experiment", unreachable)
+    monkeypatch.setattr(dynamics, "iterate_sqrt", unreachable)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.splitlines() == [message]
@@ -365,6 +376,34 @@ def test_table1_budget_is_the_rows_cost(monkeypatch, capsys):
     assert main(["table1", "--fib", "10946"]) == 2
     assert capsys.readouterr().err.splitlines() == [
         f"error: --fib 10946: the rows cost {10946**2} letters (sum of |S|^2), over {cli.TABLE1_LETTER_BUDGET}"]
+
+
+def test_a_poisoned_root_is_named_as_before(capsys):
+    assert main(["orbit", "--input-kind", "letters", "--word", "0110"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: the input is not squareful: source 'sqrt((0110)^w)' poisoned at letter 0"]
+
+
+def test_orbit_steps_are_bounded_by_their_cost(monkeypatch, capsys):
+    # by arithmetic, with no orbit run: the step bound holds on every word,
+    # and the steps times |S| plus the start's period letters stay within
+    # MAX_WORD_LETTERS (at --k 8, |S| = 55 and 181,818 * 55 <= 10^7)
+    runs = []
+    monkeypatch.setattr(dynamics, "iterate_sqrt",
+                        lambda sys, src, m: runs.append((src.descriptor, m)) or dynamics.OrbitRecord(src.descriptor))
+    bound, period = cli.MAX_ORBIT_STEPS, "0" * (cli.MAX_WORD_LETTERS // 10 - 8)
+    accepted = [["--word", "gamma1", "--steps", str(bound)], ["--k", "8", "--word", "gamma1", "--steps", "181817"],
+                ["--input-kind", "letters", "--word", period, "--steps", "9"]]
+    for argv in accepted:
+        assert main(["orbit", *argv]) == 0
+    assert runs == [("Gamma1", bound), ("Gamma1", 181817), (f"({period})^w", 9)]
+    capsys.readouterr()
+    refused = [(["--k", "8", "--word", "gamma1"], 181818), (["--input-kind", "letters", "--word", period], 10)]
+    for argv, steps in refused:
+        assert main(["orbit", *argv, "--steps", str(steps)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: --steps {steps}: the orbit reads more than {cli.MAX_WORD_LETTERS} letters" for steps in (181818, 10)]
+    assert len(runs) == 3
 
 
 def test_largest_bmax_is_accepted(monkeypatch, capsys):

@@ -221,7 +221,7 @@ class TestShift:
         # the first source and never the shift
         view = shift(periodic_word("SLLSLSSLL"), 5)
         view.window = lambda a, b: pytest.fail("the decimation read the shift")
-        word = decimate(view, 1, "L", "d")
+        word = decimate(view, 1, "L")
         assert type(word) is type(view)
         assert word.prefix(40) == "L" + ("SLLSLSSLL" * 10)[5:][1::2][:39]
 
@@ -251,7 +251,7 @@ class TestDecimate:
         for _ in range(40):
             head = rng.choice(("", "S", "L"))
             offset = rng.randrange(0, 50)
-            word = decimate(OmegaSystem(OmegaParams()).gamma_star(1), offset, head, "d")
+            word = decimate(OmegaSystem(OmegaParams()).gamma_star(1), offset, head)
             for _ in range(5):
                 lo = rng.randrange(0, 3000)
                 hi = lo + rng.randrange(0, 3000)
@@ -262,7 +262,7 @@ class TestDecimate:
     def test_one_window_per_request(self):
         calls = []
         src = periodic_word("SLLSL")
-        word = decimate(src, 3, "L", "d")
+        word = decimate(src, 3, "L")
         original = src.window
         src.window = lambda a, b: calls.append((a, b)) or original(a, b)
         assert word.prefix(1000) == "L" + ("SLLSL" * 400)[3:2000:2]
@@ -288,12 +288,46 @@ class TestDecimate:
         src.window = lambda a, b: calls.append((a, b)) or original(a, b)
         word = src
         for offset, head in levels:
-            word = decimate(word, offset, head, "d")
+            word = decimate(word, offset, head)
         assert word.window(lo, lo + n) == "".join(map(nested_letter, range(lo, lo + n)))
         assert len(calls) <= 1
         start, p = word.period()
         text = "".join(map(nested_letter, range(start + 3 * p + 16)))
         assert text[start + p :] == text[start : len(text) - p]
+
+
+class TestNames:
+    def test_depth_one_names(self, sys):
+        # a view built over a source that is no view of its kind keeps the
+        # name its caller gave it before views named themselves
+        blocks = periodic_word("SSL")
+        assert shift(blocks, 2).descriptor == "T^2((SSL)^w)"
+        assert decimate(blocks, 1, "L").descriptor == "sqrt-blocks[(SSL)^w]"
+        assert decimate(shift(blocks, 2), 1, "L").descriptor == "sqrt-blocks[T^2((SSL)^w)]"
+        assert shift(decimate(blocks, 1, "L"), 3).descriptor == "T^3(sqrt-blocks[(SSL)^w])"
+        assert sqrt_stream(ALPH, periodic_word("0110")).descriptor == "sqrt((0110)^w)"
+        assert expand(sys.product(blocks, 3)).descriptor == "T^3[(SSL)^w]"
+        roots = [sys.sqrt_of_product(sys.product(names, ell)) for names, ell in
+                 ((sys.gamma_star(1), 0), (periodic_word("S" * 18 + "L"), 2), (periodic_word("S" * 18 + "L"), 4))]
+        assert [(root.descriptor, kind) for root, kind in roots] == [
+            ("T^0[sqrt-blocks[Gamma1*]]", "A"), ("T^5[sqrt-blocks[(SSSSSSSSSSSSSSSSSSL)^w]]", "B"),
+            ("T^2[sqrt-blocks[(SSSSSSSSSSSSSSSSSSL)^w]]", "C")]
+        # the root of that type C root is named two decimations deep
+        assert sys.sqrt_of_product(roots[2][0].product)[0].descriptor == "T^5[sqrt-blocks^2[(SSSSSSSSSSSSSSSSSSL)^w]]"
+
+    def test_names_do_not_grow_with_depth(self, sys):
+        # a root of a root and a decimation of a decimation are named by
+        # their depth over the first source that is not one, so the names of
+        # an N-step orbit take O(N) letters, not O(N^2)
+        word = periodic_word("00")
+        for _ in range(4000):
+            word = sqrt_stream(ALPH, word)
+        prod = sys.product(sys.gamma_star(1))
+        for _ in range(16000):
+            root, kind = sys.sqrt_of_product(prod)
+            prod = root.product
+        assert (word.descriptor, root.descriptor) == ("sqrt^4000((00)^w)", "T^0[sqrt-blocks^16000[Gamma1*]]")
+        assert max(len(word.descriptor), len(root.descriptor)) <= 64
 
 
 class TestSqrtStream:
@@ -390,7 +424,7 @@ class TestSqrtStream:
 class TestPeriod:
     def test_unknown_is_none(self, sys):
         for word in (sys.big_gamma(1), shift(sys.big_gamma(1), 3), sqrt_stream(ALPH, sys.big_gamma(2)),
-                     decimate(sys.gamma_star(1), 0, "", "d")):
+                     decimate(sys.gamma_star(1), 0, "")):
             assert word.period() is None
 
     def test_shift_keeps_the_period(self, sys):
@@ -400,7 +434,7 @@ class TestPeriod:
         record = dynamics.iterate_sqrt(sys, word, 3)
         assert record.n_fixed == 0 and {s.outcome for s in record.steps} == {"periodic"}
         # a period from a later start moves back by the shift, down to 0
-        blocks = decimate(periodic_word("SSL"), 0, "LL", "d")
+        blocks = decimate(periodic_word("SSL"), 0, "LL")
         assert blocks.period() == (2, 3)
         assert [shift(blocks, j).period() for j in (1, 2, 5)] == [(1, 3), (0, 3), (0, 3)]
         assert shift(blocks, 1).prefix(12) == blocks.prefix(13)[1:]
@@ -417,7 +451,7 @@ class TestPeriod:
            offset=st.integers(0, 5), head=st.text("SL", max_size=3), steps=st.integers(0, 3))
     def test_derived_periods_hold(self, pattern, shift_letters, offset, head, steps):
         # every derived period is a period of the letters from its start on
-        blocks = decimate(periodic_word(pattern), offset, head, "d")
+        blocks = decimate(periodic_word(pattern), offset, head)
         word = expand(streams.SLProduct(blocks, shift_letters, S, L))
         for _ in range(steps):
             word = sqrt_stream(ALPH, word)
