@@ -378,7 +378,7 @@ def test_table1_budget_is_the_rows_cost(monkeypatch, capsys):
         f"error: --fib 10946: the rows cost {10946**2} letters (sum of |S|^2), over {cli.TABLE1_LETTER_BUDGET}"]
 
 
-def test_a_poisoned_root_is_named_as_before(capsys):
+def test_a_poisoned_root_names_its_source(capsys):
     assert main(["orbit", "--input-kind", "letters", "--word", "0110"]) == 1
     assert capsys.readouterr().err.splitlines() == [
         "error: the input is not squareful: source 'sqrt((0110)^w)' poisoned at letter 0"]

@@ -298,8 +298,8 @@ class TestDecimate:
 
 class TestNames:
     def test_depth_one_names(self, sys):
-        # a view built over a source that is no view of its kind keeps the
-        # name its caller gave it before views named themselves
+        # a view over a source that is no view of its kind is named from
+        # that source's name alone
         blocks = periodic_word("SSL")
         assert shift(blocks, 2).descriptor == "T^2((SSL)^w)"
         assert decimate(blocks, 1, "L").descriptor == "sqrt-blocks[(SSL)^w]"
